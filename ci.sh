@@ -26,6 +26,10 @@ fi
 go vet ./...
 go build ./...
 go test ./...
+# bench/ is a module of its own, so the line above does not reach it: run
+# the harness' statistics, open-loop pacing, span and BENCHMARK.json-sync
+# tests and its all-workloads smoke here.
+(cd bench && go test ./...)
 # The pure-Go micro-kernel fallbacks (f64 and f32) must stay correct on
 # their own: re-run the kernel suite — and the convnet built on the
 # lowered GEMM — with the assembly path compiled out. The tuner rides

@@ -18,11 +18,20 @@ type Params32 struct {
 	W2 *tensor.Matrix32 // Hidden×Visible
 	B1 tensor.Vector32  // Hidden
 	B2 tensor.Vector32  // Visible
+
+	// The weights as pack-once GEMM operands: enc for x·W1, and both
+	// decoders — W1ᵀ (tied) and W2 — because the snapshot does not know
+	// which its replicas' Config selects. The weights never change, so the
+	// forward pass packs them here instead of per batch.
+	enc, decTied, decFree *kernels.PackedB32
 }
 
-// To32 rounds the parameters to float32.
+// To32 rounds the parameters to float32 and packs the weights for the
+// blocked kernels.
 func (p *Params) To32() *Params32 {
-	return &Params32{W1: p.W1.To32(), W2: p.W2.To32(), B1: p.B1.To32(), B2: p.B2.To32()}
+	c := &Params32{W1: p.W1.To32(), W2: p.W2.To32(), B1: p.B1.To32(), B2: p.B2.To32()}
+	c.enc, c.decTied, c.decFree = kernels.PackB32(c.W1, false), kernels.PackB32(c.W1, true), kernels.PackB32(c.W2, false)
+	return c
 }
 
 // Inference32 is a forward-only float32 replica of a trained autoencoder.
@@ -61,23 +70,23 @@ func (m *Inference32) Encode(x *tensor.Matrix32) *tensor.Matrix32 {
 		panic(fmt.Sprintf("autoencoder: Encode32 input %dx%d, want ≤%dx%d", x.Rows, x.Cols, m.y.Rows, m.cfg.Visible))
 	}
 	y := m.y.RowsView(0, x.Rows)
-	kernels.Gemm32(m.pool, m.lvl, false, false, 1, x, m.p.W1, 0, y)
+	kernels.Gemm32Packed(m.pool, m.lvl, false, 1, x, m.p.enc, 0, y)
 	kernels.AddBiasRow32(m.pool, m.lvl, y, m.p.B1)
 	kernels.Sigmoid32(m.pool, m.lvl, y, y)
 	return y
 }
 
 // Reconstruct computes the round trip z = σ(σ(x·W1+b1)·dec + b2), where the
-// decoder is W1ᵀ with tied weights (expressed through the kernel's transB so
-// no transpose copy is made) and W2 otherwise.
+// decoder is W1ᵀ with tied weights (the snapshot's transB-packed W1) and W2
+// otherwise.
 func (m *Inference32) Reconstruct(x *tensor.Matrix32) *tensor.Matrix32 {
 	y := m.Encode(x)
 	z := m.z.RowsView(0, x.Rows)
+	dec := m.p.decFree
 	if m.cfg.Tied {
-		kernels.Gemm32(m.pool, m.lvl, false, true, 1, y, m.p.W1, 0, z)
-	} else {
-		kernels.Gemm32(m.pool, m.lvl, false, false, 1, y, m.p.W2, 0, z)
+		dec = m.p.decTied
 	}
+	kernels.Gemm32Packed(m.pool, m.lvl, false, 1, y, dec, 0, z)
 	kernels.AddBiasRow32(m.pool, m.lvl, z, m.p.B2)
 	kernels.Sigmoid32(m.pool, m.lvl, z, z)
 	return z

@@ -18,15 +18,22 @@ type Params32 struct {
 	B2 tensor.Vector32
 	W3 *tensor.Matrix32
 	B3 tensor.Vector32
+
+	// W1..W3 as pack-once GEMM operands: the weights never change, so the
+	// forward pass packs them here instead of per batch.
+	p1, p2, p3 *kernels.PackedB32
 }
 
-// To32 rounds every layer to float32.
+// To32 rounds every layer to float32 and packs the weights for the
+// blocked kernels.
 func (p *Params) To32() *Params32 {
-	return &Params32{
+	c := &Params32{
 		W1: p.Conv1.W.To32(), B1: p.Conv1.B.To32(),
 		W2: p.Conv2.W.To32(), B2: p.Conv2.B.To32(),
 		W3: p.W3.To32(), B3: p.B3.To32(),
 	}
+	c.p1, c.p2, c.p3 = kernels.PackB32(c.W1, false), kernels.PackB32(c.W2, false), kernels.PackB32(c.W3, false)
+	return c
 }
 
 // Inference32 is a forward-only float32 replica of the convnet running
@@ -91,18 +98,18 @@ func (m *Inference32) Infer(x *tensor.Matrix32) *tensor.Matrix32 {
 	out := m.out.RowsView(0, n)
 
 	kernels.Im2col32(m.pool, m.lvl, m.c1, n, x, cols1)
-	kernels.Gemm32(m.pool, m.lvl, false, false, 1, cols1, m.p.W1, 0, a1)
+	kernels.Gemm32Packed(m.pool, m.lvl, false, 1, cols1, m.p.p1, 0, a1)
 	kernels.AddBiasRow32(m.pool, m.lvl, a1, m.p.B1)
 	kernels.Sigmoid32(m.pool, m.lvl, a1, a1)
 	kernels.MaxPool32(m.pool, m.lvl, m.p1, n, a1, pl1)
 
 	kernels.Im2col32(m.pool, m.lvl, m.c2, n, pl1, cols2)
-	kernels.Gemm32(m.pool, m.lvl, false, false, 1, cols2, m.p.W2, 0, a2)
+	kernels.Gemm32Packed(m.pool, m.lvl, false, 1, cols2, m.p.p2, 0, a2)
 	kernels.AddBiasRow32(m.pool, m.lvl, a2, m.p.B2)
 	kernels.Sigmoid32(m.pool, m.lvl, a2, a2)
 	kernels.MaxPool32(m.pool, m.lvl, m.p2, n, a2, pl2)
 
-	kernels.Gemm32(m.pool, m.lvl, false, false, 1, pl2, m.p.W3, 0, out)
+	kernels.Gemm32Packed(m.pool, m.lvl, false, 1, pl2, m.p.p3, 0, out)
 	kernels.AddBiasRow32(m.pool, m.lvl, out, m.p.B3)
 	kernels.SoftmaxRows32(m.pool, m.lvl, out, out)
 	return out

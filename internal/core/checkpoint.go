@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc64"
 	"io"
@@ -53,6 +54,11 @@ var ckptMagic = [4]byte{'P', 'H', 'C', 'K'}
 const ckptVersion = 1
 
 var ckptCRC = crc64.MakeTable(crc64.ECMA)
+
+// ErrCheckpointTruncated is wrapped by DecodeCheckpoint's errors for a
+// checkpoint whose checksum holds but whose body ends before a field its
+// own header promises — including an epoch-loss count no file could hold.
+var ErrCheckpointTruncated = errors.New("core: checkpoint truncated")
 
 // encode renders the checkpoint to its on-disk byte form.
 func (c *Checkpoint) encode() []byte {
@@ -105,7 +111,7 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	body = body[4:]
 	r64 := func() (uint64, error) {
 		if len(body) < 8 {
-			return 0, fmt.Errorf("core: checkpoint: truncated body")
+			return 0, fmt.Errorf("%w: body ends inside a field", ErrCheckpointTruncated)
 		}
 		v := le.Uint64(body[:8])
 		body = body[8:]
@@ -135,8 +141,10 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	if uint64(len(body)) < count*8 {
-		return nil, fmt.Errorf("core: checkpoint: truncated epoch losses")
+	// Divide, don't multiply: count*8 wraps for count ≥ 1<<61 and would
+	// let a hostile count through to make.
+	if count > uint64(len(body))/8 {
+		return nil, fmt.Errorf("%w: %d epoch losses in %d bytes", ErrCheckpointTruncated, count, len(body))
 	}
 	c.EpochLoss = make([]float64, count)
 	for i := range c.EpochLoss {

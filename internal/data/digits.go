@@ -124,9 +124,19 @@ func drawSegment(img []float64, side int, x0, y0, x1, y1, pen float64) {
 	if maxY >= side {
 		maxY = side - 1
 	}
+	// A pixel farther from the stroke's line than the pen reaches is
+	// farther still from the segment and writes nothing: reject it by the
+	// squared cross product before paying for the projection and the
+	// Hypot. The slack makes the test conservative under rounding, so
+	// every pixel that is written goes through the exact arithmetic below.
+	reach := pen + 0.5 + 1e-6
+	far2 := reach * reach * len2 * (1 + 1e-9)
 	for y := minY; y <= maxY; y++ {
 		for x := minX; x <= maxX; x++ {
 			px, py := float64(x)+0.5, float64(y)+0.5
+			if cross := (px-x0)*dy - (py-y0)*dx; len2 > 0 && cross*cross > far2 {
+				continue
+			}
 			// Distance from pixel center to the segment.
 			t := 0.0
 			if len2 > 0 {

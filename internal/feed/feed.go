@@ -377,6 +377,9 @@ func (c *Consumer) Dim() int { return c.f.Dim() }
 // Labeled reports whether the feed serves labels.
 func (c *Consumer) Labeled() bool { return c.f.Labeled() }
 
+// Window returns the feed's bound on this consumer's uncommitted leases.
+func (c *Consumer) Window() int { return c.f.window }
+
 // Pos returns the next consumer-local ordinal Lease would grant.
 func (c *Consumer) Pos() int {
 	c.f.mu.Lock()

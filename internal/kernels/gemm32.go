@@ -26,14 +26,33 @@ import (
 // asm/go/scalar path taken), keeping the f64 kernels.gemm.* series clean
 // for A/B comparison.
 func Gemm32(pool *parallel.Pool, lvl Level, transA, transB bool, alpha float32, a, b *tensor.Matrix32, beta float32, c *tensor.Matrix32) {
+	gemm32(pool, lvl, transA, transB, alpha, a, b, nil, beta, c)
+}
+
+// Gemm32Packed is Gemm32 with op(B) supplied as a pack-once handle: the
+// blocked levels read the handle's panels instead of re-packing B on every
+// call, the scalar levels read the handle's source matrix. Results are
+// bit-identical to Gemm32 on the same operands at every level and worker
+// count. Calls record into the same kernels.gemm32.* series, plus the
+// kernels.gemm32.prepacked counter.
+func Gemm32Packed(pool *parallel.Pool, lvl Level, transA bool, alpha float32, a *tensor.Matrix32, pb *PackedB32, beta float32, c *tensor.Matrix32) {
+	gemm32(pool, lvl, transA, pb.transB, alpha, a, pb.b, pb, beta, c)
+}
+
+// gemm32 is the instrumented body shared by Gemm32 (pb nil) and
+// Gemm32Packed.
+func gemm32(pool *parallel.Pool, lvl Level, transA, transB bool, alpha float32, a, b *tensor.Matrix32, pb *PackedB32, beta float32, c *tensor.Matrix32) {
 	if !metrics.Enabled() {
-		gemm32Dispatch(pool, lvl, transA, transB, alpha, a, b, beta, c)
+		gemm32Dispatch(pool, lvl, transA, transB, alpha, a, b, pb, beta, c)
 		return
 	}
 	start := time.Now()
-	gemm32Dispatch(pool, lvl, transA, transB, alpha, a, b, beta, c)
+	gemm32Dispatch(pool, lvl, transA, transB, alpha, a, b, pb, beta, c)
 	mGemm32Seconds.Observe(time.Since(start).Seconds())
 	mGemm32Calls.Inc()
+	if pb != nil {
+		mGemm32Prepacked.Inc()
+	}
 	m, k := opShape32(a, transA)
 	_, n := opShape32(b, transB)
 	mGemm32Flops.Add(2 * float64(m) * float64(k) * float64(n))
@@ -47,9 +66,10 @@ func Gemm32(pool *parallel.Pool, lvl Level, transA, transB bool, alpha float32, 
 	}
 }
 
-// gemm32Dispatch is the uninstrumented Gemm32 body: validate, then route to
-// the packed micro-kernel or the scalar row loops.
-func gemm32Dispatch(pool *parallel.Pool, lvl Level, transA, transB bool, alpha float32, a, b *tensor.Matrix32, beta float32, c *tensor.Matrix32) {
+// gemm32Dispatch is the uninstrumented body: validate, then route to the
+// packed micro-kernel (which takes its B panels from pb when non-nil) or
+// the scalar row loops over b.
+func gemm32Dispatch(pool *parallel.Pool, lvl Level, transA, transB bool, alpha float32, a, b *tensor.Matrix32, pb *PackedB32, beta float32, c *tensor.Matrix32) {
 	m, ka := opShape32(a, transA)
 	kb, n := opShape32(b, transB)
 	if ka != kb {
@@ -66,7 +86,7 @@ func gemm32Dispatch(pool *parallel.Pool, lvl Level, transA, transB bool, alpha f
 		return
 	}
 	if lvl.IsBlocked() {
-		gemmPacked32(pool, lvl, transA, transB, alpha, a, b, beta, c, m, ka, n)
+		gemmPacked32(pool, lvl, transA, transB, alpha, a, b, pb, beta, c, m, ka, n)
 		return
 	}
 	scaleC32(pool, lvl, beta, c)
@@ -74,7 +94,7 @@ func gemm32Dispatch(pool *parallel.Pool, lvl Level, transA, transB bool, alpha f
 	// Both transposed: rewrite through a packed transpose of A so the
 	// scalar kernels only handle three layouts, as in the f64 path.
 	if transA && transB {
-		gemm32Dispatch(pool, lvl, false, true, alpha, a.T(), b, 1, c)
+		gemm32Dispatch(pool, lvl, false, true, alpha, a.T(), b, nil, 1, c)
 		return
 	}
 

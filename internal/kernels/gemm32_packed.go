@@ -59,6 +59,12 @@ func packB32(bp []float32, b *tensor.Matrix32, transB bool, pc, kc, jc, nc int) 
 					panel[l*nr32+jj] = v
 				}
 			}
+		} else if w == nr32 {
+			// Full-width panel: one fixed-size array assignment per k
+			// step instead of a RowView and a memmove call.
+			for l := 0; l < kc; l++ {
+				*(*[nr32]float32)(panel[l*nr32:]) = *(*[nr32]float32)(b.Data[(pc+l)*b.Stride+j0:])
+			}
 		} else {
 			for l := 0; l < kc; l++ {
 				brow := b.RowView(pc + l)[j0 : j0+w]
@@ -76,6 +82,48 @@ func packB32(bp []float32, b *tensor.Matrix32, transB bool, pc, kc, jc, nc int) 
 		}
 	}
 }
+
+// PackedB32 is a constant right-hand GEMM operand packed once and reused
+// across Gemm32Packed calls — the served weight matrices, which the
+// per-call path re-packed for every micro-batch. It holds the panels
+// packB32 writes for every (jc, pc) block of gemmPacked32's loop, laid out
+// in loop order, plus the source matrix for the scalar levels. A handle is
+// immutable after PackB32 returns and safe to share across goroutines; the
+// source matrix must not change while the handle is in use.
+type PackedB32 struct {
+	b      *tensor.Matrix32
+	transB bool
+	k      int
+	panels []float32
+}
+
+// PackB32 packs op(b) for reuse. The blocked levels never read b again;
+// the scalar levels read it on every call.
+func PackB32(b *tensor.Matrix32, transB bool) *PackedB32 {
+	k, n := opShape32(b, transB)
+	pb := &PackedB32{b: b, transB: transB, k: k, panels: make([]float32, k*roundUp(n, nr32))}
+	for jc := 0; jc < n; jc += ncBlock32 {
+		nc := min(ncBlock32, n-jc)
+		for pc := 0; pc < k; pc += kcBlock32 {
+			kc := min(kcBlock32, k-pc)
+			packB32(pb.block(jc, nc, pc, kc), b, transB, pc, kc, jc, nc)
+		}
+	}
+	return pb
+}
+
+// block returns the packed panels of op(B)[pc:pc+kc, jc:jc+nc]. Every jc
+// block before the last is ncBlock32 wide (a multiple of nr32, so it packs
+// without padding) and spans all k rows, which puts block (jc, pc) at
+// jc·k plus the pc rows of its own padded width.
+func (pb *PackedB32) block(jc, nc, pc, kc int) []float32 {
+	w := roundUp(nc, nr32)
+	off := jc*pb.k + pc*w
+	return pb.panels[off : off+kc*w]
+}
+
+// roundUp rounds n up to a multiple of m.
+func roundUp(n, m int) int { return (n + m - 1) / m * m }
 
 // packA32 packs the mr32-row sliver op(A)[i0:i0+h, pc:pc+kc] into ap,
 // k-major, zero-padding rows past h.
@@ -215,16 +263,20 @@ func (g *gemmState32) Range(lo, hi int) {
 
 // gemmPacked32 runs C = alpha·op(A)·op(B) + beta·C through the float32
 // packed micro-kernel, parallelized over row tiles when the level and pool
-// allow. The k summation order is fixed by the packing loop and every C
+// allow. Each B panel comes from pb when the caller packed op(B) ahead of
+// time, and is otherwise packed into the pooled arena — the same bytes
+// either way. The k summation order is fixed by the packing loop and every C
 // tile is written by exactly one worker, so results are bit-identical for
 // any worker count.
-func gemmPacked32(pool *parallel.Pool, lvl Level, transA, transB bool, alpha float32, a, b *tensor.Matrix32, beta float32, c *tensor.Matrix32, m, k, n int) {
+func gemmPacked32(pool *parallel.Pool, lvl Level, transA, transB bool, alpha float32, a, b *tensor.Matrix32, pb *PackedB32, beta float32, c *tensor.Matrix32, m, k, n int) {
 	g := gemmState32Pool.Get().(*gemmState32)
 	g.a, g.c = a, c
 	g.transA, g.transB = transA, transB
 	g.alpha, g.beta = alpha, beta
 	g.m = m
-	g.bArena = arena32Pool.Get().(*arena32)
+	if pb == nil {
+		g.bArena = arena32Pool.Get().(*arena32)
+	}
 	useDeviceParallel := lvl.IsParallel() && pool != nil && pool.Workers() > 1
 	tiles := (m + mr32 - 1) / mr32
 	for jc := 0; jc < n; jc += ncBlock32 {
@@ -239,8 +291,12 @@ func gemmPacked32(pool *parallel.Pool, lvl Level, transA, transB bool, alpha flo
 			}
 			g.pc, g.kc, g.jc, g.nc = pc, kc, jc, nc
 			g.first = pc == 0
-			g.bp = g.bArena.ensure(((nc + nr32 - 1) / nr32) * kc * nr32)
-			packB32(g.bp, b, transB, pc, kc, jc, nc)
+			if pb != nil {
+				g.bp = pb.block(jc, nc, pc, kc)
+			} else {
+				g.bp = g.bArena.ensure(roundUp(nc, nr32) * kc)
+				packB32(g.bp, b, transB, pc, kc, jc, nc)
+			}
 			if useDeviceParallel {
 				pool.ForRanger(tiles, parallel.Static, 0, g)
 			} else {
@@ -248,7 +304,9 @@ func gemmPacked32(pool *parallel.Pool, lvl Level, transA, transB bool, alpha flo
 			}
 		}
 	}
-	arena32Pool.Put(g.bArena)
+	if g.bArena != nil {
+		arena32Pool.Put(g.bArena)
+	}
 	*g = gemmState32{}
 	gemmState32Pool.Put(g)
 }

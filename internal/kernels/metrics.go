@@ -27,6 +27,11 @@ var (
 	mGemm32Flops   = metrics.Default().FloatCounter("kernels.gemm32.flops")
 	mGemm32Seconds = metrics.Default().Histogram("kernels.gemm32.seconds", metrics.ExpBuckets(1e-6, 4, 12)...)
 
+	// mGemm32Prepacked counts the gemm32 calls that took op(B) from a
+	// pack-once handle (Gemm32Packed); they count in calls/flops/seconds
+	// and the path counters too.
+	mGemm32Prepacked = metrics.Default().Counter("kernels.gemm32.prepacked")
+
 	mGemm32PathAsm    = metrics.Default().Counter("kernels.gemm32.path.asm")
 	mGemm32PathGo     = metrics.Default().Counter("kernels.gemm32.path.go")
 	mGemm32PathScalar = metrics.Default().Counter("kernels.gemm32.path.scalar")

@@ -68,6 +68,12 @@ func packB(bp []float64, b *tensor.Matrix, transB bool, pc, kc, jc, nc int) {
 					panel[l*nr+jj] = v
 				}
 			}
+		} else if w == nr {
+			// Full-width panel: one fixed-size array assignment per k
+			// step instead of a RowView and a memmove call.
+			for l := 0; l < kc; l++ {
+				*(*[nr]float64)(panel[l*nr:]) = *(*[nr]float64)(b.Data[(pc+l)*b.Stride+j0:])
+			}
 		} else {
 			for l := 0; l < kc; l++ {
 				brow := b.RowView(pc + l)[j0 : j0+w]

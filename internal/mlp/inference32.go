@@ -14,14 +14,21 @@ import (
 type Params32 struct {
 	W []*tensor.Matrix32
 	B []tensor.Vector32
+
+	// packed[l] is W[l] as a pack-once GEMM operand: the weights never
+	// change, so the forward pass packs them here instead of per batch.
+	packed []*kernels.PackedB32
 }
 
-// To32 rounds every layer to float32.
+// To32 rounds every layer to float32 and packs the weights for the
+// blocked kernels.
 func (p *Params) To32() *Params32 {
-	c := &Params32{W: make([]*tensor.Matrix32, len(p.W)), B: make([]tensor.Vector32, len(p.B))}
+	c := &Params32{W: make([]*tensor.Matrix32, len(p.W)), B: make([]tensor.Vector32, len(p.B)),
+		packed: make([]*kernels.PackedB32, len(p.W))}
 	for l := range p.W {
 		c.W[l] = p.W[l].To32()
 		c.B[l] = p.B[l].To32()
+		c.packed[l] = kernels.PackB32(c.W[l], false)
 	}
 	return c
 }
@@ -64,7 +71,7 @@ func (m *Inference32) Infer(x *tensor.Matrix32) *tensor.Matrix32 {
 	in := x
 	for l := 0; l < L; l++ {
 		out := m.acts[l].RowsView(0, x.Rows)
-		kernels.Gemm32(m.pool, m.lvl, false, false, 1, in, m.p.W[l], 0, out)
+		kernels.Gemm32Packed(m.pool, m.lvl, false, 1, in, m.p.packed[l], 0, out)
 		kernels.AddBiasRow32(m.pool, m.lvl, out, m.p.B[l])
 		if l < L-1 {
 			kernels.Sigmoid32(m.pool, m.lvl, out, out)

@@ -15,11 +15,19 @@ type Params32 struct {
 	W *tensor.Matrix32 // Visible×Hidden
 	B tensor.Vector32  // visible bias (length Visible)
 	C tensor.Vector32  // hidden bias (length Hidden)
+
+	// W as pack-once GEMM operands: up for x·W (Encode), down for h·Wᵀ
+	// (Reconstruct). The weights never change, so the forward pass packs
+	// them here instead of per batch.
+	up, down *kernels.PackedB32
 }
 
-// To32 rounds the parameters to float32.
+// To32 rounds the parameters to float32 and packs the weights for the
+// blocked kernels.
 func (p *Params) To32() *Params32 {
-	return &Params32{W: p.W.To32(), B: p.B.To32(), C: p.C.To32()}
+	w := p.W.To32()
+	return &Params32{W: w, B: p.B.To32(), C: p.C.To32(),
+		up: kernels.PackB32(w, false), down: kernels.PackB32(w, true)}
 }
 
 // Inference32 is a forward-only float32 replica of a trained RBM running
@@ -57,7 +65,7 @@ func (m *Inference32) Encode(x *tensor.Matrix32) *tensor.Matrix32 {
 		panic(fmt.Sprintf("rbm: Encode32 input %dx%d, want ≤%dx%d", x.Rows, x.Cols, m.h.Rows, m.cfg.Visible))
 	}
 	h := m.h.RowsView(0, x.Rows)
-	kernels.Gemm32(m.pool, m.lvl, false, false, 1, x, m.p.W, 0, h)
+	kernels.Gemm32Packed(m.pool, m.lvl, false, 1, x, m.p.up, 0, h)
 	kernels.AddBiasRow32(m.pool, m.lvl, h, m.p.C)
 	kernels.Sigmoid32(m.pool, m.lvl, h, h)
 	return h
@@ -69,7 +77,7 @@ func (m *Inference32) Encode(x *tensor.Matrix32) *tensor.Matrix32 {
 func (m *Inference32) Reconstruct(x *tensor.Matrix32) *tensor.Matrix32 {
 	h := m.Encode(x)
 	v := m.v.RowsView(0, x.Rows)
-	kernels.Gemm32(m.pool, m.lvl, false, true, 1, h, m.p.W, 0, v)
+	kernels.Gemm32Packed(m.pool, m.lvl, false, 1, h, m.p.down, 0, v)
 	kernels.AddBiasRow32(m.pool, m.lvl, v, m.p.B)
 	if !m.cfg.GaussianVisible {
 		kernels.Sigmoid32(m.pool, m.lvl, v, v)

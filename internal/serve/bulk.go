@@ -18,7 +18,29 @@ var (
 	mBulkChunks = metrics.Default().Counter("serve.bulk.chunks")
 	mBulkRows   = metrics.Default().Counter("serve.bulk.rows")
 	mBulkFailed = metrics.Default().Counter("serve.bulk.failed")
+
+	// The pipeline's balance: how long the scoring stage sat waiting for a
+	// filled chunk, and how long the loader sat waiting for a free staging
+	// buffer, per chunk. A loader-bound sweep shows the first, a
+	// worker-bound sweep the second.
+	mBulkLoaderWait = metrics.Default().Histogram("serve.bulk.loader_wait.seconds", metrics.ExpBuckets(1e-6, 4, 12)...)
+	mBulkScorerWait = metrics.Default().Histogram("serve.bulk.scorer_wait.seconds", metrics.ExpBuckets(1e-6, 4, 12)...)
 )
+
+// bulkWaitStart and recordBulkWait time one pipeline hand-over when
+// collection is on; off, they cost the one atomic load each.
+func bulkWaitStart() time.Time {
+	if !metrics.Enabled() {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+func recordBulkWait(h *metrics.Histogram, t0 time.Time) {
+	if !t0.IsZero() && metrics.Enabled() {
+		h.Observe(time.Since(t0).Seconds())
+	}
+}
 
 func recordBulkChunk(rows, failed int) {
 	if !metrics.Enabled() {
@@ -51,19 +73,22 @@ type BulkResult struct {
 // ScoreFeed is the feed-backed bulk-scoring path: the server becomes one
 // consumer of a dataset feed and scores its shard chunk by chunk through
 // the same admission queue, micro-batcher, and fault-tolerant workers as
-// online traffic. Each leased chunk's rows are submitted concurrently (the
-// batcher coalesces them into full batches, which is where the many-core
-// throughput comes from), the lease commits when its rows settle, and out —
-// when non-nil — receives each answered row in chunk order as (example
-// index into the source, scores). The scores slice is owned by the
-// callback.
+// online traffic. The sweep is the paper's two-stage pipeline (Algorithm 1,
+// Fig. 5) in wall clock: a loader goroutine leases and fills chunk k+1 into
+// one staging buffer while chunk k, in the other, is admitted as one run of
+// rows cut straight into full batches. Leases commit in lease order as their
+// rows settle, and out — when non-nil — receives each answered row in chunk
+// order as (example index into the source, scores). The scores slice is
+// owned by the callback. A feed with Window 1 gets one staging buffer and
+// the sweep runs load, score, load, score.
 //
 // Row-level failures are counted and skipped, not fatal: a bulk sweep over
 // a degraded server completes with Failed > 0 the same way a training run
 // survives dropped chunks. Server-level failure (Close, every worker
-// retired) aborts the sweep with the partial result. The sweep ends at the
-// feed's TotalChunks horizon, or after one full pass over the consumer's
-// shard when the feed is unbounded.
+// retired) or a failing source aborts the sweep with the partial result;
+// whatever the loader had leased by then is committed as skipped. The sweep
+// ends at the feed's TotalChunks horizon, or after one full pass over the
+// consumer's shard when the feed is unbounded.
 func (s *Server) ScoreFeed(op Op, fc *feed.Consumer, out func(example int, scores []float64)) (*BulkResult, error) {
 	return s.ScoreFeedContext(context.Background(), op, fc, out)
 }
@@ -81,81 +106,230 @@ func (s *Server) ScoreFeedContext(ctx context.Context, op Op, fc *feed.Consumer,
 		return nil, fmt.Errorf("serve: feed serves %d-wide examples, model wants %d", d, s.model.InputDim())
 	}
 	plan := fc.Plan()
-	// An unbounded feed would loop the source forever; stop the sweep after
-	// one full pass over this consumer's shard.
-	limit := fc.Pos() + plan.Chunks(plan.SourceLen/plan.Batch)
-	stage := tensor.NewMatrix(plan.ChunkExamples, fc.Dim())
-	scoreLabels := fc.Labeled() && op == OpPredict
+	sw := &sweep{
+		s: s, ctx: ctx, op: op, fc: fc, out: out, sourceLen: plan.SourceLen,
+		res:   &BulkResult{Labeled: fc.Labeled() && op == OpPredict},
+		start: time.Now(),
+	}
+	defer func() { sw.res.Seconds = sw.clock() }()
 
-	res := &BulkResult{Labeled: scoreLabels}
-	start := time.Now()
-	defer func() { res.Seconds = time.Since(start).Seconds() }()
-	for fc.Pos() < limit {
-		l, err := fc.Lease()
-		if errors.Is(err, feed.ErrExhausted) {
-			break
-		}
-		if err != nil {
-			return res, fmt.Errorf("serve: bulk lease: %w", err)
-		}
-		if err := fc.Fill(l, stage); err != nil {
-			// Unreachable after the geometry checks above; surface it
-			// rather than silently committing garbage.
-			fc.Commit(l, time.Since(start).Seconds(), true)
-			return res, fmt.Errorf("serve: bulk fill: %w", err)
-		}
-		var labels []int
-		if scoreLabels {
-			if labels, err = fc.Labels(l); err != nil {
-				fc.Commit(l, time.Since(start).Seconds(), true)
-				return res, fmt.Errorf("serve: bulk labels: %w", err)
-			}
-		}
+	stages := s.takeStages(plan.ChunkExamples, fc.Dim(), min(2, fc.Window()))
+	defer s.putStages(stages)
+	// Both channels hold every stage there is, so neither side ever blocks
+	// handing one over.
+	free := make(chan *bulkStage, len(stages))
+	filled := make(chan *bulkStage, len(stages))
+	for _, st := range stages {
+		free <- st
+	}
+	stop := make(chan struct{})
+	// An unbounded feed would loop the source forever; the loader stops
+	// after one full pass over this consumer's shard.
+	go sw.load(plan.Chunks(plan.SourceLen/plan.Batch), free, filled, stop)
 
-		// Submit the chunk's rows concurrently and let the micro-batcher
-		// coalesce them; doCtx copies each row at admission, so the shared
-		// staging matrix is safe to refill next lease.
-		outs := make([][]float64, l.N)
-		errs := make([]error, l.N)
-		var wg sync.WaitGroup
-		for i := 0; i < l.N; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				outs[i], errs[i] = s.doCtx(ctx, op, stage.RowView(i))
-			}(i)
+	// The loader closes filled when it exits, so leaving this loop joins it.
+	var sweepErr error
+	for {
+		t0 := bulkWaitStart()
+		st, ok := <-filled
+		if !ok {
+			return sw.res, sweepErr
 		}
-		wg.Wait()
-
-		failed, fatal := 0, error(nil)
-		for i := 0; i < l.N; i++ {
-			if errs[i] != nil {
-				failed++
-				if errors.Is(errs[i], ErrClosed) || errors.Is(errs[i], ErrDown) {
-					fatal = errs[i]
-				}
-				continue
+		err := st.err
+		switch {
+		case sweepErr != nil, err != nil:
+			// Aborting: hand back what the loader had already leased.
+			if st.leased {
+				_ = fc.Commit(st.lease, sw.clock(), true) // fails only on a closed consumer, whose leases are gone anyway
 			}
-			res.Rows++
-			if scoreLabels && argmax(outs[i]) == labels[i] {
-				res.Correct++
-			}
-			if out != nil {
-				out((l.Start+i)%plan.SourceLen, outs[i])
+		default:
+			recordBulkWait(mBulkLoaderWait, t0)
+			if err = sw.score(st); err == nil {
+				free <- st
 			}
 		}
-		res.Chunks++
-		res.Failed += failed
-		recordBulkChunk(l.N-failed, failed)
-		fc.Commit(l, time.Since(start).Seconds(), failed == l.N)
-		if fatal != nil {
-			return res, fmt.Errorf("serve: bulk sweep aborted: %w", fatal)
-		}
-		if ctx.Err() != nil {
-			return res, ctxErr(ctx)
+		if err != nil && sweepErr == nil {
+			sweepErr = err
+			close(stop)
 		}
 	}
-	return res, nil
+}
+
+// bulkStage is one of a sweep's staging buffers: a leased chunk on its way
+// from the loader to the workers.
+type bulkStage struct {
+	x *tensor.Matrix // ChunkExamples×Dim, filled by the loader
+	// x32 is x rounded once per chunk (F32 servers only), so the workers
+	// copy rows instead of converting them.
+	x32 *tensor.Matrix32
+
+	lease  feed.Lease
+	leased bool  // lease is outstanding
+	labels []int // when the sweep scores accuracy
+	err    error // the loader's lease/fill failure
+
+	// busy counts the chunk's rows a worker may still read. It outlives
+	// the rows' waiters: a row abandoned at its deadline stays in its batch.
+	busy sync.WaitGroup
+}
+
+// takeStages returns n staging buffers of rows×dim, the server's cached set
+// when it fits and is not out with a concurrent sweep.
+func (s *Server) takeStages(rows, dim, n int) []*bulkStage {
+	s.bulkMu.Lock()
+	stages := s.bulkStages
+	s.bulkStages = nil
+	s.bulkMu.Unlock()
+	if len(stages) == n && stages[0].x.Rows == rows && stages[0].x.Cols == dim {
+		return stages
+	}
+	stages = make([]*bulkStage, n)
+	for i := range stages {
+		stages[i] = &bulkStage{x: tensor.NewMatrix(rows, dim)}
+		if s.cfg.Precision == F32 {
+			stages[i].x32 = tensor.NewMatrix32(rows, dim)
+		}
+	}
+	return stages
+}
+
+// putStages caches a finished sweep's staging buffers for the next one.
+func (s *Server) putStages(stages []*bulkStage) {
+	s.bulkMu.Lock()
+	s.bulkStages = stages
+	s.bulkMu.Unlock()
+}
+
+// sweep is the state of one ScoreFeed call. res is touched only by the
+// calling goroutine (the scoring stage).
+type sweep struct {
+	s         *Server
+	ctx       context.Context
+	op        Op
+	fc        *feed.Consumer
+	out       func(example int, scores []float64)
+	sourceLen int
+	res       *BulkResult
+	start     time.Time
+}
+
+// clock is the sweep's commit clock: wall seconds since it began.
+func (sw *sweep) clock() float64 { return time.Since(sw.start).Seconds() }
+
+// load is the loading stage: it leases and fills up to chunks chunks, each
+// into the next free staging buffer, and hands them to the scoring stage in
+// lease order. A failure is delivered on the stage it happened to and ends
+// the loader, as does stop; filled is closed on the way out.
+func (sw *sweep) load(chunks int, free <-chan *bulkStage, filled chan<- *bulkStage, stop <-chan struct{}) {
+	defer close(filled)
+	for k := 0; k < chunks; k++ {
+		t0 := bulkWaitStart()
+		var st *bulkStage
+		select {
+		case <-stop:
+			return
+		case st = <-free:
+			// Should stop be closed too, the chunk loaded here is handed
+			// back unscored by the aborting scorer.
+		}
+		recordBulkWait(mBulkScorerWait, t0)
+
+		st.leased, st.labels, st.err = false, nil, nil
+		l, err := sw.fc.Lease()
+		if errors.Is(err, feed.ErrExhausted) {
+			return
+		}
+		if err != nil {
+			st.err = fmt.Errorf("serve: bulk lease: %w", err)
+		} else {
+			st.lease, st.leased = l, true
+			st.err = sw.fill(st)
+		}
+		filled <- st
+		if st.err != nil {
+			return
+		}
+	}
+}
+
+// fill streams the stage's leased chunk, and its labels when the sweep
+// scores accuracy, out of the feed. A source that panics is reported as a
+// failed fill: on this goroutine the panic would otherwise take the process
+// down instead of reaching ScoreFeed's caller.
+func (sw *sweep) fill(st *bulkStage) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("serve: bulk fill: source panicked: %v", p)
+		}
+	}()
+	if err := sw.fc.Fill(st.lease, st.x); err != nil {
+		return fmt.Errorf("serve: bulk fill: %w", err)
+	}
+	if sw.res.Labeled {
+		if st.labels, err = sw.fc.Labels(st.lease); err != nil {
+			return fmt.Errorf("serve: bulk labels: %w", err)
+		}
+	}
+	return nil
+}
+
+// score is the scoring stage for one filled chunk: admit its rows as one
+// run, await them in order, tally, commit the lease. It returns once no
+// worker can still read the stage, so the caller may recycle it.
+func (sw *sweep) score(st *bulkStage) error {
+	s, l, res := sw.s, st.lease, sw.res
+	reqs := make([]request, l.N)
+	enq := time.Now()
+	if st.x32 != nil {
+		tensor.Round32(st.x32.Data, st.x.Data)
+	}
+	for i := range reqs {
+		r := &reqs[i]
+		r.op, r.enq, r.done, r.settled = sw.op, enq, make(chan struct{}), &st.busy
+		if st.x32 != nil {
+			r.in32 = st.x32.RowView(i)
+		} else {
+			r.in = st.x.RowView(i)
+		}
+	}
+	st.busy.Add(l.N)
+	deadline := s.deadlineFor(sw.ctx, enq)
+	s.admitRows(sw.ctx, reqs, st.x.Data, deadline, true)
+
+	failed, fatal := 0, error(nil)
+	for i := range reqs {
+		scores, err := s.await(sw.ctx, &reqs[i], deadline)
+		if err != nil {
+			failed++
+			if errors.Is(err, ErrClosed) || errors.Is(err, ErrDown) {
+				fatal = err
+			}
+			continue
+		}
+		res.Rows++
+		if res.Labeled && argmax(scores) == st.labels[i] {
+			res.Correct++
+		}
+		if sw.out != nil {
+			sw.out((l.Start+i)%sw.sourceLen, scores)
+		}
+	}
+	res.Chunks++
+	res.Failed += failed
+	recordBulkChunk(l.N-failed, failed)
+	commitErr := sw.fc.Commit(l, sw.clock(), failed == l.N)
+	// A row whose waiter gave up at its deadline is still in a batch that
+	// reads the stage; wait the workers out before anyone refills it.
+	st.busy.Wait()
+	switch {
+	case fatal != nil:
+		return fmt.Errorf("serve: bulk sweep aborted: %w", fatal)
+	case sw.ctx.Err() != nil:
+		return ctxErr(sw.ctx)
+	case commitErr != nil:
+		return fmt.Errorf("serve: bulk commit: %w", commitErr)
+	}
+	return nil
 }
 
 // argmax returns the index of the largest score (first on ties).

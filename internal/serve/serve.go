@@ -78,6 +78,7 @@ import (
 	"phideep/internal/core"
 	"phideep/internal/device"
 	"phideep/internal/sim"
+	"phideep/internal/tensor"
 )
 
 // Op identifies a serving operation.
@@ -345,18 +346,25 @@ const (
 	reqAbandoned
 )
 
-// request is one admitted serving call, completed by a worker or the
-// supervisor (or answered by the degrade path before admission). in is a
-// private copy taken at admission: the caller keeps ownership of its own
-// slice and may reuse it immediately after the call returns — even after
-// a deadline abandons the request while its batch is still in flight.
+// request is one serving call, completed by a worker or the supervisor, or
+// settled at admission (rejected, or answered by the degrade path). Its
+// input is staged before admission in the width the workers compute in: in
+// on F64 servers, in32 — rounded once — on F32 servers. A single request
+// owns a private copy, so the caller may reuse its slice the moment the
+// call returns, even after a deadline abandons the request while its batch
+// is still in flight; a bulk row views a staging buffer that ScoreFeed
+// refills only after settled reports every row of the chunk finished.
 type request struct {
 	op   Op
 	in   []float64
+	in32 []float32
 	out  []float64
 	err  error
 	done chan struct{}
 	enq  time.Time
+	// settled, when non-nil, is told once nothing will read the input
+	// again (the bulk path's staging-buffer release).
+	settled *sync.WaitGroup
 
 	// state arbitrates completion vs abandonment (reqPending → reqDone by
 	// the worker, reqPending → reqAbandoned by a deadline-expired caller);
@@ -406,6 +414,12 @@ type Server struct {
 	batches chan []*request
 	workers []*worker
 	wg      sync.WaitGroup
+
+	// bulkStages caches ScoreFeed's staging buffers between sweeps; a
+	// sweep takes them and puts them back, so they are allocated once per
+	// server and chunk geometry. Guarded by bulkMu.
+	bulkMu     sync.Mutex
+	bulkStages []*bulkStage
 
 	st counters
 }
@@ -492,7 +506,8 @@ func (s *Server) PredictContext(ctx context.Context, x []float64) ([]float64, er
 // Model returns the served model description.
 func (s *Server) Model() *Model { return s.model }
 
-// doCtx validates, admits, batches and awaits one request.
+// doCtx validates, stages, admits and awaits one request: the one-row case
+// of the admission path the bulk sweep feeds chunks through.
 func (s *Server) doCtx(ctx context.Context, op Op, x []float64) ([]float64, error) {
 	if !s.model.supports(op) {
 		return nil, &UnsupportedOpError{Kind: s.model.Kind(), Op: op}
@@ -500,77 +515,87 @@ func (s *Server) doCtx(ctx context.Context, op Op, x []float64) ([]float64, erro
 	if len(x) != s.model.InputDim() {
 		return nil, fmt.Errorf("serve: input length %d, want %d", len(x), s.model.InputDim())
 	}
+	reqs := []request{{op: op, done: make(chan struct{}), enq: time.Now()}}
+	r := &reqs[0]
 	// Copy at admission: the request must not alias the caller's slice,
 	// which the caller is free to reuse the moment this call returns —
 	// and, under a deadline, even before the batch stages.
-	in := append([]float64(nil), x...)
-	r := &request{op: op, in: in, done: make(chan struct{}), enq: time.Now()}
+	if s.cfg.Precision == F32 {
+		r.in32 = make([]float32, len(x))
+		tensor.Round32(r.in32, x)
+	} else {
+		r.in = append([]float64(nil), x...)
+	}
+	deadline := s.deadlineFor(ctx, r.enq)
+	s.admitRows(ctx, reqs, x, deadline, false)
+	return s.await(ctx, r, deadline)
+}
 
+// deadlineFor is the deadline of requests enqueued at enq: the earlier of
+// Config.RequestTimeout and ctx's own, zero for none.
+func (s *Server) deadlineFor(ctx context.Context, enq time.Time) time.Time {
 	var deadline time.Time
 	if s.cfg.RequestTimeout > 0 {
-		deadline = r.enq.Add(s.cfg.RequestTimeout)
+		deadline = enq.Add(s.cfg.RequestTimeout)
 	}
 	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
 		deadline = d
 	}
-
-	admitted, err := s.admit(ctx, r, deadline)
-	if err != nil {
-		return nil, err
-	}
-	if !admitted {
-		// Degrade policy at a full queue: answer inline from the scalar
-		// host reference, outside the lock.
-		return s.model.hostInfer(op, in)
-	}
-	return s.await(ctx, r, deadline)
+	return deadline
 }
 
-// admit places r in its pending queue, applying the admission policy at a
-// full queue. It returns admitted=false with a nil error when the Degrade
-// policy should answer inline. Block waits are woken by queue space, Close,
-// Drain, the last worker retiring, ctx cancellation, or the request
-// deadline (the latter two via one-shot broadcasts armed on first wait).
-func (s *Server) admit(ctx context.Context, r *request, deadline time.Time) (bool, error) {
+// admitRows is the admission path: it takes reqs — a run of requests for
+// one op with their inputs already staged — through the pending queue under
+// one acquisition of s.mu, flushing a batch to the workers each time the
+// queue reaches the effective batch size. The admission policy applies per
+// row at a full queue: Block waits for space (woken by queue space, Close,
+// Drain, the last worker retiring, ctx cancellation or the deadline — the
+// latter two via one-shot broadcasts armed on first wait), Shed rejects the
+// row with ErrOverloaded, Degrade answers it inline from the scalar host
+// reference, reading the row's float64 form from host (row i is
+// host[i·InputDim:]) with the lock released. A row that is not admitted is
+// settled here, so every row of reqs can be awaited alike. last says the
+// caller has no more rows coming: a short tail is flushed at once instead
+// of waiting out MaxWait.
+func (s *Server) admitRows(ctx context.Context, reqs []request, host []float64, deadline time.Time, last bool) {
+	op, dim := reqs[0].op, s.model.InputDim()
 	var waker *time.Timer
 	var stopCtx func() bool
 	s.mu.Lock()
-	defer func() {
-		s.mu.Unlock()
-		if waker != nil {
-			waker.Stop()
-		}
-		if stopCtx != nil {
-			stopCtx()
-		}
-	}()
-	for {
-		if ctx.Err() != nil {
-			return false, ctxErr(ctx)
-		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			s.st.deadlineTimeouts.Add(1)
-			recordDeadlineTimeout()
-			return false, ErrDeadline
-		}
-		if s.closed || s.draining {
-			return false, ErrClosed
-		}
-		if s.live == 0 {
-			return false, ErrDown
+	for i := 0; i < len(reqs); {
+		if err := s.refusalLocked(ctx, deadline); err != nil {
+			// Nothing the rows behind this one depend on can change while
+			// the lock is held: they are refused alike. An expired ctx is
+			// the caller's own doing and is not counted as a timeout.
+			timedOut := ctx.Err() == nil && errors.Is(err, ErrDeadline)
+			for ; i < len(reqs); i++ {
+				if timedOut {
+					s.st.deadlineTimeouts.Add(1)
+					recordDeadlineTimeout()
+				}
+				reqs[i].settle(nil, err)
+			}
+			break
 		}
 		if s.queued < s.cfg.QueueDepth {
-			break
+			s.enqueueLocked(&reqs[i])
+			i++
+			continue
 		}
 		switch s.cfg.Policy {
 		case Shed:
 			s.st.sheds.Add(1)
 			recordShed()
-			return false, ErrOverloaded
+			reqs[i].settle(nil, ErrOverloaded)
+			i++
 		case Degrade:
 			s.st.degrades.Add(1)
 			recordDegrade()
-			return false, nil
+			s.armTimerLocked(op)
+			s.mu.Unlock()
+			reqs[i].settle(s.model.hostInfer(op, host[i*dim:(i+1)*dim]))
+			i++
+			s.mu.Lock()
 		default: // Block
 			if waker == nil && !deadline.IsZero() {
 				waker = time.AfterFunc(time.Until(deadline), s.notFull.Broadcast)
@@ -578,21 +603,72 @@ func (s *Server) admit(ctx context.Context, r *request, deadline time.Time) (boo
 			if stopCtx == nil && ctx.Done() != nil {
 				stopCtx = context.AfterFunc(ctx, s.notFull.Broadcast)
 			}
+			s.armTimerLocked(op)
 			s.notFull.Wait()
 		}
 	}
+	if last {
+		s.flushLocked(op, false)
+	} else {
+		s.armTimerLocked(op)
+	}
+	recordQueueDepth(s.queued)
+	s.mu.Unlock()
+	if waker != nil {
+		waker.Stop()
+	}
+	if stopCtx != nil {
+		stopCtx()
+	}
+}
+
+// refusalLocked returns why the server cannot admit a request right now,
+// nil when only queue space stands in the way. Caller holds s.mu.
+func (s *Server) refusalLocked(ctx context.Context, deadline time.Time) error {
+	switch {
+	case ctx.Err() != nil:
+		return ctxErr(ctx)
+	case !deadline.IsZero() && !time.Now().Before(deadline):
+		return ErrDeadline
+	case s.closed || s.draining:
+		return ErrClosed
+	case s.live == 0:
+		return ErrDown
+	}
+	return nil
+}
+
+// enqueueLocked admits r into its op's pending queue and flushes the queue
+// when it reaches the effective batch size. Caller holds s.mu and arms the
+// MaxWait timer before releasing it with a queue left pending.
+func (s *Server) enqueueLocked(r *request) {
 	s.queued++
 	s.inflight++
 	s.st.requests.Add(1)
-	s.pending[r.op] = append(s.pending[r.op], r)
-	switch {
-	case len(s.pending[r.op]) >= s.curBatch:
-		s.flushLocked(r.op, true)
-	case len(s.pending[r.op]) == 1:
-		s.armTimerLocked(r.op)
+	if s.pending[r.op] == nil {
+		s.pending[r.op] = make([]*request, 0, s.curBatch)
 	}
-	recordQueueDepth(s.queued)
-	return true, nil
+	s.pending[r.op] = append(s.pending[r.op], r)
+	if len(s.pending[r.op]) >= s.curBatch {
+		s.flushLocked(r.op, true)
+	}
+}
+
+// settle completes a request that never reached a worker: refused or shed
+// at admission, or answered inline by the degrade path.
+func (r *request) settle(out []float64, err error) {
+	r.out, r.err = out, err
+	r.state.Store(reqDone)
+	r.finish()
+}
+
+// finish publishes the request's outcome to its waiter and releases its
+// input.
+func (r *request) finish() {
+	close(r.done)
+	if r.settled != nil {
+		r.settled.Done()
+	}
 }
 
 // await blocks until the request completes or its deadline/ctx expires.
@@ -603,6 +679,11 @@ func (s *Server) await(ctx context.Context, r *request, deadline time.Time) ([]f
 	if deadline.IsZero() && ctx.Done() == nil {
 		<-r.done
 		return r.out, r.err
+	}
+	select {
+	case <-r.done: // already settled: no timer to arm
+		return r.out, r.err
+	default:
 	}
 	var timerC <-chan time.Time
 	if !deadline.IsZero() {
@@ -649,9 +730,14 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// armTimerLocked starts the MaxWait flush timer for op's fresh pending
-// queue. Caller holds s.mu.
+// armTimerLocked starts the MaxWait flush timer for op's pending queue
+// unless the queue is empty or already has one. Caller holds s.mu; a set
+// s.timers[op] is always the live timer of the queue's current generation,
+// because every flush clears it.
 func (s *Server) armTimerLocked(op Op) {
+	if len(s.pending[op]) == 0 || s.timers[op] != nil {
+		return
+	}
 	gen := s.timerGen[op]
 	s.timersArmed++
 	s.timers[op] = time.AfterFunc(s.curWait, func() { s.deadlineFlush(op, gen) })

@@ -150,7 +150,7 @@ func (s *Server) finishRequest(r *request, out []float64, err error, now time.Ti
 		s.st.discarded.Add(1)
 		recordDiscarded()
 	}
-	close(r.done)
+	r.finish()
 	s.mu.Lock()
 	s.inflight--
 	s.mu.Unlock()

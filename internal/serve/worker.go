@@ -59,8 +59,8 @@ type worker struct {
 	// compute on its [0,n) row view. stage is its host mirror — CopyIn
 	// transfers whole buffers, so short batches ride in with stale tail
 	// rows that the sliced forward pass never reads. stage32 plays the
-	// same staging role for the f32 path, with the float64→float32
-	// rounding folded into the row copy.
+	// same staging role for the f32 path; its rows arrive already rounded
+	// (request.in32).
 	x       *device.Buffer
 	stage   *tensor.Matrix
 	stage32 *tensor.Matrix32
@@ -266,7 +266,7 @@ func (w *worker) retryTransfer(attempt func() error) error {
 }
 
 // run32 executes one homogeneous batch on the reduced-precision host path.
-// Inputs round to float32 as they stage; the forward pass runs the packed
+// Inputs were rounded to float32 at admission; the forward pass runs the packed
 // f32 kernels on the worker's pool; outputs widen back to float64 on
 // completion, so callers see the same []float64 surface as the f64 path.
 // As with the device path, per-row results are batch-composition
@@ -276,7 +276,7 @@ func (w *worker) run32(batch []*request) {
 	op := batch[0].op
 	n := len(batch)
 	for i, r := range batch {
-		tensor.Round32(w.stage32.RowView(i), r.in)
+		copy(w.stage32.RowView(i), r.in32)
 	}
 	xv := w.stage32.RowsView(0, n)
 
