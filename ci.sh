@@ -39,7 +39,8 @@ go test ./...
 # on the fallback kernels as well.
 go test -tags noasm ./internal/kernels/... ./internal/convnet/... ./internal/tune/... ./internal/data/... ./internal/feed/...
 # core and stack carry the fault-injection, checkpoint/resume and chunk
-# prefetch tests, which overlap the loading goroutine with training; the
+# prefetch tests, which fill chunks on a feed.Loader goroutine while the
+# trainer's goroutine steps the model on the previous chunk; the
 # cluster package rides along for its checkpoint-handoff paths; serve is
 # the micro-batcher + worker pool; convnet runs its conv kernels across
 # varying pool sizes (the bit-determinism-across-workers tests).
@@ -58,6 +59,13 @@ go test -run TestClusterRecovery -count=2 ./internal/cluster/
 # race detector, and twice in a row — the injected fault streams are
 # seeded, so outcomes and fault ledgers must replay identically.
 go test -race -run 'TestChaos' -count=2 ./internal/serve/
+# Loading-thread determinism gate: the loader's FIFO/panic/join contract,
+# the trainer's exact feed ledger at ring depths 1-3, the fill-overlaps-step
+# proof and the trainer's failure paths must hold under the race detector
+# five times in a row — moving the fill onto feed.Loader may change when a
+# chunk is filled, never what or in which order the ledger sees it.
+go test -race -count=5 -run 'TestLoader|TestTrainerLedgerExact|TestTrainerFillOverlapsStep|TestTrainerLoaderFailures' \
+    ./internal/core/ ./internal/feed/
 # Serving smoke: the closed-loop load generator must sustain concurrent
 # clients against the in-process server and print a latency report.
 go run ./cmd/phiserve -model ae -visible 64 -hidden 16 -loadgen -clients 8 -duration 2s

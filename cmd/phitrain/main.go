@@ -61,7 +61,7 @@ func main() {
 		arch      = flag.String("arch", "phi", "phi | cpu1 | cpu4 | cpu8 | matlab")
 		cores     = flag.Int("cores", 0, "physical core limit (0 = all)")
 		numeric   = flag.Bool("numeric", true, "really compute (vs. timing-only)")
-		prefetch  = flag.Bool("prefetch", true, "loading-thread prefetch (Fig. 5)")
+		prefetch  = flag.Bool("prefetch", true, "overlap chunk transfers with compute on the simulated clock (Fig. 5)")
 		useFeed   = flag.Bool("feed", false, "stream chunks through the dataset-server feed (lease/commit protocol) instead of direct index math (ae/rbm/convnet)")
 		seed      = flag.Uint64("seed", 1, "RNG seed")
 		trace     = flag.String("trace", "", "write a Chrome trace-viewer JSON of the simulated device activity to this file")

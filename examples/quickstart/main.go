@@ -38,7 +38,7 @@ func main() {
 	trainer := &phideep.Trainer{Dev: mach.Dev, Cfg: phideep.TrainConfig{
 		Epochs:   5,
 		LR:       0.5,
-		Prefetch: true, // Fig. 5 loading thread
+		Prefetch: true, // Fig. 5 transfer overlap on the simulated clock
 	}}
 	res, err := trainer.Run(ae, phideep.NewDigits(side, examples, 7, 0.05))
 	if err != nil {

@@ -86,6 +86,12 @@ func TestRunReportObservability(t *testing.T) {
 	if h := s.Histograms["kernels.gemm.seconds"]; h.Count != s.Counters["kernels.gemm.calls"] {
 		t.Errorf("gemm duration observations %d != gemm calls %d", h.Count, s.Counters["kernels.gemm.calls"])
 	}
+	// The loading thread's balance: one wait and one idle spell per chunk.
+	for _, name := range []string{"feed.loader.wait.seconds", "feed.loader.idle.seconds"} {
+		if h := s.Histograms[name]; h.Count != int64(res.Chunks) {
+			t.Errorf("%s count=%d, want one per chunk (%d)", name, h.Count, res.Chunks)
+		}
+	}
 
 	// The snapshot is what -metrics serializes: it must marshal cleanly.
 	if _, err := json.Marshal(s); err != nil {

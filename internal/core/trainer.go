@@ -53,11 +53,13 @@ type TrainConfig struct {
 	// BufferDepth is the number of staging chunk buffers in device global
 	// memory; 2 gives the paper's double buffering. Minimum 1.
 	BufferDepth int
-	// Prefetch enables the loading thread: the transfer of chunk i+1
-	// proceeds while chunk i trains. With Prefetch false every transfer
-	// waits for the compute engine to drain first (the configuration the
-	// paper measured at "about 17% of the total time ... spent on
-	// transferring").
+	// Prefetch shapes the simulated schedule only: the simulated transfer
+	// of chunk i+1 proceeds while chunk i trains. With Prefetch false every
+	// simulated transfer waits for the compute engine to drain first (the
+	// configuration the paper measured at "about 17% of the total time ...
+	// spent on transferring"). The host fill of chunk i+1 runs on a loading
+	// thread while chunk i trains either way; BufferDepth 1 leaves it
+	// nothing to overlap.
 	Prefetch bool
 	// CheckpointPath, when non-empty, enables crash-consistent periodic
 	// checkpointing: every CheckpointEvery chunks the trainer atomically
@@ -366,82 +368,114 @@ func (t *Trainer) run(um Trainable, lm LabeledTrainable, src data.Source, lsrc d
 			return nil, fmt.Errorf("core: feed seek to chunk %d: %w", startChunk, err)
 		}
 	}
-	runStart := time.Now()
-	epochStart := runStart
-
-	for chunk := startChunk; chunk < totalChunks && step < totalSteps; chunk++ {
+	// fill renders one chunk into its ring slot's host staging (and, for a
+	// supervised run, its one-hot labels). It runs on the loading thread
+	// while earlier chunks train, so it touches host memory only.
+	fill := func(slot, start int, lease feed.Lease) error {
+		if !t.Dev.Numeric {
+			return nil
+		}
+		if fc != nil {
+			if err := fc.Fill(lease, hostStage[slot]); err != nil {
+				return fmt.Errorf("core: %w", err)
+			}
+		} else {
+			src.Chunk(start, cfg.ChunkExamples, hostStage[slot])
+		}
+		if lm == nil {
+			return nil
+		}
+		hy := hostLabels[slot]
+		if fc != nil {
+			if err := fc.FillLabels(lease, classes, hy); err != nil {
+				return fmt.Errorf("core: %w", err)
+			}
+			return nil
+		}
+		hy.Zero()
+		for i := 0; i < cfg.ChunkExamples; i++ {
+			l := lsrc.Label((start + i) % src.Len())
+			if l < 0 || l >= classes {
+				return fmt.Errorf("core: source label %d outside [0, %d)", l, classes)
+			}
+			hy.RowView(i)[l] = 1
+		}
+		return nil
+	}
+	// The loading thread of Algorithm 1 (Fig. 5). Only the host fill runs
+	// on it; leases, commits, transfers, steps and checkpoints stay on this
+	// goroutine in the order a sequential loop issues them.
+	ld := feed.NewLoader(cfg.BufferDepth)
+	defer ld.Close()
+	// stage leases chunk — if the run reaches it, at step — and hands its
+	// fill to the loader. It reports whether there is such a chunk.
+	stage := func(chunk, step int) (bool, error) {
+		if chunk >= totalChunks || step >= totalSteps {
+			return false, nil
+		}
 		slot := chunk % cfg.BufferDepth
-		buf := ring[slot]
-
+		start := (chunk * cfg.ChunkExamples) % src.Len()
 		var lease feed.Lease
 		if fc != nil {
 			// Commit the slot's previous occupant (compute drained it at
 			// slotFree[slot]) before leasing its replacement, so the
 			// consumer's window occupancy never exceeds the ring depth.
 			if err := commitSlot(slot); err != nil {
-				return nil, err
+				return false, err
 			}
 			l, err := fc.Lease()
 			if errors.Is(err, feed.ErrExhausted) {
-				break // the data plane's horizon ends the run here
+				return false, nil // the data plane's horizon ends the run here
 			}
 			if err != nil {
-				return nil, fmt.Errorf("core: feed lease: %w", err)
+				return false, fmt.Errorf("core: feed lease: %w", err)
 			}
-			lease = l
+			lease, start = l, l.Start // the lease names the chunk's example range
 			slotLease[slot] = l
 			slotLeased[slot] = true
 			slotSkipped[slot] = false
 		}
+		ld.Submit(func() error { return fill(slot, start, lease) })
+		return true, nil
+	}
 
-		// The loading thread fills the slot as soon as the slot and the
-		// PCIe link are free; without prefetch it additionally waits for
-		// the compute engine to drain (synchronous transfers).
+	runStart := time.Now()
+	epochStart := runStart
+
+	staged, err := stage(startChunk, step)
+	if err != nil {
+		return nil, err
+	}
+	for chunk := startChunk; staged; chunk++ {
+		slot := chunk % cfg.BufferDepth
+		buf := ring[slot]
+
+		// With two or more slots the next chunk is leased and filled while
+		// this one trains. Its slot's previous occupant trained before this
+		// chunk, so the commit its lease makes carries a final slotFree.
+		next := false
+		if cfg.BufferDepth > 1 {
+			if next, err = stage(chunk+1, step+batchesPerChunk); err != nil {
+				return nil, err
+			}
+		}
+		if err := ld.Wait(); err != nil {
+			return nil, err
+		}
+
+		// On the simulated clock the transfer starts as soon as the slot
+		// and the PCIe link are free; without prefetch it additionally
+		// waits for the compute engine to drain (synchronous transfers).
 		earliest := slotFree[slot]
 		if !cfg.Prefetch {
 			if cb := t.Dev.ComputeBusyUntil(); cb > earliest {
 				earliest = cb
 			}
 		}
-		start := (chunk * cfg.ChunkExamples) % src.Len()
-		if fc != nil {
-			start = lease.Start // the lease names the chunk's example range
-		}
-		var copyErr error
-		if t.Dev.Numeric {
-			if fc != nil {
-				if err := fc.Fill(lease, hostStage[slot]); err != nil {
-					return nil, fmt.Errorf("core: %w", err)
-				}
-			} else {
-				src.Chunk(start, cfg.ChunkExamples, hostStage[slot])
-			}
-			_, copyErr = t.Dev.TryCopyIn(buf, hostStage[slot], earliest)
-		} else {
-			_, copyErr = t.Dev.TryCopyIn(buf, nil, earliest)
-		}
+		// The host stages are nil on timing-only devices.
+		_, copyErr := t.Dev.TryCopyIn(buf, hostStage[slot], earliest)
 		if lm != nil {
-			var labelErr error
-			if t.Dev.Numeric {
-				hy := hostLabels[slot]
-				if fc != nil {
-					if err := fc.FillLabels(lease, classes, hy); err != nil {
-						return nil, fmt.Errorf("core: %w", err)
-					}
-				} else {
-					hy.Zero()
-					for i := 0; i < cfg.ChunkExamples; i++ {
-						l := lsrc.Label((start + i) % src.Len())
-						if l < 0 || l >= classes {
-							return nil, fmt.Errorf("core: source label %d outside [0, %d)", l, classes)
-						}
-						hy.RowView(i)[l] = 1
-					}
-				}
-				_, labelErr = t.Dev.TryCopyIn(labelRing[slot], hy, earliest)
-			} else {
-				_, labelErr = t.Dev.TryCopyIn(labelRing[slot], nil, earliest)
-			}
+			_, labelErr := t.Dev.TryCopyIn(labelRing[slot], hostLabels[slot], earliest)
 			if copyErr == nil {
 				copyErr = labelErr // degrade once per chunk, whichever half failed
 			}
@@ -531,6 +565,14 @@ func (t *Trainer) run(um Trainable, lm LabeledTrainable, src data.Source, lsrc d
 				mCheckpoints.Inc()
 			}
 		}
+		if cfg.BufferDepth == 1 {
+			// One slot: the next chunk may only be staged once this one
+			// has drained it, which is the sequential order.
+			if next, err = stage(chunk+1, step); err != nil {
+				return nil, err
+			}
+		}
+		staged = next
 	}
 
 	if fc != nil {

@@ -20,8 +20,11 @@ import (
 )
 
 // Source yields training examples by index range. Implementations must be
-// safe for concurrent Chunk calls (the loading thread of Fig. 5 prefetches
-// while the trainer reads).
+// safe for concurrent Chunk calls. Chunk may run on a loading thread
+// (feed.Loader, the Fig. 5 prefetcher) while a training step runs on
+// another goroutine, so it must not touch the device: a source that
+// derives its examples from a trained model (stack.Encoded) evaluates it on
+// host copies of the weights.
 type Source interface {
 	// Dim returns the dimensionality of one example.
 	Dim() int

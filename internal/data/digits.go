@@ -96,7 +96,7 @@ func (d *Digits) render(idx int, out []float64) {
 	if d.Noise > 0 {
 		for p := range out {
 			v := out[p] + r.Uniform(-d.Noise, d.Noise)
-			out[p] = math.Min(1, math.Max(0, v))
+			out[p] = min(1, max(0, v))
 		}
 	}
 }
@@ -141,7 +141,7 @@ func drawSegment(img []float64, side int, x0, y0, x1, y1, pen float64) {
 			t := 0.0
 			if len2 > 0 {
 				t = ((px-x0)*dx + (py-y0)*dy) / len2
-				t = math.Min(1, math.Max(0, t))
+				t = min(1, max(0, t))
 			}
 			qx, qy := x0+t*dx, y0+t*dy
 			dist := math.Hypot(px-qx, py-qy)

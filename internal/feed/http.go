@@ -53,10 +53,18 @@ type wireReq struct {
 	Skipped bool    `json:"skipped"`
 }
 
+// maxBodyBytes caps a request body. Every wire request is a handful of
+// scalar fields, so this is far above any legitimate one.
+const maxBodyBytes = 64 << 10
+
 func (s *server) decode(w http.ResponseWriter, r *http.Request, req *wireReq) bool {
 	req.Shard = -1
-	if err := json.NewDecoder(r.Body).Decode(req); err != nil {
-		httpErr(w, http.StatusBadRequest, fmt.Errorf("feed: bad request body: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(req); err != nil {
+		code := http.StatusBadRequest
+		if tooBig := new(http.MaxBytesError); errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpErr(w, code, fmt.Errorf("feed: bad request body: %w", err))
 		return false
 	}
 	return true

@@ -175,6 +175,40 @@ func TestHandlerErrors(t *testing.T) {
 	}
 }
 
+// TestHandlerBodyLimit: a request body past the cap is refused with 413
+// before it is decoded in full, on every POST verb, and the handler keeps
+// serving afterwards.
+func TestHandlerBodyLimit(t *testing.T) {
+	f, err := New(data.Null{D: 2, N: 40}, Config{Plan: mustPlan(t, 40, 10, 10)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(Handler(f))
+	defer srv.Close()
+
+	huge := append([]byte(`{"name": "`), bytes.Repeat([]byte("a"), maxBodyBytes)...)
+	huge = append(huge, `"}`...)
+	for _, path := range []string{"/subscribe", "/lease", "/commit", "/seek", "/close"} {
+		resp, err := srv.Client().Post(srv.URL+path, "application/json", bytes.NewReader(huge))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: oversized body status %d", path, resp.StatusCode)
+		}
+	}
+	if f.Stats().Consumers != 0 {
+		t.Fatal("an oversized subscribe registered a consumer")
+	}
+	var sub struct {
+		Shard int `json:"shard"`
+	}
+	if resp := post(t, srv, "/subscribe", map[string]string{"name": "ok"}, &sub); resp.StatusCode != http.StatusOK {
+		t.Fatalf("subscribe after oversized bodies: status %d", resp.StatusCode)
+	}
+}
+
 func mustPlan(t *testing.T, srcLen, batch, chunk int) data.ChunkPlan {
 	t.Helper()
 	p, err := data.PlanChunks(data.PlanRequest{SourceLen: srcLen, Batch: batch, ChunkExamples: chunk})

@@ -18,4 +18,10 @@ var (
 	// subscriber count.
 	mOccupancy = metrics.Default().Gauge("feed.window.occupancy")
 	mConsumers = metrics.Default().Gauge("feed.consumers")
+
+	// The Loader pipeline's balance, per job: how long the consumer sat in
+	// Wait for a fill (the run is loader-bound) and how long the loader sat
+	// waiting for a job (the run is compute-bound).
+	mLoaderWait = metrics.Default().Histogram("feed.loader.wait.seconds", metrics.ExpBuckets(1e-6, 4, 12)...)
+	mLoaderIdle = metrics.Default().Histogram("feed.loader.idle.seconds", metrics.ExpBuckets(1e-6, 4, 12)...)
 )

@@ -18,29 +18,7 @@ var (
 	mBulkChunks = metrics.Default().Counter("serve.bulk.chunks")
 	mBulkRows   = metrics.Default().Counter("serve.bulk.rows")
 	mBulkFailed = metrics.Default().Counter("serve.bulk.failed")
-
-	// The pipeline's balance: how long the scoring stage sat waiting for a
-	// filled chunk, and how long the loader sat waiting for a free staging
-	// buffer, per chunk. A loader-bound sweep shows the first, a
-	// worker-bound sweep the second.
-	mBulkLoaderWait = metrics.Default().Histogram("serve.bulk.loader_wait.seconds", metrics.ExpBuckets(1e-6, 4, 12)...)
-	mBulkScorerWait = metrics.Default().Histogram("serve.bulk.scorer_wait.seconds", metrics.ExpBuckets(1e-6, 4, 12)...)
 )
-
-// bulkWaitStart and recordBulkWait time one pipeline hand-over when
-// collection is on; off, they cost the one atomic load each.
-func bulkWaitStart() time.Time {
-	if !metrics.Enabled() {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-func recordBulkWait(h *metrics.Histogram, t0 time.Time) {
-	if !t0.IsZero() && metrics.Enabled() {
-		h.Observe(time.Since(t0).Seconds())
-	}
-}
 
 func recordBulkChunk(rows, failed int) {
 	if !metrics.Enabled() {
@@ -74,21 +52,21 @@ type BulkResult struct {
 // consumer of a dataset feed and scores its shard chunk by chunk through
 // the same admission queue, micro-batcher, and fault-tolerant workers as
 // online traffic. The sweep is the paper's two-stage pipeline (Algorithm 1,
-// Fig. 5) in wall clock: a loader goroutine leases and fills chunk k+1 into
-// one staging buffer while chunk k, in the other, is admitted as one run of
-// rows cut straight into full batches. Leases commit in lease order as their
-// rows settle, and out — when non-nil — receives each answered row in chunk
-// order as (example index into the source, scores). The scores slice is
-// owned by the callback. A feed with Window 1 gets one staging buffer and
-// the sweep runs load, score, load, score.
+// Fig. 5) in wall clock: the sweep leases chunk k+1 and a feed.Loader fills
+// it into one staging buffer while chunk k, in the other, is admitted as one
+// run of rows cut straight into full batches. Leases commit in lease order
+// as their rows settle, and out — when non-nil — receives each answered row
+// in chunk order as (example index into the source, scores). The scores
+// slice is owned by the callback. A feed with Window 1 gets one staging
+// buffer and the sweep runs load, score, load, score.
 //
 // Row-level failures are counted and skipped, not fatal: a bulk sweep over
 // a degraded server completes with Failed > 0 the same way a training run
 // survives dropped chunks. Server-level failure (Close, every worker
 // retired) or a failing source aborts the sweep with the partial result;
-// whatever the loader had leased by then is committed as skipped. The sweep
-// ends at the feed's TotalChunks horizon, or after one full pass over the
-// consumer's shard when the feed is unbounded.
+// whatever it had leased and not scored by then is committed as skipped.
+// The sweep ends at the feed's TotalChunks horizon, or after one full pass
+// over the consumer's shard when the feed is unbounded.
 func (s *Server) ScoreFeed(op Op, fc *feed.Consumer, out func(example int, scores []float64)) (*BulkResult, error) {
 	return s.ScoreFeedContext(context.Background(), op, fc, out)
 }
@@ -115,44 +93,69 @@ func (s *Server) ScoreFeedContext(ctx context.Context, op Op, fc *feed.Consumer,
 
 	stages := s.takeStages(plan.ChunkExamples, fc.Dim(), min(2, fc.Window()))
 	defer s.putStages(stages)
-	// Both channels hold every stage there is, so neither side ever blocks
-	// handing one over.
-	free := make(chan *bulkStage, len(stages))
-	filled := make(chan *bulkStage, len(stages))
-	for _, st := range stages {
-		free <- st
-	}
-	stop := make(chan struct{})
-	// An unbounded feed would loop the source forever; the loader stops
+	ld := feed.NewLoader(len(stages))
+	// queued holds the leased chunks not yet handed to score, in lease order.
+	var queued []*bulkStage
+	defer func() {
+		// Let the loader finish what it was given, then hand back every
+		// chunk an aborted sweep leased but never scored.
+		ld.Close()
+		for _, st := range queued {
+			_ = fc.Commit(st.lease, sw.clock(), true) // fails only on a closed consumer, whose leases are gone anyway
+		}
+	}()
+	// An unbounded feed would loop the source forever; the sweep stops
 	// after one full pass over this consumer's shard.
-	go sw.load(plan.Chunks(plan.SourceLen/plan.Batch), free, filled, stop)
+	chunks := plan.Chunks(plan.SourceLen / plan.Batch)
+	leased := 0
+	// stage leases the next chunk into the next staging buffer and hands
+	// its fill to the loader.
+	stage := func() error {
+		if leased == chunks {
+			return nil
+		}
+		l, err := fc.Lease()
+		if errors.Is(err, feed.ErrExhausted) {
+			chunks = leased
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("serve: bulk lease: %w", err)
+		}
+		st := stages[leased%len(stages)]
+		st.lease, st.labels = l, nil
+		leased++
+		queued = append(queued, st)
+		ld.Submit(func() error { return sw.fill(st) })
+		return nil
+	}
 
-	// The loader closes filled when it exits, so leaving this loop joins it.
-	var sweepErr error
-	for {
-		t0 := bulkWaitStart()
-		st, ok := <-filled
-		if !ok {
-			return sw.res, sweepErr
-		}
-		err := st.err
-		switch {
-		case sweepErr != nil, err != nil:
-			// Aborting: hand back what the loader had already leased.
-			if st.leased {
-				_ = fc.Commit(st.lease, sw.clock(), true) // fails only on a closed consumer, whose leases are gone anyway
-			}
-		default:
-			recordBulkWait(mBulkLoaderWait, t0)
-			if err = sw.score(st); err == nil {
-				free <- st
+	if err := stage(); err != nil {
+		return sw.res, err
+	}
+	for len(queued) > 0 {
+		// With two buffers chunk k+1 fills while chunk k scores; its buffer
+		// last held chunk k-1, which score has already settled.
+		if len(stages) > 1 {
+			if err := stage(); err != nil {
+				return sw.res, err
 			}
 		}
-		if err != nil && sweepErr == nil {
-			sweepErr = err
-			close(stop)
+		if err := ld.Wait(); err != nil {
+			return sw.res, err
+		}
+		st := queued[0]
+		queued = queued[1:]
+		if err := sw.score(st); err != nil {
+			return sw.res, err
+		}
+		if len(stages) == 1 {
+			if err := stage(); err != nil {
+				return sw.res, err
+			}
 		}
 	}
+	return sw.res, nil
 }
 
 // bulkStage is one of a sweep's staging buffers: a leased chunk on its way
@@ -164,9 +167,7 @@ type bulkStage struct {
 	x32 *tensor.Matrix32
 
 	lease  feed.Lease
-	leased bool  // lease is outstanding
 	labels []int // when the sweep scores accuracy
-	err    error // the loader's lease/fill failure
 
 	// busy counts the chunk's rows a worker may still read. It outlives
 	// the rows' waiters: a row abandoned at its deadline stays in its batch.
@@ -216,52 +217,10 @@ type sweep struct {
 // clock is the sweep's commit clock: wall seconds since it began.
 func (sw *sweep) clock() float64 { return time.Since(sw.start).Seconds() }
 
-// load is the loading stage: it leases and fills up to chunks chunks, each
-// into the next free staging buffer, and hands them to the scoring stage in
-// lease order. A failure is delivered on the stage it happened to and ends
-// the loader, as does stop; filled is closed on the way out.
-func (sw *sweep) load(chunks int, free <-chan *bulkStage, filled chan<- *bulkStage, stop <-chan struct{}) {
-	defer close(filled)
-	for k := 0; k < chunks; k++ {
-		t0 := bulkWaitStart()
-		var st *bulkStage
-		select {
-		case <-stop:
-			return
-		case st = <-free:
-			// Should stop be closed too, the chunk loaded here is handed
-			// back unscored by the aborting scorer.
-		}
-		recordBulkWait(mBulkScorerWait, t0)
-
-		st.leased, st.labels, st.err = false, nil, nil
-		l, err := sw.fc.Lease()
-		if errors.Is(err, feed.ErrExhausted) {
-			return
-		}
-		if err != nil {
-			st.err = fmt.Errorf("serve: bulk lease: %w", err)
-		} else {
-			st.lease, st.leased = l, true
-			st.err = sw.fill(st)
-		}
-		filled <- st
-		if st.err != nil {
-			return
-		}
-	}
-}
-
 // fill streams the stage's leased chunk, and its labels when the sweep
-// scores accuracy, out of the feed. A source that panics is reported as a
-// failed fill: on this goroutine the panic would otherwise take the process
-// down instead of reaching ScoreFeed's caller.
+// scores accuracy, out of the feed. It runs on the loader, which reports a
+// panicking source as a failed fill.
 func (sw *sweep) fill(st *bulkStage) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("serve: bulk fill: source panicked: %v", p)
-		}
-	}()
 	if err := sw.fc.Fill(st.lease, st.x); err != nil {
 		return fmt.Errorf("serve: bulk fill: %w", err)
 	}
