@@ -7,22 +7,17 @@
 // headline simulated quantity as a custom metric (sim-seconds or speedup),
 // so the paper-vs-measured comparison in EXPERIMENTS.md can be refreshed
 // from the bench output. The Ablation* targets cover the design choices
-// DESIGN.md calls out; the Kernel*/Scheduling targets are real wall-clock
-// microbenchmarks of the numeric kernels.
+// DESIGN.md calls out. Wall-clock kernel and training numbers come from
+// the bench/ harness (bash bench/run.sh), which checks outputs and bounds
+// every metric.
 package phideep_test
 
 import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
-	"phideep"
 	"phideep/internal/experiments"
-	"phideep/internal/kernels"
-	"phideep/internal/parallel"
-	"phideep/internal/rng"
-	"phideep/internal/tensor"
 )
 
 // simSeconds extracts the float value of a table cell like "97.5 s",
@@ -270,249 +265,4 @@ func BenchmarkClusterVsPhi(b *testing.B) {
 			"cluster16-s": {3, 1},
 			"phi-s":       {4, 1},
 		})
-}
-
-// --- Numeric kernel microbenchmarks (real wall clock) ---
-
-// BenchmarkKernelGemm measures the real Go GEMM at each optimization level
-// on a 128×256×128 multiply — the ladder the cost model abstracts.
-func BenchmarkKernelGemm(b *testing.B) {
-	r := rng.New(1)
-	a := tensor.NewMatrix(128, 256).Randomize(r, -1, 1)
-	bm := tensor.NewMatrix(256, 128).Randomize(r, -1, 1)
-	c := tensor.NewMatrix(128, 128)
-	pool := parallel.NewPool(0)
-	defer pool.Close()
-	for _, lvl := range kernels.Levels {
-		b.Run(lvl.String(), func(b *testing.B) {
-			b.SetBytes(128 * 256 * 128 * 2 * 8 / 1e0)
-			for i := 0; i < b.N; i++ {
-				kernels.Gemm(pool, lvl, false, false, 1, a, bm, 0, c)
-			}
-			reportGflops(b, 128, 256, 128)
-		})
-	}
-}
-
-// reportGflops attaches achieved GEMM throughput (2·m·k·n flops per call)
-// to a benchmark, so `go test -bench Kernel` output feeds the wall-clock
-// tables in EXPERIMENTS.md directly.
-func reportGflops(b *testing.B, m, k, n int) {
-	b.StopTimer()
-	sec := b.Elapsed().Seconds()
-	if sec > 0 {
-		flops := 2 * float64(m) * float64(k) * float64(n) * float64(b.N)
-		b.ReportMetric(flops/sec/1e9, "GFLOP/s")
-	}
-}
-
-// BenchmarkKernelGemm512 measures the real GEMM ladder on a square
-// 512×512×512 multiply — large enough that the packed path's cache
-// blocking and register tiling dominate, and the headline case for the
-// packed micro-kernel speedup tracked in EXPERIMENTS.md.
-func BenchmarkKernelGemm512(b *testing.B) {
-	r := rng.New(2)
-	a := tensor.NewMatrix(512, 512).Randomize(r, -1, 1)
-	bm := tensor.NewMatrix(512, 512).Randomize(r, -1, 1)
-	c := tensor.NewMatrix(512, 512)
-	pool := parallel.NewPool(0)
-	defer pool.Close()
-	for _, lvl := range kernels.Levels {
-		b.Run(lvl.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				kernels.Gemm(pool, lvl, false, false, 1, a, bm, 0, c)
-			}
-			reportGflops(b, 512, 512, 512)
-		})
-	}
-}
-
-// BenchmarkKernelGemm512F32 measures the float32 GEMM ladder on the same
-// 512×512×512 multiply as BenchmarkKernelGemm512. The headline comparison
-// for EXPERIMENTS.md: the blocked f32 path should clear 1.5× the f64
-// GFLOP/s — eight lanes per FMA instead of four, half the pack traffic.
-func BenchmarkKernelGemm512F32(b *testing.B) {
-	r := rng.New(2)
-	a := tensor.NewMatrix(512, 512).Randomize(r, -1, 1).To32()
-	bm := tensor.NewMatrix(512, 512).Randomize(r, -1, 1).To32()
-	c := tensor.NewMatrix32(512, 512)
-	pool := parallel.NewPool(0)
-	defer pool.Close()
-	for _, lvl := range kernels.Levels {
-		b.Run(lvl.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				kernels.Gemm32(pool, lvl, false, false, 1, a, bm, 0, c)
-			}
-			reportGflops(b, 512, 512, 512)
-		})
-	}
-}
-
-// BenchmarkKernelConvIm2col measures the im2col-lowered convolution forward
-// (lowering + packed GEMM) at each optimization level on a LeNet-scale
-// layer: batch 32 of 16×16×6 maps, 12 filters of 5×5, stride 1, same pad —
-// the conv workload DESIGN.md §12 lowers onto the GEMM ladder. GFLOP/s
-// counts the GEMM flops only (2·M·K·N with M=batch·outHW, K=KH·KW·C, N=F);
-// the lowering overhead shows up as the gap to BenchmarkKernelGemm at the
-// same level.
-func BenchmarkKernelConvIm2col(b *testing.B) {
-	s := kernels.ConvShape{C: 6, H: 16, W: 16, F: 12, KH: 5, KW: 5, Stride: 1, Pad: 2}
-	const batch = 32
-	r := rng.New(4)
-	x := tensor.NewMatrix(batch, s.InDim()).Randomize(r, 0, 1)
-	w := tensor.NewMatrix(s.ColK(), s.F).Randomize(r, -0.1, 0.1)
-	m := batch * s.OutH() * s.OutW()
-	cols := tensor.NewMatrix(m, s.ColK())
-	y := tensor.NewMatrix(m, s.F)
-	pool := parallel.NewPool(0)
-	defer pool.Close()
-	for _, lvl := range kernels.Levels {
-		b.Run(lvl.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				kernels.Im2col(pool, lvl, s, batch, x, cols)
-				kernels.Gemm(pool, lvl, false, false, 1, cols, w, 0, y)
-			}
-			reportGflops(b, m, s.ColK(), s.F)
-		})
-	}
-}
-
-// BenchmarkConvnetTrainingStep measures one real numeric convnet SGD step
-// (16×16 inputs, 6/12-filter conv stack, batch 32) end to end on the
-// simulated Phi through the public API — the supervised counterpart of
-// BenchmarkNumericTrainingStep, and the per-step number behind the
-// EXPERIMENTS.md convnet epoch-time table.
-func BenchmarkConvnetTrainingStep(b *testing.B) {
-	mach := phideep.NewMachine(phideep.XeonPhi5110P(), phideep.WithNumeric())
-	b.Cleanup(mach.Close)
-	ctx := phideep.NewContext(mach.Dev, phideep.Improved, 0, 1)
-	cfg := phideep.ConvnetConfig{
-		Side: 16, Filters1: 6, Kernel1: 5, Filters2: 12, Kernel2: 3,
-		Pool: 2, Classes: 10, Lambda: 1e-4, Batch: 32, Seed: 2,
-	}
-	m, err := phideep.BuildConvnet(ctx, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rng.New(6)
-	x := tensor.NewMatrix(32, cfg.InputDim()).Randomize(r, 0, 1)
-	y := tensor.NewMatrix(32, cfg.Classes)
-	for i := 0; i < 32; i++ {
-		y.RowView(i)[r.Intn(cfg.Classes)] = 1
-	}
-	dx := mach.Dev.MustAlloc(32, cfg.InputDim())
-	dy := mach.Dev.MustAlloc(32, cfg.Classes)
-	mach.Dev.CopyIn(dx, x, 0)
-	mach.Dev.CopyIn(dy, y, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.StepLabeled(dx, dy, 0.1)
-	}
-	b.StopTimer()
-	if sec := b.Elapsed().Seconds(); sec > 0 {
-		b.ReportMetric(32*float64(b.N)/sec, "examples/s")
-	}
-}
-
-// BenchmarkServeEncode measures served Encode throughput through the full
-// micro-batching stack at each precision (examples/s), with enough
-// concurrent clients to keep the batcher coalescing. The f64/f32 ratio is
-// the serving-side view of the reduced-precision speedup.
-func BenchmarkServeEncode(b *testing.B) {
-	for _, prec := range []phideep.Precision{phideep.PrecisionF64, phideep.PrecisionF32} {
-		b.Run(prec.String(), func(b *testing.B) {
-			m := phideep.ServeAutoencoder(phideep.AutoencoderConfig{Visible: 256, Hidden: 64, Seed: 1}, nil)
-			srv, err := phideep.NewServer(m, phideep.ServeConfig{
-				Level: phideep.Improved, Workers: 2,
-				MaxBatch: 32, MaxWait: 200 * time.Microsecond,
-			}, phideep.WithPrecision(prec))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(srv.Close)
-			x := make([]float64, 256)
-			r := rng.New(7)
-			for j := range x {
-				x[j] = r.Float64()
-			}
-			b.SetParallelism(8)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if _, err := srv.Encode(x); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-			b.StopTimer()
-			if sec := b.Elapsed().Seconds(); sec > 0 {
-				b.ReportMetric(float64(b.N)/sec, "examples/s")
-			}
-		})
-	}
-}
-
-// BenchmarkKernelGemvTrans measures the transposed Gemv (y = Aᵀx), the
-// path parallelized with per-worker partial vectors.
-func BenchmarkKernelGemvTrans(b *testing.B) {
-	r := rng.New(3)
-	a := tensor.NewMatrix(1024, 512).Randomize(r, -1, 1)
-	x := tensor.NewVector(1024).Randomize(r, -1, 1)
-	y := tensor.NewVector(512)
-	pool := parallel.NewPool(0)
-	defer pool.Close()
-	for _, lvl := range kernels.Levels {
-		b.Run(lvl.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				kernels.Gemv(pool, lvl, true, 1, a, x, 0, y)
-			}
-		})
-	}
-}
-
-// BenchmarkSchedulingStaticVsDynamic measures the real parallel-for
-// schedules on a uniform elementwise body (static should win — the paper's
-// granularity discussion).
-func BenchmarkSchedulingStaticVsDynamic(b *testing.B) {
-	pool := parallel.NewPool(0)
-	defer pool.Close()
-	x := make([]float64, 1<<16)
-	for _, sched := range []parallel.Schedule{parallel.Static, parallel.Dynamic} {
-		b.Run(sched.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				pool.For(len(x), sched, 1024, func(lo, hi int) {
-					for j := lo; j < hi; j++ {
-						x[j] = x[j]*0.5 + 1
-					}
-				})
-			}
-		})
-	}
-}
-
-// BenchmarkNumericTrainingStep measures one real numeric Autoencoder SGD
-// step (64→25, batch 32) end to end on the simulated Phi, through the
-// public API.
-func BenchmarkNumericTrainingStep(b *testing.B) {
-	mach := phideep.NewMachine(phideep.XeonPhi5110P(), phideep.WithNumeric())
-	b.Cleanup(mach.Close)
-	ctx := phideep.NewContext(mach.Dev, phideep.Improved, 0, 1)
-	m, err := phideep.NewAutoencoder(ctx, phideep.AutoencoderConfig{
-		Visible: 64, Hidden: 25, Lambda: 1e-4, Beta: 3, Rho: 0.05,
-	}, 32, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := tensor.NewMatrix(32, 64).Randomize(rng.New(5), 0.1, 0.9)
-	dx := mach.Dev.MustAlloc(32, 64)
-	mach.Dev.CopyIn(dx, x, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Step(dx, 0.1)
-	}
-	b.StopTimer()
-	if sec := b.Elapsed().Seconds(); sec > 0 {
-		b.ReportMetric(32*float64(b.N)/sec, "examples/s")
-	}
 }

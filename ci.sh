@@ -38,6 +38,8 @@ go test ./...
 # feed join because the feed-backed trainer bit-identity tests must hold
 # on the fallback kernels as well.
 go test -tags noasm ./internal/kernels/... ./internal/convnet/... ./internal/tune/... ./internal/data/... ./internal/feed/...
+# kernels' path property tests switch the dispatch between every path the
+# CPU supports inside one binary, so they run under -race here as well.
 # core and stack carry the fault-injection, checkpoint/resume and chunk
 # prefetch tests, which fill chunks on a feed.Loader goroutine while the
 # trainer's goroutine steps the model on the previous chunk; the

@@ -20,33 +20,28 @@ import (
 //
 // When metrics collection is enabled (internal/metrics), every call records
 // its count, flop volume, wall-clock duration and the micro-kernel path
-// taken (assembly, Go fallback, or scalar); disabled, the instrumentation
-// is one atomic load.
+// taken (assembly, of which AVX-512 is a sub-count; Go fallback; or scalar
+// when no micro-kernel ran); disabled, the instrumentation is one atomic
+// load.
 func Gemm(pool *parallel.Pool, lvl Level, transA, transB bool, alpha float64, a, b *tensor.Matrix, beta float64, c *tensor.Matrix) {
 	if !metrics.Enabled() {
 		gemmDispatch(pool, lvl, transA, transB, alpha, a, b, beta, c)
 		return
 	}
 	start := time.Now()
-	gemmDispatch(pool, lvl, transA, transB, alpha, a, b, beta, c)
+	tiled := gemmDispatch(pool, lvl, transA, transB, alpha, a, b, beta, c)
 	mGemmSeconds.Observe(time.Since(start).Seconds())
 	mGemmCalls.Inc()
 	m, k := opShape(a, transA)
 	_, n := opShape(b, transB)
 	mGemmFlops.Add(2 * float64(m) * float64(k) * float64(n))
-	switch {
-	case lvl.IsBlocked() && useAsmKernel:
-		mGemmPathAsm.Inc()
-	case lvl.IsBlocked():
-		mGemmPathGo.Inc()
-	default:
-		mGemmPathScalar.Inc()
-	}
+	mGemmPaths.record(tiled)
 }
 
 // gemmDispatch is the uninstrumented Gemm body: validate, then route to the
-// packed micro-kernel or the scalar row loops.
-func gemmDispatch(pool *parallel.Pool, lvl Level, transA, transB bool, alpha float64, a, b *tensor.Matrix, beta float64, c *tensor.Matrix) {
+// packed micro-kernel or the scalar row loops. It reports whether the
+// packed micro-kernel ran.
+func gemmDispatch(pool *parallel.Pool, lvl Level, transA, transB bool, alpha float64, a, b *tensor.Matrix, beta float64, c *tensor.Matrix) (tiled bool) {
 	m, ka := opShape(a, transA)
 	kb, n := opShape(b, transB)
 	if ka != kb {
@@ -56,18 +51,18 @@ func gemmDispatch(pool *parallel.Pool, lvl Level, transA, transB bool, alpha flo
 		panic(fmt.Sprintf("kernels: Gemm output shape %dx%d, want %dx%d", c.Rows, c.Cols, m, n))
 	}
 	if m == 0 || n == 0 {
-		return
+		return false
 	}
 	if ka == 0 || alpha == 0 {
 		scaleC(pool, lvl, beta, c)
-		return
+		return false
 	}
 	if lvl.IsBlocked() {
 		// The packed path handles all four trans layouts natively (the
 		// packing absorbs strides and transposes) and folds the beta
 		// scaling into the first k-panel, so no separate scale pass runs.
 		gemmPacked(pool, lvl, transA, transB, alpha, a, b, beta, c, m, ka, n)
-		return
+		return true
 	}
 	scaleC(pool, lvl, beta, c)
 
@@ -75,8 +70,7 @@ func gemmDispatch(pool *parallel.Pool, lvl Level, transA, transB bool, alpha flo
 	// the scalar kernels below only handle three layouts. TT does not occur
 	// in the training hot paths.
 	if transA && transB {
-		gemmDispatch(pool, lvl, false, true, alpha, a.T(), b, 1, c)
-		return
+		return gemmDispatch(pool, lvl, false, true, alpha, a.T(), b, 1, c)
 	}
 
 	rowRange := func(lo, hi int) {
@@ -94,6 +88,7 @@ func gemmDispatch(pool *parallel.Pool, lvl Level, transA, transB bool, alpha flo
 	} else {
 		rowRange(0, m)
 	}
+	return false
 }
 
 func opShape(x *tensor.Matrix, trans bool) (rows, cols int) {

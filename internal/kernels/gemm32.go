@@ -16,10 +16,10 @@ import (
 // lever the paper's Phi speedups rest on; training math stays float64.
 //
 // The Blocked and ParallelBlocked levels run the packed, register-blocked
-// 8x16 micro-kernel (gemm32_packed.go); Naive and Parallel run scalar row
-// loops. All levels compute the same result up to float32 rounding and
-// association order, and each is bit-deterministic for a fixed worker
-// count.
+// 8x16 micro-kernel, paired into 8x32 on AVX-512 (gemm32_packed.go); Naive
+// and Parallel run scalar row loops. All levels compute the same result up
+// to float32 rounding and association order, and each is bit-deterministic
+// for a fixed worker count.
 //
 // When metrics collection is enabled every call records into the
 // precision-labeled kernels.gemm32.* family (calls, flops, seconds and the
@@ -47,7 +47,7 @@ func gemm32(pool *parallel.Pool, lvl Level, transA, transB bool, alpha float32, 
 		return
 	}
 	start := time.Now()
-	gemm32Dispatch(pool, lvl, transA, transB, alpha, a, b, pb, beta, c)
+	tiled := gemm32Dispatch(pool, lvl, transA, transB, alpha, a, b, pb, beta, c)
 	mGemm32Seconds.Observe(time.Since(start).Seconds())
 	mGemm32Calls.Inc()
 	if pb != nil {
@@ -56,20 +56,14 @@ func gemm32(pool *parallel.Pool, lvl Level, transA, transB bool, alpha float32, 
 	m, k := opShape32(a, transA)
 	_, n := opShape32(b, transB)
 	mGemm32Flops.Add(2 * float64(m) * float64(k) * float64(n))
-	switch {
-	case lvl.IsBlocked() && useAsmKernel:
-		mGemm32PathAsm.Inc()
-	case lvl.IsBlocked():
-		mGemm32PathGo.Inc()
-	default:
-		mGemm32PathScalar.Inc()
-	}
+	mGemm32Paths.record(tiled)
 }
 
 // gemm32Dispatch is the uninstrumented body: validate, then route to the
 // packed micro-kernel (which takes its B panels from pb when non-nil) or
-// the scalar row loops over b.
-func gemm32Dispatch(pool *parallel.Pool, lvl Level, transA, transB bool, alpha float32, a, b *tensor.Matrix32, pb *PackedB32, beta float32, c *tensor.Matrix32) {
+// the scalar row loops over b. It reports whether the packed micro-kernel
+// ran.
+func gemm32Dispatch(pool *parallel.Pool, lvl Level, transA, transB bool, alpha float32, a, b *tensor.Matrix32, pb *PackedB32, beta float32, c *tensor.Matrix32) (tiled bool) {
 	m, ka := opShape32(a, transA)
 	kb, n := opShape32(b, transB)
 	if ka != kb {
@@ -79,23 +73,22 @@ func gemm32Dispatch(pool *parallel.Pool, lvl Level, transA, transB bool, alpha f
 		panic(fmt.Sprintf("kernels: Gemm32 output shape %dx%d, want %dx%d", c.Rows, c.Cols, m, n))
 	}
 	if m == 0 || n == 0 {
-		return
+		return false
 	}
 	if ka == 0 || alpha == 0 {
 		scaleC32(pool, lvl, beta, c)
-		return
+		return false
 	}
 	if lvl.IsBlocked() {
 		gemmPacked32(pool, lvl, transA, transB, alpha, a, b, pb, beta, c, m, ka, n)
-		return
+		return true
 	}
 	scaleC32(pool, lvl, beta, c)
 
 	// Both transposed: rewrite through a packed transpose of A so the
 	// scalar kernels only handle three layouts, as in the f64 path.
 	if transA && transB {
-		gemm32Dispatch(pool, lvl, false, true, alpha, a.T(), b, nil, 1, c)
-		return
+		return gemm32Dispatch(pool, lvl, false, true, alpha, a.T(), b, nil, 1, c)
 	}
 
 	rowRange := func(lo, hi int) {
@@ -113,6 +106,7 @@ func gemm32Dispatch(pool *parallel.Pool, lvl Level, transA, transB bool, alpha f
 	} else {
 		rowRange(0, m)
 	}
+	return false
 }
 
 func opShape32(x *tensor.Matrix32, trans bool) (rows, cols int) {

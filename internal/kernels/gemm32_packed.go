@@ -164,7 +164,7 @@ func packA32(ap []float32, a *tensor.Matrix32, transA bool, i0, h, pc, kc int) {
 // multiply and add instead of fused multiply-adds — the cross-path
 // difference is bounded by the equivalence suite's f64-reference tolerance.
 func kernelTile32(kc int, ap, bp []float32, out *[mr32 * nr32]float32) {
-	if useAsmKernel {
+	if activePath != pathGo {
 		sgemmKernel8x16(kc, &ap[0], &bp[0], &out[0])
 		return
 	}
@@ -231,7 +231,9 @@ var gemmState32Pool = sync.Pool{New: func() any { return new(gemmState32) }}
 
 // Range processes row tiles [lo, hi) of the current panel; tile t covers C
 // rows [t*mr32, t*mr32+mr32). Each worker packs its own A slivers into a
-// worker-local arena and reuses them across the panel's micro-panels.
+// worker-local arena and reuses them across the panel's micro-panels. On
+// the avx512 path the micro-panels go in pairs through sgemmKernel8x32 and
+// an odd last one through the 8×16 tile.
 func (g *gemmState32) Range(lo, hi int) {
 	ar := arena32Pool.Get().(*arena32)
 	ap := ar.ensure(g.kc * mr32)
@@ -240,7 +242,12 @@ func (g *gemmState32) Range(lo, hi int) {
 		beta = g.beta
 	}
 	panels := (g.nc + nr32 - 1) / nr32
-	var acc [mr32 * nr32]float32
+	wide := 0
+	if activePath == pathAVX512 {
+		wide = panels &^ 1
+	}
+	panelLen := g.kc * nr32
+	var acc [2 * mr32 * nr32]float32
 	for t := lo; t < hi; t++ {
 		i0 := t * mr32
 		h := mr32
@@ -248,14 +255,20 @@ func (g *gemmState32) Range(lo, hi int) {
 			h = rem
 		}
 		packA32(ap, g.a, g.transA, i0, h, g.pc, g.kc)
-		for jp := 0; jp < panels; jp++ {
-			j0 := g.jc + jp*nr32
-			w := nr32
-			if rem := g.jc + g.nc - j0; rem < w {
-				w = rem
+		jp := 0
+		for ; jp < wide; jp += 2 {
+			bp := g.bp[jp*panelLen : (jp+2)*panelLen]
+			sgemmKernel8x32(g.kc, &ap[0], &bp[0], &acc[0])
+			for p := range 2 {
+				j0 := g.jc + (jp+p)*nr32
+				foldTile32((*[mr32 * nr32]float32)(acc[p*mr32*nr32:]), g.alpha, beta, g.c, i0, j0, h, min(nr32, g.jc+g.nc-j0))
 			}
-			kernelTile32(g.kc, ap, g.bp[jp*g.kc*nr32:(jp+1)*g.kc*nr32], &acc)
-			foldTile32(&acc, g.alpha, beta, g.c, i0, j0, h, w)
+		}
+		for ; jp < panels; jp++ {
+			tile := (*[mr32 * nr32]float32)(acc[:])
+			kernelTile32(g.kc, ap, g.bp[jp*panelLen:(jp+1)*panelLen], tile)
+			j0 := g.jc + jp*nr32
+			foldTile32(tile, g.alpha, beta, g.c, i0, j0, h, min(nr32, g.jc+g.nc-j0))
 		}
 	}
 	arena32Pool.Put(ar)

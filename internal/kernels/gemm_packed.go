@@ -30,7 +30,9 @@ var gemmStatePool = sync.Pool{New: func() any { return new(gemmState) }}
 // Range processes row tiles [lo, hi) (tile t covers C rows
 // [t*mr, t*mr+mr)) of the current panel. Each worker packs its own op(A)
 // slivers into a worker-local arena (mr×kc ≈ 8 KiB, L1-resident) and reuses
-// the sliver across every micro-panel of the shared packed B.
+// the sliver across every micro-panel of the shared packed B. On the avx512
+// path the micro-panels go three at a time through dgemmKernel4x24 and the
+// remaining one or two through the 4×8 tile.
 func (g *gemmState) Range(lo, hi int) {
 	ar := arenaPool.Get().(*arena)
 	ap := ar.ensure(g.kc * mr)
@@ -39,7 +41,12 @@ func (g *gemmState) Range(lo, hi int) {
 		beta = g.beta
 	}
 	panels := (g.nc + nr - 1) / nr
-	var acc [mr * nr]float64
+	wide := 0
+	if activePath == pathAVX512 {
+		wide = panels - panels%3
+	}
+	panelLen := g.kc * nr
+	var acc [3 * mr * nr]float64
 	for t := lo; t < hi; t++ {
 		i0 := t * mr
 		h := mr
@@ -47,14 +54,20 @@ func (g *gemmState) Range(lo, hi int) {
 			h = rem
 		}
 		packA(ap, g.a, g.transA, i0, h, g.pc, g.kc)
-		for jp := 0; jp < panels; jp++ {
-			j0 := g.jc + jp*nr
-			w := nr
-			if rem := g.jc + g.nc - j0; rem < w {
-				w = rem
+		jp := 0
+		for ; jp < wide; jp += 3 {
+			bp := g.bp[jp*panelLen : (jp+3)*panelLen]
+			dgemmKernel4x24(g.kc, &ap[0], &bp[0], &acc[0])
+			for p := range 3 {
+				j0 := g.jc + (jp+p)*nr
+				foldTile((*[mr * nr]float64)(acc[p*mr*nr:]), g.alpha, beta, g.c, i0, j0, h, min(nr, g.jc+g.nc-j0))
 			}
-			kernelTile(g.kc, ap, g.bp[jp*g.kc*nr:(jp+1)*g.kc*nr], &acc)
-			foldTile(&acc, g.alpha, beta, g.c, i0, j0, h, w)
+		}
+		for ; jp < panels; jp++ {
+			tile := (*[mr * nr]float64)(acc[:])
+			kernelTile(g.kc, ap, g.bp[jp*panelLen:(jp+1)*panelLen], tile)
+			j0 := g.jc + jp*nr
+			foldTile(tile, g.alpha, beta, g.c, i0, j0, h, min(nr, g.jc+g.nc-j0))
 		}
 	}
 	arenaPool.Put(ar)

@@ -1,0 +1,238 @@
+package kernels
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"phideep/internal/metrics"
+	"phideep/internal/parallel"
+	"phideep/internal/rng"
+	"phideep/internal/tensor"
+)
+
+// Kernel-path property suite: every micro-kernel path this build and CPU
+// can run (go, avx2, avx512) is driven in one binary by switching
+// activePath, over hostile shapes — zero and unit dimensions, primes,
+// every leftover-panel count of the wide tiles, and shapes crossing the
+// kcBlock/ncBlock panel edges — in all four trans layouts, at both blocked
+// levels and pool sizes 1, 2 and 5. Each path must sit within the
+// equivalence suites' tolerance of the Naive oracle, and avx512 must equal
+// avx2 bit for bit.
+
+var pathNames = [...]string{pathGo: "go", pathAVX2: "avx2", pathAVX512: "avx512"}
+
+// availablePaths lists the paths this build and CPU can run, narrowest
+// first. Detection orders them: avx512 is only detected with avx2 present.
+func availablePaths(t *testing.T) []kernelPath {
+	paths := []kernelPath{pathGo}
+	for p := pathAVX2; p <= detectKernelPath(); p++ {
+		paths = append(paths, p)
+	}
+	if paths[len(paths)-1] != pathAVX512 {
+		t.Logf("avx512 half skipped: widest path in this build/CPU is %s", pathNames[paths[len(paths)-1]])
+	}
+	return paths
+}
+
+// withPath runs f with the micro-kernel dispatch pinned to p.
+func withPath(p kernelPath, f func()) {
+	saved := activePath
+	activePath = p
+	defer func() { activePath = saved }()
+	f()
+}
+
+// pathShapes are m×k×n triples. The comments give the f64 (nr=8) and f32
+// (nr32=16) micro-panel counts per jc block, modulo the wide tiles' 3 and 2.
+var pathShapes = [][3]int{
+	{0, 5, 7}, {5, 0, 7}, {5, 7, 0}, // empty products; k=0 only scales C
+	{1, 1, 1},       // panels 1: %3=1, %2=1
+	{3, 7, 13},      // panels 2 | 1: %3=2, %2=1
+	{7, 13, 23},     // panels 3 | 2: %3=0, %2=0
+	{13, 29, 47},    // panels 6 | 3: %3=0, %2=1
+	{11, 31, 97},    // panels 13 | 7: %3=1, %2=1
+	{5, 263, 41},    // k crosses kcBlock; panels 6 | 3
+	{17, 257, 523},  // k crosses kcBlock, n crosses ncBlock: blocks of 64+2 | 32+1 panels
+	{29, 3, 61},     // panels 8 | 4: %3=2, %2=0
+	{2, 521, 37},    // k crosses kcBlock twice; panels 5 | 3
+	{31, 2, 131},    // panels 17 | 9: %3=2, %2=1
+	{37, 59, 1031},  // n crosses ncBlock twice
+	{3, 1, 512 + 8}, // ncBlock then exactly one f64 panel
+}
+
+var transCombos = [4][2]bool{{false, false}, {false, true}, {true, false}, {true, true}}
+
+func bitsEqual64(a, b []float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return len(a) == len(b)
+}
+
+func TestGemmKernelPathsProperty(t *testing.T) {
+	paths := availablePaths(t)
+	coeffs := []float64{1.5, -0.5, 1, 0}
+	for _, workers := range []int{1, 2, 5} {
+		pool := parallel.NewPool(workers)
+		r := rng.New(61)
+		for idx, s := range pathShapes {
+			m, k, n := s[0], s[1], s[2]
+			alpha, beta := coeffs[idx%3], coeffs[(idx+1)%4]
+			for _, tr := range transCombos {
+				transA, transB := tr[0], tr[1]
+				ar, ac := m, k
+				if transA {
+					ar, ac = k, m
+				}
+				br, bc := k, n
+				if transB {
+					br, bc = n, k
+				}
+				pad := idx % 3
+				a, b := stridedRand(r, ar, ac, pad), stridedRand(r, br, bc, pad+1)
+				c0 := stridedRand(r, m, n, pad)
+				want := c0.Clone()
+				Gemm(nil, Naive, transA, transB, alpha, a, b, beta, want)
+				for _, lvl := range []Level{Blocked, ParallelBlocked} {
+					got := make([]*tensor.Matrix, len(paths))
+					for i, p := range paths {
+						got[i] = c0.Clone()
+						withPath(p, func() { Gemm(pool, lvl, transA, transB, alpha, a, b, beta, got[i]) })
+						ctx := fmt.Sprintf("workers=%d %s", workers, caseName(lvl.String()+"/"+pathNames[p], m, k, n, transA, transB, alpha, beta))
+						compareToOracle(t, ctx, got[i], want)
+						checkPadding(t, ctx, got[i])
+					}
+					if len(paths) == 3 && !bitsEqual64(got[2].Data, got[1].Data) {
+						t.Fatalf("workers=%d %s: avx512 differs from avx2", workers,
+							caseName(lvl.String(), m, k, n, transA, transB, alpha, beta))
+					}
+				}
+			}
+		}
+		pool.Close()
+	}
+}
+
+func TestGemm32KernelPathsProperty(t *testing.T) {
+	paths := availablePaths(t)
+	coeffs := []float32{1.5, -0.5, 1, 0}
+	for _, workers := range []int{1, 2, 5} {
+		pool := parallel.NewPool(workers)
+		r := rng.New(67)
+		for idx, s := range pathShapes {
+			m, k, n := s[0], s[1], s[2]
+			alpha, beta := coeffs[idx%3], coeffs[(idx+1)%4]
+			for _, tr := range transCombos {
+				transA, transB := tr[0], tr[1]
+				ar, ac := m, k
+				if transA {
+					ar, ac = k, m
+				}
+				br, bc := k, n
+				if transB {
+					br, bc = n, k
+				}
+				pad := idx % 3
+				a, b := stridedRand32(r, ar, ac, pad), stridedRand32(r, br, bc, pad+1)
+				c0 := stridedRand32(r, m, n, pad)
+				want := to64(c0)
+				Gemm(nil, Naive, transA, transB, float64(alpha), to64(a), to64(b), float64(beta), want)
+				pb := PackB32(b, transB)
+				for _, lvl := range []Level{Blocked, ParallelBlocked} {
+					got := make([]*tensor.Matrix32, len(paths))
+					for i, p := range paths {
+						got[i] = cloneStrided32(c0)
+						packed := cloneStrided32(c0)
+						withPath(p, func() {
+							Gemm32(pool, lvl, transA, transB, alpha, a, b, beta, got[i])
+							Gemm32Packed(pool, lvl, transA, alpha, a, pb, beta, packed)
+						})
+						ctx := fmt.Sprintf("workers=%d %s", workers, caseName(lvl.String()+"/"+pathNames[p], m, k, n, transA, transB, float64(alpha), float64(beta)))
+						compareToOracle32(t, ctx, got[i], want, gemm32Tol(k))
+						checkPadding32(t, ctx, got[i])
+						if !bitsEqual32(packed.Data, got[i].Data) {
+							t.Fatalf("%s: Gemm32Packed differs from Gemm32", ctx)
+						}
+					}
+					if len(paths) == 3 && !bitsEqual32(got[2].Data, got[1].Data) {
+						t.Fatalf("workers=%d %s: avx512 differs from avx2", workers,
+							caseName(lvl.String(), m, k, n, transA, transB, float64(alpha), float64(beta)))
+					}
+				}
+			}
+		}
+		pool.Close()
+	}
+}
+
+// TestGemmPathCounters: a call that runs no micro-kernel (an empty
+// product, k = 0, alpha = 0, or a scalar level) counts as path.scalar, and
+// a blocked call counts once under the path that served it, with avx512
+// also counting as asm.
+func TestGemmPathCounters(t *testing.T) {
+	defer metrics.SetEnabled(metrics.Enabled())
+	metrics.SetEnabled(true)
+	reg := metrics.Default()
+	names := func(prefix string) []string {
+		return []string{prefix + ".path.scalar", prefix + ".path.go", prefix + ".path.asm", prefix + ".path.avx512"}
+	}
+	read := func(prefix string) [4]int64 {
+		var v [4]int64
+		for i, name := range names(prefix) {
+			v[i] = reg.Counter(name).Value()
+		}
+		return v
+	}
+	r := rng.New(71)
+	a, b, c := randMatrix(r, 5, 7), randMatrix(r, 7, 9), tensor.NewMatrix(5, 9)
+	a32, b32, c32 := a.To32(), b.To32(), c.To32()
+	empty, emptyB := tensor.NewMatrix(5, 0), tensor.NewMatrix(0, 9)
+	empty32, emptyB32 := empty.To32(), emptyB.To32()
+	cases := []struct {
+		name  string
+		lvl   Level
+		alpha float64
+		k0    bool
+	}{
+		{"blocked", Blocked, 1, false},
+		{"alpha=0", Blocked, 0, false},
+		{"k=0", Blocked, 1, true},
+		{"scalar level", Naive, 1, false},
+	}
+	for _, p := range availablePaths(t) {
+		for _, cse := range cases {
+			want := [4]int64{1, 0, 0, 0} // scalar, go, asm, avx512
+			if cse.lvl.IsBlocked() && cse.alpha != 0 && !cse.k0 {
+				want = [4]int64{0, 0, 1, 0}
+				switch p {
+				case pathGo:
+					want = [4]int64{0, 1, 0, 0}
+				case pathAVX512:
+					want[3] = 1
+				}
+			}
+			before, before32 := read("kernels.gemm"), read("kernels.gemm32")
+			withPath(p, func() {
+				if cse.k0 {
+					Gemm(nil, cse.lvl, false, false, cse.alpha, empty, emptyB, 1, c)
+					Gemm32(nil, cse.lvl, false, false, float32(cse.alpha), empty32, emptyB32, 1, c32)
+				} else {
+					Gemm(nil, cse.lvl, false, false, cse.alpha, a, b, 1, c)
+					Gemm32(nil, cse.lvl, false, false, float32(cse.alpha), a32, b32, 1, c32)
+				}
+			})
+			after, after32 := read("kernels.gemm"), read("kernels.gemm32")
+			for i := range want {
+				if d := after[i] - before[i]; d != want[i] {
+					t.Errorf("%s %s: %s moved by %d, want %d", pathNames[p], cse.name, names("kernels.gemm")[i], d, want[i])
+				}
+				if d := after32[i] - before32[i]; d != want[i] {
+					t.Errorf("%s %s: %s moved by %d, want %d", pathNames[p], cse.name, names("kernels.gemm32")[i], d, want[i])
+				}
+			}
+		}
+	}
+}

@@ -207,6 +207,26 @@ func TestGemvShapePanics(t *testing.T) {
 	Gemv(nil, Naive, false, 1, a, tensor.NewVector(5), 0, tensor.NewVector(3))
 }
 
+// BenchmarkGemvTrans measures the transposed Gemv (y = Aᵀx), the path
+// parallelized with per-worker partial vectors, at every level. The bench/
+// harness has no GEMV probe, so this is its only wall-clock measurement:
+// go test -run '^$' -bench GemvTrans ./internal/kernels/
+func BenchmarkGemvTrans(b *testing.B) {
+	r := rng.New(3)
+	a := tensor.NewMatrix(1024, 512).Randomize(r, -1, 1)
+	x := tensor.NewVector(1024).Randomize(r, -1, 1)
+	y := tensor.NewVector(512)
+	pool := parallel.NewPool(0)
+	defer pool.Close()
+	for _, lvl := range Levels {
+		b.Run(lvl.String(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				Gemv(pool, lvl, true, 1, a, x, 0, y)
+			}
+		})
+	}
+}
+
 func TestGemmTransposeConsistency(t *testing.T) {
 	// (AᵀBᵀ) must equal (BA)ᵀ.
 	pool := parallel.NewPool(2)

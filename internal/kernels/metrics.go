@@ -14,11 +14,17 @@ var (
 	mGemmFlops   = metrics.Default().FloatCounter("kernels.gemm.flops")
 	mGemmSeconds = metrics.Default().Histogram("kernels.gemm.seconds", metrics.ExpBuckets(1e-6, 4, 12)...)
 
-	// Micro-kernel path taken per Gemm call: the AVX2+FMA assembly tile,
-	// the pure-Go register-tile fallback, or the scalar (unblocked) loops.
-	mGemmPathAsm    = metrics.Default().Counter("kernels.gemm.path.asm")
-	mGemmPathGo     = metrics.Default().Counter("kernels.gemm.path.go")
-	mGemmPathScalar = metrics.Default().Counter("kernels.gemm.path.scalar")
+	// Micro-kernel path taken per Gemm call: the assembly tiles, the
+	// pure-Go register-tile fallback, or no micro-kernel at all (the
+	// scalar levels, an empty product, alpha == 0). path.avx512 is a
+	// sub-counter of path.asm: a call served by the ZMM tiles counts in
+	// both, so path.asm keeps meaning "any assembly micro-kernel".
+	mGemmPaths = pathCounters{
+		asm:    metrics.Default().Counter("kernels.gemm.path.asm"),
+		avx512: metrics.Default().Counter("kernels.gemm.path.avx512"),
+		goTile: metrics.Default().Counter("kernels.gemm.path.go"),
+		scalar: metrics.Default().Counter("kernels.gemm.path.scalar"),
+	}
 
 	// The float32 inference GEMM records into its own precision-labeled
 	// family so f32-vs-f64 throughput and path mix can be compared from one
@@ -32,9 +38,12 @@ var (
 	// and the path counters too.
 	mGemm32Prepacked = metrics.Default().Counter("kernels.gemm32.prepacked")
 
-	mGemm32PathAsm    = metrics.Default().Counter("kernels.gemm32.path.asm")
-	mGemm32PathGo     = metrics.Default().Counter("kernels.gemm32.path.go")
-	mGemm32PathScalar = metrics.Default().Counter("kernels.gemm32.path.scalar")
+	mGemm32Paths = pathCounters{
+		asm:    metrics.Default().Counter("kernels.gemm32.path.asm"),
+		avx512: metrics.Default().Counter("kernels.gemm32.path.avx512"),
+		goTile: metrics.Default().Counter("kernels.gemm32.path.go"),
+		scalar: metrics.Default().Counter("kernels.gemm32.path.scalar"),
+	}
 
 	mGemvCalls = metrics.Default().Counter("kernels.gemv.calls")
 
@@ -58,3 +67,24 @@ var (
 	mArenaReuse = metrics.Default().Counter("kernels.pack.arena.reuse")
 	mArenaGrow  = metrics.Default().Counter("kernels.pack.arena.grow")
 )
+
+// pathCounters is one precision's kernels.gemm*.path.* family.
+type pathCounters struct {
+	asm, avx512, goTile, scalar *metrics.Counter
+}
+
+// record counts one call. ranTile is what gemmDispatch / gemm32Dispatch
+// returned: whether the packed micro-kernel ran.
+func (p pathCounters) record(ranTile bool) {
+	switch {
+	case !ranTile:
+		p.scalar.Inc()
+	case activePath == pathGo:
+		p.goTile.Inc()
+	default:
+		p.asm.Inc()
+		if activePath == pathAVX512 {
+			p.avx512.Inc()
+		}
+	}
+}

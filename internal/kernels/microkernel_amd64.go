@@ -2,12 +2,20 @@
 
 package kernels
 
-// useAsmKernel gates the assembly micro-kernels on runtime CPU support.
-// Checked once at package init; both paths compute the same tile, the
-// assembly one with fused multiply-adds (single rounding per a·b+c). The
-// noasm build tag forces the pure-Go fallbacks so CI can gate them on
-// hardware that would otherwise always take the assembly path.
-var useAsmKernel = cpuSupportsAVX2FMA()
+// detectKernelPath picks the widest micro-kernel family the CPU and OS
+// support. The AVX-512 family needs the AVX2 one too: its leftover panels
+// run through the 4×8 and 8×16 tiles. The noasm build tag compiles out
+// both families; the AVX2 path on an AVX-512 host is exercised by tests
+// that switch activePath inside one binary.
+func detectKernelPath() kernelPath {
+	switch {
+	case !cpuSupportsAVX2FMA():
+		return pathGo
+	case cpuSupportsAVX512():
+		return pathAVX512
+	}
+	return pathAVX2
+}
 
 // cpuSupportsAVX2FMA reports whether the CPU and OS support the AVX2+FMA
 // instructions used by dgemmKernel4x8 (CPUID feature bits plus XGETBV

@@ -2,13 +2,22 @@
 
 package kernels
 
-// Non-amd64 and -tags noasm builds always take the pure-Go micro-kernels.
-const useAsmKernel = false
+// Non-amd64 and -tags noasm builds always take the pure-Go micro-kernels;
+// the assembly entry points below exist only so the dispatch compiles.
+func detectKernelPath() kernelPath { return pathGo }
 
 func dgemmKernel4x8(kc int, ap, bp, out *float64) {
 	panic("kernels: assembly micro-kernel not available in this build")
 }
 
 func sgemmKernel8x16(kc int, ap, bp, out *float32) {
+	panic("kernels: assembly micro-kernel not available in this build")
+}
+
+func dgemmKernel4x24(kc int, ap, bp, out *float64) {
+	panic("kernels: assembly micro-kernel not available in this build")
+}
+
+func sgemmKernel8x32(kc int, ap, bp, out *float32) {
 	panic("kernels: assembly micro-kernel not available in this build")
 }

@@ -123,6 +123,26 @@ func packA(ap []float64, a *tensor.Matrix, transA bool, i0, h, pc, kc int) {
 	}
 }
 
+// kernelPath names the micro-kernel family the blocked GEMM levels run.
+type kernelPath uint8
+
+const (
+	// pathGo is the pure-Go register tiles: non-amd64, -tags noasm, or a
+	// CPU without AVX2+FMA.
+	pathGo kernelPath = iota
+	// pathAVX2 is the YMM tiles, dgemmKernel4x8 and sgemmKernel8x16.
+	pathAVX2
+	// pathAVX512 is the ZMM tiles, dgemmKernel4x24 and sgemmKernel8x32,
+	// with the AVX2 tiles serving the panels left over past a multiple of
+	// three (f64) or two (f32).
+	pathAVX512
+)
+
+// activePath is chosen once at package init from CPUID. The paths agree
+// bitwise between avx2 and avx512: both run every C element's FMA chain
+// from zero over the same k-panel, then the same Go fold.
+var activePath = detectKernelPath()
+
 // kernelTile computes the full mr×nr register tile
 //
 //	out[ii*nr+jj] = Σ_l ap[l*mr+ii] · bp[l*nr+jj]
@@ -137,7 +157,7 @@ func packA(ap []float64, a *tensor.Matrix, transA bool, i0, h, pc, kc int) {
 // scalar accumulators + six operand temporaries fit amd64's sixteen FP
 // registers, so the fallback loop also runs spill-free).
 func kernelTile(kc int, ap, bp []float64, out *[mr * nr]float64) {
-	if useAsmKernel {
+	if activePath != pathGo {
 		dgemmKernel4x8(kc, &ap[0], &bp[0], &out[0])
 		return
 	}
