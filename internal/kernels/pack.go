@@ -143,6 +143,12 @@ const (
 // from zero over the same k-panel, then the same Go fold.
 var activePath = detectKernelPath()
 
+// AsmKernels reports whether the blocked GEMM levels run the assembly
+// micro-kernels (avx2 or avx512, which agree bitwise) in this build on this
+// CPU; false means the pure-Go tiles, whose non-fused multiply-adds round
+// differently.
+func AsmKernels() bool { return activePath != pathGo }
+
 // kernelTile computes the full mr×nr register tile
 //
 //	out[ii*nr+jj] = Σ_l ap[l*mr+ii] · bp[l*nr+jj]
