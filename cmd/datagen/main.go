@@ -1,8 +1,5 @@
 // Command datagen materializes the synthetic datasets (digit images,
-// natural-image patches) to disk for inspection or external use — or, with
-// -serve, exposes one as a dataset server speaking the feed's HTTP
-// lease/commit API (DESIGN.md §15), so out-of-process consumers can stream
-// the same sharded chunks the in-process trainer and cluster lease.
+// natural-image patches) to disk for inspection or external use.
 //
 // Formats: csv (one example per row), pgm (one P2 image per example, only
 // sensible for small counts).
@@ -11,20 +8,17 @@
 //
 //	datagen -kind digits -side 16 -n 100 -format csv -out digits.csv
 //	datagen -kind natural -side 12 -n 8 -format pgm -out patches/
-//	datagen -kind digits -side 16 -n 10000 -batch 100 -serve localhost:7077
 package main
 
 import (
 	"bufio"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"path/filepath"
 
 	"phideep"
 	"phideep/internal/data"
-	"phideep/internal/feed"
 	"phideep/internal/tensor"
 )
 
@@ -37,59 +31,12 @@ func main() {
 		format = flag.String("format", "csv", "csv | pgm")
 		out    = flag.String("out", "", "output file (csv) or directory (pgm); default stdout/CWD")
 		labels = flag.Bool("labels", false, "append the digit label as the last CSV column (digits only)")
-
-		serve = flag.String("serve", "", "serve the dataset over the feed's HTTP lease API on this address instead of writing files")
-		batch = flag.Int("batch", 10, "feed minibatch size (with -serve)")
-		chunk = flag.Int("chunk", 0, "feed chunk size in examples, a multiple of -batch (0 = auto; with -serve)")
 	)
 	flag.Parse()
-	if *serve != "" {
-		h, err := feedHandler(*kind, *side, *n, *seed, *batch, *chunk)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "datagen:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("datagen: serving %s (%d examples) over the feed lease API on %s\n", *kind, *n, *serve)
-		if err := http.ListenAndServe(*serve, h); err != nil {
-			fmt.Fprintln(os.Stderr, "datagen:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if err := run(*kind, *side, *n, *seed, *format, *out, *labels); err != nil {
 		fmt.Fprintln(os.Stderr, "datagen:", err)
 		os.Exit(1)
 	}
-}
-
-// feedHandler builds the -serve mode's HTTP handler: the synthetic source
-// wrapped in a dataset feed, exposed through the same lease/commit wire
-// protocol in-process consumers use (feed.Handler).
-func feedHandler(kind string, side, n int, seed uint64, batch, chunk int) (http.Handler, error) {
-	plan, err := data.PlanChunks(data.PlanRequest{
-		SourceLen:      n,
-		Batch:          batch,
-		ChunkExamples:  chunk,
-		ExampleDoubles: side * side,
-		FreeBytes:      data.NoMemLimit,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("-serve: %w", err)
-	}
-	fcfg := feed.Config{Plan: plan}
-	var f *feed.Feed
-	switch kind {
-	case "digits":
-		f, err = feed.NewLabeled(data.NewDigits(side, n, seed, 0.05), fcfg)
-	case "natural":
-		f, err = feed.New(data.NewNaturalPatches(side, n, seed), fcfg)
-	default:
-		return nil, fmt.Errorf("unknown kind %q", kind)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("-serve: %w", err)
-	}
-	return feed.Handler(f), nil
 }
 
 func run(kind string, side, n int, seed uint64, format, out string, labels bool) error {

@@ -1,10 +1,6 @@
 package main
 
 import (
-	"encoding/json"
-	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -76,95 +72,5 @@ func TestWritePGMClampsValues(t *testing.T) {
 	s := strings.TrimSpace(string(data))
 	if !strings.HasSuffix(s, "0 0\n128 255") && !strings.Contains(s, "255") {
 		t.Fatalf("clamping wrong:\n%s", s)
-	}
-}
-
-// TestServeFeedProtocol drives the -serve mode's handler through one full
-// lease cycle over the wire: subscribe, lease, fetch the chunk payload
-// (with labels), commit, and read the stats back.
-func TestServeFeedProtocol(t *testing.T) {
-	h, err := feedHandler("digits", 8, 40, 1, 10, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(h)
-	defer srv.Close()
-
-	post := func(path string, body string, v any) int {
-		t.Helper()
-		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if v != nil {
-			if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
-				t.Fatalf("%s: %v", path, err)
-			}
-		}
-		return resp.StatusCode
-	}
-
-	var sub struct {
-		Shard int `json:"shard"`
-	}
-	if code := post("/subscribe", `{"name":"remote"}`, &sub); code != 200 {
-		t.Fatalf("subscribe: %d", code)
-	}
-	var lease struct {
-		Seq   int `json:"seq"`
-		Start int `json:"start"`
-		N     int `json:"n"`
-	}
-	if code := post("/lease", fmt.Sprintf(`{"shard":%d}`, sub.Shard), &lease); code != 200 {
-		t.Fatalf("lease: %d", code)
-	}
-	if lease.N != 20 || lease.Seq != 0 {
-		t.Fatalf("lease %+v", lease)
-	}
-
-	resp, err := http.Get(fmt.Sprintf("%s/chunk?shard=%d&seq=%d", srv.URL, sub.Shard, lease.Seq))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var chunk struct {
-		Rows   [][]float64 `json:"rows"`
-		Labels []int       `json:"labels"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&chunk); err != nil {
-		t.Fatal(err)
-	}
-	if len(chunk.Rows) != 20 || len(chunk.Rows[0]) != 64 || len(chunk.Labels) != 20 {
-		t.Fatalf("chunk: %d rows x %d, %d labels", len(chunk.Rows), len(chunk.Rows[0]), len(chunk.Labels))
-	}
-
-	if code := post("/commit", fmt.Sprintf(`{"shard":%d,"seq":%d,"at":1}`, sub.Shard, lease.Seq), nil); code != 200 {
-		t.Fatalf("commit: %d", code)
-	}
-	statsResp, err := http.Get(srv.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer statsResp.Body.Close()
-	var stats struct {
-		Leases  int `json:"leases"`
-		Commits int `json:"commits"`
-	}
-	if err := json.NewDecoder(statsResp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Leases != 1 || stats.Commits != 1 {
-		t.Fatalf("stats %+v", stats)
-	}
-}
-
-// TestServeFeedValidation rejects a bad serve geometry up front.
-func TestServeFeedValidation(t *testing.T) {
-	if _, err := feedHandler("digits", 8, 5, 1, 10, 0); err == nil {
-		t.Fatal("5 examples cannot hold a 10-example batch")
-	}
-	if _, err := feedHandler("bogus", 8, 40, 1, 10, 0); err == nil || !strings.Contains(err.Error(), "unknown kind") {
-		t.Fatalf("bad kind: %v", err)
 	}
 }

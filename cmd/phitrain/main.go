@@ -62,7 +62,6 @@ func main() {
 		cores     = flag.Int("cores", 0, "physical core limit (0 = all)")
 		numeric   = flag.Bool("numeric", true, "really compute (vs. timing-only)")
 		prefetch  = flag.Bool("prefetch", true, "overlap chunk transfers with compute on the simulated clock (Fig. 5)")
-		useFeed   = flag.Bool("feed", false, "stream chunks through the dataset-server feed (lease/commit protocol) instead of direct index math (ae/rbm/convnet)")
 		seed      = flag.Uint64("seed", 1, "RNG seed")
 		trace     = flag.String("trace", "", "write a Chrome trace-viewer JSON of the simulated device activity to this file")
 		momentum  = flag.Float64("momentum", 0, "classical momentum coefficient [0,1)")
@@ -101,7 +100,7 @@ func main() {
 		}()
 	}
 	opts := options{momentum: *momentum, corruption: *corrupt, tied: *tied,
-		gaussian: *gaussian, shuffle: *shuffle, adaptive: *adaptive, feed: *useFeed,
+		gaussian: *gaussian, shuffle: *shuffle, adaptive: *adaptive,
 		filters1: *filters1, kernel1: *kernel1, filters2: *filters2,
 		kernel2: *kernel2, pool: *poolSz, classes: *classes,
 		metricsPath: *metricsTo, stats: *stats,
@@ -177,7 +176,7 @@ func (s nullSource) Dim() int                                { return s.d }
 func (s nullSource) Len() int                                { return s.n }
 func (s nullSource) Chunk(start, n int, dst *phideep.Matrix) {}
 
-// Label satisfies LabeledSource so timing-only convnet runs work; the
+// Label satisfies phideep.Labeled so timing-only convnet runs work; the
 // trainer never reads labels on a timing-only device.
 func (s nullSource) Label(idx int) int { return 0 }
 
@@ -189,7 +188,6 @@ type options struct {
 	gaussian             bool
 	shuffle              bool
 	adaptive             bool
-	feed                 bool // -feed: lease chunks from a dataset-server feed
 
 	// convnet geometry (-model convnet)
 	filters1, kernel1 int
@@ -285,23 +283,6 @@ func run(modelKind, dataKind string, side, visible, hidden int, sizesFlag string
 		src = phideep.NewShuffled(src, seed+100)
 	}
 
-	var fd *phideep.Feed
-	if opts.feed {
-		if modelKind == "stack" || modelKind == "dbn" {
-			// Greedy layer-wise pre-training streams each layer from the
-			// previous layer's encodings, not from one fixed source.
-			return fmt.Errorf("-feed supports single-model runs (ae/rbm/convnet), not %q", modelKind)
-		}
-		if fd, err = buildFeed(src, batch); err != nil {
-			return err
-		}
-		consumer, err := fd.Subscribe("phitrain")
-		if err != nil {
-			return err
-		}
-		tc.Feed = consumer
-	}
-
 	switch modelKind {
 	case "ae", "rbm":
 		var model phideep.Trainable
@@ -337,7 +318,6 @@ func run(modelKind, dataKind string, side, visible, hidden int, sizesFlag string
 		}
 		fmt.Printf("%s %dx%d on %s [%s]\n", modelKind, visible, hidden, archDesc.Name, lvl)
 		printResult(res, numeric)
-		printFeedStats(fd)
 		if opts.export != "" {
 			if err := exportModel(opts.export, model, res); err != nil {
 				return err
@@ -362,7 +342,7 @@ func run(modelKind, dataKind string, side, visible, hidden int, sizesFlag string
 			// would desynchronize from their images.
 			return fmt.Errorf("-shuffle is not supported with -model convnet")
 		}
-		lsrc, ok := src.(phideep.LabeledSource)
+		lsrc, ok := src.(phideep.Labeled)
 		if !ok {
 			return fmt.Errorf("convnet needs labeled data: -data digits (or null for timing-only), not %q", dataKind)
 		}
@@ -388,7 +368,6 @@ func run(modelKind, dataKind string, side, visible, hidden int, sizesFlag string
 			side, side, opts.filters1, opts.kernel1, opts.filters2, opts.kernel2,
 			opts.pool, opts.classes, archDesc.Name, lvl)
 		printResult(res, numeric)
-		printFeedStats(fd)
 		if opts.export != "" {
 			if err := exportModel(opts.export, model, res); err != nil {
 				return err
@@ -458,37 +437,6 @@ func run(modelKind, dataKind string, side, visible, hidden int, sizesFlag string
 	default:
 		return fmt.Errorf("unknown model %q", modelKind)
 	}
-}
-
-// buildFeed wraps src in a single-consumer dataset feed with the trainer's
-// default chunk geometry (32 batches per chunk, clamped to the source).
-// The trainer adopts the feed's plan, so the -feed run walks exactly the
-// chunks the direct path would have.
-func buildFeed(src phideep.Source, batch int) (*phideep.Feed, error) {
-	plan, err := phideep.PlanChunks(phideep.PlanRequest{
-		SourceLen:      src.Len(),
-		Batch:          batch,
-		ExampleDoubles: src.Dim(),
-		FreeBytes:      phideep.PlanNoMemLimit,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("-feed: %w", err)
-	}
-	fcfg := phideep.FeedConfig{Plan: plan}
-	if l, ok := src.(phideep.Labeled); ok {
-		return phideep.NewLabeledFeed(l, fcfg)
-	}
-	return phideep.NewFeed(src, fcfg)
-}
-
-// printFeedStats reports the feed protocol counters of a -feed run.
-func printFeedStats(fd *phideep.Feed) {
-	if fd == nil {
-		return
-	}
-	s := fd.Stats()
-	fmt.Printf("  feed: %d leases, %d commits (%d skipped), %d stalls, %d seeks, peak window %d\n",
-		s.Leases, s.Commits, s.Skips, s.Stalls, s.Seeks, s.MaxOutstanding)
 }
 
 // exportModel writes the trained model as a final PHCK checkpoint — the

@@ -40,6 +40,12 @@ func TestRunAllModelKinds(t *testing.T) {
 			t.Errorf("%s: %v", m, err)
 		}
 	}
+	// convnet trains supervised: one-hot label chunks stage beside the images.
+	if err := run("convnet", "digits", 8, 0, 8, "", 200, 20, 1, 0,
+		0.5, 1e-4, 0.1, 0.05, "improved", "phi", 0, true, true, 1, "",
+		options{filters1: 3, kernel1: 3, filters2: 4, kernel2: 3, pool: 2, classes: 10}); err != nil {
+		t.Errorf("convnet: %v", err)
+	}
 }
 
 func TestRunTimingOnly(t *testing.T) {
@@ -131,24 +137,5 @@ func TestRunVariantFlags(t *testing.T) {
 	if err := run("dbn", "digits", 8, 0, 8, "64,16", 200, 20, 2, 0,
 		0.2, 0, 0, 0, "improved", "phi", 0, true, true, 1, "", gopts); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestRunFeed smoke-tests -feed on the single-model kinds and pins the
-// rejection for layer-wise pre-training.
-func TestRunFeed(t *testing.T) {
-	if err := runQuick2(t, options{feed: true}); err != nil {
-		t.Fatal(err)
-	}
-	// Labeled path: convnet leases one-hot label chunks off the same feed.
-	if err := run("convnet", "digits", 8, 0, 8, "", 200, 20, 1, 0,
-		0.5, 1e-4, 0.1, 0.05, "improved", "phi", 0, true, true, 1, "",
-		options{feed: true, filters1: 3, kernel1: 3, filters2: 4, kernel2: 3, pool: 2, classes: 10}); err != nil {
-		t.Fatal(err)
-	}
-	err := run("stack", "digits", 8, 0, 8, "64,16", 200, 20, 1, 0,
-		0.5, 1e-4, 0.1, 0.05, "improved", "phi", 0, true, true, 1, "", options{feed: true})
-	if err == nil || !strings.Contains(err.Error(), "-feed supports") {
-		t.Fatalf("stack with -feed: %v", err)
 	}
 }

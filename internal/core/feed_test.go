@@ -241,4 +241,15 @@ func TestFeedRunValidation(t *testing.T) {
 	if _, err := tr.Run(m, src); err == nil || !strings.Contains(err.Error(), "conflicts") {
 		t.Fatalf("conflicting chunk size: %v", err)
 	}
+	// A lease window (default 2) narrower than the ring is refused before
+	// any step, not when the third slot's lease bounces mid-run.
+	before := m.Download().W1
+	_, c = trainerFeed(t, src, 10, 30)
+	tr = &Trainer{Dev: dev, Cfg: TrainConfig{Epochs: 1, LR: 0.5, Feed: c, BufferDepth: 3}}
+	if _, err := tr.Run(m, src); err == nil || !strings.Contains(err.Error(), "BufferDepth") {
+		t.Fatalf("window narrower than the ring: %v", err)
+	}
+	if tensor.MaxAbsDiff(before, m.Download().W1) != 0 {
+		t.Fatal("weights moved before the window was rejected")
+	}
 }

@@ -75,16 +75,16 @@ type TrainConfig struct {
 	// whose only mutable state is parameters and the RNG stream, the
 	// resumed run is bit-identical to the uninterrupted one.
 	ResumePath string
-	// Feed, when non-nil, streams chunks through the data plane's
-	// lease/commit protocol (DESIGN.md §15) instead of ad-hoc index
-	// arithmetic over the source: every chunk is leased before its
-	// transfer and committed — at the simulated time compute drained
-	// it — when its ring slot is reused. The feed's ChunkPlan supplies
-	// the chunk geometry (ChunkExamples, if also set, must agree), its
-	// lease window must cover BufferDepth, and a resumed run re-seeks the
-	// consumer to the checkpointed chunk. For a single consumer the leased
-	// chunk walk is exactly the classic path's, so results are
-	// bit-identical at a fixed seed.
+	// Feed is the data plane consumer (DESIGN.md §15) the run streams its
+	// chunks through. Every chunk is leased before its transfer and
+	// committed — at the simulated time compute drained it — when its ring
+	// slot is reused. Nil means a private single-consumer feed over the
+	// source, with the run's chunk plan and BufferDepth as its window. A
+	// caller's feed supplies the chunk geometry instead (ChunkExamples, if
+	// also set, must agree), its lease window must cover BufferDepth, and
+	// a resumed run re-seeks it to the checkpointed chunk. A single
+	// consumer's lease walk does not depend on which feed it is, so
+	// results are bit-identical either way at a fixed seed.
 	Feed *feed.Consumer
 }
 
@@ -142,12 +142,6 @@ type LabeledTrainable interface {
 	OutputDim() int
 }
 
-// LabeledSource is a data source whose examples carry integer class labels.
-//
-// Deprecated: the interface moved to the data package as [data.Labeled];
-// this alias remains for source compatibility.
-type LabeledSource = data.Labeled
-
 // Trainer runs Algorithm 1 on one device.
 type Trainer struct {
 	Dev *device.Device
@@ -202,37 +196,57 @@ func (t *Trainer) run(um Trainable, lm LabeledTrainable, src data.Source, lsrc d
 		cfg.BufferDepth = 2
 	}
 	fc := cfg.Feed
-	if fc != nil {
-		// The data plane supplies the chunk geometry: adopt the feed's
-		// validated plan and refuse a conflicting local override.
-		fp := fc.Plan()
-		if fp.SourceLen != src.Len() {
-			return nil, fmt.Errorf("core: feed plan covers %d examples, source has %d", fp.SourceLen, src.Len())
+	if fc == nil {
+		perDim := dim
+		if lm != nil {
+			perDim += lm.OutputDim() // the one-hot label ring stages too
 		}
-		if fp.Batch != batch {
-			return nil, fmt.Errorf("core: feed plan batch %d, model wants %d", fp.Batch, batch)
+		// PlanChunks validates an explicit chunk size, or auto-sizes one that
+		// fits what is left of device global memory next to the model — the
+		// 8 GB constraint that shapes the paper's chunking in the first place.
+		plan, err := data.PlanChunks(data.PlanRequest{
+			SourceLen: src.Len(), Batch: batch, ChunkExamples: cfg.ChunkExamples,
+			BufferDepth: cfg.BufferDepth, ExampleDoubles: perDim,
+			FreeBytes: t.Dev.Arch.GlobalMemBytes - t.Dev.Allocated(),
+		})
+		if err != nil {
+			return nil, fmt.Errorf("core: %w", err)
 		}
-		if cfg.ChunkExamples != 0 && cfg.ChunkExamples != fp.ChunkExamples {
-			return nil, fmt.Errorf("core: ChunkExamples %d conflicts with feed plan's %d", cfg.ChunkExamples, fp.ChunkExamples)
+		// A private feed: one consumer with a window of the ring's depth
+		// holds at most depth-1 leases when it asks for the next, so it
+		// never stalls and never finds its window full.
+		fcfg := feed.Config{Plan: plan, Window: cfg.BufferDepth}
+		var f *feed.Feed
+		if lsrc != nil {
+			f, err = feed.NewLabeled(lsrc, fcfg)
+		} else {
+			f, err = feed.New(src, fcfg)
 		}
-		cfg.ChunkExamples = fp.ChunkExamples
+		if err == nil {
+			fc, err = f.Subscribe("trainer")
+		}
+		if err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
 	}
-	perDim := dim
-	if lm != nil {
-		perDim += lm.OutputDim() // the one-hot label ring stages too
+	// The data plane supplies the chunk geometry: adopt the feed's
+	// validated plan and refuse a conflicting local override.
+	fp := fc.Plan()
+	if fp.SourceLen != src.Len() {
+		return nil, fmt.Errorf("core: feed plan covers %d examples, source has %d", fp.SourceLen, src.Len())
 	}
-	// PlanChunks validates an explicit chunk size, or auto-sizes one that
-	// fits what is left of device global memory next to the model — the
-	// 8 GB constraint that shapes the paper's chunking in the first place.
-	plan, err := data.PlanChunks(data.PlanRequest{
-		SourceLen: src.Len(), Batch: batch, ChunkExamples: cfg.ChunkExamples,
-		BufferDepth: cfg.BufferDepth, ExampleDoubles: perDim,
-		FreeBytes: t.Dev.Arch.GlobalMemBytes - t.Dev.Allocated(),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+	if fp.Batch != batch {
+		return nil, fmt.Errorf("core: feed plan batch %d, model wants %d", fp.Batch, batch)
 	}
-	cfg.ChunkExamples = plan.ChunkExamples
+	if cfg.ChunkExamples != 0 && cfg.ChunkExamples != fp.ChunkExamples {
+		return nil, fmt.Errorf("core: ChunkExamples %d conflicts with feed plan's %d", cfg.ChunkExamples, fp.ChunkExamples)
+	}
+	// Every ring slot holds a lease until its chunk has trained, so a
+	// smaller window would refuse a lease after training had started.
+	if fc.Window() < cfg.BufferDepth {
+		return nil, fmt.Errorf("core: feed lease window %d is smaller than BufferDepth %d", fc.Window(), cfg.BufferDepth)
+	}
+	cfg.ChunkExamples = fp.ChunkExamples
 	if cfg.LR == 0 && cfg.Schedule == nil && cfg.Adaptive == nil {
 		return nil, fmt.Errorf("core: zero learning rate")
 	}
@@ -312,17 +326,13 @@ func (t *Trainer) run(um Trainable, lm LabeledTrainable, src data.Source, lsrc d
 	// overwritten (its previous chunk fully consumed by compute).
 	slotFree := make([]float64, cfg.BufferDepth)
 
-	// Under a feed, each ring slot holds the lease of the chunk it stages;
-	// the lease commits — at the simulated time compute drained the
-	// slot — when the slot is reused or the run ends, so the feed's window
-	// occupancy mirrors the double-buffer occupancy exactly.
-	var slotLease []feed.Lease
-	var slotLeased, slotSkipped []bool
-	if fc != nil {
-		slotLease = make([]feed.Lease, cfg.BufferDepth)
-		slotLeased = make([]bool, cfg.BufferDepth)
-		slotSkipped = make([]bool, cfg.BufferDepth)
-	}
+	// Each ring slot holds the lease of the chunk it stages; the lease
+	// commits — at the simulated time compute drained the slot — when the
+	// slot is reused or the run ends, so the feed's window occupancy
+	// mirrors the double-buffer occupancy exactly.
+	slotLease := make([]feed.Lease, cfg.BufferDepth)
+	slotLeased := make([]bool, cfg.BufferDepth)
+	slotSkipped := make([]bool, cfg.BufferDepth)
 	commitSlot := func(slot int) error {
 		if !slotLeased[slot] {
 			return nil
@@ -361,44 +371,27 @@ func (t *Trainer) run(um Trainable, lm LabeledTrainable, src data.Source, lsrc d
 			mResumes.Inc()
 		}
 	}
-	if fc != nil && fc.Pos() != startChunk {
+	if fc.Pos() != startChunk {
 		// Re-subscribe at the checkpointed position: the consumer's local
 		// ordinal is exactly the trainer's chunk cursor.
 		if err := fc.Seek(startChunk); err != nil {
 			return nil, fmt.Errorf("core: feed seek to chunk %d: %w", startChunk, err)
 		}
 	}
-	// fill renders one chunk into its ring slot's host staging (and, for a
-	// supervised run, its one-hot labels). It runs on the loading thread
-	// while earlier chunks train, so it touches host memory only.
-	fill := func(slot, start int, lease feed.Lease) error {
+	// fill renders one leased chunk into its ring slot's host staging (and,
+	// for a supervised run, its one-hot labels). It runs on the loading
+	// thread while earlier chunks train, so it touches host memory only.
+	fill := func(slot int, lease feed.Lease) error {
 		if !t.Dev.Numeric {
 			return nil
 		}
-		if fc != nil {
-			if err := fc.Fill(lease, hostStage[slot]); err != nil {
+		if err := fc.Fill(lease, hostStage[slot]); err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
+		if lm != nil {
+			if err := fc.FillLabels(lease, classes, hostLabels[slot]); err != nil {
 				return fmt.Errorf("core: %w", err)
 			}
-		} else {
-			src.Chunk(start, cfg.ChunkExamples, hostStage[slot])
-		}
-		if lm == nil {
-			return nil
-		}
-		hy := hostLabels[slot]
-		if fc != nil {
-			if err := fc.FillLabels(lease, classes, hy); err != nil {
-				return fmt.Errorf("core: %w", err)
-			}
-			return nil
-		}
-		hy.Zero()
-		for i := 0; i < cfg.ChunkExamples; i++ {
-			l := lsrc.Label((start + i) % src.Len())
-			if l < 0 || l >= classes {
-				return fmt.Errorf("core: source label %d outside [0, %d)", l, classes)
-			}
-			hy.RowView(i)[l] = 1
 		}
 		return nil
 	}
@@ -414,28 +407,21 @@ func (t *Trainer) run(um Trainable, lm LabeledTrainable, src data.Source, lsrc d
 			return false, nil
 		}
 		slot := chunk % cfg.BufferDepth
-		start := (chunk * cfg.ChunkExamples) % src.Len()
-		var lease feed.Lease
-		if fc != nil {
-			// Commit the slot's previous occupant (compute drained it at
-			// slotFree[slot]) before leasing its replacement, so the
-			// consumer's window occupancy never exceeds the ring depth.
-			if err := commitSlot(slot); err != nil {
-				return false, err
-			}
-			l, err := fc.Lease()
-			if errors.Is(err, feed.ErrExhausted) {
-				return false, nil // the data plane's horizon ends the run here
-			}
-			if err != nil {
-				return false, fmt.Errorf("core: feed lease: %w", err)
-			}
-			lease, start = l, l.Start // the lease names the chunk's example range
-			slotLease[slot] = l
-			slotLeased[slot] = true
-			slotSkipped[slot] = false
+		// Commit the slot's previous occupant (compute drained it at
+		// slotFree[slot]) before leasing its replacement, so the
+		// consumer's window occupancy never exceeds the ring depth.
+		if err := commitSlot(slot); err != nil {
+			return false, err
 		}
-		ld.Submit(func() error { return fill(slot, start, lease) })
+		lease, err := fc.Lease()
+		if errors.Is(err, feed.ErrExhausted) {
+			return false, nil // the data plane's horizon ends the run here
+		}
+		if err != nil {
+			return false, fmt.Errorf("core: feed lease: %w", err)
+		}
+		slotLease[slot], slotLeased[slot], slotSkipped[slot] = lease, true, false
+		ld.Submit(func() error { return fill(slot, lease) })
 		return true, nil
 	}
 
@@ -488,9 +474,7 @@ func (t *Trainer) run(um Trainable, lm LabeledTrainable, src data.Source, lsrc d
 			// train this chunk's batches on the slot's last good contents
 			// (zeros if the slot was never filled) and record the skip.
 			res.SkippedChunks++
-			if fc != nil {
-				slotSkipped[slot] = true // the commit will carry the skip flag
-			}
+			slotSkipped[slot] = true // the commit will carry the skip flag
 			if metrics.Enabled() {
 				mSkippedChunks.Inc()
 			}
@@ -575,13 +559,11 @@ func (t *Trainer) run(um Trainable, lm LabeledTrainable, src data.Source, lsrc d
 		staged = next
 	}
 
-	if fc != nil {
-		// Drain the ring: commit the last occupants at the times compute
-		// finished with them, oldest slot first for a stable ledger.
-		for s := 0; s < cfg.BufferDepth; s++ {
-			if err := commitSlot(s); err != nil {
-				return nil, err
-			}
+	// Drain the ring: commit the last occupants at the times compute
+	// finished with them, oldest slot first for a stable ledger.
+	for s := 0; s < cfg.BufferDepth; s++ {
+		if err := commitSlot(s); err != nil {
+			return nil, err
 		}
 	}
 	res.Steps = step

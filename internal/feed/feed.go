@@ -1,15 +1,14 @@
 // Package feed is the streaming data plane (DESIGN.md §15): a dataset
-// server that replaces ahead-of-time chunk index arithmetic with a
-// lease/commit protocol, so one data.Source can drive N training nodes and
-// M serve replicas concurrently.
+// server whose lease/commit protocol carries the chunks of one data.Source
+// to a trainer, N cluster nodes or M serve replicas. A trainer given no
+// feed streams through a private single-consumer one.
 //
 // A Feed wraps a Source behind a validated data.ChunkPlan. Consumers
 // subscribe before streaming starts; at the first lease the feed seals and
 // the subscriber count becomes the shard count S. Consumer i's k-th lease
-// is global chunk seq = k·S + i — deterministic shard assignment, so for a
-// single consumer the lease stream reproduces the trainer's historical
-// chunk walk bit-for-bit, and for S cluster nodes it reproduces the
-// per-node index math the cluster used to do ad hoc.
+// is global chunk seq = k·S + i — deterministic shard assignment, so a
+// single consumer walks the source's chunks in order, and S cluster nodes
+// get exactly the per-node slices the cluster's sliced-input path cuts.
 //
 // Leases are bounded two ways. Each consumer holds at most Window
 // uncommitted leases (hard: Lease returns ErrWindowFull) — the double
@@ -276,9 +275,10 @@ func (f *Feed) FillLabels(l Lease, classes int, dst *tensor.Matrix) error {
 	return nil
 }
 
-// Labels returns the class indices of the leased chunk's examples — the
-// wire-format counterpart of FillLabels. The feed must be labeled and the
-// lease outstanding.
+// Labels returns the class indices of the leased chunk's examples — what
+// bulk scoring checks predictions against, where training wants
+// FillLabels' one-hot rows. The feed must be labeled and the lease
+// outstanding.
 func (f *Feed) Labels(l Lease) ([]int, error) {
 	if f.lsrc == nil {
 		return nil, fmt.Errorf("feed: source is not labeled")

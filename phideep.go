@@ -102,10 +102,6 @@ type (
 	// (Trainer.RunLabeled): one StepLabeled per minibatch with one-hot
 	// targets staged alongside the examples.
 	LabeledTrainable = core.LabeledTrainable
-	// LabeledSource is a Source whose examples carry integer class labels.
-	//
-	// Deprecated: use Labeled; this alias remains for existing callers.
-	LabeledSource = core.LabeledSource
 	// DeviceStats is a snapshot of device activity counters.
 	DeviceStats = device.Stats
 	// FaultConfig parameterizes the device's injectable PCIe fault model
@@ -137,8 +133,7 @@ type (
 	// Source streams training examples by index.
 	Source = data.Source
 	// Labeled is a Source whose examples carry integer class labels
-	// (Digits implements it) — the canonical name for what the trainer
-	// historically called core.LabeledSource.
+	// (Digits implements it).
 	Labeled = data.Labeled
 	// ChunkPlan is the validated chunk geometry shared by the trainer, the
 	// cluster, and the feed: batch size, chunk size, source length.
@@ -528,7 +523,7 @@ func NewMLPInference(ctx *Context, cfg MLPConfig, batch int, p *MLPParams) (*MLP
 
 // BuildConvnet allocates a convolutional classifier on the context's
 // device for cfg.Batch examples, initialized from cfg.Seed. Train it
-// supervised with (*Trainer).RunLabeled on a LabeledSource such as Digits.
+// supervised with (*Trainer).RunLabeled on a Labeled source such as Digits.
 func BuildConvnet(ctx *Context, cfg ConvnetConfig) (*Convnet, error) {
 	return convnet.Build(ctx, cfg)
 }
