@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -21,6 +22,7 @@ import (
 	"phideep/internal/device"
 	"phideep/internal/feed"
 	"phideep/internal/kernels"
+	"phideep/internal/mlp"
 	"phideep/internal/parallel"
 	"phideep/internal/rbm"
 	"phideep/internal/sim"
@@ -89,9 +91,9 @@ func goldenDigits() *data.Digits {
 	return data.NewDigits(goldenSide, goldenExamples, goldenSeed, 0.05)
 }
 
-// trainSingle trains m on fresh digits with run, through an explicit feed
-// when fed, and returns its state blob.
-func trainSingle(m core.Checkpointer, cfg core.TrainConfig, fed bool,
+// trainSingle trains a model on fresh digits with run, through an explicit
+// feed when fed, and returns the blob save writes afterwards.
+func trainSingle(save func(w io.Writer) error, cfg core.TrainConfig, fed bool,
 	run func(cfg core.TrainConfig, src *data.Digits) (*core.Result, error)) ([]byte, []float64, *core.Result, error) {
 	src := goldenDigits()
 	if fed {
@@ -106,7 +108,7 @@ func trainSingle(m core.Checkpointer, cfg core.TrainConfig, fed bool,
 		return nil, nil, nil, err
 	}
 	var blob bytes.Buffer
-	if err := m.SaveState(&blob); err != nil {
+	if err := save(&blob); err != nil {
 		return nil, nil, nil, err
 	}
 	return blob.Bytes(), res.EpochLoss, res, nil
@@ -120,7 +122,7 @@ var goldenJobs = []goldenJob{
 			return nil, nil, nil, err
 		}
 		defer m.Free()
-		return trainSingle(m, cfg, fed, func(cfg core.TrainConfig, src *data.Digits) (*core.Result, error) {
+		return trainSingle(m.SaveState, cfg, fed, func(cfg core.TrainConfig, src *data.Digits) (*core.Result, error) {
 			return (&core.Trainer{Dev: ctx.Dev, Cfg: cfg}).Run(m, src)
 		})
 	}},
@@ -131,7 +133,7 @@ var goldenJobs = []goldenJob{
 			return nil, nil, nil, err
 		}
 		defer m.Free()
-		return trainSingle(m, cfg, fed, func(cfg core.TrainConfig, src *data.Digits) (*core.Result, error) {
+		return trainSingle(m.SaveState, cfg, fed, func(cfg core.TrainConfig, src *data.Digits) (*core.Result, error) {
 			return (&core.Trainer{Dev: ctx.Dev, Cfg: cfg}).Run(m, src)
 		})
 	}},
@@ -142,7 +144,21 @@ var goldenJobs = []goldenJob{
 			return nil, nil, nil, err
 		}
 		defer m.Free()
-		return trainSingle(m, cfg, fed, func(cfg core.TrainConfig, src *data.Digits) (*core.Result, error) {
+		return trainSingle(m.SaveState, cfg, fed, func(cfg core.TrainConfig, src *data.Digits) (*core.Result, error) {
+			return (&core.Trainer{Dev: ctx.Dev, Cfg: cfg}).RunLabeled(m, src)
+		})
+	}},
+	// mlp has no SaveState; its blob is the downloaded parameter set, so
+	// the job pins Upload (at Build) and Download as well as the step.
+	{name: "mlp", depth: 2, train: func(ctx *blas.Context, cfg core.TrainConfig, fed bool) ([]byte, []float64, *core.Result, error) {
+		m, err := mlp.Build(ctx, mlp.Config{Sizes: []int{goldenSide * goldenSide, 16, 10}, Lambda: 1e-4,
+			Batch: goldenBatch, Seed: goldenSeed})
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		defer m.Free()
+		save := func(w io.Writer) error { return m.Download().Save(w) }
+		return trainSingle(save, cfg, fed, func(cfg core.TrainConfig, src *data.Digits) (*core.Result, error) {
 			return (&core.Trainer{Dev: ctx.Dev, Cfg: cfg}).RunLabeled(m, src)
 		})
 	}},
