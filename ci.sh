@@ -31,17 +31,12 @@ go test ./...
 # tests and its all-workloads smoke here.
 (cd bench && go test ./...)
 # The pure-Go micro-kernel fallbacks (f64 and f32) must stay correct on
-# their own: re-run the kernel suite — and the convnet built on the
-# lowered GEMM — with the assembly path compiled out. The tuner rides
-# along: its workload evaluations and predictor calibration run the full
-# training stack, so they must hold on the fallback kernels too. core,
-# data and feed join because the trainer's feed bit-identity, ledger and
-# resume tests must hold on the fallback kernels as well.
-go test -tags noasm ./internal/kernels/... ./internal/convnet/... ./internal/tune/... ./internal/core/... ./internal/data/... ./internal/feed/...
-# Behaviour lock: the golden digests (final PHCK bytes, epoch-loss bits,
-# simulated seconds) are kept per kernel path. go test ./... above checked
-# this build's file; check the pure-Go one too.
-go test -tags noasm -run TestGoldenDigests .
+# their own: re-run the whole suite with the assembly path compiled out.
+# That includes the behaviour lock, whose golden digests (final PHCK
+# bytes, epoch-loss bits, simulated seconds) are kept per kernel path:
+# go test ./... above checked this build's file, this checks the pure-Go
+# one.
+go test -tags noasm ./...
 # kernels' path property tests switch the dispatch between every path the
 # CPU supports inside one binary, so they run under -race here as well.
 # core and stack carry the fault-injection, checkpoint/resume and chunk

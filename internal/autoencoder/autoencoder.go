@@ -13,10 +13,12 @@ package autoencoder
 
 import (
 	"fmt"
+	"io"
 	"math"
 
 	"phideep/internal/blas"
 	"phideep/internal/device"
+	"phideep/internal/nn"
 	"phideep/internal/tensor"
 )
 
@@ -103,6 +105,8 @@ type Model struct {
 	// gradient, velocity or corruption buffers exist, and the training
 	// entry points panic.
 	inferOnly bool
+
+	mem device.Owner // every buffer above
 }
 
 // New allocates a model for the given batch size on ctx's device and
@@ -120,58 +124,7 @@ func New(ctx *blas.Context, cfg Config, batch int, seed uint64) (*Model, error) 
 // initializes its weights from the reference initializer with cfg.Seed
 // (uploaded over PCIe once).
 func Build(ctx *blas.Context, cfg Config) (*Model, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	batch := cfg.Batch
-	if batch <= 0 {
-		return nil, fmt.Errorf("autoencoder: non-positive batch size %d", batch)
-	}
-	m := &Model{Cfg: cfg, Ctx: ctx, Batch: batch}
-	dev := ctx.Dev
-	var err error
-	alloc := func(r, c int) *device.Buffer {
-		if err != nil {
-			return nil
-		}
-		var b *device.Buffer
-		b, err = dev.Alloc(r, c)
-		return b
-	}
-	v, h := cfg.Visible, cfg.Hidden
-	m.W1, m.B1 = alloc(v, h), alloc(1, h)
-	m.B2 = alloc(1, v)
-	m.GW1, m.GB1 = alloc(v, h), alloc(1, h)
-	m.GB2 = alloc(1, v)
-	if !cfg.Tied {
-		m.W2 = alloc(h, v)
-		m.GW2 = alloc(h, v)
-	}
-	m.y, m.dY = alloc(batch, h), alloc(batch, h)
-	m.d2 = alloc(batch, h)
-	m.z, m.dZ = alloc(batch, v), alloc(batch, v)
-	m.d3 = alloc(batch, v)
-	m.rowH = alloc(1, h)
-	if cfg.Momentum > 0 {
-		m.vW1, m.vB1 = alloc(v, h), alloc(1, h)
-		m.vB2 = alloc(1, v)
-		if !cfg.Tied {
-			m.vW2 = alloc(h, v)
-		}
-	}
-	if cfg.Corruption > 0 {
-		m.xc, m.mask = alloc(batch, v), alloc(batch, v)
-		m.keepP = alloc(batch, v)
-	}
-	if err != nil {
-		m.Free() // release the buffers allocated before the failure
-		return nil, err
-	}
-	if cfg.Corruption > 0 && dev.Numeric {
-		m.keepP.Mat.Fill(1 - cfg.Corruption)
-	}
-	m.Upload(NewParams(cfg, cfg.Seed))
-	return m, nil
+	return build(ctx, cfg, cfg.Batch, false, nil)
 }
 
 // NewInference allocates a forward-only model for up to batch examples:
@@ -181,33 +134,55 @@ func Build(ctx *blas.Context, cfg Config) (*Model, error) {
 // cfg.Seed. Only Encode, Reconstruct, Forward, Upload and Download work on
 // an inference model — the training entry points panic.
 func NewInference(ctx *blas.Context, cfg Config, batch int, p *Params) (*Model, error) {
+	return build(ctx, cfg, batch, true, p)
+}
+
+// build allocates a model for batch examples — forward-only when
+// inferOnly — and uploads p, or the initialization from cfg.Seed when p is
+// nil. On failure nothing stays allocated.
+func build(ctx *blas.Context, cfg Config, batch int, inferOnly bool, p *Params) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if batch <= 0 {
 		return nil, fmt.Errorf("autoencoder: non-positive batch size %d", batch)
 	}
-	m := &Model{Cfg: cfg, Ctx: ctx, Batch: batch, inferOnly: true}
-	dev := ctx.Dev
-	var err error
-	alloc := func(r, c int) *device.Buffer {
-		if err != nil {
-			return nil
-		}
-		var b *device.Buffer
-		b, err = dev.Alloc(r, c)
-		return b
-	}
+	m := &Model{Cfg: cfg, Ctx: ctx, Batch: batch, inferOnly: inferOnly, mem: device.Owner{Dev: ctx.Dev}}
+	mem := &m.mem
 	v, h := cfg.Visible, cfg.Hidden
-	m.W1, m.B1 = alloc(v, h), alloc(1, h)
-	m.B2 = alloc(1, v)
+	m.W1, m.B1 = mem.Alloc(v, h), mem.Alloc(1, h)
+	m.B2 = mem.Alloc(1, v)
 	if !cfg.Tied {
-		m.W2 = alloc(h, v)
+		m.W2 = mem.Alloc(h, v)
 	}
-	m.y, m.z = alloc(batch, h), alloc(batch, v)
-	if err != nil {
-		m.Free() // release the buffers allocated before the failure
+	m.y, m.z = mem.Alloc(batch, h), mem.Alloc(batch, v)
+	if !inferOnly {
+		m.GW1, m.GB1 = mem.Alloc(v, h), mem.Alloc(1, h)
+		m.GB2 = mem.Alloc(1, v)
+		if !cfg.Tied {
+			m.GW2 = mem.Alloc(h, v)
+		}
+		m.dY, m.d2 = mem.Alloc(batch, h), mem.Alloc(batch, h)
+		m.dZ, m.d3 = mem.Alloc(batch, v), mem.Alloc(batch, v)
+		m.rowH = mem.Alloc(1, h)
+		if cfg.Momentum > 0 {
+			m.vW1, m.vB1 = mem.Alloc(v, h), mem.Alloc(1, h)
+			m.vB2 = mem.Alloc(1, v)
+			if !cfg.Tied {
+				m.vW2 = mem.Alloc(h, v)
+			}
+		}
+		if cfg.Corruption > 0 {
+			m.xc, m.mask = mem.Alloc(batch, v), mem.Alloc(batch, v)
+			m.keepP = mem.Alloc(batch, v)
+		}
+	}
+	if err := mem.Err(); err != nil {
+		mem.Free()
 		return nil, err
+	}
+	if m.keepP != nil && ctx.Dev.Numeric {
+		m.keepP.Mat.Fill(1 - cfg.Corruption)
 	}
 	if p == nil {
 		p = NewParams(cfg, cfg.Seed)
@@ -217,55 +192,45 @@ func NewInference(ctx *blas.Context, cfg Config, batch int, p *Params) (*Model, 
 }
 
 // Free releases every device buffer of the model.
-func (m *Model) Free() {
-	dev := m.Ctx.Dev
-	for _, b := range []*device.Buffer{m.W1, m.B1, m.W2, m.B2, m.GW1, m.GB1, m.GW2, m.GB2, m.y, m.z, m.d3, m.d2, m.dY, m.dZ, m.rowH,
-		m.vW1, m.vB1, m.vW2, m.vB2, m.xc, m.mask, m.keepP} {
-		if b != nil {
-			dev.Free(b)
-		}
-	}
-}
+func (m *Model) Free() { m.mem.Free() }
+
+// params lists the device parameters in Params.ParamSet order; the tied
+// decoder's entry is nil.
+func (m *Model) params() []*device.Buffer { return []*device.Buffer{m.W1, m.B1, m.W2, m.B2} }
 
 // Upload transfers host parameters into the device buffers. With tied
 // weights the decoder matrix p.W2 is ignored.
-func (m *Model) Upload(p *Params) {
-	dev := m.Ctx.Dev
-	dev.CopyIn(m.W1, hostOrNil(dev, p.W1), 0)
-	dev.CopyIn(m.B1, hostOrNil(dev, p.B1.AsRow()), 0)
-	if !m.Cfg.Tied {
-		dev.CopyIn(m.W2, hostOrNil(dev, p.W2), 0)
-	}
-	dev.CopyIn(m.B2, hostOrNil(dev, p.B2.AsRow()), 0)
-}
+func (m *Model) Upload(p *Params) { p.ParamSet().CopyIn(m.Ctx.Dev, m.params()) }
 
 // Download copies the device parameters back to the host. On a model-only
 // device the returned parameters are the zero initialization.
 func (m *Model) Download() *Params {
-	p := &Params{
-		W1: tensor.NewMatrix(m.Cfg.Visible, m.Cfg.Hidden),
-		W2: tensor.NewMatrix(m.Cfg.Hidden, m.Cfg.Visible),
-		B1: tensor.NewVector(m.Cfg.Hidden),
-		B2: tensor.NewVector(m.Cfg.Visible),
+	p := zeroParams(m.Cfg)
+	p.ParamSet().CopyOut(m.Ctx.Dev, m.params())
+	if m.Cfg.Tied && m.Ctx.Dev.Numeric {
+		p.W2 = p.W1.T()
 	}
-	dev := m.Ctx.Dev
-	dev.CopyOut(m.W1, hostOrNil(dev, p.W1))
-	dev.CopyOut(m.B1, hostOrNil(dev, p.B1.AsRow()))
-	if m.Cfg.Tied {
-		if dev.Numeric {
-			p.W2 = p.W1.T()
-		}
-	} else {
-		dev.CopyOut(m.W2, hostOrNil(dev, p.W2))
-	}
-	dev.CopyOut(m.B2, hostOrNil(dev, p.B2.AsRow()))
 	return p
 }
 
-func hostOrNil(dev *device.Device, m *tensor.Matrix) *tensor.Matrix {
-	if dev.Numeric {
-		return m
+// SaveState writes the model's resumable training state to w: the
+// device-resident parameters (downloaded over the simulated PCIe link, so
+// checkpointing has a visible transfer cost) followed by the context's
+// RNG state, so a restored denoising autoencoder continues the exact
+// corruption-mask stream. Momentum velocity is not captured; exact resume
+// holds for the velocity-free configuration.
+func (m *Model) SaveState(w io.Writer) error {
+	return nn.SaveState(w, m.Download().ParamSet(), m.Ctx.RNG)
+}
+
+// RestoreState reads state written by SaveState, uploads the parameters to
+// the device and restores the RNG stream.
+func (m *Model) RestoreState(r io.Reader) error {
+	p := zeroParams(m.Cfg)
+	if err := nn.LoadState(r, p.ParamSet(), m.Ctx.RNG); err != nil {
+		return err
 	}
+	m.Upload(p)
 	return nil
 }
 
@@ -282,15 +247,6 @@ func (m *Model) checkInfer(x *device.Buffer) int {
 	return x.Rows
 }
 
-// sliceTo returns the first n rows of a Batch-row workspace buffer (the
-// buffer itself when n = Batch).
-func sliceTo(b *device.Buffer, n int) *device.Buffer {
-	if n == b.Rows {
-		return b
-	}
-	return b.Slice(0, n)
-}
-
 // Encode runs the batched encoder y = σ(x·W1 + b1) for 1 ≤ x.Rows ≤ Batch
 // examples and returns the hidden codes as a view of the model's activation
 // buffer (valid until the next forward pass). It allocates nothing on the
@@ -299,7 +255,7 @@ func sliceTo(b *device.Buffer, n int) *device.Buffer {
 func (m *Model) Encode(x *device.Buffer) *device.Buffer {
 	n := m.checkInfer(x)
 	ctx := m.Ctx
-	y := sliceTo(m.y, n)
+	y := m.y.Head(n)
 	ctx.MaybeFused(func() {
 		ctx.Gemm(false, false, 1, x, m.W1, 0, y)
 		ctx.AddBiasRow(y, m.B1)
@@ -315,7 +271,7 @@ func (m *Model) Reconstruct(x *device.Buffer) *device.Buffer {
 	n := m.checkInfer(x)
 	y := m.Encode(x)
 	ctx := m.Ctx
-	z := sliceTo(m.z, n)
+	z := m.z.Head(n)
 	ctx.MaybeFused(func() {
 		if m.Cfg.Tied {
 			ctx.Gemm(false, true, 1, y, m.W1, 0, z)

@@ -5,6 +5,7 @@ import (
 
 	"phideep/internal/data"
 	"phideep/internal/device"
+	"phideep/internal/nn"
 	"phideep/internal/tensor"
 )
 
@@ -26,7 +27,7 @@ type BatchObjective struct {
 
 	hostParams *Params
 	hostGrad   *Params
-	ps, gs     flattener
+	ps, gs     *nn.ParamSet
 
 	// Device accumulation buffers for the gradient sum.
 	accGW1, accGB1, accGB2 *device.Buffer
@@ -35,14 +36,8 @@ type BatchObjective struct {
 	x       *device.Buffer
 	hostX   *tensor.Matrix
 	batches int
-}
 
-// flattener is the subset of nn.ParamSet used here, kept as an interface to
-// avoid exporting plumbing.
-type flattener interface {
-	Flatten(dst tensor.Vector) tensor.Vector
-	Unflatten(src tensor.Vector)
-	Len() int
+	mem device.Owner // the accumulators and x
 }
 
 // NewBatchObjective builds the evaluator on the model's device. src.Len()
@@ -61,30 +56,23 @@ func NewBatchObjective(m *Model, src data.Source) (*BatchObjective, tensor.Vecto
 		hostParams: m.Download(),
 		hostGrad:   ZeroGrad(m.Cfg),
 		batches:    src.Len() / m.Batch,
+		mem:        device.Owner{Dev: m.Ctx.Dev},
 	}
 	b.ps = b.hostParams.ParamSet()
 	b.gs = b.hostGrad.ParamSet()
-	dev := m.Ctx.Dev
-	var err error
-	alloc := func(r, c int) *device.Buffer {
-		if err != nil {
-			return nil
-		}
-		var buf *device.Buffer
-		buf, err = dev.Alloc(r, c)
-		return buf
-	}
+	mem := &b.mem
 	v, h := m.Cfg.Visible, m.Cfg.Hidden
-	b.accGW1, b.accGB1 = alloc(v, h), alloc(1, h)
-	b.accGB2 = alloc(1, v)
+	b.accGW1, b.accGB1 = mem.Alloc(v, h), mem.Alloc(1, h)
+	b.accGB2 = mem.Alloc(1, v)
 	if !m.Cfg.Tied {
-		b.accGW2 = alloc(h, v)
+		b.accGW2 = mem.Alloc(h, v)
 	}
-	b.x = alloc(m.Batch, v)
-	if err != nil {
+	b.x = mem.Alloc(m.Batch, v)
+	if err := mem.Err(); err != nil {
+		mem.Free()
 		return nil, nil, err
 	}
-	if dev.Numeric {
+	if m.Ctx.Dev.Numeric {
 		b.hostX = tensor.NewMatrix(m.Batch, v)
 	}
 	theta := b.ps.Flatten(nil)
@@ -92,14 +80,7 @@ func NewBatchObjective(m *Model, src data.Source) (*BatchObjective, tensor.Vecto
 }
 
 // Free releases the evaluator's device buffers (not the model's).
-func (b *BatchObjective) Free() {
-	dev := b.model.Ctx.Dev
-	for _, buf := range []*device.Buffer{b.accGW1, b.accGB1, b.accGB2, b.accGW2, b.x} {
-		if buf != nil {
-			dev.Free(buf)
-		}
-	}
-}
+func (b *BatchObjective) Free() { b.mem.Free() }
 
 // Eval implements the opt.Objective contract: it writes theta into the
 // model, streams the dataset, and returns the mean cost (plus penalties),
@@ -160,19 +141,12 @@ func (b *BatchObjective) Eval(theta, grad tensor.Vector) float64 {
 				ctx.Scale(inv, b.accGW2)
 			}
 		})
-		host := func(mx *tensor.Matrix) *tensor.Matrix {
-			if dev.Numeric {
-				return mx
-			}
-			return nil
-		}
-		dev.CopyOut(b.accGW1, host(b.hostGrad.W1))
-		dev.CopyOut(b.accGB1, host(b.hostGrad.B1.AsRow()))
-		dev.CopyOut(b.accGB2, host(b.hostGrad.B2.AsRow()))
+		// hostGrad.W2 stays zero when tied: the decoder gradient is in W1.
+		dev.CopyOut(b.accGW1, b.hostGrad.W1)
+		dev.CopyOut(b.accGB1, b.hostGrad.B1.AsRow())
+		dev.CopyOut(b.accGB2, b.hostGrad.B2.AsRow())
 		if b.accGW2 != nil {
-			dev.CopyOut(b.accGW2, host(b.hostGrad.W2))
-		} else {
-			b.hostGrad.W2.Zero()
+			dev.CopyOut(b.accGW2, b.hostGrad.W2)
 		}
 		b.gs.Flatten(grad)
 	}

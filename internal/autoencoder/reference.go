@@ -24,15 +24,19 @@ type Params struct {
 // weight initialization and zero biases.
 func NewParams(cfg Config, seed uint64) *Params {
 	r := rng.New(seed)
-	p := &Params{
+	p := zeroParams(cfg)
+	nn.InitMatrix(p.W1, r)
+	nn.InitMatrix(p.W2, r)
+	return p
+}
+
+func zeroParams(cfg Config) *Params {
+	return &Params{
 		W1: tensor.NewMatrix(cfg.Visible, cfg.Hidden),
 		W2: tensor.NewMatrix(cfg.Hidden, cfg.Visible),
 		B1: tensor.NewVector(cfg.Hidden),
 		B2: tensor.NewVector(cfg.Visible),
 	}
-	nn.InitMatrix(p.W1, r)
-	nn.InitMatrix(p.W2, r)
-	return p
 }
 
 // Clone deep-copies the parameters.
@@ -203,14 +207,7 @@ func CostGrad(cfg Config, p *Params, x *tensor.Matrix, grad *Params) float64 {
 }
 
 // ZeroGrad returns a zeroed gradient holder shaped like cfg.
-func ZeroGrad(cfg Config) *Params {
-	return &Params{
-		W1: tensor.NewMatrix(cfg.Visible, cfg.Hidden),
-		W2: tensor.NewMatrix(cfg.Hidden, cfg.Visible),
-		B1: tensor.NewVector(cfg.Hidden),
-		B2: tensor.NewVector(cfg.Visible),
-	}
-}
+func ZeroGrad(cfg Config) *Params { return zeroParams(cfg) }
 
 // Encode maps one example x (length Visible) to its hidden code y (length
 // Hidden) with the trained encoder: y = σ(x·W1 + b1). This is the Fig. 1

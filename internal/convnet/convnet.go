@@ -13,11 +13,12 @@ package convnet
 
 import (
 	"fmt"
+	"io"
 
 	"phideep/internal/blas"
 	"phideep/internal/device"
 	"phideep/internal/kernels"
-	"phideep/internal/tensor"
+	"phideep/internal/nn"
 )
 
 // Config describes the LeNet-style network. The input is a Side×Side
@@ -138,17 +139,14 @@ type Model struct {
 
 	// inferOnly marks a forward-only model built by NewInference.
 	inferOnly bool
+
+	mem device.Owner // every buffer above
 }
 
 // Build allocates a training model for cfg.Batch examples with the random
 // initialization drawn from cfg.Seed.
 func Build(ctx *blas.Context, cfg Config) (*Model, error) {
-	m, err := build(ctx, cfg, cfg.Batch, false)
-	if err != nil {
-		return nil, err
-	}
-	m.Upload(NewParams(cfg, cfg.Seed))
-	return m, nil
+	return build(ctx, cfg, cfg.Batch, false, nil)
 }
 
 // NewInference allocates a forward-only model for up to batch examples:
@@ -157,18 +155,13 @@ func Build(ctx *blas.Context, cfg Config) (*Model, error) {
 // and Download work on an inference model — the training entry points
 // panic.
 func NewInference(ctx *blas.Context, cfg Config, batch int, p *Params) (*Model, error) {
-	m, err := build(ctx, cfg, batch, true)
-	if err != nil {
-		return nil, err
-	}
-	if p == nil {
-		p = NewParams(cfg, cfg.Seed)
-	}
-	m.Upload(p)
-	return m, nil
+	return build(ctx, cfg, batch, true, p)
 }
 
-func build(ctx *blas.Context, cfg Config, batch int, inferOnly bool) (*Model, error) {
+// build allocates a model for batch examples — forward-only when
+// inferOnly — and uploads p, or the initialization from cfg.Seed when p is
+// nil. On failure nothing stays allocated.
+func build(ctx *blas.Context, cfg Config, batch int, inferOnly bool, p *Params) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -179,17 +172,9 @@ func build(ctx *blas.Context, cfg Config, batch int, inferOnly bool) (*Model, er
 		Cfg: cfg, Ctx: ctx, Batch: batch, inferOnly: inferOnly,
 		c1: cfg.Conv1Shape(), c2: cfg.Conv2Shape(),
 		p1: cfg.Pool1Shape(), p2: cfg.Pool2Shape(),
+		mem: device.Owner{Dev: ctx.Dev},
 	}
-	dev := ctx.Dev
-	var err error
-	alloc := func(r, c int) *device.Buffer {
-		if err != nil {
-			return nil
-		}
-		var b *device.Buffer
-		b, err = dev.Alloc(r, c)
-		return b
-	}
+	mem := &m.mem
 
 	fcIn := cfg.FCInputDim()
 	wShapes := [3][2]int{
@@ -199,93 +184,84 @@ func build(ctx *blas.Context, cfg Config, batch int, inferOnly bool) (*Model, er
 	}
 	m.W, m.B = make([]*device.Buffer, 3), make([]*device.Buffer, 3)
 	for l, s := range wShapes {
-		m.W[l], m.B[l] = alloc(s[0], s[1]), alloc(1, s[1])
+		m.W[l], m.B[l] = mem.Alloc(s[0], s[1]), mem.Alloc(1, s[1])
 	}
 
 	o1HW := m.c1.OutH() * m.c1.OutW()
 	o2HW := m.c2.OutH() * m.c2.OutW()
-	m.cols1 = alloc(batch*o1HW, m.c1.ColK())
-	m.a1 = alloc(batch*o1HW, m.c1.F)
-	m.pl1 = alloc(batch, m.p1.OutDim())
-	m.arg1 = alloc(batch, m.p1.OutDim())
-	m.cols2 = alloc(batch*o2HW, m.c2.ColK())
-	m.a2 = alloc(batch*o2HW, m.c2.F)
-	m.pl2 = alloc(batch, m.p2.OutDim())
-	m.arg2 = alloc(batch, m.p2.OutDim())
-	m.out = alloc(batch, cfg.Classes)
+	m.cols1 = mem.Alloc(batch*o1HW, m.c1.ColK())
+	m.a1 = mem.Alloc(batch*o1HW, m.c1.F)
+	m.pl1 = mem.Alloc(batch, m.p1.OutDim())
+	m.arg1 = mem.Alloc(batch, m.p1.OutDim())
+	m.cols2 = mem.Alloc(batch*o2HW, m.c2.ColK())
+	m.a2 = mem.Alloc(batch*o2HW, m.c2.F)
+	m.pl2 = mem.Alloc(batch, m.p2.OutDim())
+	m.arg2 = mem.Alloc(batch, m.p2.OutDim())
+	m.out = mem.Alloc(batch, cfg.Classes)
 
 	if !inferOnly {
 		m.GW, m.GB = make([]*device.Buffer, 3), make([]*device.Buffer, 3)
 		m.vW, m.vB = make([]*device.Buffer, 3), make([]*device.Buffer, 3)
 		for l, s := range wShapes {
-			m.GW[l], m.GB[l] = alloc(s[0], s[1]), alloc(1, s[1])
+			m.GW[l], m.GB[l] = mem.Alloc(s[0], s[1]), mem.Alloc(1, s[1])
 			if cfg.Momentum > 0 {
-				m.vW[l], m.vB[l] = alloc(s[0], s[1]), alloc(1, s[1])
+				m.vW[l], m.vB[l] = mem.Alloc(s[0], s[1]), mem.Alloc(1, s[1])
 			}
 		}
-		m.d3 = alloc(batch, cfg.Classes)
-		m.dpl2 = alloc(batch, fcIn)
-		m.da2 = alloc(batch*o2HW, m.c2.F)
-		m.dcols2 = alloc(batch*o2HW, m.c2.ColK())
-		m.dpl1 = alloc(batch, m.p1.OutDim())
-		m.da1 = alloc(batch*o1HW, m.c1.F)
+		m.d3 = mem.Alloc(batch, cfg.Classes)
+		m.dpl2 = mem.Alloc(batch, fcIn)
+		m.da2 = mem.Alloc(batch*o2HW, m.c2.F)
+		m.dcols2 = mem.Alloc(batch*o2HW, m.c2.ColK())
+		m.dpl1 = mem.Alloc(batch, m.p1.OutDim())
+		m.da1 = mem.Alloc(batch*o1HW, m.c1.F)
 	}
-	if err != nil {
-		m.Free()
+	if err := mem.Err(); err != nil {
+		mem.Free()
 		return nil, err
 	}
+	if p == nil {
+		p = NewParams(cfg, cfg.Seed)
+	}
+	m.Upload(p)
 	return m, nil
 }
 
 // Free releases every device buffer.
-func (m *Model) Free() {
-	dev := m.Ctx.Dev
-	free := func(bs ...*device.Buffer) {
-		for _, b := range bs {
-			if b != nil {
-				dev.Free(b)
-			}
-		}
-	}
-	free(m.W...)
-	free(m.B...)
-	free(m.GW...)
-	free(m.GB...)
-	free(m.vW...)
-	free(m.vB...)
-	free(m.cols1, m.a1, m.pl1, m.arg1, m.cols2, m.a2, m.pl2, m.arg2, m.out)
-	free(m.d3, m.dpl2, m.da2, m.dcols2, m.dpl1, m.da1)
-}
+func (m *Model) Free() { m.mem.Free() }
 
-func hostOrNil(dev *device.Device, m *tensor.Matrix) *tensor.Matrix {
-	if dev.Numeric {
-		return m
-	}
-	return nil
+// params lists the device parameters in Params.ParamSet order.
+func (m *Model) params() []*device.Buffer {
+	return []*device.Buffer{m.W[0], m.B[0], m.W[1], m.B[1], m.W[2], m.B[2]}
 }
 
 // Upload transfers host parameters onto the device.
-func (m *Model) Upload(p *Params) {
-	dev := m.Ctx.Dev
-	dev.CopyIn(m.W[0], hostOrNil(dev, p.Conv1.W), 0)
-	dev.CopyIn(m.B[0], hostOrNil(dev, p.Conv1.B.AsRow()), 0)
-	dev.CopyIn(m.W[1], hostOrNil(dev, p.Conv2.W), 0)
-	dev.CopyIn(m.B[1], hostOrNil(dev, p.Conv2.B.AsRow()), 0)
-	dev.CopyIn(m.W[2], hostOrNil(dev, p.W3), 0)
-	dev.CopyIn(m.B[2], hostOrNil(dev, p.B3.AsRow()), 0)
-}
+func (m *Model) Upload(p *Params) { p.ParamSet().CopyIn(m.Ctx.Dev, m.params()) }
 
 // Download copies the device parameters back to the host.
 func (m *Model) Download() *Params {
 	p := zeroParams(m.Cfg)
-	dev := m.Ctx.Dev
-	dev.CopyOut(m.W[0], hostOrNil(dev, p.Conv1.W))
-	dev.CopyOut(m.B[0], hostOrNil(dev, p.Conv1.B.AsRow()))
-	dev.CopyOut(m.W[1], hostOrNil(dev, p.Conv2.W))
-	dev.CopyOut(m.B[1], hostOrNil(dev, p.Conv2.B.AsRow()))
-	dev.CopyOut(m.W[2], hostOrNil(dev, p.W3))
-	dev.CopyOut(m.B[2], hostOrNil(dev, p.B3.AsRow()))
+	p.ParamSet().CopyOut(m.Ctx.Dev, m.params())
 	return p
+}
+
+// SaveState writes the model's resumable training state to w: the
+// device-resident parameters (downloaded over the simulated PCIe link, so
+// checkpointing has a visible transfer cost) followed by the context's
+// RNG state. Momentum velocity is not captured; exact resume holds for
+// the velocity-free configuration.
+func (m *Model) SaveState(w io.Writer) error {
+	return nn.SaveState(w, m.Download().ParamSet(), m.Ctx.RNG)
+}
+
+// RestoreState reads state written by SaveState, uploads the parameters to
+// the device and restores the RNG stream.
+func (m *Model) RestoreState(r io.Reader) error {
+	p := zeroParams(m.Cfg)
+	if err := nn.LoadState(r, p.ParamSet(), m.Ctx.RNG); err != nil {
+		return err
+	}
+	m.Upload(p)
+	return nil
 }
 
 // forward runs the pipeline on the first n examples of the workspace.
@@ -293,11 +269,11 @@ func (m *Model) forward(x *device.Buffer, n int) *device.Buffer {
 	ctx := m.Ctx
 	o1HW := m.c1.OutH() * m.c1.OutW()
 	o2HW := m.c2.OutH() * m.c2.OutW()
-	cols1, a1 := sliceTo(m.cols1, n*o1HW), sliceTo(m.a1, n*o1HW)
-	pl1, arg1 := sliceTo(m.pl1, n), sliceTo(m.arg1, n)
-	cols2, a2 := sliceTo(m.cols2, n*o2HW), sliceTo(m.a2, n*o2HW)
-	pl2, arg2 := sliceTo(m.pl2, n), sliceTo(m.arg2, n)
-	out := sliceTo(m.out, n)
+	cols1, a1 := m.cols1.Head(n*o1HW), m.a1.Head(n*o1HW)
+	pl1, arg1 := m.pl1.Head(n), m.arg1.Head(n)
+	cols2, a2 := m.cols2.Head(n*o2HW), m.a2.Head(n*o2HW)
+	pl2, arg2 := m.pl2.Head(n), m.arg2.Head(n)
+	out := m.out.Head(n)
 
 	ctx.Im2col(m.c1, n, x, cols1)
 	ctx.MaybeFused(func() {
@@ -463,13 +439,4 @@ func (m *Model) mustTrain(op string) {
 	if m.inferOnly {
 		panic("convnet: " + op + " on an inference-only model (built by NewInference)")
 	}
-}
-
-// sliceTo returns b itself for a full-height use and the [0,n) row view
-// otherwise, so partial batches reuse the same workspace.
-func sliceTo(b *device.Buffer, n int) *device.Buffer {
-	if n == b.Rows {
-		return b
-	}
-	return b.Slice(0, n)
 }

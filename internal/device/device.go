@@ -128,6 +128,16 @@ func (b *Buffer) Slice(i, j int) *Buffer {
 	return v
 }
 
+// Head returns the first n rows of b: b itself when n == b.Rows, the view
+// b.Slice(0, n) otherwise, so a partial batch reuses a full-batch
+// workspace.
+func (b *Buffer) Head(n int) *Buffer {
+	if n == b.Rows {
+		return b
+	}
+	return b.Slice(0, n)
+}
+
 // isFreed reports whether the buffer (or, for views, its parent) has been
 // freed.
 func (b *Buffer) isFreed() bool {
@@ -196,6 +206,44 @@ func (d *Device) Free(b *Buffer) {
 	b.freed = true
 	d.allocated -= b.bytes
 	b.Mat = nil
+}
+
+// Owner allocates a group of buffers on Dev and frees them together — a
+// model's persistent parameter, gradient and workspace memory. Its error
+// is sticky: after the first failed Alloc every later Alloc returns nil
+// and Err reports that first failure, so a constructor allocates
+// everything, checks Err once, and calls Free to release whatever the
+// failure left behind.
+type Owner struct {
+	Dev  *Device
+	bufs []*Buffer
+	err  error
+}
+
+// Alloc reserves an r×c buffer owned by o, or returns nil once any Alloc
+// of o has failed.
+func (o *Owner) Alloc(r, c int) *Buffer {
+	if o.err != nil {
+		return nil
+	}
+	b, err := o.Dev.Alloc(r, c)
+	if err != nil {
+		o.err = err
+		return nil
+	}
+	o.bufs = append(o.bufs, b)
+	return b
+}
+
+// Err returns the first allocation failure, or nil.
+func (o *Owner) Err() error { return o.err }
+
+// Free releases every buffer o allocated. A second Free does nothing.
+func (o *Owner) Free() {
+	for _, b := range o.bufs {
+		o.Dev.Free(b)
+	}
+	o.bufs = nil
 }
 
 // scheduleTransfer books one logical transfer of the given byte count on

@@ -48,6 +48,52 @@ func TestDoubleFreePanics(t *testing.T) {
 	d.Free(b)
 }
 
+func TestOwnerStickyErrorAndFree(t *testing.T) {
+	arch := *sim.XeonPhi5110P()
+	arch.GlobalMemBytes = 10 * 8
+	d := New(&arch, true, nil)
+	outside := d.MustAlloc(1, 2) // not the owner's: Free must leave it
+	o := Owner{Dev: d}
+	if o.Alloc(2, 2) == nil || o.Err() != nil {
+		t.Fatal("first allocation failed")
+	}
+	if o.Alloc(3, 3) != nil || o.Err() == nil {
+		t.Fatal("over-capacity allocation succeeded")
+	}
+	first := o.Err()
+	if o.Alloc(1, 1) != nil {
+		t.Fatal("allocation after a failure succeeded")
+	}
+	if o.Err() != first {
+		t.Fatalf("error changed from %v to %v", first, o.Err())
+	}
+	o.Free()
+	if d.Allocated() != outside.Bytes() {
+		t.Fatalf("after Free %d B allocated, want the %d B outside the owner", d.Allocated(), outside.Bytes())
+	}
+	o.Free() // a second Free does nothing
+	d.Free(outside)
+	if d.Allocated() != 0 {
+		t.Fatalf("%d B leaked", d.Allocated())
+	}
+}
+
+func TestHead(t *testing.T) {
+	d := newNumericPhi()
+	b := d.MustAlloc(4, 2)
+	if b.Head(4) != b {
+		t.Fatal("full-height Head is not the buffer itself")
+	}
+	h := b.Head(3)
+	if h.Rows != 3 || h.Cols != 2 || h.Bytes() != 3*2*8 {
+		t.Fatalf("Head(3) is %dx%d, %d B", h.Rows, h.Cols, h.Bytes())
+	}
+	h.Mat.Set(2, 1, 7)
+	if b.Mat.At(2, 1) != 7 {
+		t.Fatal("Head does not share the buffer's storage")
+	}
+}
+
 func TestCopyInOutNumeric(t *testing.T) {
 	d := newNumericPhi()
 	b := d.MustAlloc(2, 3)

@@ -14,7 +14,6 @@ import (
 	"phideep/internal/blas"
 	"phideep/internal/device"
 	"phideep/internal/stack"
-	"phideep/internal/tensor"
 )
 
 // Config describes the network: Sizes[0] inputs, sigmoid hidden layers,
@@ -73,6 +72,8 @@ type Model struct {
 
 	// inferOnly marks a forward-only model built by NewInference.
 	inferOnly bool
+
+	mem device.Owner // every buffer above
 }
 
 // New allocates a model with random initialization.
@@ -87,48 +88,7 @@ func New(ctx *blas.Context, cfg Config, batch int, seed uint64) (*Model, error) 
 // Build allocates a model for cfg.Batch examples with the random
 // initialization drawn from cfg.Seed.
 func Build(ctx *blas.Context, cfg Config) (*Model, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	batch := cfg.Batch
-	if batch <= 0 {
-		return nil, fmt.Errorf("mlp: non-positive batch %d", batch)
-	}
-	m := &Model{Cfg: cfg, Ctx: ctx, Batch: batch}
-	dev := ctx.Dev
-	var err error
-	alloc := func(r, c int) *device.Buffer {
-		if err != nil {
-			return nil
-		}
-		var b *device.Buffer
-		b, err = dev.Alloc(r, c)
-		return b
-	}
-	L := cfg.Layers()
-	m.W, m.B = make([]*device.Buffer, L), make([]*device.Buffer, L)
-	m.GW, m.GB = make([]*device.Buffer, L), make([]*device.Buffer, L)
-	m.vW, m.vB = make([]*device.Buffer, L), make([]*device.Buffer, L)
-	m.act, m.delta = make([]*device.Buffer, L), make([]*device.Buffer, L)
-	m.dA = make([]*device.Buffer, L)
-	for l := 0; l < L; l++ {
-		in, out := cfg.Sizes[l], cfg.Sizes[l+1]
-		m.W[l], m.B[l] = alloc(in, out), alloc(1, out)
-		m.GW[l], m.GB[l] = alloc(in, out), alloc(1, out)
-		if cfg.Momentum > 0 {
-			m.vW[l], m.vB[l] = alloc(in, out), alloc(1, out)
-		}
-		m.act[l], m.delta[l] = alloc(batch, out), alloc(batch, out)
-		if l < L-1 {
-			m.dA[l] = alloc(batch, out)
-		}
-	}
-	if err != nil {
-		m.Free() // release the buffers allocated before the failure
-		return nil, err
-	}
-	m.Upload(NewParams(cfg, cfg.Seed))
-	return m, nil
+	return build(ctx, cfg, cfg.Batch, false, nil)
 }
 
 // NewInference allocates a forward-only model for up to batch examples:
@@ -137,33 +97,47 @@ func Build(ctx *blas.Context, cfg Config) (*Model, error) {
 // cfg.Seed. Only Infer, Forward, Upload and Download work on an inference
 // model — the training entry points panic.
 func NewInference(ctx *blas.Context, cfg Config, batch int, p *Params) (*Model, error) {
+	return build(ctx, cfg, batch, true, p)
+}
+
+// build allocates a model for batch examples — forward-only when
+// inferOnly — and uploads p, or the initialization from cfg.Seed when p is
+// nil. On failure nothing stays allocated.
+func build(ctx *blas.Context, cfg Config, batch int, inferOnly bool, p *Params) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if batch <= 0 {
 		return nil, fmt.Errorf("mlp: non-positive batch %d", batch)
 	}
-	m := &Model{Cfg: cfg, Ctx: ctx, Batch: batch, inferOnly: true}
-	dev := ctx.Dev
-	var err error
-	alloc := func(r, c int) *device.Buffer {
-		if err != nil {
-			return nil
-		}
-		var b *device.Buffer
-		b, err = dev.Alloc(r, c)
-		return b
-	}
+	m := &Model{Cfg: cfg, Ctx: ctx, Batch: batch, inferOnly: inferOnly, mem: device.Owner{Dev: ctx.Dev}}
+	mem := &m.mem
 	L := cfg.Layers()
 	m.W, m.B = make([]*device.Buffer, L), make([]*device.Buffer, L)
 	m.act = make([]*device.Buffer, L)
+	if !inferOnly {
+		m.GW, m.GB = make([]*device.Buffer, L), make([]*device.Buffer, L)
+		m.vW, m.vB = make([]*device.Buffer, L), make([]*device.Buffer, L)
+		m.delta, m.dA = make([]*device.Buffer, L), make([]*device.Buffer, L)
+	}
 	for l := 0; l < L; l++ {
 		in, out := cfg.Sizes[l], cfg.Sizes[l+1]
-		m.W[l], m.B[l] = alloc(in, out), alloc(1, out)
-		m.act[l] = alloc(batch, out)
+		m.W[l], m.B[l] = mem.Alloc(in, out), mem.Alloc(1, out)
+		m.act[l] = mem.Alloc(batch, out)
+		if inferOnly {
+			continue
+		}
+		m.GW[l], m.GB[l] = mem.Alloc(in, out), mem.Alloc(1, out)
+		if cfg.Momentum > 0 {
+			m.vW[l], m.vB[l] = mem.Alloc(in, out), mem.Alloc(1, out)
+		}
+		m.delta[l] = mem.Alloc(batch, out)
+		if l < L-1 {
+			m.dA[l] = mem.Alloc(batch, out)
+		}
 	}
-	if err != nil {
-		m.Free() // release the buffers allocated before the failure
+	if err := mem.Err(); err != nil {
+		mem.Free()
 		return nil, err
 	}
 	if p == nil {
@@ -174,51 +148,25 @@ func NewInference(ctx *blas.Context, cfg Config, batch int, p *Params) (*Model, 
 }
 
 // Free releases every device buffer.
-func (m *Model) Free() {
-	dev := m.Ctx.Dev
-	free := func(bs []*device.Buffer) {
-		for _, b := range bs {
-			if b != nil {
-				dev.Free(b)
-			}
-		}
+func (m *Model) Free() { m.mem.Free() }
+
+// params lists the device parameters in Params.ParamSet order.
+func (m *Model) params() []*device.Buffer {
+	bufs := make([]*device.Buffer, 0, 2*len(m.W))
+	for l := range m.W {
+		bufs = append(bufs, m.W[l], m.B[l])
 	}
-	free(m.W)
-	free(m.B)
-	free(m.GW)
-	free(m.GB)
-	free(m.vW)
-	free(m.vB)
-	free(m.act)
-	free(m.delta)
-	free(m.dA)
+	return bufs
 }
 
 // Upload transfers host parameters onto the device.
-func (m *Model) Upload(p *Params) {
-	dev := m.Ctx.Dev
-	for l := range m.W {
-		dev.CopyIn(m.W[l], hostOrNil(dev, p.W[l]), 0)
-		dev.CopyIn(m.B[l], hostOrNil(dev, p.B[l].AsRow()), 0)
-	}
-}
+func (m *Model) Upload(p *Params) { p.ParamSet().CopyIn(m.Ctx.Dev, m.params()) }
 
 // Download copies the device parameters back to the host.
 func (m *Model) Download() *Params {
 	p := zeroParams(m.Cfg)
-	dev := m.Ctx.Dev
-	for l := range m.W {
-		dev.CopyOut(m.W[l], hostOrNil(dev, p.W[l]))
-		dev.CopyOut(m.B[l], hostOrNil(dev, p.B[l].AsRow()))
-	}
+	p.ParamSet().CopyOut(m.Ctx.Dev, m.params())
 	return p
-}
-
-func hostOrNil(dev *device.Device, m *tensor.Matrix) *tensor.Matrix {
-	if dev.Numeric {
-		return m
-	}
-	return nil
 }
 
 // InitFromStack copies a pre-trained stack's encoder weights into the
@@ -238,11 +186,11 @@ func (m *Model) InitFromStack(res *stack.Result) error {
 		}
 		switch {
 		case layer.AE != nil:
-			dev.CopyIn(m.W[l], hostOrNil(dev, layer.AE.W1), 0)
-			dev.CopyIn(m.B[l], hostOrNil(dev, layer.AE.B1.AsRow()), 0)
+			dev.CopyIn(m.W[l], layer.AE.W1, 0)
+			dev.CopyIn(m.B[l], layer.AE.B1.AsRow(), 0)
 		case layer.RBM != nil:
-			dev.CopyIn(m.W[l], hostOrNil(dev, layer.RBM.W), 0)
-			dev.CopyIn(m.B[l], hostOrNil(dev, layer.RBM.C.AsRow()), 0)
+			dev.CopyIn(m.W[l], layer.RBM.W, 0)
+			dev.CopyIn(m.B[l], layer.RBM.C.AsRow(), 0)
 		default:
 			return fmt.Errorf("mlp: stack layer %d has no parameters", l)
 		}
@@ -286,7 +234,7 @@ func (m *Model) Infer(x *device.Buffer) *device.Buffer {
 	var out *device.Buffer
 	for l := 0; l < L; l++ {
 		layerIn, layer := in, l
-		out = sliceTo(m.act[l], n)
+		out = m.act[l].Head(n)
 		act := out
 		ctx.MaybeFused(func() {
 			ctx.Gemm(false, false, 1, layerIn, m.W[layer], 0, act)
@@ -308,15 +256,6 @@ func (m *Model) checkInfer(x *device.Buffer) int {
 		panic(fmt.Sprintf("mlp: inference input %dx%d, want 1..%d×%d", x.Rows, x.Cols, m.Batch, m.Cfg.Sizes[0]))
 	}
 	return x.Rows
-}
-
-// sliceTo returns b itself for a full-height batch and the [0,n) row view
-// otherwise, so partial batches reuse the same workspace.
-func sliceTo(b *device.Buffer, n int) *device.Buffer {
-	if n == b.Rows {
-		return b
-	}
-	return b.Slice(0, n)
 }
 
 // mustTrain panics when a training entry point is hit on a forward-only

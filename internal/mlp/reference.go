@@ -37,6 +37,15 @@ func zeroParams(cfg Config) *Params {
 	return p
 }
 
+// Clone deep-copies the parameters.
+func (p *Params) Clone() *Params {
+	c := &Params{W: make([]*tensor.Matrix, len(p.W)), B: make([]tensor.Vector, len(p.B))}
+	for l := range p.W {
+		c.W[l], c.B[l] = p.W[l].Clone(), p.B[l].Clone()
+	}
+	return c
+}
+
 // ParamSet registers every layer for the flat-vector optimizers.
 func (p *Params) ParamSet() *nn.ParamSet {
 	ps := &nn.ParamSet{}

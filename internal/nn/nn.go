@@ -2,7 +2,9 @@
 // packages: scalar activations, weight-initialization conventions, the
 // flat parameter/gradient views used by the batch optimizers (CG, L-BFGS)
 // that the paper discusses as the parallelism-friendly alternative to
-// online SGD, and the Conv2D/MaxPool2D layer types of the convolutional
+// online SGD, the one path every model moves its parameters by (device
+// upload/download and the checkpoint codec), and the Conv2D/MaxPool2D
+// layer types of the convolutional
 // workload family (im2col-form parameters plus their scalar direct
 // references).
 package nn
@@ -11,6 +13,7 @@ import (
 	"fmt"
 	"math"
 
+	"phideep/internal/device"
 	"phideep/internal/rng"
 	"phideep/internal/tensor"
 )
@@ -115,3 +118,41 @@ func (p *ParamSet) Unflatten(src tensor.Vector) {
 
 // Names returns the registered parameter names in order.
 func (p *ParamSet) Names() []string { return append([]string(nil), p.names...) }
+
+// host returns parameter i as a matrix (a vector as one row).
+func (p *ParamSet) host(i int) *tensor.Matrix {
+	if p.isMatrix[i] {
+		return p.mats[i]
+	}
+	return p.vecs[i].AsRow()
+}
+
+// CopyIn uploads the parameters into a model's device tensors, one PCIe
+// transfer each in registration order. bufs[i] receives parameter i; a nil
+// entry is skipped (a tensor the model shares with another, like a tied
+// decoder).
+func (p *ParamSet) CopyIn(dev *device.Device, bufs []*device.Buffer) {
+	p.checkBufs(bufs)
+	for i, b := range bufs {
+		if b != nil {
+			dev.CopyIn(b, p.host(i), 0)
+		}
+	}
+}
+
+// CopyOut downloads a model's device tensors into the parameters, the
+// inverse of CopyIn. On a model-only device the parameters are untouched.
+func (p *ParamSet) CopyOut(dev *device.Device, bufs []*device.Buffer) {
+	p.checkBufs(bufs)
+	for i, b := range bufs {
+		if b != nil {
+			dev.CopyOut(b, p.host(i))
+		}
+	}
+}
+
+func (p *ParamSet) checkBufs(bufs []*device.Buffer) {
+	if len(bufs) != len(p.names) {
+		panic(fmt.Sprintf("nn: %d device tensors for %d parameters", len(bufs), len(p.names)))
+	}
+}

@@ -5,9 +5,50 @@ import (
 	"testing"
 	"testing/quick"
 
+	"phideep/internal/device"
 	"phideep/internal/rng"
+	"phideep/internal/sim"
 	"phideep/internal/tensor"
 )
+
+func TestParamSetDeviceTransfer(t *testing.T) {
+	dev := device.New(sim.XeonPhi5110P(), true, nil)
+	ps, m, v := sampleParamSet(6)
+	shared := tensor.NewMatrix(2, 2) // a tensor the model does not hold on its own
+	shared.Fill(3)
+	ps.AddMatrix("shared", shared)
+	bw, bb := dev.MustAlloc(4, 5), dev.MustAlloc(1, 7)
+	bufs := []*device.Buffer{bw, bb, nil}
+
+	ps.CopyIn(dev, bufs)
+	if tensor.MaxAbsDiff(bw.Mat, m) != 0 || !tensor.EqualVec(bb.Mat.RowView(0), v, 0) {
+		t.Fatal("CopyIn did not upload the parameters")
+	}
+	if dev.Stats().Transfers != 2 {
+		t.Fatalf("%d transfers, want 2 (the nil entry is skipped)", dev.Stats().Transfers)
+	}
+	if !(bw.ReadyAt() < bb.ReadyAt()) {
+		t.Fatal("transfers not issued in registration order")
+	}
+
+	wantM, wantV := m.Clone(), v.Clone()
+	m.Zero()
+	v.Zero()
+	ps.CopyOut(dev, bufs)
+	if tensor.MaxAbsDiff(m, wantM) != 0 || !tensor.EqualVec(v, wantV, 0) {
+		t.Fatal("CopyOut did not download the parameters")
+	}
+	if shared.At(1, 1) != 3 {
+		t.Fatal("CopyOut touched a skipped parameter")
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("length mismatch did not panic")
+		}
+	}()
+	ps.CopyIn(dev, bufs[:2])
+}
 
 func TestSigmoidProperties(t *testing.T) {
 	if Sigmoid(0) != 0.5 {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 
+	"phideep/internal/rng"
 	"phideep/internal/tensor"
 )
 
@@ -83,4 +84,33 @@ func LoadParamSet(r io.Reader, ps *ParamSet) error {
 	}
 	ps.Unflatten(flat)
 	return nil
+}
+
+// SaveState writes a model's resumable training state: the parameter set
+// in the format above, then the sampling stream's state, so a restored
+// model continues the exact stream (Gibbs samples, corruption masks).
+func SaveState(w io.Writer, ps *ParamSet, r *rng.RNG) error {
+	if err := SaveParamSet(w, ps); err != nil {
+		return err
+	}
+	state, err := r.MarshalBinary()
+	if err != nil {
+		return err
+	}
+	if _, err := w.Write(state); err != nil {
+		return fmt.Errorf("nn: save state: %w", err)
+	}
+	return nil
+}
+
+// LoadState reads state written by SaveState into ps and r.
+func LoadState(rd io.Reader, ps *ParamSet, r *rng.RNG) error {
+	if err := LoadParamSet(rd, ps); err != nil {
+		return err
+	}
+	state := make([]byte, rng.MarshaledSize())
+	if _, err := io.ReadFull(rd, state); err != nil {
+		return fmt.Errorf("nn: load state: %w", err)
+	}
+	return r.UnmarshalBinary(state)
 }

@@ -95,6 +95,45 @@ func TestLoadRejectsCorruption(t *testing.T) {
 	}
 }
 
+func TestStateRoundTrip(t *testing.T) {
+	ps, m, v := sampleParamSet(4)
+	src := rng.New(5)
+	src.Uint64() // advance past the seed so the stream position matters
+	var buf bytes.Buffer
+	if err := SaveState(&buf, ps, src); err != nil {
+		t.Fatal(err)
+	}
+	// The blob is the PHD1 parameter set followed by the RNG state.
+	var params bytes.Buffer
+	if err := SaveParamSet(&params, ps); err != nil {
+		t.Fatal(err)
+	}
+	state, _ := src.MarshalBinary()
+	if !bytes.Equal(buf.Bytes(), append(params.Bytes(), state...)) {
+		t.Fatal("state blob is not the parameter set followed by the RNG state")
+	}
+
+	wantM, wantV := m.Clone(), v.Clone()
+	m.Zero()
+	v.Zero()
+	dst := rng.New(99)
+	if err := LoadState(&buf, ps, dst); err != nil {
+		t.Fatal(err)
+	}
+	if tensor.MaxAbsDiff(m, wantM) != 0 || !tensor.EqualVec(v, wantV, 0) {
+		t.Fatal("round trip lost parameters")
+	}
+	if dst.Uint64() != src.Uint64() {
+		t.Fatal("round trip lost the RNG stream position")
+	}
+
+	// A blob cut inside the RNG state is an error.
+	cut := append(params.Bytes(), state[:3]...)
+	if err := LoadState(bytes.NewReader(cut), ps, dst); err == nil {
+		t.Fatal("truncated RNG state not detected")
+	}
+}
+
 func TestSaveDeterministic(t *testing.T) {
 	ps, _, _ := sampleParamSet(3)
 	var a, b bytes.Buffer

@@ -13,10 +13,11 @@ package rbm
 
 import (
 	"fmt"
+	"io"
 
 	"phideep/internal/blas"
 	"phideep/internal/device"
-	"phideep/internal/tensor"
+	"phideep/internal/nn"
 )
 
 // Config holds the RBM geometry and CD options.
@@ -128,6 +129,8 @@ type Model struct {
 
 	// inferOnly marks a forward-only model built by NewInference.
 	inferOnly bool
+
+	mem device.Owner // every buffer above
 }
 
 // New allocates a model for the given batch size and uploads the reference
@@ -143,45 +146,7 @@ func New(ctx *blas.Context, cfg Config, batch int, seed uint64) (*Model, error) 
 // Build allocates a model for cfg.Batch examples and uploads the reference
 // initialization (small Gaussian weights, zero biases) from cfg.Seed.
 func Build(ctx *blas.Context, cfg Config) (*Model, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	batch := cfg.Batch
-	if batch <= 0 {
-		return nil, fmt.Errorf("rbm: non-positive batch size %d", batch)
-	}
-	m := &Model{Cfg: cfg, Ctx: ctx, Batch: batch}
-	dev := ctx.Dev
-	var err error
-	alloc := func(r, c int) *device.Buffer {
-		if err != nil {
-			return nil
-		}
-		var b *device.Buffer
-		b, err = dev.Alloc(r, c)
-		return b
-	}
-	v, h := cfg.Visible, cfg.Hidden
-	m.W, m.B, m.C = alloc(v, h), alloc(1, v), alloc(1, h)
-	m.GW, m.GB, m.GC = alloc(v, h), alloc(1, v), alloc(1, h)
-	m.ph0, m.h0, m.ph1 = alloc(batch, h), alloc(batch, h), alloc(batch, h)
-	m.pv1, m.v1 = alloc(batch, v), alloc(batch, v)
-	m.dv, m.dh = alloc(batch, v), alloc(batch, h)
-	if cfg.Momentum > 0 {
-		m.vW, m.vB, m.vC = alloc(v, h), alloc(1, v), alloc(1, h)
-	}
-	if cfg.SparsityCost > 0 {
-		m.rowH = alloc(1, h)
-	}
-	if cfg.Persistent {
-		m.pchain = alloc(batch, v)
-	}
-	if err != nil {
-		m.Free() // release the buffers allocated before the failure
-		return nil, err
-	}
-	m.Upload(NewParams(cfg, cfg.Seed))
-	return m, nil
+	return build(ctx, cfg, cfg.Batch, false, nil)
 }
 
 // NewInference allocates a forward-only model for up to batch examples:
@@ -191,28 +156,41 @@ func Build(ctx *blas.Context, cfg Config) (*Model, error) {
 // inference model — the training entry points panic. Inference is
 // deterministic mean-field (no sampling), matching Params.Encode exactly.
 func NewInference(ctx *blas.Context, cfg Config, batch int, p *Params) (*Model, error) {
+	return build(ctx, cfg, batch, true, p)
+}
+
+// build allocates a model for batch examples — forward-only when
+// inferOnly — and uploads p, or the initialization from cfg.Seed when p is
+// nil. On failure nothing stays allocated.
+func build(ctx *blas.Context, cfg Config, batch int, inferOnly bool, p *Params) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if batch <= 0 {
 		return nil, fmt.Errorf("rbm: non-positive batch size %d", batch)
 	}
-	m := &Model{Cfg: cfg, Ctx: ctx, Batch: batch, inferOnly: true}
-	dev := ctx.Dev
-	var err error
-	alloc := func(r, c int) *device.Buffer {
-		if err != nil {
-			return nil
-		}
-		var b *device.Buffer
-		b, err = dev.Alloc(r, c)
-		return b
-	}
+	m := &Model{Cfg: cfg, Ctx: ctx, Batch: batch, inferOnly: inferOnly, mem: device.Owner{Dev: ctx.Dev}}
+	mem := &m.mem
 	v, h := cfg.Visible, cfg.Hidden
-	m.W, m.B, m.C = alloc(v, h), alloc(1, v), alloc(1, h)
-	m.ph0, m.pv1 = alloc(batch, h), alloc(batch, v)
-	if err != nil {
-		m.Free() // release the buffers allocated before the failure
+	m.W, m.B, m.C = mem.Alloc(v, h), mem.Alloc(1, v), mem.Alloc(1, h)
+	m.ph0, m.pv1 = mem.Alloc(batch, h), mem.Alloc(batch, v)
+	if !inferOnly {
+		m.GW, m.GB, m.GC = mem.Alloc(v, h), mem.Alloc(1, v), mem.Alloc(1, h)
+		m.h0, m.ph1 = mem.Alloc(batch, h), mem.Alloc(batch, h)
+		m.v1 = mem.Alloc(batch, v)
+		m.dv, m.dh = mem.Alloc(batch, v), mem.Alloc(batch, h)
+		if cfg.Momentum > 0 {
+			m.vW, m.vB, m.vC = mem.Alloc(v, h), mem.Alloc(1, v), mem.Alloc(1, h)
+		}
+		if cfg.SparsityCost > 0 {
+			m.rowH = mem.Alloc(1, h)
+		}
+		if cfg.Persistent {
+			m.pchain = mem.Alloc(batch, v)
+		}
+	}
+	if err := mem.Err(); err != nil {
+		mem.Free()
 		return nil, err
 	}
 	if p == nil {
@@ -223,41 +201,39 @@ func NewInference(ctx *blas.Context, cfg Config, batch int, p *Params) (*Model, 
 }
 
 // Free releases every device buffer of the model.
-func (m *Model) Free() {
-	dev := m.Ctx.Dev
-	for _, b := range []*device.Buffer{m.W, m.B, m.C, m.GW, m.GB, m.GC, m.ph0, m.h0, m.ph1, m.pv1, m.v1, m.dv, m.dh, m.vW, m.vB, m.vC, m.rowH, m.pchain} {
-		if b != nil {
-			dev.Free(b)
-		}
-	}
-}
+func (m *Model) Free() { m.mem.Free() }
+
+// params lists the device parameters in Params.ParamSet order.
+func (m *Model) params() []*device.Buffer { return []*device.Buffer{m.W, m.B, m.C} }
 
 // Upload transfers host parameters to the device.
-func (m *Model) Upload(p *Params) {
-	dev := m.Ctx.Dev
-	dev.CopyIn(m.W, hostOrNil(dev, p.W), 0)
-	dev.CopyIn(m.B, hostOrNil(dev, p.B.AsRow()), 0)
-	dev.CopyIn(m.C, hostOrNil(dev, p.C.AsRow()), 0)
-}
+func (m *Model) Upload(p *Params) { p.ParamSet().CopyIn(m.Ctx.Dev, m.params()) }
 
 // Download copies the device parameters back to the host.
 func (m *Model) Download() *Params {
-	p := &Params{
-		W: tensor.NewMatrix(m.Cfg.Visible, m.Cfg.Hidden),
-		B: tensor.NewVector(m.Cfg.Visible),
-		C: tensor.NewVector(m.Cfg.Hidden),
-	}
-	dev := m.Ctx.Dev
-	dev.CopyOut(m.W, hostOrNil(dev, p.W))
-	dev.CopyOut(m.B, hostOrNil(dev, p.B.AsRow()))
-	dev.CopyOut(m.C, hostOrNil(dev, p.C.AsRow()))
+	p := zeroParams(m.Cfg)
+	p.ParamSet().CopyOut(m.Ctx.Dev, m.params())
 	return p
 }
 
-func hostOrNil(dev *device.Device, m *tensor.Matrix) *tensor.Matrix {
-	if dev.Numeric {
-		return m
+// SaveState writes the model's resumable training state to w: the
+// device-resident parameters (downloaded over the simulated PCIe link, so
+// checkpointing has a visible transfer cost) followed by the context's
+// sampling-RNG state, so a restored model continues the exact Gibbs
+// stream. Optimizer extras (momentum velocity, PCD fantasy particles) are
+// not captured; exact resume holds for the vanilla CD configuration.
+func (m *Model) SaveState(w io.Writer) error {
+	return nn.SaveState(w, m.Download().ParamSet(), m.Ctx.RNG)
+}
+
+// RestoreState reads state written by SaveState, uploads the parameters to
+// the device and restores the sampling-RNG stream.
+func (m *Model) RestoreState(r io.Reader) error {
+	p := zeroParams(m.Cfg)
+	if err := nn.LoadState(r, p.ParamSet(), m.Ctx.RNG); err != nil {
+		return err
 	}
+	m.Upload(p)
 	return nil
 }
 
@@ -294,7 +270,7 @@ func (m *Model) visibleFrom(dst, h *device.Buffer) {
 // bit-identical to Params.Encode at the Baseline level.
 func (m *Model) Encode(x *device.Buffer) *device.Buffer {
 	n := m.checkInfer(x)
-	y := sliceTo(m.ph0, n)
+	y := m.ph0.Head(n)
 	m.hiddenFrom(y, x)
 	return y
 }
@@ -305,7 +281,7 @@ func (m *Model) Encode(x *device.Buffer) *device.Buffer {
 // view owned by the model, overwritten by the next call.
 func (m *Model) Reconstruct(x *device.Buffer) *device.Buffer {
 	y := m.Encode(x)
-	z := sliceTo(m.pv1, y.Rows)
+	z := m.pv1.Head(y.Rows)
 	m.visibleFrom(z, y)
 	return z
 }
@@ -316,15 +292,6 @@ func (m *Model) checkInfer(x *device.Buffer) int {
 		panic(fmt.Sprintf("rbm: inference input %dx%d, want 1..%d×%d", x.Rows, x.Cols, m.Batch, m.Cfg.Visible))
 	}
 	return x.Rows
-}
-
-// sliceTo returns b itself for a full-height batch and the [0,n) row view
-// otherwise, so partial batches reuse the same workspace.
-func sliceTo(b *device.Buffer, n int) *device.Buffer {
-	if n == b.Rows {
-		return b
-	}
-	return b.Slice(0, n)
 }
 
 // mustTrain panics when a training entry point is hit on a forward-only

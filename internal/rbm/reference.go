@@ -20,14 +20,17 @@ type Params struct {
 // NewParams returns the conventional initialization: N(0, 0.01²) weights
 // and zero biases (Hinton's practical guide, the paper's [15]).
 func NewParams(cfg Config, seed uint64) *Params {
-	r := rng.New(seed)
-	p := &Params{
+	p := zeroParams(cfg)
+	p.W.RandomizeNorm(rng.New(seed), 0.01)
+	return p
+}
+
+func zeroParams(cfg Config) *Params {
+	return &Params{
 		W: tensor.NewMatrix(cfg.Visible, cfg.Hidden),
 		B: tensor.NewVector(cfg.Visible),
 		C: tensor.NewVector(cfg.Hidden),
 	}
-	p.W.RandomizeNorm(r, 0.01)
-	return p
 }
 
 // Clone deep-copies the parameters.

@@ -9,6 +9,7 @@ import (
 	"phideep/internal/convnet"
 	"phideep/internal/core"
 	"phideep/internal/mlp"
+	"phideep/internal/nn"
 	"phideep/internal/rbm"
 )
 
@@ -96,7 +97,7 @@ func MLP(cfg mlp.Config, p *mlp.Params) *Model {
 	if p == nil {
 		p = mlp.NewParams(cfg, cfg.Seed)
 	} else {
-		p = cloneMLP(cfg, p)
+		p = p.Clone()
 	}
 	return &Model{kind: kindMLP, mlpCfg: cfg, ml: p}
 }
@@ -112,69 +113,55 @@ func Convnet(cfg convnet.Config, p *convnet.Params) *Model {
 	return &Model{kind: kindConv, convCfg: cfg, cv: p}
 }
 
-// cloneMLP deep-copies classifier parameters (mlp.Params has no Clone).
-func cloneMLP(cfg mlp.Config, p *mlp.Params) *mlp.Params {
-	c := mlp.NewParams(cfg, 0)
-	for l := range p.W {
-		c.W[l] = p.W[l].Clone()
-		c.B[l] = p.B[l].Clone()
+// readCheckpoint loads the parameters of a PHCK checkpoint written by
+// core.Trainer or phitrain into ps. The checkpoint stores only the flat
+// parameter data, so ps must have the geometry the model was trained
+// with. The model blob is the parameter set followed by the trainer's RNG
+// state, which serving does not need.
+func readCheckpoint(path string, ps *nn.ParamSet) error {
+	c, err := core.ReadCheckpoint(path)
+	if err != nil {
+		return err
 	}
-	return c
+	if err := nn.LoadParamSet(bytes.NewReader(c.Model), ps); err != nil {
+		return fmt.Errorf("serve: checkpoint %s: %w", path, err)
+	}
+	return nil
 }
 
 // AutoencoderFromCheckpoint loads autoencoder parameters from a PHCK
-// checkpoint written by core.Trainer or phitrain. The checkpoint stores
-// only the flat parameter data; cfg must describe the geometry it was
-// trained with.
+// checkpoint; cfg must describe the geometry it was trained with.
 func AutoencoderFromCheckpoint(cfg autoencoder.Config, path string) (*Model, error) {
-	c, err := core.ReadCheckpoint(path)
-	if err != nil {
-		return nil, err
-	}
 	p := autoencoder.NewParams(cfg, 0)
-	// The model blob is the parameter set followed by the trainer's RNG
-	// state, which serving does not need.
-	if err := p.Load(bytes.NewReader(c.Model)); err != nil {
-		return nil, fmt.Errorf("serve: checkpoint %s: %w", path, err)
+	if err := readCheckpoint(path, p.ParamSet()); err != nil {
+		return nil, err
 	}
 	return &Model{kind: kindAE, aeCfg: cfg, ae: p}, nil
 }
 
 // RBMFromCheckpoint loads RBM parameters from a PHCK checkpoint.
 func RBMFromCheckpoint(cfg rbm.Config, path string) (*Model, error) {
-	c, err := core.ReadCheckpoint(path)
-	if err != nil {
-		return nil, err
-	}
 	p := rbm.NewParams(cfg, 0)
-	if err := p.Load(bytes.NewReader(c.Model)); err != nil {
-		return nil, fmt.Errorf("serve: checkpoint %s: %w", path, err)
+	if err := readCheckpoint(path, p.ParamSet()); err != nil {
+		return nil, err
 	}
 	return &Model{kind: kindRBM, rbmCfg: cfg, rb: p}, nil
 }
 
 // MLPFromCheckpoint loads classifier parameters from a PHCK checkpoint.
 func MLPFromCheckpoint(cfg mlp.Config, path string) (*Model, error) {
-	c, err := core.ReadCheckpoint(path)
-	if err != nil {
-		return nil, err
-	}
 	p := mlp.NewParams(cfg, 0)
-	if err := p.Load(bytes.NewReader(c.Model)); err != nil {
-		return nil, fmt.Errorf("serve: checkpoint %s: %w", path, err)
+	if err := readCheckpoint(path, p.ParamSet()); err != nil {
+		return nil, err
 	}
 	return &Model{kind: kindMLP, mlpCfg: cfg, ml: p}, nil
 }
 
 // ConvnetFromCheckpoint loads convnet parameters from a PHCK checkpoint.
 func ConvnetFromCheckpoint(cfg convnet.Config, path string) (*Model, error) {
-	c, err := core.ReadCheckpoint(path)
-	if err != nil {
-		return nil, err
-	}
 	p := convnet.NewParams(cfg, 0)
-	if err := p.Load(bytes.NewReader(c.Model)); err != nil {
-		return nil, fmt.Errorf("serve: checkpoint %s: %w", path, err)
+	if err := readCheckpoint(path, p.ParamSet()); err != nil {
+		return nil, err
 	}
 	return &Model{kind: kindConv, convCfg: cfg, cv: p}, nil
 }

@@ -210,10 +210,7 @@ func (w *worker) run(batch []*request) error {
 	}); err != nil {
 		return err
 	}
-	xv := w.x
-	if n < w.x.Rows {
-		xv = w.x.Slice(0, n)
-	}
+	xv := w.x.Head(n)
 
 	var out *device.Buffer
 	switch {
