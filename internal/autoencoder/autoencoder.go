@@ -105,6 +105,9 @@ type Model struct {
 	// gradient, velocity or corruption buffers exist, and the training
 	// entry points panic.
 	inferOnly bool
+	// packs holds the pack-once forms of the weights an inference model's
+	// GEMMs read; nil on a training model.
+	packs *blas.Packs
 
 	mem device.Owner // every buffer above
 }
@@ -148,6 +151,9 @@ func build(ctx *blas.Context, cfg Config, batch int, inferOnly bool, p *Params) 
 		return nil, fmt.Errorf("autoencoder: non-positive batch size %d", batch)
 	}
 	m := &Model{Cfg: cfg, Ctx: ctx, Batch: batch, inferOnly: inferOnly, mem: device.Owner{Dev: ctx.Dev}}
+	if inferOnly {
+		m.packs = new(blas.Packs)
+	}
 	mem := &m.mem
 	v, h := cfg.Visible, cfg.Hidden
 	m.W1, m.B1 = mem.Alloc(v, h), mem.Alloc(1, h)
@@ -198,9 +204,13 @@ func (m *Model) Free() { m.mem.Free() }
 // decoder's entry is nil.
 func (m *Model) params() []*device.Buffer { return []*device.Buffer{m.W1, m.B1, m.W2, m.B2} }
 
-// Upload transfers host parameters into the device buffers. With tied
-// weights the decoder matrix p.W2 is ignored.
-func (m *Model) Upload(p *Params) { p.ParamSet().CopyIn(m.Ctx.Dev, m.params()) }
+// Upload transfers host parameters into the device buffers and drops the
+// packed weights of an inference model. With tied weights the decoder
+// matrix p.W2 is ignored.
+func (m *Model) Upload(p *Params) {
+	p.ParamSet().CopyIn(m.Ctx.Dev, m.params())
+	m.packs.Reset()
+}
 
 // Download copies the device parameters back to the host. On a model-only
 // device the returned parameters are the zero initialization.
@@ -251,13 +261,16 @@ func (m *Model) checkInfer(x *device.Buffer) int {
 // examples and returns the hidden codes as a view of the model's activation
 // buffer (valid until the next forward pass). It allocates nothing on the
 // device, touches no gradient state, and matches Params.Encode row for row
-// — the device-resident inference path the serving layer batches over.
+// — the device-resident inference path the serving layer batches over. An
+// inference model reads W1 from its pack-once form.
 func (m *Model) Encode(x *device.Buffer) *device.Buffer {
 	n := m.checkInfer(x)
 	ctx := m.Ctx
 	y := m.y.Head(n)
+	// At the Improved level each layer is one fused region: the GEMM with
+	// its bias-add and sigmoid epilogue (the loop combining of §IV.B.2).
 	ctx.MaybeFused(func() {
-		ctx.Gemm(false, false, 1, x, m.W1, 0, y)
+		ctx.GemmPacked(false, false, 1, x, m.W1, m.packs.B(m.W1, false), 0, y)
 		ctx.AddBiasRow(y, m.B1)
 		ctx.Sigmoid(y, y)
 	})
@@ -274,9 +287,9 @@ func (m *Model) Reconstruct(x *device.Buffer) *device.Buffer {
 	z := m.z.Head(n)
 	ctx.MaybeFused(func() {
 		if m.Cfg.Tied {
-			ctx.Gemm(false, true, 1, y, m.W1, 0, z)
+			ctx.GemmPacked(false, true, 1, y, m.W1, m.packs.B(m.W1, true), 0, z)
 		} else {
-			ctx.Gemm(false, false, 1, y, m.W2, 0, z)
+			ctx.GemmPacked(false, false, 1, y, m.W2, m.packs.B(m.W2, false), 0, z)
 		}
 		ctx.AddBiasRow(z, m.B2)
 		ctx.Sigmoid(z, z)
@@ -291,25 +304,11 @@ func (m *Model) mustTrain(op string) {
 	}
 }
 
+// forwardFrom is the full-batch forward pass into y and z: Reconstruct on
+// Batch rows, whose views are the whole buffers.
 func (m *Model) forwardFrom(x *device.Buffer) {
 	m.checkInput(x)
-	ctx := m.Ctx
-	// At the Improved level each layer is one fused region: the GEMM with
-	// its bias-add and sigmoid epilogue (the loop combining of §IV.B.2).
-	ctx.MaybeFused(func() {
-		ctx.Gemm(false, false, 1, x, m.W1, 0, m.y)
-		ctx.AddBiasRow(m.y, m.B1)
-		ctx.Sigmoid(m.y, m.y)
-	})
-	ctx.MaybeFused(func() {
-		if m.Cfg.Tied {
-			ctx.Gemm(false, true, 1, m.y, m.W1, 0, m.z)
-		} else {
-			ctx.Gemm(false, false, 1, m.y, m.W2, 0, m.z)
-		}
-		ctx.AddBiasRow(m.z, m.B2)
-		ctx.Sigmoid(m.z, m.z)
-	})
+	m.Reconstruct(x)
 }
 
 // Backward computes the full cost gradient for the batch in GW1/GB1/GW2/GB2

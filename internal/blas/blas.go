@@ -157,6 +157,16 @@ func opShape(b *device.Buffer, trans bool) (int, int) {
 
 // Gemm computes C = alpha·op(A)·op(B) + beta·C on the device.
 func (c *Context) Gemm(transA, transB bool, alpha float64, a, b *device.Buffer, beta float64, dst *device.Buffer) {
+	c.GemmPacked(transA, transB, alpha, a, b, nil, beta, dst)
+}
+
+// GemmPacked is Gemm with op(B) also supplied as pb, a pack-once handle of
+// b's contents (see Packs): the kernel reads the handle's panels instead of
+// re-packing b. It is the same launch as Gemm — same simulated op, same
+// dependencies and writes — and gives the same bits. A nil pb is plain
+// Gemm, so forward code shared by training and inference calls it
+// unconditionally.
+func (c *Context) GemmPacked(transA, transB bool, alpha float64, a, b *device.Buffer, pb *kernels.PackedB, beta float64, dst *device.Buffer) {
 	m, ka := opShape(a, transA)
 	kb, n := opShape(b, transB)
 	if ka != kb || dst.Rows != m || dst.Cols != n {
@@ -165,8 +175,54 @@ func (c *Context) Gemm(transA, transB bool, alpha float64, a, b *device.Buffer, 
 	c.exec(c.op(sim.OpGemm, m, ka, n, 0, 0, 0),
 		[]*device.Buffer{a, b, dst}, []*device.Buffer{dst},
 		func() {
-			kernels.Gemm(c.Dev.Pool, c.Level, transA, transB, alpha, a.Mat, b.Mat, beta, dst.Mat)
+			if pb != nil {
+				kernels.GemmPacked(c.Dev.Pool, c.Level, transA, alpha, a.Mat, pb, beta, dst.Mat)
+			} else {
+				kernels.Gemm(c.Dev.Pool, c.Level, transA, transB, alpha, a.Mat, b.Mat, beta, dst.Mat)
+			}
 		})
+}
+
+// Packs is an inference model's lazy cache of pack-once GEMM operands: each
+// constant weight is packed on the first GEMM that reads it and reused by
+// every later batch — the host form of the paper's parameters kept resident
+// in device memory (§IV.B). Packing is lazy so a replica holds handles only
+// for the operands its traffic reads: an encode-only autoencoder server
+// never packs its decoder. A nil *Packs never packs and returns nil
+// handles, which is what training models hold: their weights change every
+// step. A Packs belongs to one model and is not safe for concurrent use.
+type Packs struct {
+	held []packed
+}
+
+type packed struct {
+	b      *device.Buffer
+	transB bool
+	pb     *kernels.PackedB
+}
+
+// B returns the handle of op(b), packing it on first use. It returns nil on
+// a nil Packs and on a model-only device, whose buffers hold no numbers.
+func (p *Packs) B(b *device.Buffer, transB bool) *kernels.PackedB {
+	if p == nil || b.Mat == nil {
+		return nil
+	}
+	for _, h := range p.held {
+		if h.b == b && h.transB == transB {
+			return h.pb
+		}
+	}
+	pb := kernels.PackB(b.Mat, transB)
+	p.held = append(p.held, packed{b, transB, pb})
+	return pb
+}
+
+// Reset drops every handle. Models call it whenever they overwrite their
+// weights (Upload, RestoreState), so the next GEMM packs the new values.
+func (p *Packs) Reset() {
+	if p != nil {
+		p.held = nil
+	}
 }
 
 // Sigmoid computes dst = σ(src) elementwise (Eqs. 14–15 in vector form).

@@ -37,6 +37,76 @@ func TestGemmNumericMatchesKernels(t *testing.T) {
 	}
 }
 
+// TestGemmPackedIsGemm: GemmPacked through a Packs handle gives Gemm's
+// bits and charges the same launch (simulated time and stats) at every
+// level, for NN and NT operands; a nil handle is plain Gemm.
+func TestGemmPackedIsGemm(t *testing.T) {
+	for _, lvl := range kernels.Levels {
+		for _, transB := range []bool{false, true} {
+			plain, packed := numericCtx(lvl), numericCtx(lvl)
+			a := tensor.NewMatrix(6, 300).Randomize(plain.RNG, -1, 1)
+			b := tensor.NewMatrix(300, 9).Randomize(plain.RNG, -1, 1)
+			if transB {
+				b = b.T()
+			}
+			run := func(ctx *Context, pb func(*device.Buffer) *kernels.PackedB) *tensor.Matrix {
+				da, db := upload(ctx, a), upload(ctx, b)
+				dc := ctx.Dev.MustAlloc(6, 9)
+				ctx.GemmPacked(false, transB, 1.5, da, db, pb(db), 0, dc)
+				ctx.GemmPacked(false, transB, -1, da, db, pb(db), 1, dc)
+				return dc.Mat
+			}
+			var packs Packs
+			want := run(plain, func(*device.Buffer) *kernels.PackedB { return nil })
+			got := run(packed, func(db *device.Buffer) *kernels.PackedB { return packs.B(db, transB) })
+			for i := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("level %v transB=%v: element %d = %v, want %v", lvl, transB, i, got.Data[i], want.Data[i])
+				}
+			}
+			if plain.Dev.Now() != packed.Dev.Now() || plain.Dev.Stats() != packed.Dev.Stats() {
+				t.Fatalf("level %v transB=%v: launch differs: %+v vs %+v", lvl, transB, packed.Dev.Stats(), plain.Dev.Stats())
+			}
+			if len(packs.held) != 1 {
+				t.Fatalf("level %v transB=%v: %d handles after two GEMMs on one operand, want 1", lvl, transB, len(packs.held))
+			}
+		}
+	}
+}
+
+// TestPacksLazyAndReset: a handle is made on the first request for an
+// (operand, transpose) pair and reused after; Reset drops them all; a nil
+// Packs and a model-only device never pack.
+func TestPacksLazyAndReset(t *testing.T) {
+	ctx := numericCtx(kernels.Blocked)
+	w := upload(ctx, tensor.NewMatrix(5, 3).Randomize(ctx.RNG, -1, 1))
+	var p Packs
+	if len(p.held) != 0 {
+		t.Fatal("a new Packs holds handles")
+	}
+	nn := p.B(w, false)
+	if nn == nil || p.B(w, false) != nn || len(p.held) != 1 {
+		t.Fatalf("first operand: %d handles, reuse %v", len(p.held), p.B(w, false) == nn)
+	}
+	if nt := p.B(w, true); nt == nil || nt == nn || len(p.held) != 2 {
+		t.Fatalf("transposed operand: %d handles", len(p.held))
+	}
+	p.Reset()
+	if len(p.held) != 0 || p.B(w, false) == nn {
+		t.Fatal("Reset kept a handle")
+	}
+
+	var none *Packs
+	none.Reset()
+	if none.B(w, false) != nil {
+		t.Fatal("a nil Packs packed")
+	}
+	model := device.New(sim.XeonPhi5110P(), false, nil)
+	if p.B(model.MustAlloc(5, 3), false) != nil {
+		t.Fatal("packed a model-only buffer")
+	}
+}
+
 func TestGemmShapePanics(t *testing.T) {
 	ctx := numericCtx(kernels.Naive)
 	a := ctx.Dev.MustAlloc(2, 3)

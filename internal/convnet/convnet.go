@@ -139,6 +139,9 @@ type Model struct {
 
 	// inferOnly marks a forward-only model built by NewInference.
 	inferOnly bool
+	// packs holds the pack-once forms of the filter and FC weights an
+	// inference model's GEMMs read; nil on a training model.
+	packs *blas.Packs
 
 	mem device.Owner // every buffer above
 }
@@ -173,6 +176,9 @@ func build(ctx *blas.Context, cfg Config, batch int, inferOnly bool, p *Params) 
 		c1: cfg.Conv1Shape(), c2: cfg.Conv2Shape(),
 		p1: cfg.Pool1Shape(), p2: cfg.Pool2Shape(),
 		mem: device.Owner{Dev: ctx.Dev},
+	}
+	if inferOnly {
+		m.packs = new(blas.Packs)
 	}
 	mem := &m.mem
 
@@ -234,8 +240,12 @@ func (m *Model) params() []*device.Buffer {
 	return []*device.Buffer{m.W[0], m.B[0], m.W[1], m.B[1], m.W[2], m.B[2]}
 }
 
-// Upload transfers host parameters onto the device.
-func (m *Model) Upload(p *Params) { p.ParamSet().CopyIn(m.Ctx.Dev, m.params()) }
+// Upload transfers host parameters onto the device and drops the packed
+// weights of an inference model.
+func (m *Model) Upload(p *Params) {
+	p.ParamSet().CopyIn(m.Ctx.Dev, m.params())
+	m.packs.Reset()
+}
 
 // Download copies the device parameters back to the host.
 func (m *Model) Download() *Params {
@@ -264,7 +274,9 @@ func (m *Model) RestoreState(r io.Reader) error {
 	return nil
 }
 
-// forward runs the pipeline on the first n examples of the workspace.
+// forward runs the pipeline on the first n examples of the workspace. An
+// inference model reads its filter and FC weights from their pack-once
+// form.
 func (m *Model) forward(x *device.Buffer, n int) *device.Buffer {
 	ctx := m.Ctx
 	o1HW := m.c1.OutH() * m.c1.OutW()
@@ -277,20 +289,20 @@ func (m *Model) forward(x *device.Buffer, n int) *device.Buffer {
 
 	ctx.Im2col(m.c1, n, x, cols1)
 	ctx.MaybeFused(func() {
-		ctx.Gemm(false, false, 1, cols1, m.W[0], 0, a1)
+		ctx.GemmPacked(false, false, 1, cols1, m.W[0], m.packs.B(m.W[0], false), 0, a1)
 		ctx.AddBiasRow(a1, m.B[0])
 		ctx.Sigmoid(a1, a1)
 	})
 	ctx.MaxPool(m.p1, n, a1, pl1, arg1)
 	ctx.Im2col(m.c2, n, pl1, cols2)
 	ctx.MaybeFused(func() {
-		ctx.Gemm(false, false, 1, cols2, m.W[1], 0, a2)
+		ctx.GemmPacked(false, false, 1, cols2, m.W[1], m.packs.B(m.W[1], false), 0, a2)
 		ctx.AddBiasRow(a2, m.B[1])
 		ctx.Sigmoid(a2, a2)
 	})
 	ctx.MaxPool(m.p2, n, a2, pl2, arg2)
 	ctx.MaybeFused(func() {
-		ctx.Gemm(false, false, 1, pl2, m.W[2], 0, out)
+		ctx.GemmPacked(false, false, 1, pl2, m.W[2], m.packs.B(m.W[2], false), 0, out)
 		ctx.AddBiasRow(out, m.B[2])
 		ctx.SoftmaxRows(out, out)
 	})

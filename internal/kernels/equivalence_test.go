@@ -93,7 +93,10 @@ func gemmRunners() []gemmRunner {
 	rs = append(rs, gemmRunner{"packed-direct", func(pool *parallel.Pool, transA, transB bool, alpha float64, a, b *tensor.Matrix, beta float64, c *tensor.Matrix) {
 		m, k := opShape(a, transA)
 		_, n := opShape(b, transB)
-		gemmPacked(pool, ParallelBlocked, transA, transB, alpha, a, b, beta, c, m, k, n)
+		gemmPacked(pool, ParallelBlocked, transA, transB, alpha, a, b, nil, beta, c, m, k, n)
+	}})
+	rs = append(rs, gemmRunner{"prepacked", func(pool *parallel.Pool, transA, transB bool, alpha float64, a, b *tensor.Matrix, beta float64, c *tensor.Matrix) {
+		GemmPacked(pool, ParallelBlocked, transA, alpha, a, PackB(b, transB), beta, c)
 	}})
 	return rs
 }

@@ -24,24 +24,43 @@ import (
 // when no micro-kernel ran); disabled, the instrumentation is one atomic
 // load.
 func Gemm(pool *parallel.Pool, lvl Level, transA, transB bool, alpha float64, a, b *tensor.Matrix, beta float64, c *tensor.Matrix) {
+	gemm(pool, lvl, transA, transB, alpha, a, b, nil, beta, c)
+}
+
+// GemmPacked is Gemm with op(B) supplied as a pack-once handle: the blocked
+// levels read the handle's panels instead of re-packing B on every call,
+// the scalar levels read the handle's source matrix. Results are
+// bit-identical to Gemm on the same operands at every level and worker
+// count. Calls record into the same kernels.gemm.* series, plus the
+// kernels.gemm.prepacked counter.
+func GemmPacked(pool *parallel.Pool, lvl Level, transA bool, alpha float64, a *tensor.Matrix, pb *PackedB, beta float64, c *tensor.Matrix) {
+	gemm(pool, lvl, transA, pb.transB, alpha, a, pb.b, pb, beta, c)
+}
+
+// gemm is the instrumented body shared by Gemm (pb nil) and GemmPacked.
+func gemm(pool *parallel.Pool, lvl Level, transA, transB bool, alpha float64, a, b *tensor.Matrix, pb *PackedB, beta float64, c *tensor.Matrix) {
 	if !metrics.Enabled() {
-		gemmDispatch(pool, lvl, transA, transB, alpha, a, b, beta, c)
+		gemmDispatch(pool, lvl, transA, transB, alpha, a, b, pb, beta, c)
 		return
 	}
 	start := time.Now()
-	tiled := gemmDispatch(pool, lvl, transA, transB, alpha, a, b, beta, c)
+	tiled := gemmDispatch(pool, lvl, transA, transB, alpha, a, b, pb, beta, c)
 	mGemmSeconds.Observe(time.Since(start).Seconds())
 	mGemmCalls.Inc()
+	if pb != nil {
+		mGemmPrepacked.Inc()
+	}
 	m, k := opShape(a, transA)
 	_, n := opShape(b, transB)
 	mGemmFlops.Add(2 * float64(m) * float64(k) * float64(n))
 	mGemmPaths.record(tiled)
 }
 
-// gemmDispatch is the uninstrumented Gemm body: validate, then route to the
-// packed micro-kernel or the scalar row loops. It reports whether the
-// packed micro-kernel ran.
-func gemmDispatch(pool *parallel.Pool, lvl Level, transA, transB bool, alpha float64, a, b *tensor.Matrix, beta float64, c *tensor.Matrix) (tiled bool) {
+// gemmDispatch is the uninstrumented body: validate, then route to the
+// packed micro-kernel (which takes its B panels from pb when non-nil) or
+// the scalar row loops over b. It reports whether the packed micro-kernel
+// ran.
+func gemmDispatch(pool *parallel.Pool, lvl Level, transA, transB bool, alpha float64, a, b *tensor.Matrix, pb *PackedB, beta float64, c *tensor.Matrix) (tiled bool) {
 	m, ka := opShape(a, transA)
 	kb, n := opShape(b, transB)
 	if ka != kb {
@@ -61,7 +80,7 @@ func gemmDispatch(pool *parallel.Pool, lvl Level, transA, transB bool, alpha flo
 		// The packed path handles all four trans layouts natively (the
 		// packing absorbs strides and transposes) and folds the beta
 		// scaling into the first k-panel, so no separate scale pass runs.
-		gemmPacked(pool, lvl, transA, transB, alpha, a, b, beta, c, m, ka, n)
+		gemmPacked(pool, lvl, transA, transB, alpha, a, b, pb, beta, c, m, ka, n)
 		return true
 	}
 	scaleC(pool, lvl, beta, c)
@@ -70,7 +89,7 @@ func gemmDispatch(pool *parallel.Pool, lvl Level, transA, transB bool, alpha flo
 	// the scalar kernels below only handle three layouts. TT does not occur
 	// in the training hot paths.
 	if transA && transB {
-		return gemmDispatch(pool, lvl, false, true, alpha, a.T(), b, 1, c)
+		return gemmDispatch(pool, lvl, false, true, alpha, a.T(), b, nil, 1, c)
 	}
 
 	rowRange := func(lo, hi int) {

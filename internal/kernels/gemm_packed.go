@@ -73,19 +73,62 @@ func (g *gemmState) Range(lo, hi int) {
 	arenaPool.Put(ar)
 }
 
+// PackedB is a constant right-hand GEMM operand packed once and reused
+// across GemmPacked calls — the weights of a serving replica, which the
+// per-call path re-packs for every micro-batch. It holds the panels packB
+// writes for every (jc, pc) block of gemmPacked's loop, laid out in loop
+// order, plus the source matrix for the scalar levels. A handle is
+// immutable after PackB returns and safe to share across goroutines; the
+// source matrix must not change while the handle is in use.
+type PackedB struct {
+	b      *tensor.Matrix
+	transB bool
+	k      int
+	panels []float64
+}
+
+// PackB packs op(b) for reuse. The blocked levels never read b again; the
+// scalar levels read it on every call.
+func PackB(b *tensor.Matrix, transB bool) *PackedB {
+	k, n := opShape(b, transB)
+	pb := &PackedB{b: b, transB: transB, k: k, panels: make([]float64, k*roundUp(n, nr))}
+	for jc := 0; jc < n; jc += ncBlock {
+		nc := min(ncBlock, n-jc)
+		for pc := 0; pc < k; pc += kcBlock {
+			kc := min(kcBlock, k-pc)
+			packB(pb.block(jc, nc, pc, kc), b, transB, pc, kc, jc, nc)
+		}
+	}
+	return pb
+}
+
+// block returns the packed panels of op(B)[pc:pc+kc, jc:jc+nc]. Every jc
+// block before the last is ncBlock wide (a multiple of nr, so it packs
+// without padding) and spans all k rows, which puts block (jc, pc) at jc·k
+// plus the pc rows of its own padded width.
+func (pb *PackedB) block(jc, nc, pc, kc int) []float64 {
+	w := roundUp(nc, nr)
+	off := jc*pb.k + pc*w
+	return pb.panels[off : off+kc*w]
+}
+
 // gemmPacked runs C = alpha·op(A)·op(B) + beta·C through the packed
 // micro-kernel, parallelized over row tiles when the level and pool allow.
-// The summation order over k is fixed by the packing loop (k-panels in
+// Each B panel comes from pb when the caller packed op(B) ahead of time,
+// and is otherwise packed into the pooled arena — the same bytes either
+// way. The summation order over k is fixed by the packing loop (k-panels in
 // ascending order, ascending l within a panel) and every C tile is written
 // by exactly one worker, so results are bit-identical for any worker count
 // — Blocked and ParallelBlocked produce the same floats.
-func gemmPacked(pool *parallel.Pool, lvl Level, transA, transB bool, alpha float64, a, b *tensor.Matrix, beta float64, c *tensor.Matrix, m, k, n int) {
+func gemmPacked(pool *parallel.Pool, lvl Level, transA, transB bool, alpha float64, a, b *tensor.Matrix, pb *PackedB, beta float64, c *tensor.Matrix, m, k, n int) {
 	g := gemmStatePool.Get().(*gemmState)
 	g.a, g.c = a, c
 	g.transA, g.transB = transA, transB
 	g.alpha, g.beta = alpha, beta
 	g.m = m
-	g.bArena = arenaPool.Get().(*arena)
+	if pb == nil {
+		g.bArena = arenaPool.Get().(*arena)
+	}
 	useDeviceParallel := lvl.IsParallel() && pool != nil && pool.Workers() > 1
 	tiles := (m + mr - 1) / mr
 	for jc := 0; jc < n; jc += ncBlock {
@@ -100,8 +143,12 @@ func gemmPacked(pool *parallel.Pool, lvl Level, transA, transB bool, alpha float
 			}
 			g.pc, g.kc, g.jc, g.nc = pc, kc, jc, nc
 			g.first = pc == 0
-			g.bp = g.bArena.ensure(((nc + nr - 1) / nr) * kc * nr)
-			packB(g.bp, b, transB, pc, kc, jc, nc)
+			if pb != nil {
+				g.bp = pb.block(jc, nc, pc, kc)
+			} else {
+				g.bp = g.bArena.ensure(roundUp(nc, nr) * kc)
+				packB(g.bp, b, transB, pc, kc, jc, nc)
+			}
 			if useDeviceParallel {
 				pool.ForRanger(tiles, parallel.Static, 0, g)
 			} else {
@@ -109,7 +156,9 @@ func gemmPacked(pool *parallel.Pool, lvl Level, transA, transB bool, alpha float
 			}
 		}
 	}
-	arenaPool.Put(g.bArena)
+	if g.bArena != nil {
+		arenaPool.Put(g.bArena)
+	}
 	*g = gemmState{}
 	gemmStatePool.Put(g)
 }

@@ -3,6 +3,7 @@ package kernels
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"phideep/internal/metrics"
@@ -18,7 +19,8 @@ import (
 // kcBlock/ncBlock panel edges — in all four trans layouts, at both blocked
 // levels and pool sizes 1, 2 and 5. Each path must sit within the
 // equivalence suites' tolerance of the Naive oracle, and avx512 must equal
-// avx2 bit for bit.
+// avx2 bit for bit. A pack-once operand (GemmPacked, Gemm32Packed) must
+// give exactly the per-call answer on every path, level and pool size.
 
 var pathNames = [...]string{pathGo: "go", pathAVX2: "avx2", pathAVX512: "avx512"}
 
@@ -96,14 +98,24 @@ func TestGemmKernelPathsProperty(t *testing.T) {
 				c0 := stridedRand(r, m, n, pad)
 				want := c0.Clone()
 				Gemm(nil, Naive, transA, transB, alpha, a, b, beta, want)
-				for _, lvl := range []Level{Blocked, ParallelBlocked} {
+				pb := PackB(b, transB)
+				// The scalar levels run no micro-kernel, but GemmPacked must
+				// still read the handle's source there.
+				for _, lvl := range Levels {
 					got := make([]*tensor.Matrix, len(paths))
 					for i, p := range paths {
 						got[i] = c0.Clone()
-						withPath(p, func() { Gemm(pool, lvl, transA, transB, alpha, a, b, beta, got[i]) })
+						packed := c0.Clone()
+						withPath(p, func() {
+							Gemm(pool, lvl, transA, transB, alpha, a, b, beta, got[i])
+							GemmPacked(pool, lvl, transA, alpha, a, pb, beta, packed)
+						})
 						ctx := fmt.Sprintf("workers=%d %s", workers, caseName(lvl.String()+"/"+pathNames[p], m, k, n, transA, transB, alpha, beta))
 						compareToOracle(t, ctx, got[i], want)
 						checkPadding(t, ctx, got[i])
+						if !bitsEqual64(packed.Data, got[i].Data) {
+							t.Fatalf("%s: GemmPacked differs from Gemm", ctx)
+						}
 					}
 					if len(paths) == 3 && !bitsEqual64(got[2].Data, got[1].Data) {
 						t.Fatalf("workers=%d %s: avx512 differs from avx2", workers,
@@ -171,7 +183,8 @@ func TestGemm32KernelPathsProperty(t *testing.T) {
 // TestGemmPathCounters: a call that runs no micro-kernel (an empty
 // product, k = 0, alpha = 0, or a scalar level) counts as path.scalar, and
 // a blocked call counts once under the path that served it, with avx512
-// also counting as asm.
+// also counting as asm. A pack-once call counts like the per-call one and
+// once more under prepacked.
 func TestGemmPathCounters(t *testing.T) {
 	defer metrics.SetEnabled(metrics.Enabled())
 	metrics.SetEnabled(true)
@@ -202,27 +215,31 @@ func TestGemmPathCounters(t *testing.T) {
 		{"k=0", Blocked, 1, true},
 		{"scalar level", Naive, 1, false},
 	}
+	prepacked, prepacked32 := reg.Counter("kernels.gemm.prepacked"), reg.Counter("kernels.gemm32.prepacked")
 	for _, p := range availablePaths(t) {
 		for _, cse := range cases {
-			want := [4]int64{1, 0, 0, 0} // scalar, go, asm, avx512
+			want := [4]int64{2, 0, 0, 0} // scalar, go, asm, avx512: one Gemm and one GemmPacked
 			if cse.lvl.IsBlocked() && cse.alpha != 0 && !cse.k0 {
-				want = [4]int64{0, 0, 1, 0}
+				want = [4]int64{0, 0, 2, 0}
 				switch p {
 				case pathGo:
-					want = [4]int64{0, 1, 0, 0}
+					want = [4]int64{0, 2, 0, 0}
 				case pathAVX512:
-					want[3] = 1
+					want[3] = 2
 				}
 			}
+			x, y, x32, y32 := a, b, a32, b32
+			if cse.k0 {
+				x, y, x32, y32 = empty, emptyB, empty32, emptyB32
+			}
+			pb, pb32 := PackB(y, false), PackB32(y32, false)
 			before, before32 := read("kernels.gemm"), read("kernels.gemm32")
+			pre, pre32 := prepacked.Value(), prepacked32.Value()
 			withPath(p, func() {
-				if cse.k0 {
-					Gemm(nil, cse.lvl, false, false, cse.alpha, empty, emptyB, 1, c)
-					Gemm32(nil, cse.lvl, false, false, float32(cse.alpha), empty32, emptyB32, 1, c32)
-				} else {
-					Gemm(nil, cse.lvl, false, false, cse.alpha, a, b, 1, c)
-					Gemm32(nil, cse.lvl, false, false, float32(cse.alpha), a32, b32, 1, c32)
-				}
+				Gemm(nil, cse.lvl, false, false, cse.alpha, x, y, 1, c)
+				GemmPacked(nil, cse.lvl, false, cse.alpha, x, pb, 1, c)
+				Gemm32(nil, cse.lvl, false, false, float32(cse.alpha), x32, y32, 1, c32)
+				Gemm32Packed(nil, cse.lvl, false, float32(cse.alpha), x32, pb32, 1, c32)
 			})
 			after, after32 := read("kernels.gemm"), read("kernels.gemm32")
 			for i := range want {
@@ -233,6 +250,50 @@ func TestGemmPathCounters(t *testing.T) {
 					t.Errorf("%s %s: %s moved by %d, want %d", pathNames[p], cse.name, names("kernels.gemm32")[i], d, want[i])
 				}
 			}
+			if d, d32 := prepacked.Value()-pre, prepacked32.Value()-pre32; d != 1 || d32 != 1 {
+				t.Errorf("%s %s: prepacked counters moved by %d (f64) and %d (f32), want 1 each", pathNames[p], cse.name, d, d32)
+			}
 		}
+	}
+}
+
+// TestPackedBSharedAcrossGoroutines: one handle serves concurrent GEMMs
+// (each with its own pool, A and C, as serving replicas have) and every one
+// gets the sequential answer. Run under -race this is the read-only
+// sharing claim.
+func TestPackedBSharedAcrossGoroutines(t *testing.T) {
+	r := rng.New(47)
+	b := stridedRand(r, 300, 530, 1) // k crosses kcBlock, n crosses ncBlock
+	pb := PackB(b, false)
+	const callers = 6
+	as := make([]*tensor.Matrix, callers)
+	want := make([]*tensor.Matrix, callers)
+	for g := range as {
+		as[g] = stridedRand(r, 8+g, 300, 0)
+		want[g] = tensor.NewMatrix(8+g, 530)
+		Gemm(nil, Blocked, false, false, 1, as[g], b, 0, want[g])
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			pool := parallel.NewPool(1 + g%3)
+			defer pool.Close()
+			for rep := 0; rep < 4; rep++ {
+				c := tensor.NewMatrix(8+g, 530)
+				GemmPacked(pool, ParallelBlocked, false, 1, as[g], pb, 0, c)
+				if !bitsEqual64(c.Data, want[g].Data) {
+					errs <- fmt.Errorf("caller %d rep %d: shared handle gave a different answer", g, rep)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -14,6 +14,11 @@ var (
 	mGemmFlops   = metrics.Default().FloatCounter("kernels.gemm.flops")
 	mGemmSeconds = metrics.Default().Histogram("kernels.gemm.seconds", metrics.ExpBuckets(1e-6, 4, 12)...)
 
+	// mGemmPrepacked counts the Gemm calls that took op(B) from a pack-once
+	// handle (GemmPacked); they count in calls/flops/seconds and the path
+	// counters too.
+	mGemmPrepacked = metrics.Default().Counter("kernels.gemm.prepacked")
+
 	// Micro-kernel path taken per Gemm call: the assembly tiles, the
 	// pure-Go register-tile fallback, or no micro-kernel at all (the
 	// scalar levels, an empty product, alpha == 0). path.avx512 is a

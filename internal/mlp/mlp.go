@@ -72,6 +72,9 @@ type Model struct {
 
 	// inferOnly marks a forward-only model built by NewInference.
 	inferOnly bool
+	// packs holds the pack-once forms of the layer weights an inference
+	// model's GEMMs read; nil on a training model.
+	packs *blas.Packs
 
 	mem device.Owner // every buffer above
 }
@@ -111,6 +114,9 @@ func build(ctx *blas.Context, cfg Config, batch int, inferOnly bool, p *Params) 
 		return nil, fmt.Errorf("mlp: non-positive batch %d", batch)
 	}
 	m := &Model{Cfg: cfg, Ctx: ctx, Batch: batch, inferOnly: inferOnly, mem: device.Owner{Dev: ctx.Dev}}
+	if inferOnly {
+		m.packs = new(blas.Packs)
+	}
 	mem := &m.mem
 	L := cfg.Layers()
 	m.W, m.B = make([]*device.Buffer, L), make([]*device.Buffer, L)
@@ -159,8 +165,12 @@ func (m *Model) params() []*device.Buffer {
 	return bufs
 }
 
-// Upload transfers host parameters onto the device.
-func (m *Model) Upload(p *Params) { p.ParamSet().CopyIn(m.Ctx.Dev, m.params()) }
+// Upload transfers host parameters onto the device and drops the packed
+// weights of an inference model.
+func (m *Model) Upload(p *Params) {
+	p.ParamSet().CopyIn(m.Ctx.Dev, m.params())
+	m.packs.Reset()
+}
 
 // Download copies the device parameters back to the host.
 func (m *Model) Download() *Params {
@@ -195,29 +205,16 @@ func (m *Model) InitFromStack(res *stack.Result) error {
 			return fmt.Errorf("mlp: stack layer %d has no parameters", l)
 		}
 	}
+	m.packs.Reset()
 	return nil
 }
 
 // Forward runs the batched forward pass; act[L-1] holds the softmax
-// probabilities afterwards.
+// probabilities afterwards. It is Infer on a full batch, whose views are
+// the whole activation buffers.
 func (m *Model) Forward(x *device.Buffer) {
 	m.checkInput(x)
-	ctx := m.Ctx
-	in := x
-	L := m.Cfg.Layers()
-	for l := 0; l < L; l++ {
-		layerIn, layer := in, l
-		ctx.MaybeFused(func() {
-			ctx.Gemm(false, false, 1, layerIn, m.W[layer], 0, m.act[layer])
-			ctx.AddBiasRow(m.act[layer], m.B[layer])
-			if layer < L-1 {
-				ctx.Sigmoid(m.act[layer], m.act[layer])
-			} else {
-				ctx.SoftmaxRows(m.act[layer], m.act[layer])
-			}
-		})
-		in = m.act[l]
-	}
+	m.Infer(x)
 }
 
 // Infer runs the batched forward pass for 1..Batch examples (one per row
@@ -225,7 +222,8 @@ func (m *Model) Forward(x *device.Buffer) {
 // The returned buffer is owned by the model and overwritten by the next
 // call; CopyOut it (or read it) before inferring again. Unlike Forward it
 // accepts partial batches, computing on row views of the activation
-// workspace, and allocates nothing.
+// workspace. An inference model reads each layer's weights from their
+// pack-once form.
 func (m *Model) Infer(x *device.Buffer) *device.Buffer {
 	n := m.checkInfer(x)
 	ctx := m.Ctx
@@ -237,7 +235,7 @@ func (m *Model) Infer(x *device.Buffer) *device.Buffer {
 		out = m.act[l].Head(n)
 		act := out
 		ctx.MaybeFused(func() {
-			ctx.Gemm(false, false, 1, layerIn, m.W[layer], 0, act)
+			ctx.GemmPacked(false, false, 1, layerIn, m.W[layer], m.packs.B(m.W[layer], false), 0, act)
 			ctx.AddBiasRow(act, m.B[layer])
 			if layer < L-1 {
 				ctx.Sigmoid(act, act)

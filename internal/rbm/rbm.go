@@ -129,6 +129,9 @@ type Model struct {
 
 	// inferOnly marks a forward-only model built by NewInference.
 	inferOnly bool
+	// packs holds the pack-once forms of W an inference model's GEMMs
+	// read; nil on a training model.
+	packs *blas.Packs
 
 	mem device.Owner // every buffer above
 }
@@ -170,6 +173,9 @@ func build(ctx *blas.Context, cfg Config, batch int, inferOnly bool, p *Params) 
 		return nil, fmt.Errorf("rbm: non-positive batch size %d", batch)
 	}
 	m := &Model{Cfg: cfg, Ctx: ctx, Batch: batch, inferOnly: inferOnly, mem: device.Owner{Dev: ctx.Dev}}
+	if inferOnly {
+		m.packs = new(blas.Packs)
+	}
 	mem := &m.mem
 	v, h := cfg.Visible, cfg.Hidden
 	m.W, m.B, m.C = mem.Alloc(v, h), mem.Alloc(1, v), mem.Alloc(1, h)
@@ -206,8 +212,12 @@ func (m *Model) Free() { m.mem.Free() }
 // params lists the device parameters in Params.ParamSet order.
 func (m *Model) params() []*device.Buffer { return []*device.Buffer{m.W, m.B, m.C} }
 
-// Upload transfers host parameters to the device.
-func (m *Model) Upload(p *Params) { p.ParamSet().CopyIn(m.Ctx.Dev, m.params()) }
+// Upload transfers host parameters to the device and drops the packed
+// weights of an inference model.
+func (m *Model) Upload(p *Params) {
+	p.ParamSet().CopyIn(m.Ctx.Dev, m.params())
+	m.packs.Reset()
+}
 
 // Download copies the device parameters back to the host.
 func (m *Model) Download() *Params {
@@ -238,13 +248,14 @@ func (m *Model) RestoreState(r io.Reader) error {
 }
 
 // hiddenFrom computes dst = σ(v·W + c) (Eq. 9 / Eq. 15 in batched vector
-// form).
+// form). An inference model reads W from its pack-once form, here and in
+// visibleFrom.
 func (m *Model) hiddenFrom(dst, v *device.Buffer) {
 	ctx := m.Ctx
 	// One fused region per conditional at the Improved level: GEMM with
 	// bias and sigmoid epilogue (§IV.B.2 loop combining).
 	ctx.MaybeFused(func() {
-		ctx.Gemm(false, false, 1, v, m.W, 0, dst)
+		ctx.GemmPacked(false, false, 1, v, m.W, m.packs.B(m.W, false), 0, dst)
 		ctx.AddBiasRow(dst, m.C)
 		ctx.Sigmoid(dst, dst)
 	})
@@ -255,7 +266,7 @@ func (m *Model) hiddenFrom(dst, v *device.Buffer) {
 func (m *Model) visibleFrom(dst, h *device.Buffer) {
 	ctx := m.Ctx
 	ctx.MaybeFused(func() {
-		ctx.Gemm(false, true, 1, h, m.W, 0, dst)
+		ctx.GemmPacked(false, true, 1, h, m.W, m.packs.B(m.W, true), 0, dst)
 		ctx.AddBiasRow(dst, m.B)
 		if !m.Cfg.GaussianVisible {
 			ctx.Sigmoid(dst, dst)
