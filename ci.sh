@@ -58,8 +58,10 @@ go test -run TestClusterRecovery -count=2 ./internal/cluster/
 # Serving chaos gate: the fault-injected serving suite (transient storms,
 # permanent replica loss, fail-fast at zero workers) must hold under the
 # race detector, and twice in a row — the injected fault streams are
-# seeded, so outcomes and fault ledgers must replay identically.
-go test -race -run 'TestChaos' -count=2 ./internal/serve/
+# seeded, so outcomes and fault ledgers must replay identically. The
+# work-conserving batcher's tests (flush to an idle replica, flush when a
+# busy batch finishes) and the Close leak check ride along.
+go test -race -run 'TestChaos|TestIdleFlush|TestBusyQueueFlushesOnBatchDone|TestCloseLeavesNothing' -count=2 ./internal/serve/
 # Loading-thread determinism gate: the loader's FIFO/panic/join contract,
 # the trainer's exact feed ledger at ring depths 1-3, the fill-overlaps-step
 # proof and the trainer's failure paths must hold under the race detector

@@ -109,8 +109,8 @@ func runLoadgen(w io.Writer, srv *phideep.Server, opName string, clients int, du
 		pct(all, 99).Round(time.Microsecond), all[len(all)-1].Round(time.Microsecond))
 	fmt.Fprintf(w, "  overload: %d sheds, %d degrades (server-side admission counters)\n",
 		st.Sheds, st.Degrades)
-	fmt.Fprintf(w, "  batcher:  %d batches, avg size %.2f (%d full, %d deadline flushes)\n",
-		st.Batches, st.AvgBatchSize, st.FlushFull, st.FlushDeadline)
+	fmt.Fprintf(w, "  batcher:  %d batches, avg size %.2f (%d full, %d idle, %d deadline flushes)\n",
+		st.Batches, st.AvgBatchSize, st.FlushFull, st.FlushIdle, st.FlushDeadline)
 	fmt.Fprintf(w, "  health:   %s (%d/%d workers live), %d fault batches, %d retries, %d redispatches, %d restarts, %d retired\n",
 		st.Health, st.WorkersLive, st.WorkersConfigured,
 		st.FaultBatches, st.FaultRetries, st.Redispatches, st.Restarts, st.Retired)

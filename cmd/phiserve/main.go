@@ -140,7 +140,7 @@ func main() {
 	flag.IntVar(&o.workers, "workers", 2, "device-bound serving workers")
 	flag.IntVar(&o.pool, "pool-workers", 0, "Go pool size behind each device's parallel kernels (0 = run inline)")
 	flag.IntVar(&o.maxBatch, "max-batch", 16, "micro-batch coalescing limit")
-	flag.DurationVar(&o.maxWait, "max-wait", time.Millisecond, "micro-batch flush deadline")
+	flag.DurationVar(&o.maxWait, "max-wait", time.Millisecond, "micro-batch flush deadline while every replica is busy (with one idle, a batch flushes at once)")
 	flag.BoolVar(&o.adaptive, "adaptive", false, "enable the online batching controller (max-batch/max-wait become ceilings; adjustments visible as serve.tune.* metrics)")
 	flag.IntVar(&o.queue, "queue-depth", 0, "admission bound on queued requests (0 = 4x max-batch)")
 	flag.StringVar(&o.policy, "policy", "block", "full-queue policy: block | shed | degrade")

@@ -288,7 +288,7 @@ func TestStatusFor(t *testing.T) {
 }
 
 // TestDrainAndShutdown exercises the graceful exit end to end at the
-// httptest level: queued requests complete with correct answers, the
+// httptest level: admitted requests complete with correct answers, the
 // batcher reports draining, and post-drain calls are refused.
 func TestDrainAndShutdown(t *testing.T) {
 	cfg := phideep.AutoencoderConfig{Visible: 12, Hidden: 5, Seed: 7}
@@ -303,8 +303,10 @@ func TestDrainAndShutdown(t *testing.T) {
 	ts := httptest.NewServer(newMux(srv, time.Now()))
 	t.Cleanup(ts.Close)
 
-	// Two requests park in the queue: MaxBatch 4 never fills and the hour
-	// deadline never fires, so only the drain can flush them.
+	// Two requests are admitted. An idle replica takes each at once, so a
+	// request may be queued or already on a replica when the drain starts;
+	// either way the drain must wait for its answer. (serve's
+	// TestDrainGraceful holds the replicas busy to drain parked requests.)
 	x := make([]float64, 12)
 	for i := range x {
 		x[i] = 0.05 * float64(i)
@@ -320,7 +322,7 @@ func TestDrainAndShutdown(t *testing.T) {
 			replies <- reply{resp.StatusCode, got.Output}
 		}()
 	}
-	waitFor(t, func() bool { return srv.Stats().QueueDepth == 2 })
+	waitFor(t, func() bool { return srv.Stats().Requests == 2 })
 
 	var log bytes.Buffer
 	if err := drainAndShutdown(&log, srv, ts.Config, 5*time.Second); err != nil {

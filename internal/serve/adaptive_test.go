@@ -170,12 +170,13 @@ func runClosedLoop(t *testing.T, srv *Server, clients int, dur, warmup time.Dura
 }
 
 // TestAdaptiveErasesDeadlineCliff is the loadgen regression for the
-// EXPERIMENTS.md regime cliff: with client concurrency below MaxBatch a
-// static batcher parks every batch on the MaxWait timer (p99 ≈ the
-// deadline), while at concurrency == MaxBatch batches dispatch instantly.
-// The adaptive controller must erase the slow side of the cliff: its p99
-// under the misconfigured window must land within ~2× of the well-sized
-// static config (plus timer-granularity slack), not at the deadline.
+// EXPERIMENTS.md regime cliff: while every replica is busy and client
+// concurrency sits below MaxBatch, a static batcher parks every batch on
+// the MaxWait timer (p99 ≈ the deadline), while at concurrency == MaxBatch
+// batches dispatch instantly. The adaptive controller must erase the slow
+// side of the cliff: its p99 under the misconfigured window must land
+// within ~2× of the well-sized static config (plus timer-granularity
+// slack), not at the deadline.
 func TestAdaptiveErasesDeadlineCliff(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second closed-loop load test")
@@ -188,12 +189,15 @@ func TestAdaptiveErasesDeadlineCliff(t *testing.T) {
 		warmup   = 500 * time.Millisecond
 	)
 	cfg := aeTestConfig()
+	// Every server runs with its replicas held busy: with one idle, the
+	// batcher flushes at once and there is no cliff to erase.
 	build := func(c Config) *Server {
 		t.Helper()
 		srv, err := New(Autoencoder(cfg, autoencoder.NewParams(cfg, 1)), c)
 		if err != nil {
 			t.Fatal(err)
 		}
+		forceBusy(srv)
 		return srv
 	}
 

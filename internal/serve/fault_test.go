@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -98,6 +99,7 @@ type chaosRun struct {
 func runTransientChaos(t *testing.T, xs [][]float64) chaosRun {
 	t.Helper()
 	cfg := aeTestConfig()
+	goroutines := runtime.NumGoroutine()
 	srv, err := New(Autoencoder(cfg, autoencoder.NewParams(cfg, 1)), Config{
 		MaxBatch:    1,
 		MaxWait:     time.Hour,
@@ -107,6 +109,7 @@ func runTransientChaos(t *testing.T, xs [][]float64) chaosRun {
 	if err != nil {
 		t.Fatal(err)
 	}
+	release := forceBusy(srv)
 	run := chaosRun{}
 	for _, x := range xs {
 		out, err := srv.Encode(x)
@@ -114,7 +117,9 @@ func runTransientChaos(t *testing.T, xs [][]float64) chaosRun {
 		run.kinds = append(run.kinds, classifyOutcome(err))
 	}
 	run.stats = srv.Stats()
+	release()
 	srv.Close()
+	checkClosed(t, srv, goroutines)
 	return run
 }
 
@@ -214,6 +219,7 @@ func TestChaosPermanentDegraded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	forceBusy(srv)
 	// Worker 1 is the designated survivor: disarm its injector so only
 	// worker 0's seeded stream decides the lifecycle.
 	srv.workers[1].ctx.Dev.DisableFaults()
@@ -301,6 +307,7 @@ func TestChaosDownFailFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	forceBusy(srv)
 
 	var ferr *WorkerFaultError
 	faulted := false
@@ -351,6 +358,7 @@ func TestRequestDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	forceBusy(srv)
 	x := randExamples(1, mcfg.Visible, 9)[0]
 	if _, err := srv.Encode(x); !errors.Is(err, ErrDeadline) {
 		t.Fatalf("error %v, want ErrDeadline", err)
@@ -377,6 +385,7 @@ func TestContextCancelAndDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	forceBusy(srv)
 	x := randExamples(1, mcfg.Visible, 11)[0]
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -417,6 +426,7 @@ func TestInputCopiedAtAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	forceBusy(srv)
 
 	x1 := append([]float64(nil), xs[0]...)
 	var out1 []float64
@@ -458,6 +468,7 @@ func TestFlushTimerChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	forceBusy(srv)
 	xs := randExamples(2, mcfg.Visible, 17)
 
 	const rounds = 50
@@ -499,6 +510,7 @@ func TestDrainGraceful(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	forceBusy(srv)
 	xs := randExamples(2, mcfg.Visible, 19)
 
 	var wg sync.WaitGroup

@@ -118,9 +118,7 @@ func (s *Server) Drain(timeout time.Duration) error {
 	s.mu.Lock()
 	if !s.closed && !s.draining {
 		s.draining = true
-		for op := 0; op < numOps; op++ {
-			s.flushLocked(Op(op), false)
-		}
+		s.flushAllLocked()
 		s.notFull.Broadcast()
 		recordHealth(s.healthLocked())
 	}

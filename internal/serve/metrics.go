@@ -18,6 +18,12 @@ var (
 	mQueueDepth = metrics.Default().Gauge("serve.queue.depth")
 	mBatchSize  = metrics.Default().Histogram("serve.batch.size", metrics.LinearBuckets(1, 1, 64)...)
 	mLatency    = metrics.Default().Histogram("serve.latency.seconds", metrics.ExpBuckets(1e-6, 2, 24)...)
+	// Flushes by kind, indexed by flushKind.
+	mFlushes = [...]*metrics.Counter{
+		flushFull:     metrics.Default().Counter("serve.flush.full"),
+		flushIdle:     metrics.Default().Counter("serve.flush.idle"),
+		flushDeadline: metrics.Default().Counter("serve.flush.deadline"),
+	}
 
 	mTuneBatch  = metrics.Default().Gauge("serve.tune.batch")
 	mTuneWait   = metrics.Default().Gauge("serve.tune.wait.seconds")
@@ -33,13 +39,14 @@ var (
 	mHealth       = metrics.Default().Gauge("serve.health")
 )
 
-func recordBatch(size int) {
+func recordBatch(size int, kind flushKind) {
 	if !metrics.Enabled() {
 		return
 	}
 	mRequests.Add(int64(size))
 	mBatches.Inc()
 	mBatchSize.Observe(float64(size))
+	mFlushes[kind].Inc()
 }
 
 func recordShed() {
@@ -134,16 +141,15 @@ func recordHealth(h Health) {
 
 // counters is the server's always-on internal ledger backing Stats.
 type counters struct {
-	requests      atomic.Int64
-	batches       atomic.Int64
-	flushFull     atomic.Int64
-	flushDeadline atomic.Int64
-	sheds         atomic.Int64
-	degrades      atomic.Int64
-	completed     atomic.Int64
-	batchSizeSum  atomic.Int64
-	latencyNanos  atomic.Int64
-	adjustments   atomic.Int64
+	requests     atomic.Int64
+	batches      atomic.Int64
+	flushes      [len(mFlushes)]atomic.Int64 // by flushKind
+	sheds        atomic.Int64
+	degrades     atomic.Int64
+	completed    atomic.Int64
+	batchSizeSum atomic.Int64
+	latencyNanos atomic.Int64
+	adjustments  atomic.Int64
 
 	faultBatches     atomic.Int64
 	faultRetries     atomic.Int64
@@ -165,11 +171,14 @@ type BatcherStats struct {
 	// by a worker (degraded answers count in Degrades only).
 	Requests  int64
 	Completed int64
-	// Batches counts dispatched batches; FlushFull of them flushed at
-	// MaxBatch and FlushDeadline on the MaxWait timer (Close-time flushes
-	// count as deadline flushes).
+	// Batches counts dispatched batches. FlushFull of them flushed at
+	// MaxBatch, FlushIdle at once because a replica was idle, and
+	// FlushDeadline on the MaxWait timer while every replica was busy
+	// (flushes for Close, Drain, a bulk sweep's tail and Down count as
+	// deadline flushes).
 	Batches       int64
 	FlushFull     int64
+	FlushIdle     int64
 	FlushDeadline int64
 	// Sheds and Degrades count full-queue rejections and host-path
 	// fallbacks under the respective policies.
@@ -225,8 +234,9 @@ func (s *Server) Stats() BatcherStats {
 		Requests:      s.st.requests.Load(),
 		Completed:     s.st.completed.Load(),
 		Batches:       s.st.batches.Load(),
-		FlushFull:     s.st.flushFull.Load(),
-		FlushDeadline: s.st.flushDeadline.Load(),
+		FlushFull:     s.st.flushes[flushFull].Load(),
+		FlushIdle:     s.st.flushes[flushIdle].Load(),
+		FlushDeadline: s.st.flushes[flushDeadline].Load(),
 		Sheds:         s.st.sheds.Load(),
 		Degrades:      s.st.degrades.Load(),
 		Adaptive:      s.cfg.Adaptive,

@@ -6,16 +6,20 @@
 //
 // # Architecture
 //
-// Requests are coalesced by a dynamic micro-batcher: each operation has a
-// pending queue that flushes to a worker either when it reaches
-// Config.MaxBatch or when the oldest request has waited Config.MaxWait,
-// whichever comes first — the batching lever that CHAOS (Viebke et al.)
-// shows keeps many-core utilization high, applied to latency-bound
-// traffic. Flushed batches execute on a pool of device-bound workers,
-// each owning a private simulated device (device.Device is not safe for
-// concurrent use) with a forward-only model replica built by the model
-// packages' NewInference constructors, running the exact blas/kernels
-// forward path of training at any core OptLevel.
+// Requests are coalesced by a work-conserving micro-batcher: each
+// operation has a pending queue that flushes to the workers as soon as a
+// replica is idle. Only while every replica is busy does the queue wait,
+// and then it flushes when it reaches Config.MaxBatch, when a replica
+// finishes a batch, or when its oldest request has waited Config.MaxWait,
+// whichever comes first. Batches form from the requests that arrive
+// while the replicas work — the batching lever that CHAOS (Viebke et al.)
+// shows keeps many-core utilization high — and no request waits on a
+// timer while a replica sits idle. Flushed batches execute on a pool of
+// device-bound workers, each owning a private simulated device
+// (device.Device is not safe for concurrent use) with a forward-only model
+// replica built by the model packages' NewInference constructors, running
+// the exact blas/kernels forward path of training at any core OptLevel;
+// the replica packs its weights once, on the first batch that reads them.
 //
 // At Config.Precision F32 the workers skip the simulated device and run
 // the reduced-precision host path instead: one float32 weight snapshot is
@@ -204,11 +208,13 @@ type Config struct {
 	// cheap for small models).
 	PoolWorkers int
 	// MaxBatch is the coalescing limit: a pending queue flushes as soon
-	// as it holds this many requests. Default 16.
+	// as it holds this many requests. A queue flushes sooner, at any size,
+	// whenever a replica is idle. Default 16.
 	MaxBatch int
-	// MaxWait is the deadline lever: a pending queue flushes when its
-	// oldest request has waited this long, even if the batch is short.
-	// Default 1ms.
+	// MaxWait bounds the wait while every replica is busy: a pending queue
+	// flushes when its oldest request has waited this long, even if the
+	// batch is short and no replica has finished. With a replica idle no
+	// request waits at all. Default 1ms.
 	MaxWait time.Duration
 	// QueueDepth bounds the not-yet-dispatched requests across all
 	// operations; at the bound, Policy applies. Default 4×MaxBatch, and
@@ -220,10 +226,11 @@ type Config struct {
 	// size and deadline start at MaxBatch/MaxWait and are retuned from the
 	// live flush stream (flush-full vs flush-deadline ratio, queue depth,
 	// shed rate), erasing the latency cliff a static window hits when
-	// client concurrency sits below MaxBatch. MaxBatch stays a hard
-	// ceiling (worker staging buffers are sized to it) and MaxWait an
-	// upper bound. Adjustments are visible as serve.tune.* metrics and in
-	// BatcherStats.
+	// every replica is busy and client concurrency sits below MaxBatch.
+	// Idle flushes are not observed, so a server whose replicas keep up
+	// never retunes. MaxBatch stays a hard ceiling (worker staging buffers
+	// are sized to it) and MaxWait an upper bound. Adjustments are visible
+	// as serve.tune.* metrics and in BatcherStats.
 	Adaptive bool
 	// Precision is the numeric width of the worker forward path: F64 (the
 	// default) serves on the simulated device exactly as trained; F32
@@ -391,13 +398,20 @@ type Server struct {
 	// timers holds the armed flush timer per op so flushes stop it
 	// eagerly instead of letting stale generation-guarded timers fire
 	// into the lock; timersArmed counts live timers (tested by the churn
-	// suite to prove no pile-up).
+	// suite to prove no pile-up), and timerCalls tracks the same timers
+	// so Close can wait out a callback that already fired.
 	timers      [numOps]*time.Timer
 	timersArmed int
+	timerCalls  sync.WaitGroup
 	queued      int
-	// inflight counts admitted requests not yet settled by finishRequest;
-	// Drain waits on it reaching zero.
+	// inflight counts admitted requests whose batch has not finished; Drain
+	// waits on it reaching zero.
 	inflight int
+	// busy counts batches flushed to the workers and not yet finished. A
+	// batch finishes when it is answered, failed by its worker or failed
+	// by the supervisor; a re-dispatch does not finish it. busy < live
+	// means a replica is idle, so a pending queue flushes at once.
+	busy int
 	// live counts worker slots that have not retired; draining marks a
 	// Drain in progress. Both feed healthLocked.
 	live     int
@@ -554,9 +568,11 @@ func (s *Server) deadlineFor(ctx context.Context, enq time.Time) time.Time {
 // row with ErrOverloaded, Degrade answers it inline from the scalar host
 // reference, reading the row's float64 form from host (row i is
 // host[i·InputDim:]) with the lock released. A row that is not admitted is
-// settled here, so every row of reqs can be awaited alike. last says the
-// caller has no more rows coming: a short tail is flushed at once instead
-// of waiting out MaxWait.
+// settled here, so every row of reqs can be awaited alike. Whenever the
+// lock is released with a short queue pending, parkLocked flushes it to an
+// idle replica or arms the MaxWait timer. last says the caller has no more
+// rows coming: a short tail is flushed at once instead of waiting out
+// MaxWait.
 func (s *Server) admitRows(ctx context.Context, reqs []request, host []float64, deadline time.Time, last bool) {
 	op, dim := reqs[0].op, s.model.InputDim()
 	var waker *time.Timer
@@ -591,7 +607,7 @@ func (s *Server) admitRows(ctx context.Context, reqs []request, host []float64, 
 		case Degrade:
 			s.st.degrades.Add(1)
 			recordDegrade()
-			s.armTimerLocked(op)
+			s.parkLocked(op)
 			s.mu.Unlock()
 			reqs[i].settle(s.model.hostInfer(op, host[i*dim:(i+1)*dim]))
 			i++
@@ -603,14 +619,14 @@ func (s *Server) admitRows(ctx context.Context, reqs []request, host []float64, 
 			if stopCtx == nil && ctx.Done() != nil {
 				stopCtx = context.AfterFunc(ctx, s.notFull.Broadcast)
 			}
-			s.armTimerLocked(op)
+			s.parkLocked(op)
 			s.notFull.Wait()
 		}
 	}
 	if last {
-		s.flushLocked(op, false)
+		s.flushLocked(op, flushDeadline)
 	} else {
-		s.armTimerLocked(op)
+		s.parkLocked(op)
 	}
 	recordQueueDepth(s.queued)
 	s.mu.Unlock()
@@ -639,8 +655,8 @@ func (s *Server) refusalLocked(ctx context.Context, deadline time.Time) error {
 }
 
 // enqueueLocked admits r into its op's pending queue and flushes the queue
-// when it reaches the effective batch size. Caller holds s.mu and arms the
-// MaxWait timer before releasing it with a queue left pending.
+// when it reaches the effective batch size. Caller holds s.mu and runs
+// parkLocked before releasing it with a queue left pending.
 func (s *Server) enqueueLocked(r *request) {
 	s.queued++
 	s.inflight++
@@ -650,7 +666,7 @@ func (s *Server) enqueueLocked(r *request) {
 	}
 	s.pending[r.op] = append(s.pending[r.op], r)
 	if len(s.pending[r.op]) >= s.curBatch {
-		s.flushLocked(r.op, true)
+		s.flushLocked(r.op, flushFull)
 	}
 }
 
@@ -730,6 +746,32 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
+// flushKind says why a pending queue was handed to the workers.
+type flushKind int
+
+const (
+	// flushFull: the queue reached the effective batch size.
+	flushFull flushKind = iota
+	// flushIdle: a replica was idle, so waiting could only add latency.
+	flushIdle
+	// flushDeadline: the MaxWait timer fired while every replica was busy,
+	// or the server flushed for Close, Drain, a bulk tail or Down.
+	flushDeadline
+)
+
+// parkLocked runs before s.mu is released with op's queue pending, and
+// makes the batcher work-conserving: with a replica idle (busy < live) the
+// queue flushes now; only while every replica is busy does it wait for
+// more rows, until the MaxWait timer it arms fires or a batch finishes
+// (batchDone). Caller holds s.mu.
+func (s *Server) parkLocked(op Op) {
+	if len(s.pending[op]) > 0 && s.busy < s.live {
+		s.flushLocked(op, flushIdle)
+		return
+	}
+	s.armTimerLocked(op)
+}
+
 // armTimerLocked starts the MaxWait flush timer for op's pending queue
 // unless the queue is empty or already has one. Caller holds s.mu; a set
 // s.timers[op] is always the live timer of the queue's current generation,
@@ -740,20 +782,24 @@ func (s *Server) armTimerLocked(op Op) {
 	}
 	gen := s.timerGen[op]
 	s.timersArmed++
+	s.timerCalls.Add(1)
 	s.timers[op] = time.AfterFunc(s.curWait, func() { s.deadlineFlush(op, gen) })
 }
 
-// flushLocked hands the pending queue of op to the workers, stopping the
-// queue's armed flush timer. Caller holds s.mu. The batches channel has a
-// slot for every queued request plus re-dispatch headroom, so the send
-// cannot block while the lock is held.
-func (s *Server) flushLocked(op Op, full bool) {
+// flushLocked hands the pending queue of op to the workers as one busy
+// batch, stopping the queue's armed flush timer. Caller holds s.mu. The
+// batches channel has a slot for every queued request plus re-dispatch
+// headroom, so the send cannot block while the lock is held. The adaptive
+// tuner observes full and deadline flushes only: an idle flush says
+// nothing about whether the window fits the traffic.
+func (s *Server) flushLocked(op Op, kind flushKind) {
 	if t := s.timers[op]; t != nil {
 		if t.Stop() {
 			// Stopped before firing; a false return means the timer
 			// callback is already running and will settle the ledger
 			// itself in deadlineFlush.
 			s.timersArmed--
+			s.timerCalls.Done()
 		}
 		s.timers[op] = nil
 	}
@@ -763,17 +809,14 @@ func (s *Server) flushLocked(op Op, full bool) {
 	}
 	s.pending[op] = nil
 	s.timerGen[op]++
+	s.busy++
 	s.st.batches.Add(1)
 	s.st.batchSizeSum.Add(int64(len(batch)))
-	if full {
-		s.st.flushFull.Add(1)
-	} else {
-		s.st.flushDeadline.Add(1)
-	}
-	recordBatch(len(batch))
+	s.st.flushes[kind].Add(1)
+	recordBatch(len(batch), kind)
 	s.batches <- batch
-	if s.tuner != nil && !s.closed {
-		if s.tuner.observe(full, len(batch), s.queued, s.st.sheds.Load()) {
+	if s.tuner != nil && !s.closed && kind != flushIdle {
+		if s.tuner.observe(kind == flushFull, len(batch), s.queued, s.st.sheds.Load()) {
 			s.curBatch = s.tuner.batch
 			s.curWait = s.tuner.wait
 			s.st.adjustments.Add(1)
@@ -787,6 +830,7 @@ func (s *Server) flushLocked(op Op, full bool) {
 // waited MaxWait. gen detects queues already flushed for another reason
 // (the timer is stopped eagerly on flush, but Stop can race the firing).
 func (s *Server) deadlineFlush(op Op, gen uint64) {
+	defer s.timerCalls.Done()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.timersArmed--
@@ -794,13 +838,36 @@ func (s *Server) deadlineFlush(op Op, gen uint64) {
 		return
 	}
 	s.timers[op] = nil
-	s.flushLocked(op, false)
+	s.flushLocked(op, flushDeadline)
+}
+
+// batchDone finishes one batch of n requests, which a worker answered or
+// failed, or the supervisor failed: its requests leave the in-flight count
+// and its replica is free, so pending queues flush while replicas are idle.
+func (s *Server) batchDone(n int) {
+	s.mu.Lock()
+	s.inflight -= n
+	s.busy--
+	for op := range s.pending {
+		if s.busy >= s.live {
+			break
+		}
+		s.flushLocked(Op(op), flushIdle)
+	}
+	s.mu.Unlock()
+}
+
+// flushAllLocked flushes every pending queue; caller holds s.mu.
+func (s *Server) flushAllLocked() {
+	for op := range s.pending {
+		s.flushLocked(Op(op), flushDeadline)
+	}
 }
 
 // Close flushes the pending queues, waits for every in-flight batch to
 // complete, and releases the workers' devices. Blocked submitters are
-// woken with ErrClosed; no admitted request is dropped. Close is
-// idempotent.
+// woken with ErrClosed; no admitted request is dropped. When Close
+// returns no server goroutine or flush timer is left. Close is idempotent.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -808,13 +875,12 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
-	for op := 0; op < numOps; op++ {
-		s.flushLocked(Op(op), false)
-	}
+	s.flushAllLocked()
 	s.notFull.Broadcast()
 	h := s.healthLocked()
 	s.mu.Unlock()
 	recordHealth(h)
 	close(s.batches)
 	s.wg.Wait()
+	s.timerCalls.Wait()
 }

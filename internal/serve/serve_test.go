@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -44,9 +45,42 @@ func closeRel(a, b, tol float64) bool {
 	return d <= tol*math.Max(scale, 1)
 }
 
-// TestFlushOnFull pins the max-batch trigger: with an effectively infinite
-// deadline, exactly MaxBatch concurrent requests must coalesce into one
-// full flush.
+// forceBusy makes every replica look busy (white-box) and returns a
+// release func: it adds live phantom batches that never finish to the busy
+// count, so requests park in the pending queue until it fills or the
+// MaxWait timer fires — the batcher as it was before it flushed to idle
+// replicas.
+func forceBusy(s *Server) (release func()) {
+	s.mu.Lock()
+	n := s.live
+	s.busy += n
+	s.mu.Unlock()
+	return func() {
+		s.mu.Lock()
+		s.busy -= n
+		s.mu.Unlock()
+	}
+}
+
+// checkClosed asserts what Close leaves behind: no busy batch, no
+// in-flight request, no armed flush timer, and no goroutine beyond the
+// count before the server was built.
+func checkClosed(t *testing.T, s *Server, goroutines int) {
+	t.Helper()
+	s.mu.Lock()
+	busy, inflight, armed := s.busy, s.inflight, s.timersArmed
+	s.mu.Unlock()
+	if busy != 0 || inflight != 0 || armed != 0 {
+		t.Fatalf("after Close: %d busy batches, %d in-flight requests, %d armed timers; want 0", busy, inflight, armed)
+	}
+	if n := settledGoroutines(goroutines); n > goroutines {
+		t.Fatalf("after Close: %d goroutines, %d before the server was built", n, goroutines)
+	}
+}
+
+// TestFlushOnFull pins the max-batch trigger: with every replica busy and
+// an effectively infinite deadline, exactly MaxBatch concurrent requests
+// must coalesce into one full flush.
 func TestFlushOnFull(t *testing.T) {
 	cfg := aeTestConfig()
 	srv, err := New(Autoencoder(cfg, autoencoder.NewParams(cfg, 1)), Config{
@@ -57,6 +91,7 @@ func TestFlushOnFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	forceBusy(srv)
 
 	xs := randExamples(4, cfg.Visible, 2)
 	var wg sync.WaitGroup
@@ -83,8 +118,8 @@ func TestFlushOnFull(t *testing.T) {
 	}
 }
 
-// TestFlushOnDeadline pins the max-wait trigger: a partial batch must
-// flush on the deadline, never reaching MaxBatch.
+// TestFlushOnDeadline pins the max-wait trigger: with every replica busy,
+// a partial batch must flush on the deadline, never reaching MaxBatch.
 func TestFlushOnDeadline(t *testing.T) {
 	cfg := aeTestConfig()
 	srv, err := New(Autoencoder(cfg, autoencoder.NewParams(cfg, 1)), Config{
@@ -95,6 +130,7 @@ func TestFlushOnDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	forceBusy(srv)
 
 	xs := randExamples(3, cfg.Visible, 3)
 	var wg sync.WaitGroup
@@ -119,6 +155,145 @@ func TestFlushOnDeadline(t *testing.T) {
 	if st.Completed != 3 {
 		t.Fatalf("completed %d, want 3", st.Completed)
 	}
+}
+
+// TestIdleFlush pins the work-conserving rule: with a replica idle, a lone
+// request flushes at once as an idle flush instead of waiting out an
+// hour-long MaxWait.
+func TestIdleFlush(t *testing.T) {
+	cfg := aeTestConfig()
+	srv, err := New(Autoencoder(cfg, autoencoder.NewParams(cfg, 1)), Config{
+		MaxBatch: 16,
+		MaxWait:  time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := srv.Encode(randExamples(1, cfg.Visible, 7)[0])
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a request to an idle replica waited for MaxWait")
+	}
+	if st := srv.Stats(); st.Batches != 1 || st.FlushIdle != 1 || st.FlushFull != 0 || st.FlushDeadline != 0 {
+		t.Fatalf("want one idle flush, got %+v", st)
+	}
+}
+
+// gateReplica blocks worker slot's next forward pass inside its first
+// kernel launch: entered closes once the batch is on the device, and the
+// pass continues when the returned open func is first called.
+func gateReplica(s *Server, slot int) (entered <-chan struct{}, open func()) {
+	in, gate := make(chan struct{}), make(chan struct{})
+	var held, opened sync.Once
+	s.workers[slot].ctx.Dev.Observe = func(sim.Op) {
+		held.Do(func() {
+			close(in)
+			<-gate
+		})
+	}
+	return in, func() { opened.Do(func() { close(gate) }) }
+}
+
+// TestBusyQueueFlushesOnBatchDone: while every replica is busy a request
+// parks, and it flushes the moment a batch finishes — long before an
+// hour-long MaxWait.
+func TestBusyQueueFlushesOnBatchDone(t *testing.T) {
+	cfg := aeTestConfig()
+	srv, err := New(Autoencoder(cfg, autoencoder.NewParams(cfg, 1)), Config{
+		MaxBatch: 16,
+		MaxWait:  time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	entered, open := gateReplica(srv, 0)
+	defer open() // before Close, which waits for the held batch
+
+	xs := randExamples(2, cfg.Visible, 8)
+	done := make(chan error, 2)
+	encode := func(x []float64) {
+		_, err := srv.Encode(x)
+		done <- err
+	}
+	go encode(xs[0])
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the first request never reached the idle replica")
+	}
+	go encode(xs[1])
+	for srv.Stats().QueueDepth == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("a request returned while the only replica was held: %v", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	open()
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("the parked request did not flush when the busy batch finished")
+		}
+	}
+	if st := srv.Stats(); st.Batches != 2 || st.FlushIdle != 2 || st.FlushDeadline != 0 {
+		t.Fatalf("want two idle flushes, got %+v", st)
+	}
+}
+
+// TestCloseLeavesNothing: after Close — with requests of two ops in
+// flight and parked across two pooled replicas — no server goroutine,
+// busy batch, in-flight request or armed timer remains.
+func TestCloseLeavesNothing(t *testing.T) {
+	cfg := aeTestConfig()
+	goroutines := runtime.NumGoroutine()
+	srv, err := New(Autoencoder(cfg, autoencoder.NewParams(cfg, 1)), Config{
+		Workers:     2,
+		PoolWorkers: 2,
+		MaxBatch:    4,
+		MaxWait:     time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for c, x := range randExamples(12, cfg.Visible, 9) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			if c%2 == 0 {
+				_, err = srv.Encode(x)
+			} else {
+				_, err = srv.Reconstruct(x)
+			}
+			if err != nil && !errors.Is(err, ErrClosed) {
+				t.Errorf("request %d: %v", c, err)
+			}
+		}()
+	}
+	for srv.Stats().Requests < 4 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	srv.Close()
+	wg.Wait()
+	checkClosed(t, srv, goroutines)
 }
 
 // forceFull artificially saturates the admission queue (white-box) and
@@ -149,6 +324,7 @@ func TestShedOverload(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	forceBusy(srv)
 
 	// Admit two requests; they sit pending until the deadline flush.
 	xs := randExamples(3, cfg.Visible, 4)
@@ -492,6 +668,7 @@ func TestClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	forceBusy(srv)
 	x := randExamples(1, cfg.Visible, 61)[0]
 	done := make(chan error, 1)
 	go func() {

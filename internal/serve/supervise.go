@@ -110,9 +110,7 @@ func (w *worker) retire(cause error) {
 	s.live--
 	s.st.retired.Add(1)
 	if s.live == 0 {
-		for op := 0; op < numOps; op++ {
-			s.flushLocked(Op(op), false)
-		}
+		s.flushAllLocked()
 	}
 	s.notFull.Broadcast()
 	h := s.healthLocked()
@@ -126,19 +124,21 @@ func (w *worker) faultError(cause error) error {
 	return &WorkerFaultError{Worker: w.slot, Restarts: w.restarts, Cause: cause}
 }
 
-// failBatch completes every request of batch with err.
+// failBatch completes every request of batch with err and finishes the
+// batch.
 func (s *Server) failBatch(batch []*request, err error) {
 	now := time.Now()
 	for _, r := range batch {
 		s.finishRequest(r, nil, err, now)
 	}
+	s.batchDone(len(batch))
 }
 
 // finishRequest completes one admitted request exactly once. The CAS
 // against the request's state decides the race with an abandoning caller
 // (deadline/ctx expiry): the winner's outcome stands, a losing worker
-// result is discarded safely, and the in-flight ledger that Drain watches
-// is settled either way.
+// result is discarded safely. The in-flight ledger that Drain watches is
+// settled when the request's batch finishes (batchDone).
 func (s *Server) finishRequest(r *request, out []float64, err error, now time.Time) {
 	if r.state.CompareAndSwap(reqPending, reqDone) {
 		r.out, r.err = out, err
@@ -151,7 +151,4 @@ func (s *Server) finishRequest(r *request, out []float64, err error, now time.Ti
 		recordDiscarded()
 	}
 	r.finish()
-	s.mu.Lock()
-	s.inflight--
-	s.mu.Unlock()
 }

@@ -64,6 +64,11 @@ type worker struct {
 	x       *device.Buffer
 	stage   *tensor.Matrix
 	stage32 *tensor.Matrix32
+	// result is the host buffer device outputs copy into: MaxBatch rows of
+	// the widest output the model answers with. resultView is the n×cols
+	// matrix over its head that one batch uses.
+	result     []float64
+	resultView tensor.Matrix
 }
 
 // newWorker builds worker i's first incarnation.
@@ -135,6 +140,11 @@ func (w *worker) build() error {
 		return err
 	}
 	w.stage = tensor.NewMatrix(cfg.MaxBatch, m.InputDim())
+	width := 0
+	for _, op := range m.Ops() {
+		width = max(width, m.OutputDim(op))
+	}
+	w.result = make([]float64, cfg.MaxBatch*width)
 	if cfg.Faults.Rate > 0 {
 		if err := dev.EnableFaults(workerFaultConfig(cfg.Faults, w.slot, w.restarts)); err != nil {
 			w.free()
@@ -169,7 +179,9 @@ func (w *worker) loop() {
 			if !w.handleFault(batch, err) {
 				return
 			}
+			continue
 		}
+		w.s.batchDone(len(batch))
 	}
 }
 
@@ -232,7 +244,8 @@ func (w *worker) run(batch []*request) error {
 		out = w.ml.Infer(xv)
 	}
 
-	res := tensor.NewMatrix(n, out.Cols)
+	w.resultView = tensor.Matrix{Rows: n, Cols: out.Cols, Stride: out.Cols, Data: w.result[:n*out.Cols]}
+	res := &w.resultView
 	if err := w.retryTransfer(func() error {
 		_, err := dev.TryCopyOut(out, res)
 		return err
