@@ -114,10 +114,6 @@ func runLoadgen(w io.Writer, srv *phideep.Server, opName string, clients int, du
 	fmt.Fprintf(w, "  health:   %s (%d/%d workers live), %d fault batches, %d retries, %d redispatches, %d restarts, %d retired\n",
 		st.Health, st.WorkersLive, st.WorkersConfigured,
 		st.FaultBatches, st.FaultRetries, st.Redispatches, st.Restarts, st.Retired)
-	if st.Adaptive {
-		fmt.Fprintf(w, "  adaptive: %d adjustments, effective batch<=%d wait<=%v\n",
-			st.Adjustments, st.CurMaxBatch, st.CurMaxWait)
-	}
 	return nil
 }
 

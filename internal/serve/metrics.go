@@ -25,10 +25,6 @@ var (
 		flushDeadline: metrics.Default().Counter("serve.flush.deadline"),
 	}
 
-	mTuneBatch  = metrics.Default().Gauge("serve.tune.batch")
-	mTuneWait   = metrics.Default().Gauge("serve.tune.wait.seconds")
-	mTuneAdjust = metrics.Default().Counter("serve.tune.adjustments")
-
 	mFaultBatches = metrics.Default().Counter("serve.fault.batches")
 	mFaultRetries = metrics.Default().Counter("serve.fault.retries")
 	mRedispatches = metrics.Default().Counter("serve.fault.redispatches")
@@ -70,22 +66,6 @@ func recordQueueDepth(depth int) {
 func recordLatency(d time.Duration) {
 	if metrics.Enabled() {
 		mLatency.Observe(d.Seconds())
-	}
-}
-
-// recordTune publishes the adaptive controller's effective knobs. Called
-// once at startup (so the gauges exist even before the first adjustment)
-// and on every change.
-func recordTune(batch int, wait time.Duration) {
-	if metrics.Enabled() {
-		mTuneBatch.Set(float64(batch))
-		mTuneWait.Set(wait.Seconds())
-	}
-}
-
-func recordTuneAdjust() {
-	if metrics.Enabled() {
-		mTuneAdjust.Inc()
 	}
 }
 
@@ -149,7 +129,6 @@ type counters struct {
 	completed    atomic.Int64
 	batchSizeSum atomic.Int64
 	latencyNanos atomic.Int64
-	adjustments  atomic.Int64
 
 	faultBatches     atomic.Int64
 	faultRetries     atomic.Int64
@@ -193,14 +172,6 @@ type BatcherStats struct {
 	// completed requests. Percentiles belong to the caller: the phiserve
 	// load generator computes p50/p99 from its own samples.
 	MeanLatencySeconds float64
-	// Adaptive reports whether the online batching controller is on;
-	// CurMaxBatch and CurMaxWait are its current effective knobs (equal to
-	// the configured MaxBatch/MaxWait when static or untouched), and
-	// Adjustments counts the knob changes it has applied.
-	Adaptive    bool
-	CurMaxBatch int
-	CurMaxWait  time.Duration
-	Adjustments int64
 	// Health is the availability state machine position ("healthy",
 	// "degraded", "draining", "down"); WorkersLive of WorkersConfigured
 	// worker slots have not retired.
@@ -239,8 +210,6 @@ func (s *Server) Stats() BatcherStats {
 		FlushDeadline: s.st.flushes[flushDeadline].Load(),
 		Sheds:         s.st.sheds.Load(),
 		Degrades:      s.st.degrades.Load(),
-		Adaptive:      s.cfg.Adaptive,
-		Adjustments:   s.st.adjustments.Load(),
 
 		WorkersConfigured: s.cfg.Workers,
 		FaultBatches:      s.st.faultBatches.Load(),
@@ -253,8 +222,6 @@ func (s *Server) Stats() BatcherStats {
 	}
 	s.mu.Lock()
 	st.QueueDepth = s.queued
-	st.CurMaxBatch = s.curBatch
-	st.CurMaxWait = s.curWait
 	st.WorkersLive = s.live
 	st.Health = s.healthLocked().String()
 	s.mu.Unlock()

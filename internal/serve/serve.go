@@ -222,16 +222,6 @@ type Config struct {
 	QueueDepth int
 	// Policy is the full-queue behavior (Block by default).
 	Policy Policy
-	// Adaptive enables the online batching controller: the effective flush
-	// size and deadline start at MaxBatch/MaxWait and are retuned from the
-	// live flush stream (flush-full vs flush-deadline ratio, queue depth,
-	// shed rate), erasing the latency cliff a static window hits when
-	// every replica is busy and client concurrency sits below MaxBatch.
-	// Idle flushes are not observed, so a server whose replicas keep up
-	// never retunes. MaxBatch stays a hard ceiling (worker staging buffers
-	// are sized to it) and MaxWait an upper bound. Adjustments are visible
-	// as serve.tune.* metrics and in BatcherStats.
-	Adaptive bool
 	// Precision is the numeric width of the worker forward path: F64 (the
 	// default) serves on the simulated device exactly as trained; F32
 	// serves from float32 weight snapshots on the packed f32 host kernels,
@@ -418,13 +408,6 @@ type Server struct {
 	draining bool
 	closed   bool
 
-	// curBatch/curWait are the effective batching knobs, equal to
-	// cfg.MaxBatch/cfg.MaxWait unless the adaptive controller moved them.
-	// Guarded by mu, like the tuner itself.
-	curBatch int
-	curWait  time.Duration
-	tuner    *autotuner
-
 	batches chan []*request
 	workers []*worker
 	wg      sync.WaitGroup
@@ -455,16 +438,10 @@ func New(m *Model, cfg Config) (*Server, error) {
 		// most queued (≤ QueueDepth) batches, and each worker can have at
 		// most one re-dispatched batch in flight, so sends under s.mu
 		// never block.
-		batches:  make(chan []*request, cfg.QueueDepth+cfg.Workers),
-		curBatch: cfg.MaxBatch,
-		curWait:  cfg.MaxWait,
-		live:     cfg.Workers,
+		batches: make(chan []*request, cfg.QueueDepth+cfg.Workers),
+		live:    cfg.Workers,
 	}
 	s.notFull = sync.NewCond(&s.mu)
-	if cfg.Adaptive {
-		s.tuner = newAutotuner(cfg.MaxBatch, cfg.MaxWait)
-		recordTune(s.curBatch, s.curWait)
-	}
 	for i := 0; i < cfg.Workers; i++ {
 		w, err := newWorker(s, i)
 		if err != nil {
@@ -561,7 +538,7 @@ func (s *Server) deadlineFor(ctx context.Context, enq time.Time) time.Time {
 // admitRows is the admission path: it takes reqs — a run of requests for
 // one op with their inputs already staged — through the pending queue under
 // one acquisition of s.mu, flushing a batch to the workers each time the
-// queue reaches the effective batch size. The admission policy applies per
+// queue reaches MaxBatch. The admission policy applies per
 // row at a full queue: Block waits for space (woken by queue space, Close,
 // Drain, the last worker retiring, ctx cancellation or the deadline — the
 // latter two via one-shot broadcasts armed on first wait), Shed rejects the
@@ -655,17 +632,17 @@ func (s *Server) refusalLocked(ctx context.Context, deadline time.Time) error {
 }
 
 // enqueueLocked admits r into its op's pending queue and flushes the queue
-// when it reaches the effective batch size. Caller holds s.mu and runs
+// when it reaches MaxBatch. Caller holds s.mu and runs
 // parkLocked before releasing it with a queue left pending.
 func (s *Server) enqueueLocked(r *request) {
 	s.queued++
 	s.inflight++
 	s.st.requests.Add(1)
 	if s.pending[r.op] == nil {
-		s.pending[r.op] = make([]*request, 0, s.curBatch)
+		s.pending[r.op] = make([]*request, 0, s.cfg.MaxBatch)
 	}
 	s.pending[r.op] = append(s.pending[r.op], r)
-	if len(s.pending[r.op]) >= s.curBatch {
+	if len(s.pending[r.op]) >= s.cfg.MaxBatch {
 		s.flushLocked(r.op, flushFull)
 	}
 }
@@ -750,7 +727,7 @@ func ctxErr(ctx context.Context) error {
 type flushKind int
 
 const (
-	// flushFull: the queue reached the effective batch size.
+	// flushFull: the queue reached MaxBatch.
 	flushFull flushKind = iota
 	// flushIdle: a replica was idle, so waiting could only add latency.
 	flushIdle
@@ -783,15 +760,13 @@ func (s *Server) armTimerLocked(op Op) {
 	gen := s.timerGen[op]
 	s.timersArmed++
 	s.timerCalls.Add(1)
-	s.timers[op] = time.AfterFunc(s.curWait, func() { s.deadlineFlush(op, gen) })
+	s.timers[op] = time.AfterFunc(s.cfg.MaxWait, func() { s.deadlineFlush(op, gen) })
 }
 
 // flushLocked hands the pending queue of op to the workers as one busy
 // batch, stopping the queue's armed flush timer. Caller holds s.mu. The
 // batches channel has a slot for every queued request plus re-dispatch
-// headroom, so the send cannot block while the lock is held. The adaptive
-// tuner observes full and deadline flushes only: an idle flush says
-// nothing about whether the window fits the traffic.
+// headroom, so the send cannot block while the lock is held.
 func (s *Server) flushLocked(op Op, kind flushKind) {
 	if t := s.timers[op]; t != nil {
 		if t.Stop() {
@@ -815,15 +790,6 @@ func (s *Server) flushLocked(op Op, kind flushKind) {
 	s.st.flushes[kind].Add(1)
 	recordBatch(len(batch), kind)
 	s.batches <- batch
-	if s.tuner != nil && !s.closed && kind != flushIdle {
-		if s.tuner.observe(kind == flushFull, len(batch), s.queued, s.st.sheds.Load()) {
-			s.curBatch = s.tuner.batch
-			s.curWait = s.tuner.wait
-			s.st.adjustments.Add(1)
-			recordTune(s.curBatch, s.curWait)
-			recordTuneAdjust()
-		}
-	}
 }
 
 // deadlineFlush fires when the oldest request of a pending queue has
