@@ -287,19 +287,21 @@ func run(modelKind, dataKind string, side, visible, hidden int, sizesFlag string
 	case "ae", "rbm":
 		var model phideep.Trainable
 		if modelKind == "ae" {
-			m, err := phideep.NewAutoencoder(ctx, phideep.AutoencoderConfig{
+			m, err := phideep.BuildAutoencoder(ctx, phideep.AutoencoderConfig{
 				Visible: visible, Hidden: hidden, Lambda: lambda, Beta: beta, Rho: rho,
 				Momentum: opts.momentum, Corruption: opts.corruption, Tied: opts.tied,
-			}, batch, seed)
+				Batch: batch, Seed: seed,
+			})
 			if err != nil {
 				return err
 			}
 			model = m
 		} else {
-			m, err := phideep.NewRBM(ctx, phideep.RBMConfig{
+			m, err := phideep.BuildRBM(ctx, phideep.RBMConfig{
 				Visible: visible, Hidden: hidden, SampleHidden: true,
 				GaussianVisible: opts.gaussian, Momentum: opts.momentum,
-			}, batch, seed)
+				Batch: batch, Seed: seed,
+			})
 			if err != nil {
 				return err
 			}

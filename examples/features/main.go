@@ -32,6 +32,7 @@ func main() {
 	cfg := phideep.AutoencoderConfig{
 		Visible: visible, Hidden: hidden,
 		Lambda: 1e-4, Beta: 3, Rho: 0.05,
+		Batch: batch, Seed: 3,
 	}
 	patches := phideep.NewNaturalPatches(patchSide, examples, 31)
 
@@ -39,7 +40,7 @@ func main() {
 	mach := phideep.NewMachine(phideep.XeonPhi5110P(), phideep.WithNumeric())
 	defer mach.Close()
 	ctx := phideep.NewContext(mach.Dev, phideep.Improved, 0, 17)
-	ae, err := phideep.NewAutoencoder(ctx, cfg, batch, 3)
+	ae, err := phideep.BuildAutoencoder(ctx, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -63,6 +63,8 @@ func main() {
 		Sizes:    []int{dim, hidden1, hidden2, classes},
 		Lambda:   1e-4,
 		Momentum: 0.9,
+		Batch:    batch,
+		Seed:     2,
 	}
 
 	// 2./3. Fine-tune from the pre-trained stack and from scratch.
@@ -99,7 +101,7 @@ func finetune(mach *phideep.Machine, cfg phideep.MLPConfig, pre *phideep.StackRe
 	trainX, trainY, testX, testY *phideep.Matrix) float64 {
 
 	ctx := phideep.NewContext(mach.Dev, phideep.Improved, 0, 55)
-	m, err := phideep.NewMLP(ctx, cfg, batch, 2)
+	m, err := phideep.BuildMLP(ctx, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -24,13 +24,15 @@ func main() {
 
 	// 16×16 digit images, 8000 examples; a 256→64 sparse autoencoder.
 	const side, examples, batch = 16, 8000, 100
-	ae, err := phideep.NewAutoencoder(ctx, phideep.AutoencoderConfig{
+	ae, err := phideep.BuildAutoencoder(ctx, phideep.AutoencoderConfig{
 		Visible: side * side,
 		Hidden:  64,
 		Lambda:  1e-4, // L2 weight decay (Eq. 4)
 		Beta:    0.5,  // sparsity penalty weight (Eq. 5)
 		Rho:     0.05, // target mean activation
-	}, batch, 1)
+		Batch:   batch,
+		Seed:    1,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,9 +67,10 @@ func main() {
 	for i, lvl := range []phideep.OptLevel{phideep.Improved, phideep.Baseline} {
 		m2 := phideep.NewMachine(phideep.XeonPhi5110P())
 		ctx2 := phideep.NewContext(m2.Dev, lvl, 0, 42)
-		big, err := phideep.NewAutoencoder(ctx2, phideep.AutoencoderConfig{
+		big, err := phideep.BuildAutoencoder(ctx2, phideep.AutoencoderConfig{
 			Visible: 1024, Hidden: 4096, Lambda: 1e-4, Beta: 0.1, Rho: 0.05,
-		}, 1000, 1)
+			Batch: 1000, Seed: 1,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -112,17 +112,6 @@ type Model struct {
 	mem device.Owner // every buffer above
 }
 
-// New allocates a model for the given batch size on ctx's device and
-// initializes its weights from the reference initializer with the given
-// seed (uploaded over PCIe once).
-//
-// Deprecated: use Build with Config.Batch and Config.Seed set.
-func New(ctx *blas.Context, cfg Config, batch int, seed uint64) (*Model, error) {
-	cfg.Batch = batch
-	cfg.Seed = seed
-	return Build(ctx, cfg)
-}
-
 // Build allocates a model for cfg.Batch examples on ctx's device and
 // initializes its weights from the reference initializer with cfg.Seed
 // (uploaded over PCIe once).

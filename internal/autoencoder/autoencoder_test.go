@@ -72,6 +72,7 @@ func TestReferenceGradientMatchesFiniteDifferences(t *testing.T) {
 func TestDeviceMatchesReference(t *testing.T) {
 	cfg := testConfig()
 	batch := 6
+	cfg.Batch, cfg.Seed = batch, 5
 	x := randBatch(rng.New(9), batch, cfg.Visible)
 	p := NewParams(cfg, 5)
 	refGrad := ZeroGrad(cfg)
@@ -85,7 +86,7 @@ func TestDeviceMatchesReference(t *testing.T) {
 			ctx := blas.NewContext(dev, lvl, 1)
 			ctx.AutoFuse = fuse
 			ctx.AutoConcurrent = fuse
-			m, err := New(ctx, cfg, batch, 5)
+			m, err := Build(ctx, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,10 +131,10 @@ func lowRankBatch(r *rng.RNG, n, dim int) *tensor.Matrix {
 }
 
 func TestStepReducesReconstruction(t *testing.T) {
-	cfg := Config{Visible: 16, Hidden: 8, Lambda: 1e-5}
+	cfg := Config{Visible: 16, Hidden: 8, Lambda: 1e-5, Batch: 20, Seed: 11}
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 2)
-	m, err := New(ctx, cfg, 20, 11)
+	m, err := Build(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,10 +152,10 @@ func TestStepReducesReconstruction(t *testing.T) {
 }
 
 func TestSparsityPenaltyDrivesActivationsTowardRho(t *testing.T) {
-	cfg := Config{Visible: 12, Hidden: 6, Beta: 3, Rho: 0.05}
+	cfg := Config{Visible: 12, Hidden: 6, Beta: 3, Rho: 0.05, Batch: 16, Seed: 13}
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 3)
-	m, err := New(ctx, cfg, 16, 13)
+	m, err := Build(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,8 @@ func TestUploadDownloadRoundTrip(t *testing.T) {
 	cfg := testConfig()
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.Naive, 4)
-	m, err := New(ctx, cfg, 3, 17)
+	cfg.Batch, cfg.Seed = 3, 17
+	m, err := Build(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,10 +207,10 @@ func TestConfigValidation(t *testing.T) {
 	}
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.Naive, 1)
-	if _, err := New(ctx, Config{Visible: 2, Hidden: 2}, 0, 1); err == nil {
+	if _, err := Build(ctx, Config{Visible: 2, Hidden: 2, Batch: 0, Seed: 1}); err == nil {
 		t.Error("zero batch should fail")
 	}
-	if _, err := New(ctx, Config{Visible: -2, Hidden: 2}, 4, 1); err == nil {
+	if _, err := Build(ctx, Config{Visible: -2, Hidden: 2, Batch: 4, Seed: 1}); err == nil {
 		t.Error("invalid config should fail")
 	}
 }
@@ -218,7 +220,7 @@ func TestOutOfMemoryIsReported(t *testing.T) {
 	arch.GlobalMemBytes = 1024 // absurdly small device
 	dev := device.New(arch, false, nil)
 	ctx := blas.NewContext(dev, kernels.Naive, 1)
-	if _, err := New(ctx, Config{Visible: 64, Hidden: 64}, 8, 1); err == nil {
+	if _, err := Build(ctx, Config{Visible: 64, Hidden: 64, Batch: 8, Seed: 1}); err == nil {
 		t.Fatal("expected out-of-memory error")
 	}
 }
@@ -226,7 +228,7 @@ func TestOutOfMemoryIsReported(t *testing.T) {
 func TestModelOnlyTrainingChargesTime(t *testing.T) {
 	dev := device.New(sim.XeonPhi5110P(), false, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 21)
-	m, err := New(ctx, Config{Visible: 1024, Hidden: 4096, Beta: 0.1, Rho: 0.05}, 1000, 1)
+	m, err := Build(ctx, Config{Visible: 1024, Hidden: 4096, Beta: 0.1, Rho: 0.05, Batch: 1000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +248,9 @@ func TestModelOnlyTrainingChargesTime(t *testing.T) {
 func TestFreeReleasesAllBuffers(t *testing.T) {
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.Naive, 1)
-	m, err := New(ctx, testConfig(), 4, 1)
+	cfg := testConfig()
+	cfg.Batch, cfg.Seed = 4, 1
+	m, err := Build(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,8 +263,10 @@ func TestFreeReleasesAllBuffers(t *testing.T) {
 func TestBatchMismatchPanics(t *testing.T) {
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.Naive, 1)
-	m, _ := New(ctx, testConfig(), 4, 1)
-	dx := dev.MustAlloc(3, testConfig().Visible)
+	cfg := testConfig()
+	cfg.Batch, cfg.Seed = 4, 1
+	m, _ := Build(ctx, cfg)
+	dx := dev.MustAlloc(3, cfg.Visible)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -272,8 +278,10 @@ func TestBatchMismatchPanics(t *testing.T) {
 func TestTrainableInterface(t *testing.T) {
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.Naive, 1)
-	m, _ := New(ctx, testConfig(), 4, 1)
-	if m.BatchSize() != 4 || m.InputDim() != testConfig().Visible {
+	cfg := testConfig()
+	cfg.Batch, cfg.Seed = 4, 1
+	m, _ := Build(ctx, cfg)
+	if m.BatchSize() != 4 || m.InputDim() != cfg.Visible {
 		t.Fatal("Trainable accessors wrong")
 	}
 }

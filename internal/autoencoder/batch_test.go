@@ -28,7 +28,8 @@ func TestBatchObjectiveMatchesReference(t *testing.T) {
 		dev := device.New(sim.XeonPhi5110P(), true, nil)
 		ctx := blas.NewContext(dev, kernels.ParallelBlocked, 1)
 		ctx.AutoFuse = true
-		m, err := New(ctx, cfg, batch, 9)
+		cfg.Batch, cfg.Seed = batch, 9
+		m, err := Build(ctx, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +61,7 @@ func TestBatchObjectiveMatchesReference(t *testing.T) {
 // TestBatchObjectiveSingleChunkSparsityExact: with the dataset in one batch,
 // the per-batch ρ̂ is the dataset ρ̂ and the sparsity term is exact too.
 func TestBatchObjectiveSingleChunkSparsityExact(t *testing.T) {
-	cfg := Config{Visible: 8, Hidden: 5, Lambda: 1e-4, Beta: 0.4, Rho: 0.15}
+	cfg := Config{Visible: 8, Hidden: 5, Lambda: 1e-4, Beta: 0.4, Rho: 0.15, Batch: 9, Seed: 7}
 	x := randBatch(rng.New(5), 9, cfg.Visible)
 	p := NewParams(cfg, 6)
 	refGrad := ZeroGrad(cfg)
@@ -68,7 +69,7 @@ func TestBatchObjectiveSingleChunkSparsityExact(t *testing.T) {
 
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 1)
-	m, err := New(ctx, cfg, 9, 7)
+	m, err := Build(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestBatchObjectiveSingleChunkSparsityExact(t *testing.T) {
 func TestBatchObjectiveChargesSimulatedTime(t *testing.T) {
 	dev := device.New(sim.XeonPhi5110P(), false, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 1)
-	m, err := New(ctx, Config{Visible: 64, Hidden: 32}, 50, 1)
+	m, err := Build(ctx, Config{Visible: 64, Hidden: 32, Batch: 50, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestBatchObjectiveChargesSimulatedTime(t *testing.T) {
 func TestBatchObjectiveValidation(t *testing.T) {
 	dev := device.New(sim.XeonPhi5110P(), false, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 1)
-	m, err := New(ctx, Config{Visible: 8, Hidden: 4}, 5, 1)
+	m, err := Build(ctx, Config{Visible: 8, Hidden: 4, Batch: 5, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestBatchObjectiveValidation(t *testing.T) {
 func TestBatchObjectiveBuffersFreed(t *testing.T) {
 	dev := device.New(sim.XeonPhi5110P(), false, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 1)
-	m, err := New(ctx, Config{Visible: 8, Hidden: 4, Tied: true}, 5, 1)
+	m, err := Build(ctx, Config{Visible: 8, Hidden: 4, Tied: true, Batch: 5, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

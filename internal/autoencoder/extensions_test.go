@@ -13,10 +13,10 @@ import (
 )
 
 func TestMomentumMatchesManualUpdate(t *testing.T) {
-	cfg := Config{Visible: 6, Hidden: 4, Momentum: 0.9}
+	cfg := Config{Visible: 6, Hidden: 4, Momentum: 0.9, Batch: 5, Seed: 3}
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 1)
-	m, err := New(ctx, cfg, 5, 3)
+	m, err := Build(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,10 +56,10 @@ func TestMomentumMatchesManualUpdate(t *testing.T) {
 
 func TestMomentumAcceleratesConvergence(t *testing.T) {
 	run := func(momentum float64) float64 {
-		cfg := Config{Visible: 16, Hidden: 8, Lambda: 1e-5, Momentum: momentum}
+		cfg := Config{Visible: 16, Hidden: 8, Lambda: 1e-5, Momentum: momentum, Batch: 20, Seed: 11}
 		dev := device.New(sim.XeonPhi5110P(), true, nil)
 		ctx := blas.NewContext(dev, kernels.ParallelBlocked, 2)
-		m, err := New(ctx, cfg, 20, 11)
+		m, err := Build(ctx, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,10 +80,10 @@ func TestMomentumAcceleratesConvergence(t *testing.T) {
 }
 
 func TestDenoisingCorruptionMasksInput(t *testing.T) {
-	cfg := Config{Visible: 30, Hidden: 10, Corruption: 0.5}
+	cfg := Config{Visible: 30, Hidden: 10, Corruption: 0.5, Batch: 40, Seed: 5}
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 7)
-	m, err := New(ctx, cfg, 40, 5)
+	m, err := Build(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,10 +104,10 @@ func TestDenoisingCorruptionMasksInput(t *testing.T) {
 }
 
 func TestDenoisingTrainsToReconstructCleanInput(t *testing.T) {
-	cfg := Config{Visible: 16, Hidden: 12, Corruption: 0.3, Lambda: 1e-6}
+	cfg := Config{Visible: 16, Hidden: 12, Corruption: 0.3, Lambda: 1e-6, Batch: 24, Seed: 6}
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 9)
-	m, err := New(ctx, cfg, 24, 6)
+	m, err := Build(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestExtendedConfigValidation(t *testing.T) {
 func TestExtendedBuffersFreed(t *testing.T) {
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.Naive, 1)
-	m, err := New(ctx, Config{Visible: 8, Hidden: 4, Momentum: 0.5, Corruption: 0.2}, 4, 1)
+	m, err := Build(ctx, Config{Visible: 8, Hidden: 4, Momentum: 0.5, Corruption: 0.2, Batch: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,8 +51,8 @@ func TestTiedReferenceGradientMatchesFiniteDifferences(t *testing.T) {
 }
 
 func TestTiedDeviceMatchesReference(t *testing.T) {
-	cfg := Config{Visible: 8, Hidden: 5, Lambda: 1e-3, Beta: 0.3, Rho: 0.2, Tied: true}
-	batch := 6
+	cfg := Config{Visible: 8, Hidden: 5, Lambda: 1e-3, Beta: 0.3, Rho: 0.2, Tied: true, Batch: 6, Seed: 5}
+	batch := cfg.Batch
 	x := randBatch(rng.New(9), batch, cfg.Visible)
 	p := NewParams(cfg, 5)
 	refGrad := ZeroGrad(cfg)
@@ -64,7 +64,7 @@ func TestTiedDeviceMatchesReference(t *testing.T) {
 			ctx := blas.NewContext(dev, lvl, 1)
 			ctx.AutoFuse = improved
 			ctx.AutoConcurrent = improved
-			m, err := New(ctx, cfg, batch, 5)
+			m, err := Build(ctx, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,17 +90,17 @@ func TestTiedDeviceMatchesReference(t *testing.T) {
 }
 
 func TestTiedTrainingAndMemoryFootprint(t *testing.T) {
-	cfg := Config{Visible: 16, Hidden: 8, Lambda: 1e-6, Tied: true}
+	cfg := Config{Visible: 16, Hidden: 8, Lambda: 1e-6, Tied: true, Batch: 20, Seed: 11}
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 2)
-	m, err := New(ctx, cfg, 20, 11)
+	m, err := Build(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Tied model must allocate noticeably less than the untied one.
 	tiedBytes := dev.Allocated()
 	dev2 := device.New(sim.XeonPhi5110P(), true, nil)
-	untied, err := New(blas.NewContext(dev2, kernels.ParallelBlocked, 2), Config{Visible: 16, Hidden: 8, Lambda: 1e-6}, 20, 11)
+	untied, err := Build(blas.NewContext(dev2, kernels.ParallelBlocked, 2), Config{Visible: 16, Hidden: 8, Lambda: 1e-6, Batch: 20, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,10 +132,10 @@ func TestTiedTrainingAndMemoryFootprint(t *testing.T) {
 }
 
 func TestTiedWithMomentumAndCorruption(t *testing.T) {
-	cfg := Config{Visible: 12, Hidden: 6, Tied: true, Momentum: 0.8, Corruption: 0.2}
+	cfg := Config{Visible: 12, Hidden: 6, Tied: true, Momentum: 0.8, Corruption: 0.2, Batch: 16, Seed: 7}
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 3)
-	m, err := New(ctx, cfg, 16, 7)
+	m, err := Build(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -223,10 +223,12 @@ func New(arch *sim.Arch, lvl core.OptLevel, cfg Config, numeric bool, seed uint6
 	}
 	v, h := cfg.Model.Visible, cfg.Model.Hidden
 	c.paramsB = int64(v*h+h+h*v+v) * 8
+	model := cfg.Model
+	model.Batch, model.Seed = c.perNode, seed // same seed: identical init
 	for i := 0; i < cfg.Nodes; i++ {
 		dev := device.New(arch, numeric, nil)
 		ctx := core.NewContext(dev, lvl, 0, seed+uint64(i))
-		m, err := autoencoder.New(ctx, cfg.Model, c.perNode, seed) // same seed: identical init
+		m, err := autoencoder.Build(ctx, model)
 		if err != nil {
 			c.Free()
 			return nil, fmt.Errorf("cluster: node %d: %w", i, err)

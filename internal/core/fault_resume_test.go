@@ -16,7 +16,7 @@ import (
 func newRBM(t *testing.T, dev *device.Device, batch int) *rbm.Model {
 	t.Helper()
 	ctx := NewContext(dev, Improved, 0, 1)
-	m, err := rbm.New(ctx, rbm.Config{Visible: 64, Hidden: 16, SampleHidden: true}, batch, 2)
+	m, err := rbm.Build(ctx, rbm.Config{Visible: 64, Hidden: 16, SampleHidden: true, Batch: batch, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

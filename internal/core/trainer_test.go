@@ -18,7 +18,7 @@ func digitSource(n int) data.Source { return data.NewDigits(8, n, 3, 0.02) }
 func newAE(t *testing.T, dev *device.Device, lvl OptLevel, batch int) *autoencoder.Model {
 	t.Helper()
 	ctx := NewContext(dev, lvl, 0, 1)
-	m, err := autoencoder.New(ctx, autoencoder.Config{Visible: 64, Hidden: 16, Lambda: 1e-5}, batch, 2)
+	m, err := autoencoder.Build(ctx, autoencoder.Config{Visible: 64, Hidden: 16, Lambda: 1e-5, Batch: batch, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestLadderTimesMonotone(t *testing.T) {
 	for _, lvl := range OptLevels {
 		dev := device.New(sim.XeonPhi5110P(), false, nil)
 		ctx := NewContext(dev, lvl, 0, 1)
-		m, err := autoencoder.New(ctx, autoencoder.Config{Visible: 1024, Hidden: 512}, 10000, 2)
+		m, err := autoencoder.Build(ctx, autoencoder.Config{Visible: 1024, Hidden: 512, Batch: 10000, Seed: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,7 +26,7 @@ func BatchMethods() *Table {
 		batch           = 100
 		seed            = 21
 	)
-	cfg := autoencoder.Config{Visible: visible, Hidden: hidden, Lambda: 1e-4}
+	cfg := autoencoder.Config{Visible: visible, Hidden: hidden, Lambda: 1e-4, Batch: batch, Seed: seed}
 	src := data.NewDigits(8, examples, 5, 0.03)
 	full := data.Materialize(src)
 
@@ -44,7 +44,7 @@ func BatchMethods() *Table {
 	{
 		dev := device.New(sim.XeonPhi5110P(), true, nil)
 		ctx := core.NewContext(dev, core.Improved, 0, seed)
-		m, err := autoencoder.New(ctx, cfg, batch, seed)
+		m, err := autoencoder.Build(ctx, cfg)
 		if err != nil {
 			panic(err)
 		}
@@ -62,7 +62,7 @@ func BatchMethods() *Table {
 	for _, method := range []string{"L-BFGS", "CG"} {
 		dev := device.New(sim.XeonPhi5110P(), true, nil)
 		ctx := core.NewContext(dev, core.Improved, 0, seed)
-		m, err := autoencoder.New(ctx, cfg, batch, seed)
+		m, err := autoencoder.Build(ctx, cfg)
 		if err != nil {
 			panic(err)
 		}

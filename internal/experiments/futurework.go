@@ -28,12 +28,12 @@ func HybridCrossover() *Table {
 	}
 	for _, n := range []NetworkSize{{64, 256}, {256, 1024}, {1024, 4096}, {2048, 8192}} {
 		const batch, iters = 1000, 20
-		model := autoencoder.Config{Visible: n.Visible, Hidden: n.Hidden}
+		model := autoencoder.Config{Visible: n.Visible, Hidden: n.Hidden, Batch: batch, Seed: 1}
 
 		// Phi-only baseline.
 		soloDev := device.New(sim.XeonPhi5110P(), false, nil)
 		soloCtx := core.NewContext(soloDev, core.Improved, 0, 1)
-		m, err := autoencoder.New(soloCtx, model, batch, 1)
+		m, err := autoencoder.Build(soloCtx, model)
 		if err != nil {
 			panic(err)
 		}
@@ -46,14 +46,14 @@ func HybridCrossover() *Table {
 		// Hybrid pair.
 		phiCtx := core.NewContext(device.New(sim.XeonPhi5110P(), false, nil), core.Improved, 0, 1)
 		hostCtx := core.NewContext(device.New(sim.XeonE5620Dual(), false, nil), core.OpenMPMKL, 0, 2)
-		cfg := hybrid.AEConfig{Model: model, Batch: batch}
-		h, err := hybrid.NewAE(phiCtx, hostCtx, cfg, 1)
+		cfg := hybrid.AEConfig{Model: model, Batch: batch, Seed: 1}
+		h, err := hybrid.BuildAE(phiCtx, hostCtx, cfg)
 		if err != nil {
 			panic(err)
 		}
 		share := fmt.Sprintf("%d/%d", h.PhiBatch(), batch)
 		h.Free()
-		ht, _, err := hybrid.Run(phiCtx, hostCtx, cfg, data.Null{D: n.Visible, N: batch * iters}, iters, 0.1, 1)
+		ht, _, err := hybrid.Run(phiCtx, hostCtx, cfg, data.Null{D: n.Visible, N: batch * iters}, iters, 0.1)
 		if err != nil {
 			panic(err)
 		}

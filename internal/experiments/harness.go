@@ -71,20 +71,22 @@ func (j Job) Run() (*core.Result, error) {
 	var model core.Trainable
 	switch j.Model {
 	case AE:
-		m, err := autoencoder.New(ctx, autoencoder.Config{
+		m, err := autoencoder.Build(ctx, autoencoder.Config{
 			Visible: j.Visible, Hidden: j.Hidden,
 			Lambda: 1e-4, Beta: 0.1, Rho: 0.05,
-		}, j.Batch, j.Seed)
+			Batch: j.Batch, Seed: j.Seed,
+		})
 		if err != nil {
 			return nil, err
 		}
 		defer m.Free()
 		model = m
 	case RBM:
-		m, err := rbm.New(ctx, rbm.Config{
+		m, err := rbm.Build(ctx, rbm.Config{
 			Visible: j.Visible, Hidden: j.Hidden,
 			SampleHidden: !j.DisableSampling,
-		}, j.Batch, j.Seed)
+			Batch:        j.Batch, Seed: j.Seed,
+		})
 		if err != nil {
 			return nil, err
 		}

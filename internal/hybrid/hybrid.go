@@ -42,9 +42,7 @@ type AEConfig struct {
 	// PhiShare is the fraction of each batch sent to the coprocessor; 0
 	// selects the throughput-proportional split from the cost model.
 	PhiShare float64
-	// Seed initializes both replicas identically. BuildAE uses it; the
-	// deprecated NewAE fills it from its positional argument. Zero is a
-	// valid seed.
+	// Seed initializes both replicas identically. Zero is a valid seed.
 	Seed uint64
 }
 
@@ -60,15 +58,6 @@ type AE struct {
 	// parameters and may start their next step at this instant.
 	syncedAt float64
 	steps    int
-}
-
-// NewAE builds the pair of replicas with the models initialized
-// identically from seed.
-//
-// Deprecated: use BuildAE with AEConfig.Seed set.
-func NewAE(phiCtx, hostCtx *blas.Context, cfg AEConfig, seed uint64) (*AE, error) {
-	cfg.Seed = seed
-	return BuildAE(phiCtx, hostCtx, cfg)
 }
 
 // BuildAE builds the pair of replicas. phiCtx must be bound to a device
@@ -331,12 +320,11 @@ func (h *AE) Steps() int { return h.steps }
 // Download returns the (synchronized) parameters from the Phi replica.
 func (h *AE) Download() *autoencoder.Params { return h.phi.Download() }
 
-// Run trains the hybrid pair over a streaming source for the given number
-// of iterations, splitting each batch, and returns the synchronized
-// simulated time and final loss. It is the hybrid counterpart of the
-// single-device core.Trainer for benchmarking.
-func Run(phiCtx, hostCtx *blas.Context, cfg AEConfig, src data.Source, iterations int, lr float64, seed uint64) (simSeconds, finalLoss float64, err error) {
-	cfg.Seed = seed
+// Run builds the hybrid pair from cfg, trains it over a streaming source
+// for the given number of iterations, splitting each batch, and returns
+// the synchronized simulated time and final loss. It is the hybrid
+// counterpart of the single-device core.Trainer for benchmarking.
+func Run(phiCtx, hostCtx *blas.Context, cfg AEConfig, src data.Source, iterations int, lr float64) (simSeconds, finalLoss float64, err error) {
 	h, err := BuildAE(phiCtx, hostCtx, cfg)
 	if err != nil {
 		return 0, 0, err

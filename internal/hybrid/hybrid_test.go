@@ -25,12 +25,10 @@ func newPair(numeric bool) (phiCtx, hostCtx *blas.Context) {
 // hybrid pair follow exactly the trajectory of a single device training on
 // the full batch.
 func TestHybridMatchesSingleDeviceGradient(t *testing.T) {
-	cfg := AEConfig{
-		Model: autoencoder.Config{Visible: 12, Hidden: 7, Lambda: 1e-3},
-		Batch: 10, PhiShare: 0.6,
-	}
+	model := autoencoder.Config{Visible: 12, Hidden: 7, Lambda: 1e-3, Batch: 10, Seed: 9}
+	cfg := AEConfig{Model: model, Batch: model.Batch, PhiShare: 0.6, Seed: model.Seed}
 	phiCtx, hostCtx := newPair(true)
-	h, err := NewAE(phiCtx, hostCtx, cfg, 9)
+	h, err := BuildAE(phiCtx, hostCtx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +37,7 @@ func TestHybridMatchesSingleDeviceGradient(t *testing.T) {
 	// Single-device oracle with identical initialization.
 	soloDev := device.New(sim.XeonPhi5110P(), true, nil)
 	soloCtx := core.NewContext(soloDev, core.Improved, 0, 3)
-	solo, err := autoencoder.New(soloCtx, cfg.Model, cfg.Batch, 9)
+	solo, err := autoencoder.Build(soloCtx, model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,10 +66,10 @@ func TestHybridMatchesSingleDeviceGradient(t *testing.T) {
 func TestHybridReplicasStayInSync(t *testing.T) {
 	cfg := AEConfig{
 		Model: autoencoder.Config{Visible: 9, Hidden: 5, Beta: 0.2, Rho: 0.1},
-		Batch: 8,
+		Batch: 8, Seed: 7,
 	}
 	phiCtx, hostCtx := newPair(true)
-	h, err := NewAE(phiCtx, hostCtx, cfg, 7)
+	h, err := BuildAE(phiCtx, hostCtx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,10 +89,10 @@ func TestHybridReplicasStayInSync(t *testing.T) {
 func TestHybridLearns(t *testing.T) {
 	cfg := AEConfig{
 		Model: autoencoder.Config{Visible: 16, Hidden: 8, Lambda: 1e-6},
-		Batch: 20,
+		Batch: 20, Seed: 3,
 	}
 	phiCtx, hostCtx := newPair(true)
-	h, err := NewAE(phiCtx, hostCtx, cfg, 3)
+	h, err := BuildAE(phiCtx, hostCtx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,15 +124,16 @@ func TestHybridLearns(t *testing.T) {
 func TestHybridCrossover(t *testing.T) {
 	hybridVsPhi := func(visible, hidden, batch, iters int) (hybridT, phiT float64) {
 		phiCtx, hostCtx := newPair(false)
-		cfg := AEConfig{Model: autoencoder.Config{Visible: visible, Hidden: hidden}, Batch: batch}
-		ht, _, err := Run(phiCtx, hostCtx, cfg, data.Null{D: visible, N: batch * iters}, iters, 0.1, 1)
+		model := autoencoder.Config{Visible: visible, Hidden: hidden, Batch: batch, Seed: 1}
+		cfg := AEConfig{Model: model, Batch: batch, Seed: 1}
+		ht, _, err := Run(phiCtx, hostCtx, cfg, data.Null{D: visible, N: batch * iters}, iters, 0.1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Phi-only baseline, same combined batch.
 		soloDev := device.New(sim.XeonPhi5110P(), false, nil)
 		soloCtx := core.NewContext(soloDev, core.Improved, 0, 1)
-		m, err := autoencoder.New(soloCtx, cfg.Model, batch, 1)
+		m, err := autoencoder.Build(soloCtx, model)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,36 +161,36 @@ func TestHybridCrossover(t *testing.T) {
 
 func TestHybridValidation(t *testing.T) {
 	phiCtx, hostCtx := newPair(false)
-	base := AEConfig{Model: autoencoder.Config{Visible: 8, Hidden: 4}, Batch: 4}
+	base := AEConfig{Model: autoencoder.Config{Visible: 8, Hidden: 4}, Batch: 4, Seed: 1}
 	bad := base
 	bad.Batch = 1
-	if _, err := NewAE(phiCtx, hostCtx, bad, 1); err == nil {
+	if _, err := BuildAE(phiCtx, hostCtx, bad); err == nil {
 		t.Error("unsplittable batch must fail")
 	}
 	bad = base
 	bad.PhiShare = 1.5
-	if _, err := NewAE(phiCtx, hostCtx, bad, 1); err == nil {
+	if _, err := BuildAE(phiCtx, hostCtx, bad); err == nil {
 		t.Error("invalid share must fail")
 	}
 	// Swapped contexts: the "phi" side has no PCIe link.
-	if _, err := NewAE(hostCtx, phiCtx, base, 1); err == nil {
+	if _, err := BuildAE(hostCtx, phiCtx, base); err == nil {
 		t.Error("host device on the phi side must fail")
 	}
 	bad = base
 	bad.Model.Visible = 0
-	if _, err := NewAE(phiCtx, hostCtx, bad, 1); err == nil {
+	if _, err := BuildAE(phiCtx, hostCtx, bad); err == nil {
 		t.Error("invalid model config must fail")
 	}
 }
 
 func TestThroughputShareFavorsTheFasterDevice(t *testing.T) {
 	phiCtx, hostCtx := newPair(false)
-	cfg := AEConfig{Model: autoencoder.Config{Visible: 1024, Hidden: 4096}, Batch: 1000}
+	cfg := AEConfig{Model: autoencoder.Config{Visible: 1024, Hidden: 4096}, Batch: 1000, Seed: 1}
 	share := throughputShare(phiCtx, hostCtx, cfg)
 	if !(share > 0.7 && share < 1) {
 		t.Fatalf("share %g should strongly favor the Phi on a large model", share)
 	}
-	h, err := NewAE(phiCtx, hostCtx, cfg, 1)
+	h, err := BuildAE(phiCtx, hostCtx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,6 +65,7 @@ func TestGradientMatchesFiniteDifferences(t *testing.T) {
 func TestDeviceMatchesReference(t *testing.T) {
 	cfg := testCfg()
 	batch := 6
+	cfg.Batch, cfg.Seed = batch, 4
 	x, y, _ := labeledBatch(rng.New(3), batch, 10, 3)
 	p := NewParams(cfg, 4)
 	refGrad := zeroParams(cfg)
@@ -76,7 +77,7 @@ func TestDeviceMatchesReference(t *testing.T) {
 			ctx := blas.NewContext(dev, lvl, 1)
 			ctx.AutoFuse = improved
 			ctx.AutoConcurrent = improved
-			m, err := New(ctx, cfg, batch, 4)
+			m, err := Build(ctx, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,11 +130,11 @@ func separableBatch(r *rng.RNG, n, dim, classes int) (*tensor.Matrix, *tensor.Ma
 }
 
 func TestTrainingLearnsSeparableProblem(t *testing.T) {
-	cfg := Config{Sizes: []int{12, 8, 3}, Lambda: 1e-5, Momentum: 0.5}
+	cfg := Config{Sizes: []int{12, 8, 3}, Lambda: 1e-5, Momentum: 0.5, Batch: 60, Seed: 6}
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 5)
-	batch := 60
-	m, err := New(ctx, cfg, batch, 6)
+	batch := cfg.Batch
+	m, err := Build(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,10 +165,10 @@ func TestInitFromStackWiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Sizes: []int{16, 8, 4, 3}, Lambda: 1e-5}
+	cfg := Config{Sizes: []int{16, 8, 4, 3}, Lambda: 1e-5, Batch: 4, Seed: 1}
 	// Wrong geometry must be rejected.
-	badCfg := Config{Sizes: []int{16, 9, 4, 3}}
-	bad, err := New(blas.NewContext(dev, kernels.Naive, 1), badCfg, 4, 1)
+	badCfg := Config{Sizes: []int{16, 9, 4, 3}, Batch: 4, Seed: 1}
+	bad, err := Build(blas.NewContext(dev, kernels.Naive, 1), badCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestInitFromStackWiring(t *testing.T) {
 	}
 	bad.Free()
 
-	m, err := New(blas.NewContext(dev, kernels.Naive, 1), cfg, 4, 1)
+	m, err := Build(blas.NewContext(dev, kernels.Naive, 1), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,8 @@ func TestPredictMatchesDeviceForward(t *testing.T) {
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 1)
 	batch := 4
-	m, err := New(ctx, cfg, batch, 11)
+	cfg.Batch, cfg.Seed = batch, 11
+	m, err := Build(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +243,7 @@ func TestConfigValidation(t *testing.T) {
 	}
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.Naive, 1)
-	if _, err := New(ctx, Config{Sizes: []int{4, 2}}, 0, 1); err == nil {
+	if _, err := Build(ctx, Config{Sizes: []int{4, 2}, Batch: 0, Seed: 1}); err == nil {
 		t.Error("zero batch must fail")
 	}
 }
@@ -249,7 +251,7 @@ func TestConfigValidation(t *testing.T) {
 func TestFreeReleasesAll(t *testing.T) {
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.Naive, 1)
-	m, err := New(ctx, Config{Sizes: []int{6, 4, 2}, Momentum: 0.9}, 3, 1)
+	m, err := Build(ctx, Config{Sizes: []int{6, 4, 2}, Momentum: 0.9, Batch: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +264,7 @@ func TestFreeReleasesAll(t *testing.T) {
 func TestModelOnlyChargesTime(t *testing.T) {
 	dev := device.New(sim.XeonPhi5110P(), false, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 1)
-	m, err := New(ctx, Config{Sizes: []int{1024, 512, 10}}, 1000, 1)
+	m, err := Build(ctx, Config{Sizes: []int{1024, 512, 10}, Batch: 1000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,8 +35,8 @@ func gaussianClusters(r *rng.RNG, n, dim int) *tensor.Matrix {
 }
 
 func TestGaussianVisibleMeanFieldMatchesReference(t *testing.T) {
-	cfg := Config{Visible: 6, Hidden: 4, GaussianVisible: true}
-	batch := 9
+	cfg := Config{Visible: 6, Hidden: 4, GaussianVisible: true, Batch: 9, Seed: 2}
+	batch := cfg.Batch
 	x := gaussianClusters(rng.New(1), batch, cfg.Visible)
 	p := NewParams(cfg, 2)
 	p.W.RandomizeNorm(rng.New(3), 0.3)
@@ -49,7 +49,7 @@ func TestGaussianVisibleMeanFieldMatchesReference(t *testing.T) {
 			ctx := blas.NewContext(dev, lvl, 1)
 			ctx.AutoFuse = improved
 			ctx.AutoConcurrent = improved
-			m, err := New(ctx, cfg, batch, 2)
+			m, err := Build(ctx, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,11 +72,11 @@ func TestGaussianVisibleMeanFieldMatchesReference(t *testing.T) {
 }
 
 func TestGaussianRBMTrainsOnContinuousData(t *testing.T) {
-	cfg := Config{Visible: 8, Hidden: 6, GaussianVisible: true, SampleHidden: true}
+	cfg := Config{Visible: 8, Hidden: 6, GaussianVisible: true, SampleHidden: true, Batch: 40, Seed: 8}
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 7)
-	batch := 40
-	m, err := New(ctx, cfg, batch, 8)
+	batch := cfg.Batch
+	m, err := Build(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +109,11 @@ func TestGaussianRBMTrainsOnContinuousData(t *testing.T) {
 }
 
 func TestGaussianSamplingIsNoisyAroundTheMean(t *testing.T) {
-	cfg := Config{Visible: 20, Hidden: 4, GaussianVisible: true, SampleVisible: true, SampleHidden: true}
+	cfg := Config{Visible: 20, Hidden: 4, GaussianVisible: true, SampleVisible: true, SampleHidden: true, Batch: 50, Seed: 14}
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 13)
-	batch := 50
-	m, err := New(ctx, cfg, batch, 14)
+	batch := cfg.Batch
+	m, err := Build(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,10 +12,10 @@ import (
 )
 
 func TestMomentumMatchesManualUpdate(t *testing.T) {
-	cfg := Config{Visible: 6, Hidden: 4, Momentum: 0.8}
+	cfg := Config{Visible: 6, Hidden: 4, Momentum: 0.8, Batch: 8, Seed: 2}
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 1)
-	m, err := New(ctx, cfg, 8, 2)
+	m, err := Build(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,10 +51,10 @@ func TestMomentumMatchesManualUpdate(t *testing.T) {
 }
 
 func TestMomentumTrainingStillImprovesLikelihood(t *testing.T) {
-	cfg := Config{Visible: 8, Hidden: 4, SampleHidden: true, Momentum: 0.5}
+	cfg := Config{Visible: 8, Hidden: 4, SampleHidden: true, Momentum: 0.5, Batch: 30, Seed: 17}
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 16)
-	m, err := New(ctx, cfg, 30, 17)
+	m, err := Build(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestMomentumValidationAndFree(t *testing.T) {
 	}
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.Naive, 1)
-	m, err := New(ctx, Config{Visible: 4, Hidden: 2, Momentum: 0.9}, 4, 1)
+	m, err := Build(ctx, Config{Visible: 4, Hidden: 2, Momentum: 0.9, Batch: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,11 +12,11 @@ import (
 )
 
 func TestPCDImprovesLikelihood(t *testing.T) {
-	cfg := Config{Visible: 8, Hidden: 4, SampleHidden: true, SampleVisible: true, Persistent: true}
+	cfg := Config{Visible: 8, Hidden: 4, SampleHidden: true, SampleVisible: true, Persistent: true, Batch: 30, Seed: 17}
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 16)
-	batch := 30
-	m, err := New(ctx, cfg, batch, 17)
+	batch := cfg.Batch
+	m, err := Build(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,10 +34,10 @@ func TestPCDImprovesLikelihood(t *testing.T) {
 }
 
 func TestPCDChainPersistsAcrossSteps(t *testing.T) {
-	cfg := Config{Visible: 6, Hidden: 3, SampleHidden: true, SampleVisible: true, Persistent: true}
+	cfg := Config{Visible: 6, Hidden: 3, SampleHidden: true, SampleVisible: true, Persistent: true, Batch: 10, Seed: 24}
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 23)
-	m, err := New(ctx, cfg, 10, 24)
+	m, err := Build(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestPCDChainPersistsAcrossSteps(t *testing.T) {
 func TestPCDFreeAndValidation(t *testing.T) {
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.Naive, 1)
-	m, err := New(ctx, Config{Visible: 4, Hidden: 2, Persistent: true}, 3, 1)
+	m, err := Build(ctx, Config{Visible: 4, Hidden: 2, Persistent: true, Batch: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

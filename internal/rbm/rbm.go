@@ -136,16 +136,6 @@ type Model struct {
 	mem device.Owner // every buffer above
 }
 
-// New allocates a model for the given batch size and uploads the reference
-// initialization (small Gaussian weights, zero biases).
-//
-// Deprecated: use Build with Config.Batch and Config.Seed set.
-func New(ctx *blas.Context, cfg Config, batch int, seed uint64) (*Model, error) {
-	cfg.Batch = batch
-	cfg.Seed = seed
-	return Build(ctx, cfg)
-}
-
 // Build allocates a model for cfg.Batch examples and uploads the reference
 // initialization (small Gaussian weights, zero biases) from cfg.Seed.
 func Build(ctx *blas.Context, cfg Config) (*Model, error) {

@@ -154,8 +154,8 @@ func TestExactGradientAscentImprovesLikelihood(t *testing.T) {
 // TestDeviceMeanFieldMatchesReference checks the device CD-1 gradient with
 // sampling disabled against the loop oracle at every level.
 func TestDeviceMeanFieldMatchesReference(t *testing.T) {
-	cfg := Config{Visible: 7, Hidden: 4}
-	batch := 9
+	cfg := Config{Visible: 7, Hidden: 4, Batch: 9, Seed: 14}
+	batch := cfg.Batch
 	x := binaryBatch(rng.New(13), batch, cfg.Visible, 0.5)
 	p := NewParams(cfg, 14)
 	p.W.RandomizeNorm(rng.New(15), 0.4)
@@ -170,7 +170,7 @@ func TestDeviceMeanFieldMatchesReference(t *testing.T) {
 			ctx := blas.NewContext(dev, lvl, 1)
 			ctx.AutoFuse = improved
 			ctx.AutoConcurrent = improved
-			m, err := New(ctx, cfg, batch, 14)
+			m, err := Build(ctx, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -193,11 +193,11 @@ func TestDeviceMeanFieldMatchesReference(t *testing.T) {
 }
 
 func TestTrainingImprovesLikelihoodAndReconstruction(t *testing.T) {
-	cfg := Config{Visible: 8, Hidden: 4, SampleHidden: true}
+	cfg := Config{Visible: 8, Hidden: 4, SampleHidden: true, Batch: 30, Seed: 17}
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 16)
-	batch := 30
-	m, err := New(ctx, cfg, batch, 17)
+	batch := cfg.Batch
+	m, err := Build(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,11 +220,11 @@ func TestTrainingImprovesLikelihoodAndReconstruction(t *testing.T) {
 }
 
 func TestCDkMoreStepsStillWork(t *testing.T) {
-	cfg := Config{Visible: 6, Hidden: 3, SampleHidden: true, SampleVisible: true, CDSteps: 3}
+	cfg := Config{Visible: 6, Hidden: 3, SampleHidden: true, SampleVisible: true, CDSteps: 3, Batch: 20, Seed: 20}
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 19)
-	batch := 20
-	m, err := New(ctx, cfg, batch, 20)
+	batch := cfg.Batch
+	m, err := Build(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,11 +242,11 @@ func TestCDkMoreStepsStillWork(t *testing.T) {
 }
 
 func TestSamplingDeterministicPerSeed(t *testing.T) {
-	cfg := Config{Visible: 6, Hidden: 4, SampleHidden: true, SampleVisible: true}
+	cfg := Config{Visible: 6, Hidden: 4, SampleHidden: true, SampleVisible: true, Batch: 10, Seed: 24}
 	run := func() *tensor.Matrix {
 		dev := device.New(sim.XeonPhi5110P(), true, nil)
 		ctx := blas.NewContext(dev, kernels.ParallelBlocked, 23)
-		m, _ := New(ctx, cfg, 10, 24)
+		m, _ := Build(ctx, cfg)
 		x := binaryBatch(rng.New(25), 10, 6, 0.5)
 		dx := dev.MustAlloc(10, 6)
 		dev.CopyIn(dx, x, 0)
@@ -277,7 +277,7 @@ func TestConfigValidationAndDefaults(t *testing.T) {
 	}
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.Naive, 1)
-	if _, err := New(ctx, Config{Visible: 2, Hidden: 2}, 0, 1); err == nil {
+	if _, err := Build(ctx, Config{Visible: 2, Hidden: 2, Batch: 0, Seed: 1}); err == nil {
 		t.Error("zero batch should fail")
 	}
 }
@@ -285,7 +285,7 @@ func TestConfigValidationAndDefaults(t *testing.T) {
 func TestFreeReleasesAllBuffers(t *testing.T) {
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.Naive, 1)
-	m, err := New(ctx, Config{Visible: 5, Hidden: 3}, 4, 1)
+	m, err := Build(ctx, Config{Visible: 5, Hidden: 3, Batch: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestLogLikelihoodGuards(t *testing.T) {
 func TestTrainableInterface(t *testing.T) {
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.Naive, 1)
-	m, _ := New(ctx, Config{Visible: 5, Hidden: 3}, 4, 1)
+	m, _ := Build(ctx, Config{Visible: 5, Hidden: 3, Batch: 4, Seed: 1})
 	if m.BatchSize() != 4 || m.InputDim() != 5 {
 		t.Fatal("Trainable accessors wrong")
 	}

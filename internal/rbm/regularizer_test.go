@@ -12,10 +12,10 @@ import (
 
 func TestWeightDecayShrinksWeights(t *testing.T) {
 	run := func(lambda float64) float64 {
-		cfg := Config{Visible: 8, Hidden: 5, Lambda: lambda, SampleHidden: true}
+		cfg := Config{Visible: 8, Hidden: 5, Lambda: lambda, SampleHidden: true, Batch: 20, Seed: 4}
 		dev := device.New(sim.XeonPhi5110P(), true, nil)
 		ctx := blas.NewContext(dev, kernels.ParallelBlocked, 3)
-		m, err := New(ctx, cfg, 20, 4)
+		m, err := Build(ctx, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,10 +35,10 @@ func TestWeightDecayShrinksWeights(t *testing.T) {
 }
 
 func TestWeightDecayMatchesManualGradient(t *testing.T) {
-	cfg := Config{Visible: 5, Hidden: 3, Lambda: 0.02}
+	cfg := Config{Visible: 5, Hidden: 3, Lambda: 0.02, Batch: 6, Seed: 7}
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 1)
-	m, err := New(ctx, cfg, 6, 7)
+	m, err := Build(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,10 +63,10 @@ func TestWeightDecayMatchesManualGradient(t *testing.T) {
 func TestSparsityRegularizerDrivesHiddenActivity(t *testing.T) {
 	meanActivity := func(cost float64) float64 {
 		cfg := Config{Visible: 10, Hidden: 8, SampleHidden: true,
-			SparsityTarget: 0.1, SparsityCost: cost}
+			SparsityTarget: 0.1, SparsityCost: cost, Batch: 30, Seed: 10}
 		dev := device.New(sim.XeonPhi5110P(), true, nil)
 		ctx := blas.NewContext(dev, kernels.ParallelBlocked, 9)
-		m, err := New(ctx, cfg, 30, 10)
+		m, err := Build(ctx, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func TestRegularizerValidation(t *testing.T) {
 	// Buffers freed including rowH.
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.Naive, 1)
-	m, err := New(ctx, Config{Visible: 4, Hidden: 2, SparsityTarget: 0.1, SparsityCost: 1}, 3, 1)
+	m, err := Build(ctx, Config{Visible: 4, Hidden: 2, SparsityTarget: 0.1, SparsityCost: 1, Batch: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,6 +102,7 @@ func PretrainAutoencoders(ctx *blas.Context, trainCfg core.TrainConfig, cfg Conf
 			Visible: cfg.Sizes[i], Hidden: cfg.Sizes[i+1],
 			Lambda: cfg.Lambda, Beta: cfg.Beta, Rho: cfg.Rho,
 			Momentum: cfg.Momentum, Corruption: cfg.Corruption, Tied: cfg.Tied,
+			Batch: cfg.Batch, Seed: seed + uint64(i),
 		}
 		ckptPath, donePath := layerPaths(trainCfg.CheckpointPath, i)
 		if fileExists(donePath) {
@@ -116,7 +117,7 @@ func PretrainAutoencoders(ctx *blas.Context, trainCfg core.TrainConfig, cfg Conf
 			cur = encodedSource(ctx, cur, aeCfg.Hidden, params.Encode)
 			continue
 		}
-		model, err := autoencoder.New(ctx, aeCfg, cfg.Batch, seed+uint64(i))
+		model, err := autoencoder.Build(ctx, aeCfg)
 		if err != nil {
 			return nil, fmt.Errorf("stack: layer %d: %w", i, err)
 		}
@@ -162,6 +163,7 @@ func PretrainDBN(ctx *blas.Context, trainCfg core.TrainConfig, cfg Config, src d
 	for i := 0; i+1 < len(cfg.Sizes); i++ {
 		rCfg := cfg.RBM
 		rCfg.Visible, rCfg.Hidden = cfg.Sizes[i], cfg.Sizes[i+1]
+		rCfg.Batch, rCfg.Seed = cfg.Batch, seed+uint64(i)
 		if rCfg.Momentum == 0 {
 			rCfg.Momentum = cfg.Momentum
 		}
@@ -178,7 +180,7 @@ func PretrainDBN(ctx *blas.Context, trainCfg core.TrainConfig, cfg Config, src d
 			cur = encodedSource(ctx, cur, rCfg.Hidden, params.Encode)
 			continue
 		}
-		model, err := rbm.New(ctx, rCfg, cfg.Batch, seed+uint64(i))
+		model, err := rbm.Build(ctx, rCfg)
 		if err != nil {
 			return nil, fmt.Errorf("stack: layer %d: %w", i, err)
 		}

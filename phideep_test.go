@@ -14,9 +14,10 @@ func TestEndToEndNumericTraining(t *testing.T) {
 	mach := phideep.NewMachine(phideep.XeonPhi5110P(), phideep.WithNumeric())
 	defer mach.Close()
 	ctx := phideep.NewContext(mach.Dev, phideep.Improved, 0, 42)
-	ae, err := phideep.NewAutoencoder(ctx, phideep.AutoencoderConfig{
+	ae, err := phideep.BuildAutoencoder(ctx, phideep.AutoencoderConfig{
 		Visible: 64, Hidden: 16, Lambda: 1e-5,
-	}, 20, 1)
+		Batch: 20, Seed: 1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestLadderComparisonThroughFacade(t *testing.T) {
 	timeAt := func(lvl phideep.OptLevel) float64 {
 		mach := phideep.NewMachine(phideep.XeonPhi5110P())
 		ctx := phideep.NewContext(mach.Dev, lvl, 0, 1)
-		ae, err := phideep.NewAutoencoder(ctx, phideep.AutoencoderConfig{Visible: 1024, Hidden: 512}, 1000, 1)
+		ae, err := phideep.BuildAutoencoder(ctx, phideep.AutoencoderConfig{Visible: 1024, Hidden: 512, Batch: 1000, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +98,7 @@ func TestMLPFineTuningThroughFacade(t *testing.T) {
 	mach := phideep.NewMachine(phideep.XeonPhi5110P(), phideep.WithNumeric())
 	defer mach.Close()
 	ctx := phideep.NewContext(mach.Dev, phideep.Improved, 0, 11)
-	m, err := phideep.NewMLP(ctx, phideep.MLPConfig{Sizes: []int{64, 16, 10}, Momentum: 0.5}, 25, 1)
+	m, err := phideep.BuildMLP(ctx, phideep.MLPConfig{Sizes: []int{64, 16, 10}, Momentum: 0.5, Batch: 25, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,10 +155,11 @@ func TestHybridThroughFacade(t *testing.T) {
 	defer hostMach.Close()
 	phiCtx := phideep.NewContext(phiMach.Dev, phideep.Improved, 0, 1)
 	hostCtx := phideep.NewContext(hostMach.Dev, phideep.OpenMPMKL, 0, 2)
-	h, err := phideep.NewHybridAE(phiCtx, hostCtx, phideep.HybridAEConfig{
+	h, err := phideep.BuildHybridAE(phiCtx, hostCtx, phideep.HybridAEConfig{
 		Model: phideep.AutoencoderConfig{Visible: 64, Hidden: 8},
 		Batch: 10,
-	}, 3)
+		Seed:  3,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +201,7 @@ func TestAdaptiveLRThroughFacade(t *testing.T) {
 	mach := phideep.NewMachine(phideep.XeonPhi5110P(), phideep.WithNumeric())
 	defer mach.Close()
 	ctx := phideep.NewContext(mach.Dev, phideep.Improved, 0, 8)
-	ae, err := phideep.NewAutoencoder(ctx, phideep.AutoencoderConfig{Visible: 64, Hidden: 12}, 20, 1)
+	ae, err := phideep.BuildAutoencoder(ctx, phideep.AutoencoderConfig{Visible: 64, Hidden: 12, Batch: 20, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +221,7 @@ func TestDeviceTraceThroughFacade(t *testing.T) {
 	mach := phideep.NewMachine(phideep.XeonPhi5110P())
 	mach.Dev.EnableTrace(100)
 	ctx := phideep.NewContext(mach.Dev, phideep.Improved, 0, 1)
-	ae, err := phideep.NewAutoencoder(ctx, phideep.AutoencoderConfig{Visible: 32, Hidden: 8}, 10, 1)
+	ae, err := phideep.BuildAutoencoder(ctx, phideep.AutoencoderConfig{Visible: 32, Hidden: 8, Batch: 10, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
