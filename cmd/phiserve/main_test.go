@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,24 +17,38 @@ import (
 	"phideep/internal/mlp"
 )
 
-// newAEServer builds a small autoencoder server at Baseline (whose device
-// path is bit-identical to the host reference) plus the host params for
-// comparison, and returns an httptest server over the production mux.
-func newAEServer(t *testing.T) (*httptest.Server, *autoencoder.Params) {
+// serveHTTP serves m through the production mux on an httptest server;
+// both close when the test ends.
+func serveHTTP(t *testing.T, m *phideep.ServeModel, cfg phideep.ServeConfig) (*phideep.Server, *httptest.Server) {
 	t.Helper()
-	cfg := phideep.AutoencoderConfig{Visible: 12, Hidden: 5, Seed: 7}
-	p := autoencoder.NewParams(cfg, cfg.Seed)
-	srv, err := phideep.NewServer(phideep.ServeAutoencoder(cfg, p), phideep.ServeConfig{
-		Level: phideep.Baseline, MaxBatch: 4, MaxWait: 200 * time.Microsecond,
-	})
+	srv, err := phideep.NewServer(m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(newMux(srv, time.Now()))
 	t.Cleanup(ts.Close)
+	return srv, ts
+}
+
+// newAEServer serves a small autoencoder at Baseline (whose device path is
+// bit-identical to the host reference) and returns the host params for
+// comparison.
+func newAEServer(t *testing.T) (*httptest.Server, *autoencoder.Params) {
+	t.Helper()
+	cfg := phideep.AutoencoderConfig{Visible: 12, Hidden: 5, Seed: 7}
+	p := autoencoder.NewParams(cfg, cfg.Seed)
+	_, ts := serveHTTP(t, phideep.ServeAutoencoder(cfg, p), phideep.ServeConfig{
+		Level: phideep.Baseline, MaxBatch: 4, MaxWait: 200 * time.Microsecond,
+	})
 	return ts, p
 }
+
+// oneShot sends every request on a connection of its own. A client that
+// reuses connections can dial one for a request that a freed connection
+// then serves; the spare connection sits unused, and http.Server.Shutdown
+// waits 5 s before it counts such a connection as idle.
+var oneShot = &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
 
 func postInfer(t *testing.T, url string, input []float64) (*http.Response, inferResponse) {
 	t.Helper()
@@ -41,7 +56,7 @@ func postInfer(t *testing.T, url string, input []float64) (*http.Response, infer
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	resp, err := oneShot.Post(url, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,15 +117,9 @@ func TestReconstructEndpoint(t *testing.T) {
 func TestPredictEndpoint(t *testing.T) {
 	cfg := phideep.MLPConfig{Sizes: []int{8, 6, 4}, Seed: 3}
 	p := mlp.NewParams(cfg, cfg.Seed)
-	srv, err := phideep.NewServer(phideep.ServeMLP(cfg, p), phideep.ServeConfig{
+	_, ts := serveHTTP(t, phideep.ServeMLP(cfg, p), phideep.ServeConfig{
 		Level: phideep.Baseline, MaxBatch: 4, MaxWait: 200 * time.Microsecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	ts := httptest.NewServer(newMux(srv, time.Now()))
-	defer ts.Close()
 
 	x := []float64{0.9, 0.1, 0.4, 0.2, 0.8, 0.3, 0.6, 0.5}
 	resp, got := postInfer(t, ts.URL+"/predict", x)
@@ -172,6 +181,48 @@ func TestEndpointErrors(t *testing.T) {
 	if r.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET: status %d, want 405", r.StatusCode)
 	}
+	// A body over the limit: whitespace the decoder must read past.
+	big := append(bytes.Repeat([]byte(" "), maxBodyBytes+1), "{}"...)
+	r, err = http.Post(ts.URL+"/encode", "application/json", bytes.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Body.Close()
+	if r.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", r.StatusCode)
+	}
+	// A finite input whose output is not: on a 1024→4 autoencoder at
+	// Improved, ±MaxFloat64 entries signed like W1[:,0] in the first half
+	// and against it in the second overflow the two k-block partial sums of
+	// hidden unit 0 to +Inf and −Inf, which fold to NaN.
+	cfg := phideep.AutoencoderConfig{Visible: 1024, Hidden: 4, Seed: 7}
+	p := autoencoder.NewParams(cfg, cfg.Seed)
+	_, nanTS := serveHTTP(t, phideep.ServeAutoencoder(cfg, p), phideep.ServeConfig{Level: phideep.Improved})
+	x := make([]float64, cfg.Visible)
+	for i := range x {
+		x[i] = math.Copysign(math.MaxFloat64, p.W1.At(i, 0))
+		if i >= cfg.Visible/2 {
+			x[i] = -x[i]
+		}
+	}
+	body, err := json.Marshal(inferRequest{Input: x})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err = http.Post(nanTS.URL+"/encode", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Body.Close()
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(r.Body).Decode(&e); err != nil {
+		t.Fatalf("non-finite output: status %d with unreadable body: %v", r.StatusCode, err)
+	}
+	if r.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(e.Error, "NaN") {
+		t.Fatalf("non-finite output: status %d error %q, want 422 naming NaN", r.StatusCode, e.Error)
+	}
 }
 
 func TestHealthz(t *testing.T) {
@@ -210,15 +261,9 @@ func TestHealthz(t *testing.T) {
 // answer 503 so a load balancer pulls it from rotation before shutdown.
 func TestHealthzDraining(t *testing.T) {
 	cfg := phideep.AutoencoderConfig{Visible: 12, Hidden: 5, Seed: 7}
-	srv, err := phideep.NewServer(phideep.ServeAutoencoder(cfg, nil), phideep.ServeConfig{
+	srv, ts := serveHTTP(t, phideep.ServeAutoencoder(cfg, nil), phideep.ServeConfig{
 		Level: phideep.Baseline, MaxBatch: 4, MaxWait: 200 * time.Microsecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-	ts := httptest.NewServer(newMux(srv, time.Now()))
-	t.Cleanup(ts.Close)
 
 	if err := srv.Drain(time.Second); err != nil {
 		t.Fatal(err)
@@ -293,15 +338,9 @@ func TestStatusFor(t *testing.T) {
 func TestDrainAndShutdown(t *testing.T) {
 	cfg := phideep.AutoencoderConfig{Visible: 12, Hidden: 5, Seed: 7}
 	p := autoencoder.NewParams(cfg, cfg.Seed)
-	srv, err := phideep.NewServer(phideep.ServeAutoencoder(cfg, p), phideep.ServeConfig{
+	srv, ts := serveHTTP(t, phideep.ServeAutoencoder(cfg, p), phideep.ServeConfig{
 		Level: phideep.Baseline, MaxBatch: 4, MaxWait: time.Hour,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-	ts := httptest.NewServer(newMux(srv, time.Now()))
-	t.Cleanup(ts.Close)
 
 	// Two requests are admitted. An idle replica takes each at once, so a
 	// request may be queued or already on a replica when the drain starts;
@@ -409,13 +448,7 @@ func TestHealthzAfterCheckpointExport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := phideep.NewServer(m, phideep.ServeConfig{Level: phideep.Baseline})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	ts := httptest.NewServer(newMux(srv, time.Now()))
-	defer ts.Close()
+	_, ts := serveHTTP(t, m, phideep.ServeConfig{Level: phideep.Baseline})
 
 	x := []float64{0.2, 0.4, 0.6, 0.8, 1, 0}
 	resp, got := postInfer(t, ts.URL+"/encode", x)
