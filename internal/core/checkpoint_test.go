@@ -1,10 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc64"
 	"testing"
+
+	"phideep/internal/autoencoder"
+	"phideep/internal/device"
+	"phideep/internal/sim"
 )
 
 // TestDecodeCheckpointHostileCount is the regression test for the length
@@ -34,4 +39,42 @@ func TestDecodeCheckpointHostileCount(t *testing.T) {
 			t.Fatalf("count %d: decoded %+v, error %v; want ErrCheckpointTruncated", count, c, err)
 		}
 	}
+}
+
+// FuzzDecodeCheckpoint feeds DecodeCheckpoint arbitrary bytes. The harness
+// rewrites the trailing CRC-64 to match the mutated body, so mutations get
+// past the checksum to the field parser. A rejected input must yield a nil
+// checkpoint; an accepted one must encode back to the same bytes.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	ctx := NewContext(device.New(sim.XeonPhi5110P(), true, nil), Improved, 0, 1)
+	m, err := autoencoder.Build(ctx, autoencoder.Config{Visible: 8, Hidden: 3, Batch: 2, Seed: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var blob bytes.Buffer
+	if err := m.SaveState(&blob); err != nil {
+		f.Fatal(err)
+	}
+	m.Free()
+	f.Add(EncodeCheckpoint(&Checkpoint{
+		Step: 5, Chunk: 2, Examples: 10, FirstLoss: 0.7, EpochLossSum: 1.2,
+		EpochLossN: 2, EpochLoss: []float64{0.7, 0.5}, Model: blob.Bytes(),
+	}))
+	f.Add(EncodeCheckpoint(&Checkpoint{}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		data = append([]byte(nil), data...)
+		if len(data) >= 16 {
+			binary.LittleEndian.PutUint64(data[len(data)-8:], crc64.Checksum(data[4:len(data)-8], ckptCRC))
+		}
+		c, err := DecodeCheckpoint(data)
+		if err != nil {
+			if c != nil {
+				t.Fatalf("error %v came with a checkpoint", err)
+			}
+			return
+		}
+		if out := EncodeCheckpoint(c); !bytes.Equal(out, data) {
+			t.Fatalf("accepted %d bytes encode back as %d different ones", len(data), len(out))
+		}
+	})
 }

@@ -2,6 +2,9 @@ package nn
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc64"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -146,4 +149,46 @@ func TestSaveDeterministic(t *testing.T) {
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("serialization not deterministic")
 	}
+}
+
+// FuzzLoadParamSet feeds LoadParamSet arbitrary bytes. The harness rewrites
+// the CRC-64 behind the data the count field announces, so mutations get
+// past the checksum to the count and data checks. A rejected input must
+// leave the destination untouched; an accepted one must save back to the
+// bytes it was read from.
+func FuzzLoadParamSet(f *testing.F) {
+	ps, _, _ := sampleParamSet(1)
+	var state bytes.Buffer
+	if err := SaveState(&state, ps, rng.New(2)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(state.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		data = append([]byte(nil), data...)
+		le := binary.LittleEndian
+		if len(data) >= 20 {
+			if n := le.Uint64(data[4:12]); n <= uint64(len(data)-20)/8 {
+				end := 12 + 8*int(n)
+				le.PutUint64(data[end:], crc64.Checksum(data[12:end], crcTable))
+			}
+		}
+		ps, _, _ := sampleParamSet(1)
+		before := ps.Flatten(nil)
+		r := bytes.NewReader(data)
+		if err := LoadParamSet(r, ps); err != nil {
+			for i, v := range ps.Flatten(nil) {
+				if math.Float64bits(v) != math.Float64bits(before[i]) {
+					t.Fatalf("rejected input (%v) modified parameter %d", err, i)
+				}
+			}
+			return
+		}
+		var out bytes.Buffer
+		if err := SaveParamSet(&out, ps); err != nil {
+			t.Fatal(err)
+		}
+		if read := data[:len(data)-r.Len()]; !bytes.Equal(out.Bytes(), read) {
+			t.Fatalf("accepted %d bytes save back as %d different ones", len(read), out.Len())
+		}
+	})
 }

@@ -1,11 +1,13 @@
 package parallel
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestForCoversEveryIndexExactlyOnce(t *testing.T) {
@@ -224,6 +226,28 @@ func TestPoolUseAfterClosePanics(t *testing.T) {
 			}()
 			tc.call(pool)
 		}()
+	}
+}
+
+// TestCloseStopsWorkers is the leak check for Close: after a pool that ran
+// regions is closed, the goroutine count returns to its value before
+// NewPool. Close does not join the workers, so the check polls.
+func TestCloseStopsWorkers(t *testing.T) {
+	for _, workers := range []int{1, 2, 5} {
+		before := runtime.NumGoroutine()
+		pool := NewPool(workers)
+		pool.For(100, Dynamic, 7, func(lo, hi int) {})
+		pool.Run(func() {}, func() {})
+		pool.Close()
+		deadline := time.Now().Add(5 * time.Second)
+		n := runtime.NumGoroutine()
+		for n > before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+			n = runtime.NumGoroutine()
+		}
+		if n > before {
+			t.Fatalf("%d workers: %d goroutines after Close, %d before NewPool", workers, n, before)
+		}
 	}
 }
 
