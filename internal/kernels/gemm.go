@@ -53,7 +53,7 @@ func gemm(pool *parallel.Pool, lvl Level, transA, transB bool, alpha float64, a,
 	m, k := opShape(a, transA)
 	_, n := opShape(b, transB)
 	mGemmFlops.Add(2 * float64(m) * float64(k) * float64(n))
-	mGemmPaths.record(tiled)
+	mGemmPaths.record(tiled, n <= narrowN)
 }
 
 // gemmDispatch is the uninstrumented body: validate, then route to the

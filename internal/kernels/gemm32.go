@@ -56,7 +56,7 @@ func gemm32(pool *parallel.Pool, lvl Level, transA, transB bool, alpha float32, 
 	m, k := opShape32(a, transA)
 	_, n := opShape32(b, transB)
 	mGemm32Flops.Add(2 * float64(m) * float64(k) * float64(n))
-	mGemm32Paths.record(tiled)
+	mGemm32Paths.record(tiled, false)
 }
 
 // gemm32Dispatch is the uninstrumented body: validate, then route to the

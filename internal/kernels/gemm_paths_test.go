@@ -183,8 +183,10 @@ func TestGemm32KernelPathsProperty(t *testing.T) {
 // TestGemmPathCounters: a call that runs no micro-kernel (an empty
 // product, k = 0, alpha = 0, or a scalar level) counts as path.scalar, and
 // a blocked call counts once under the path that served it, with avx512
-// also counting as asm. A pack-once call counts like the per-call one and
-// once more under prepacked.
+// also counting as asm. A narrow f64 call (n ≤ narrowN) runs only 4×8
+// tiles, so on the avx512 path it counts as asm but not avx512. A
+// pack-once call counts like the per-call one and once more under
+// prepacked.
 func TestGemmPathCounters(t *testing.T) {
 	defer metrics.SetEnabled(metrics.Enabled())
 	metrics.SetEnabled(true)
@@ -200,20 +202,25 @@ func TestGemmPathCounters(t *testing.T) {
 		return v
 	}
 	r := rng.New(71)
-	a, b, c := randMatrix(r, 5, 7), randMatrix(r, 7, 9), tensor.NewMatrix(5, 9)
+	const wideN = 3 * nr
+	a, b, c := randMatrix(r, 5, 7), randMatrix(r, 7, wideN), tensor.NewMatrix(5, wideN)
 	a32, b32, c32 := a.To32(), b.To32(), c.To32()
-	empty, emptyB := tensor.NewMatrix(5, 0), tensor.NewMatrix(0, 9)
+	narrowB, narrowC := randMatrix(r, 7, 9), tensor.NewMatrix(5, 9)
+	narrowB32, narrowC32 := narrowB.To32(), narrowC.To32()
+	empty, emptyB := tensor.NewMatrix(5, 0), tensor.NewMatrix(0, wideN)
 	empty32, emptyB32 := empty.To32(), emptyB.To32()
 	cases := []struct {
-		name  string
-		lvl   Level
-		alpha float64
-		k0    bool
+		name   string
+		lvl    Level
+		alpha  float64
+		k0     bool
+		narrow bool
 	}{
-		{"blocked", Blocked, 1, false},
-		{"alpha=0", Blocked, 0, false},
-		{"k=0", Blocked, 1, true},
-		{"scalar level", Naive, 1, false},
+		{"blocked", Blocked, 1, false, false},
+		{"blocked narrow", Blocked, 1, false, true},
+		{"alpha=0", Blocked, 0, false, false},
+		{"k=0", Blocked, 1, true, false},
+		{"scalar level", Naive, 1, false, false},
 	}
 	prepacked, prepacked32 := reg.Counter("kernels.gemm.prepacked"), reg.Counter("kernels.gemm32.prepacked")
 	for _, p := range availablePaths(t) {
@@ -228,26 +235,34 @@ func TestGemmPathCounters(t *testing.T) {
 					want[3] = 2
 				}
 			}
+			want32 := want // f32 has no narrow path
+			if cse.narrow {
+				want[3] = 0
+			}
 			x, y, x32, y32 := a, b, a32, b32
-			if cse.k0 {
+			z, z32 := c, c32
+			switch {
+			case cse.k0:
 				x, y, x32, y32 = empty, emptyB, empty32, emptyB32
+			case cse.narrow:
+				y, y32, z, z32 = narrowB, narrowB32, narrowC, narrowC32
 			}
 			pb, pb32 := PackB(y, false), PackB32(y32, false)
 			before, before32 := read("kernels.gemm"), read("kernels.gemm32")
 			pre, pre32 := prepacked.Value(), prepacked32.Value()
 			withPath(p, func() {
-				Gemm(nil, cse.lvl, false, false, cse.alpha, x, y, 1, c)
-				GemmPacked(nil, cse.lvl, false, cse.alpha, x, pb, 1, c)
-				Gemm32(nil, cse.lvl, false, false, float32(cse.alpha), x32, y32, 1, c32)
-				Gemm32Packed(nil, cse.lvl, false, float32(cse.alpha), x32, pb32, 1, c32)
+				Gemm(nil, cse.lvl, false, false, cse.alpha, x, y, 1, z)
+				GemmPacked(nil, cse.lvl, false, cse.alpha, x, pb, 1, z)
+				Gemm32(nil, cse.lvl, false, false, float32(cse.alpha), x32, y32, 1, z32)
+				Gemm32Packed(nil, cse.lvl, false, float32(cse.alpha), x32, pb32, 1, z32)
 			})
 			after, after32 := read("kernels.gemm"), read("kernels.gemm32")
 			for i := range want {
 				if d := after[i] - before[i]; d != want[i] {
 					t.Errorf("%s %s: %s moved by %d, want %d", pathNames[p], cse.name, names("kernels.gemm")[i], d, want[i])
 				}
-				if d := after32[i] - before32[i]; d != want[i] {
-					t.Errorf("%s %s: %s moved by %d, want %d", pathNames[p], cse.name, names("kernels.gemm32")[i], d, want[i])
+				if d := after32[i] - before32[i]; d != want32[i] {
+					t.Errorf("%s %s: %s moved by %d, want %d", pathNames[p], cse.name, names("kernels.gemm32")[i], d, want32[i])
 				}
 			}
 			if d, d32 := prepacked.Value()-pre, prepacked32.Value()-pre32; d != 1 || d32 != 1 {

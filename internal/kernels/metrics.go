@@ -79,8 +79,9 @@ type pathCounters struct {
 }
 
 // record counts one call. ranTile is what gemmDispatch / gemm32Dispatch
-// returned: whether the packed micro-kernel ran.
-func (p pathCounters) record(ranTile bool) {
+// returned: whether the packed micro-kernel ran. narrow marks an f64 call
+// on the narrow path, whose 4×8 tiles are assembly but never ZMM.
+func (p pathCounters) record(ranTile, narrow bool) {
 	switch {
 	case !ranTile:
 		p.scalar.Inc()
@@ -88,7 +89,7 @@ func (p pathCounters) record(ranTile bool) {
 		p.goTile.Inc()
 	default:
 		p.asm.Inc()
-		if activePath == pathAVX512 {
+		if activePath == pathAVX512 && !narrow {
 			p.avx512.Inc()
 		}
 	}

@@ -33,6 +33,19 @@ func cpuSupportsAVX2FMA() bool
 //go:noescape
 func dgemmKernel4x8(kc int, ap, bp, out *float64)
 
+// dgemmKernel4x8s is dgemmKernel4x8 reading op(A) where it lies:
+//
+//	out[ii*8+jj] = Σ_{l<kc} A(ii, l) · bp[l*8+jj]
+//
+// where A(ii, l) is the float64 at byte offset ii*rsA + l*csA from a —
+// strides (8, stride·8) for a transposed A, (stride·8, 8) otherwise. Every
+// accumulator sees the same fused multiply-adds in the
+// same order as in dgemmKernel4x8, so the tile is bitwise what the kernel
+// computes over the packed sliver. kc must be >= 1.
+//
+//go:noescape
+func dgemmKernel4x8s(kc int, a *float64, rsA, csA int, bp, out *float64)
+
 // sgemmKernel8x16 computes the 8×16 float32 register tile
 //
 //	out[ii*16+jj] = Σ_{l<kc} ap[l*8+ii] · bp[l*16+jj]

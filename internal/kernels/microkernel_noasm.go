@@ -10,6 +10,10 @@ func dgemmKernel4x8(kc int, ap, bp, out *float64) {
 	panic("kernels: assembly micro-kernel not available in this build")
 }
 
+func dgemmKernel4x8s(kc int, a *float64, rsA, csA int, bp, out *float64) {
+	panic("kernels: assembly micro-kernel not available in this build")
+}
+
 func sgemmKernel8x16(kc int, ap, bp, out *float32) {
 	panic("kernels: assembly micro-kernel not available in this build")
 }

@@ -167,11 +167,30 @@ func kernelTile(kc int, ap, bp []float64, out *[mr * nr]float64) {
 		dgemmKernel4x8(kc, &ap[0], &bp[0], &out[0])
 		return
 	}
-	kernelTileGo(kc, ap, bp, out)
+	kernelTileGo(kc, ap, 1, mr, bp, out)
 }
 
-func kernelTileGo(kc int, ap, bp []float64, out *[mr * nr]float64) {
-	_ = ap[:kc*mr]
+// kernelTileStrided is kernelTile reading the mr×kc sliver of op(A) where
+// it lies instead of from a packed buffer: element (ii, l) is a[ii*rs+l*cs]
+// (rs, cs > 0, in elements). Each C element runs the same FMA chain as in
+// kernelTile, so the tile is bitwise what packA followed by kernelTile
+// computes. The narrow GEMM path uses it for full row tiles, where a packed
+// sliver would feed only one or two micro-panels.
+func kernelTileStrided(kc int, a []float64, rs, cs int, bp []float64, out *[mr * nr]float64) {
+	_ = a[(mr-1)*rs+(kc-1)*cs]
+	_ = bp[:kc*nr]
+	if activePath != pathGo {
+		dgemmKernel4x8s(kc, &a[0], rs*8, cs*8, &bp[0], &out[0])
+		return
+	}
+	kernelTileGo(kc, a, rs, cs, bp, out)
+}
+
+// kernelTileGo is the pure-Go tile over op(A) element (ii, l) at
+// a[ii*rs+l*cs]: strides (1, mr) for a packed sliver, the matrix's own for
+// an in-place read.
+func kernelTileGo(kc int, a []float64, rs, cs int, bp []float64, out *[mr * nr]float64) {
+	_ = a[(mr-1)*rs+(kc-1)*cs]
 	_ = bp[:kc*nr]
 	for half := 0; half < nr/2; half++ {
 		var s00, s01 float64
@@ -180,7 +199,7 @@ func kernelTileGo(kc int, ap, bp []float64, out *[mr * nr]float64) {
 		var s30, s31 float64
 		aoff, boff := 0, half*2
 		for l := 0; l < kc; l++ {
-			a0, a1, a2, a3 := ap[aoff], ap[aoff+1], ap[aoff+2], ap[aoff+3]
+			a0, a1, a2, a3 := a[aoff], a[aoff+rs], a[aoff+2*rs], a[aoff+3*rs]
 			b0, b1 := bp[boff], bp[boff+1]
 			s00 += a0 * b0
 			s01 += a0 * b1
@@ -190,7 +209,7 @@ func kernelTileGo(kc int, ap, bp []float64, out *[mr * nr]float64) {
 			s21 += a2 * b1
 			s30 += a3 * b0
 			s31 += a3 * b1
-			aoff += mr
+			aoff += cs
 			boff += nr
 		}
 		j := half * 2
