@@ -37,9 +37,12 @@ go test ./...
 go test -tags noasm ./...
 # Fuzz the decoders of bytes read back from files: a PHCK checkpoint and a
 # parameter blob. go test ./... above ran only their seed corpora; each
-# harness fixes the CRC-64 so mutations reach the field parsers.
+# harness fixes the CRC-64 so mutations reach the field parsers. Then fuzz
+# the bytes that arrive over the wire: phiserve's inference handler must
+# answer any body with 200, 400, 413 or 422, never a 5xx or a panic.
 go test -run '^$' -fuzz '^FuzzDecodeCheckpoint$' -fuzztime 5s ./internal/core/
 go test -run '^$' -fuzz '^FuzzLoadParamSet$' -fuzztime 5s ./internal/nn/
+go test -run '^$' -fuzz '^FuzzInferHandler$' -fuzztime 5s ./cmd/phiserve/
 # kernels' path property tests switch the dispatch between every path the
 # CPU supports inside one binary, so they run under -race here as well.
 # core and stack carry the fault-injection, checkpoint/resume and chunk
