@@ -3,6 +3,7 @@ package phideep_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"flag"
@@ -25,6 +26,7 @@ import (
 	"phideep/internal/mlp"
 	"phideep/internal/parallel"
 	"phideep/internal/rbm"
+	"phideep/internal/serve"
 	"phideep/internal/sim"
 	"phideep/internal/stack"
 )
@@ -48,12 +50,15 @@ const (
 // goldenDigest is what one job leaves behind, bit for bit.
 type goldenDigest struct {
 	// PHCK is the SHA-256 of the final model as a PHCK checkpoint.
-	PHCK string `json:"phck_sha256"`
+	PHCK string `json:"phck_sha256,omitempty"`
 	// EpochLoss holds the IEEE-754 bits of each epoch's mean loss (for a
 	// stack, every layer's in layer order).
-	EpochLoss []string `json:"epoch_loss_bits"`
+	EpochLoss []string `json:"epoch_loss_bits,omitempty"`
 	// SimSeconds is the simulated makespan, formatted to round-trip.
-	SimSeconds string `json:"sim_seconds"`
+	SimSeconds string `json:"sim_seconds,omitempty"`
+	// Out is the SHA-256 of a served sweep's output bits; served entries
+	// carry only this field.
+	Out string `json:"out_sha256,omitempty"`
 }
 
 // goldenJob is one model family: train it on src (a fresh one per job)
@@ -220,7 +225,8 @@ func trainGoldenStack(ctx *blas.Context, cfg core.TrainConfig, fed bool) ([]byte
 // TestGoldenDigests is the cross-commit behaviour lock: every model family
 // × {Baseline, Improved} × {bare source, explicit feed} trains a tiny
 // fixed-seed job, and the final PHCK bytes, the epoch losses and the
-// simulated time must match the committed digests bit for bit. The
+// simulated time must match the committed digests bit for bit. The served
+// families add the outputs of every op at F64 and F32 (servedDigests). The
 // in-build bit-identity suites compare two paths of one build; this pins
 // both against the past. The assembly and pure-Go micro-kernels round
 // differently, so each has its own file; run with -update to regenerate
@@ -255,6 +261,10 @@ func TestGoldenDigests(t *testing.T) {
 				got[name] = digestOf(blob, losses, res)
 			}
 		}
+	}
+
+	for name, d := range servedDigests(t, pool) {
+		got[name] = d
 	}
 
 	if *updateGolden {
@@ -293,6 +303,8 @@ func TestGoldenDigests(t *testing.T) {
 			t.Errorf("%s: epoch loss bits %v, want %v", name, g.EpochLoss, w.EpochLoss)
 		case g.SimSeconds != w.SimSeconds:
 			t.Errorf("%s: sim seconds %s, want %s", name, g.SimSeconds, w.SimSeconds)
+		case g.Out != w.Out:
+			t.Errorf("%s: served output sha256 %s, want %s", name, g.Out, w.Out)
 		}
 	}
 }
@@ -310,4 +322,105 @@ func digestOf(blob []byte, losses []float64, res *core.Result) goldenDigest {
 		d.EpochLoss = append(d.EpochLoss, fmt.Sprintf("%016x", math.Float64bits(l)))
 	}
 	return d
+}
+
+// servedFamilies are the models the served part of the lock answers with,
+// each built from NewParams(cfg, goldenSeed): both autoencoder decoders,
+// both RBM visible types, the classifier and the convnet.
+var servedFamilies = []struct {
+	name  string
+	model func() *serve.Model
+}{
+	{"ae", func() *serve.Model { return servedAE(false) }},
+	{"ae-tied", func() *serve.Model { return servedAE(true) }},
+	{"rbm", func() *serve.Model { return servedRBM(false) }},
+	{"rbm-gaussian", func() *serve.Model { return servedRBM(true) }},
+	{"mlp", func() *serve.Model {
+		cfg := mlp.Config{Sizes: []int{goldenSide * goldenSide, 16, 10}, Lambda: 1e-4, Batch: goldenBatch, Seed: goldenSeed}
+		return serve.MLP(cfg, mlp.NewParams(cfg, goldenSeed))
+	}},
+	{"convnet", func() *serve.Model {
+		cfg := convnet.Config{Side: goldenSide, Filters1: 3, Kernel1: 3, Filters2: 4, Kernel2: 3, Pool: 2,
+			Classes: 10, Lambda: 1e-4, Batch: goldenBatch, Seed: goldenSeed}
+		return serve.Convnet(cfg, convnet.NewParams(cfg, goldenSeed))
+	}},
+}
+
+func servedAE(tied bool) *serve.Model {
+	cfg := autoencoder.Config{Visible: goldenSide * goldenSide, Hidden: 16, Lambda: 1e-4, Beta: 0.1, Rho: 0.05,
+		Tied: tied, Batch: goldenBatch, Seed: goldenSeed}
+	return serve.Autoencoder(cfg, autoencoder.NewParams(cfg, goldenSeed))
+}
+
+func servedRBM(gaussian bool) *serve.Model {
+	cfg := rbm.Config{Visible: goldenSide * goldenSide, Hidden: 16, GaussianVisible: gaussian, Batch: goldenBatch, Seed: goldenSeed}
+	return serve.RBM(cfg, rbm.NewParams(cfg, goldenSeed))
+}
+
+// servedDigests serves every family at F64 and F32 × {Baseline, Improved}
+// and sweeps the golden digits through each op the model answers. Every
+// chunk is one batch-sized lease admitted under one lock hold, so each
+// reaches its worker as one full batch and the outputs depend on nothing
+// but the code. The digest is the SHA-256 of the output bits in example
+// order, keyed served/<family>/<precision>/<level>/<op>.
+func servedDigests(t *testing.T, pool *parallel.Pool) map[string]goldenDigest {
+	t.Helper()
+	got := map[string]goldenDigest{}
+	for _, fam := range servedFamilies {
+		m := fam.model()
+		for _, prec := range []serve.Precision{serve.F64, serve.F32} {
+			for _, lvl := range []struct {
+				name string
+				lvl  core.OptLevel
+			}{{"Baseline", core.Baseline}, {"Improved", core.Improved}} {
+				srv, err := serve.New(m, serve.Config{Level: lvl.lvl, Precision: prec, Workers: 1, PoolWorkers: 2,
+					MaxBatch: goldenBatch, QueueDepth: 4 * goldenBatch})
+				if err != nil {
+					t.Fatalf("%s/%s/%s: %v", fam.name, prec, lvl.name, err)
+				}
+				for _, op := range m.Ops() {
+					name := "served/" + fam.name + "/" + prec.String() + "/" + lvl.name + "/" + op.String()
+					got[name] = goldenDigest{Out: servedSweep(t, name, srv, op)}
+				}
+				srv.Close()
+			}
+		}
+	}
+	return got
+}
+
+// servedSweep scores the golden digits through srv in batch-sized chunks
+// and returns the SHA-256 of the outputs' IEEE-754 bits.
+func servedSweep(t *testing.T, name string, srv *serve.Server, op serve.Op) string {
+	t.Helper()
+	src := goldenDigits()
+	plan, err := data.PlanChunks(data.PlanRequest{SourceLen: src.Len(), Batch: goldenBatch, ChunkExamples: goldenBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := feed.New(src, feed.Config{Plan: plan, Window: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc, err := f.Subscribe("golden-served")
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs := make([][]float64, src.Len())
+	res, err := srv.ScoreFeed(op, fc, func(example int, scores []float64) { outs[example] = scores })
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if res.Rows != src.Len() || res.Failed != 0 {
+		t.Fatalf("%s: %d rows answered, %d failed, want %d and 0", name, res.Rows, res.Failed, src.Len())
+	}
+	h := sha256.New()
+	var b [8]byte
+	for _, row := range outs {
+		for _, v := range row {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
