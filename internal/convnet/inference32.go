@@ -4,43 +4,34 @@ import (
 	"fmt"
 
 	"phideep/internal/kernels"
+	"phideep/internal/nn"
 	"phideep/internal/parallel"
 	"phideep/internal/tensor"
 )
 
 // Params32 is a float32 snapshot of trained convnet parameters, built once
 // per served model by To32 and shared read-only by the reduced-precision
-// inference replicas. Training never sees these.
+// inference replicas: the two convolutions as dense layers over their
+// im2col lowering, and the softmax classifier. Training never sees these.
 type Params32 struct {
-	W1 *tensor.Matrix32
-	B1 tensor.Vector32
-	W2 *tensor.Matrix32
-	B2 tensor.Vector32
-	W3 *tensor.Matrix32
-	B3 tensor.Vector32
-
-	// W1..W3 as pack-once GEMM operands: the weights never change, so the
-	// forward pass packs them here instead of per batch.
-	p1, p2, p3 *kernels.PackedB32
+	conv1, conv2, fc *nn.Dense32
 }
 
 // To32 rounds every layer to float32 and packs the weights for the
 // blocked kernels.
 func (p *Params) To32() *Params32 {
-	c := &Params32{
-		W1: p.Conv1.W.To32(), B1: p.Conv1.B.To32(),
-		W2: p.Conv2.W.To32(), B2: p.Conv2.B.To32(),
-		W3: p.W3.To32(), B3: p.B3.To32(),
+	return &Params32{
+		conv1: nn.NewDense32(p.Conv1.W, false, p.Conv1.B, nn.ActSigmoid),
+		conv2: nn.NewDense32(p.Conv2.W, false, p.Conv2.B, nn.ActSigmoid),
+		fc:    nn.NewDense32(p.W3, false, p.B3, nn.ActSoftmax),
 	}
-	c.p1, c.p2, c.p3 = kernels.PackB32(c.W1, false), kernels.PackB32(c.W2, false), kernels.PackB32(c.W3, false)
-	return c
 }
 
 // Inference32 is a forward-only float32 replica of the convnet running
 // host-side on the packed f32 kernels: the same im2col lowering as the
-// training model, with float32 gathers feeding Gemm32. Weights are shared
-// read-only; each replica owns a private workspace sized for maxBatch.
-// Not safe for concurrent use of a single replica.
+// training model, with float32 gathers feeding the dense layers. Weights
+// are shared read-only; each replica owns a private workspace sized for
+// maxBatch. Not safe for concurrent use of a single replica.
 type Inference32 struct {
 	cfg  Config
 	p    *Params32
@@ -98,19 +89,13 @@ func (m *Inference32) Infer(x *tensor.Matrix32) *tensor.Matrix32 {
 	out := m.out.RowsView(0, n)
 
 	kernels.Im2col32(m.pool, m.lvl, m.c1, n, x, cols1)
-	kernels.Gemm32Packed(m.pool, m.lvl, false, 1, cols1, m.p.p1, 0, a1)
-	kernels.AddBiasRow32(m.pool, m.lvl, a1, m.p.B1)
-	kernels.Sigmoid32(m.pool, m.lvl, a1, a1)
+	m.p.conv1.Forward(m.pool, m.lvl, cols1, a1)
 	kernels.MaxPool32(m.pool, m.lvl, m.p1, n, a1, pl1)
 
 	kernels.Im2col32(m.pool, m.lvl, m.c2, n, pl1, cols2)
-	kernels.Gemm32Packed(m.pool, m.lvl, false, 1, cols2, m.p.p2, 0, a2)
-	kernels.AddBiasRow32(m.pool, m.lvl, a2, m.p.B2)
-	kernels.Sigmoid32(m.pool, m.lvl, a2, a2)
+	m.p.conv2.Forward(m.pool, m.lvl, cols2, a2)
 	kernels.MaxPool32(m.pool, m.lvl, m.p2, n, a2, pl2)
 
-	kernels.Gemm32Packed(m.pool, m.lvl, false, 1, pl2, m.p.p3, 0, out)
-	kernels.AddBiasRow32(m.pool, m.lvl, out, m.p.B3)
-	kernels.SoftmaxRows32(m.pool, m.lvl, out, out)
+	m.p.fc.Forward(m.pool, m.lvl, pl2, out)
 	return out
 }

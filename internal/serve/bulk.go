@@ -77,7 +77,7 @@ func (s *Server) ScoreFeedContext(ctx context.Context, op Op, fc *feed.Consumer,
 	if fc == nil {
 		return nil, errors.New("serve: nil feed consumer")
 	}
-	if !s.model.supports(op) {
+	if s.model.OutputDim(op) == 0 {
 		return nil, &UnsupportedOpError{Kind: s.model.Kind(), Op: op}
 	}
 	if d := fc.Dim(); d != s.model.InputDim() {

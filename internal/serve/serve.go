@@ -431,6 +431,11 @@ func New(m *Model, cfg Config) (*Server, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
+	// Checked here rather than by the replica builders: the f32 host path
+	// has no device model to reject a bad geometry.
+	if err := m.f.validate(); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
 	s := &Server{
 		cfg:   cfg,
 		model: m,
@@ -500,7 +505,7 @@ func (s *Server) Model() *Model { return s.model }
 // doCtx validates, stages, admits and awaits one request: the one-row case
 // of the admission path the bulk sweep feeds chunks through.
 func (s *Server) doCtx(ctx context.Context, op Op, x []float64) ([]float64, error) {
-	if !s.model.supports(op) {
+	if s.model.OutputDim(op) == 0 {
 		return nil, &UnsupportedOpError{Kind: s.model.Kind(), Op: op}
 	}
 	if len(x) != s.model.InputDim() {

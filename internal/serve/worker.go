@@ -3,16 +3,13 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
-	"phideep/internal/autoencoder"
 	"phideep/internal/blas"
-	"phideep/internal/convnet"
 	"phideep/internal/core"
 	"phideep/internal/device"
-	"phideep/internal/mlp"
 	"phideep/internal/parallel"
-	"phideep/internal/rbm"
 	"phideep/internal/tensor"
 )
 
@@ -45,15 +42,10 @@ type worker struct {
 	ctx  *blas.Context
 	pool *parallel.Pool
 
-	ae *autoencoder.Model
-	rb *rbm.Model
-	ml *mlp.Model
-	cv *convnet.Model
-
-	ae32 *autoencoder.Inference32
-	rb32 *rbm.Inference32
-	ml32 *mlp.Inference32
-	cv32 *convnet.Inference32
+	// rep is the F64 device replica, rep32 the F32 host one; a built
+	// worker holds exactly one.
+	rep   replica
+	rep32 replica32
 
 	// x is the staging input buffer, MaxBatch×InputDim; partial batches
 	// compute on its [0,n) row view. stage is its host mirror — CopyIn
@@ -95,21 +87,7 @@ func (w *worker) build() error {
 	m := w.s.model
 
 	if cfg.Precision == F32 {
-		m.convert32()
-		lvl := cfg.Level.KernelLevel()
-		switch m.kind {
-		case kindAE:
-			w.ae32 = autoencoder.NewInference32(w.pool, lvl, m.aeCfg, cfg.MaxBatch, m.ae32)
-		case kindRBM:
-			w.rb32 = rbm.NewInference32(w.pool, lvl, m.rbmCfg, cfg.MaxBatch, m.rb32)
-		case kindMLP:
-			w.ml32 = mlp.NewInference32(w.pool, lvl, m.mlpCfg, cfg.MaxBatch, m.ml32)
-		case kindConv:
-			w.cv32 = convnet.NewInference32(w.pool, lvl, m.convCfg, cfg.MaxBatch, m.cv32)
-		default:
-			w.free()
-			return fmt.Errorf("serve: unknown model kind %d", int(m.kind))
-		}
+		w.rep32 = m.f.replica32(w.pool, cfg.Level.KernelLevel(), cfg.MaxBatch)
 		w.stage32 = tensor.NewMatrix32(cfg.MaxBatch, m.InputDim())
 		return nil
 	}
@@ -117,34 +95,19 @@ func (w *worker) build() error {
 	dev := device.New(cfg.Arch, true, w.pool)
 	w.ctx = core.NewContext(dev, cfg.Level, cfg.Cores, cfg.Seed+uint64(w.slot))
 
-	var err error
-	switch m.kind {
-	case kindAE:
-		w.ae, err = autoencoder.NewInference(w.ctx, m.aeCfg, cfg.MaxBatch, m.ae)
-	case kindRBM:
-		w.rb, err = rbm.NewInference(w.ctx, m.rbmCfg, cfg.MaxBatch, m.rb)
-	case kindMLP:
-		w.ml, err = mlp.NewInference(w.ctx, m.mlpCfg, cfg.MaxBatch, m.ml)
-	case kindConv:
-		w.cv, err = convnet.NewInference(w.ctx, m.convCfg, cfg.MaxBatch, m.cv)
-	default:
-		err = fmt.Errorf("serve: unknown model kind %d", int(m.kind))
-	}
+	rep, err := m.f.replica(w.ctx, cfg.MaxBatch)
 	if err != nil {
 		w.free()
 		return err
 	}
+	w.rep = rep
 	w.x, err = dev.Alloc(cfg.MaxBatch, m.InputDim())
 	if err != nil {
 		w.free()
 		return err
 	}
 	w.stage = tensor.NewMatrix(cfg.MaxBatch, m.InputDim())
-	width := 0
-	for _, op := range m.Ops() {
-		width = max(width, m.OutputDim(op))
-	}
-	w.result = make([]float64, cfg.MaxBatch*width)
+	w.result = make([]float64, cfg.MaxBatch*slices.Max(m.f.out[:]))
 	if cfg.Faults.Rate > 0 {
 		if err := dev.EnableFaults(workerFaultConfig(cfg.Faults, w.slot, w.restarts)); err != nil {
 			w.free()
@@ -222,27 +185,7 @@ func (w *worker) run(batch []*request) error {
 	}); err != nil {
 		return err
 	}
-	xv := w.x.Head(n)
-
-	var out *device.Buffer
-	switch {
-	case w.ae != nil:
-		if op == OpEncode {
-			out = w.ae.Encode(xv)
-		} else {
-			out = w.ae.Reconstruct(xv)
-		}
-	case w.rb != nil:
-		if op == OpEncode {
-			out = w.rb.Encode(xv)
-		} else {
-			out = w.rb.Reconstruct(xv)
-		}
-	case w.cv != nil:
-		out = w.cv.Infer(xv)
-	default:
-		out = w.ml.Infer(xv)
-	}
+	out := w.rep.forward(op, w.x.Head(n))
 
 	w.resultView = tensor.Matrix{Rows: n, Cols: out.Cols, Stride: out.Cols, Data: w.result[:n*out.Cols]}
 	res := &w.resultView
@@ -288,27 +231,7 @@ func (w *worker) run32(batch []*request) {
 	for i, r := range batch {
 		copy(w.stage32.RowView(i), r.in32)
 	}
-	xv := w.stage32.RowsView(0, n)
-
-	var out *tensor.Matrix32
-	switch {
-	case w.ae32 != nil:
-		if op == OpEncode {
-			out = w.ae32.Encode(xv)
-		} else {
-			out = w.ae32.Reconstruct(xv)
-		}
-	case w.rb32 != nil:
-		if op == OpEncode {
-			out = w.rb32.Encode(xv)
-		} else {
-			out = w.rb32.Reconstruct(xv)
-		}
-	case w.cv32 != nil:
-		out = w.cv32.Infer(xv)
-	default:
-		out = w.ml32.Infer(xv)
-	}
+	out := w.rep32.forward(op, w.stage32.RowsView(0, n))
 
 	now := time.Now()
 	for i, r := range batch {
@@ -330,27 +253,15 @@ func (w *worker) complete64(batch []*request, res *tensor.Matrix) {
 // free releases the worker's device resources and pool. The f32 path holds
 // no device; its replicas are plain host memory.
 func (w *worker) free() {
-	if w.ae != nil {
-		w.ae.Free()
-		w.ae = nil
-	}
-	if w.rb != nil {
-		w.rb.Free()
-		w.rb = nil
-	}
-	if w.ml != nil {
-		w.ml.Free()
-		w.ml = nil
-	}
-	if w.cv != nil {
-		w.cv.Free()
-		w.cv = nil
+	if w.rep != nil {
+		w.rep.Free()
+		w.rep = nil
 	}
 	if w.x != nil {
 		w.ctx.Dev.Free(w.x)
 		w.x = nil
 	}
-	w.ae32, w.rb32, w.ml32, w.cv32 = nil, nil, nil, nil
+	w.rep32 = nil
 	if w.pool != nil {
 		w.pool.Close()
 		w.pool = nil
