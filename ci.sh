@@ -91,13 +91,16 @@ go run ./cmd/phisim -nodes 3 -cluster-steps 20 -feed -numeric \
     -global-batch 24 -visible 32 -hidden 8 \
     -node-fault-rate 0.1 -node-rejoin-after 3 | grep "feed:"
 # Convnet train-then-serve smoke: train on labeled digits, export a PHCK
-# checkpoint, and serve /predict from it through the load generator (the
-# geometry flags must match between the two commands).
+# checkpoint, and serve /predict from it through the load generator at f64
+# and at f32 (the geometry flags must match between the commands).
 ckpt=$(mktemp -u /tmp/ci-convnet-XXXXXX.phck)
 go run ./cmd/phitrain -model convnet -data digits -side 8 -examples 256 \
     -batch 16 -epochs 1 -classes 10 -filters1 3 -kernel1 3 -filters2 4 \
     -kernel2 3 -export "$ckpt"
 go run ./cmd/phiserve -model convnet -side 8 -classes 10 -filters1 3 \
     -kernel1 3 -filters2 4 -kernel2 3 -checkpoint "$ckpt" \
+    -loadgen -clients 4 -duration 2s
+go run ./cmd/phiserve -model convnet -side 8 -classes 10 -filters1 3 \
+    -kernel1 3 -filters2 4 -kernel2 3 -checkpoint "$ckpt" -precision f32 \
     -loadgen -clients 4 -duration 2s
 rm -f "$ckpt"

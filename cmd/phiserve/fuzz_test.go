@@ -13,29 +13,54 @@ import (
 )
 
 // FuzzInferHandler posts arbitrary bodies to the inference endpoints
-// through the production mux. Whatever the body, the handler must not
-// panic and must answer 200, 400 (bad JSON, wrong width, an op the model
-// lacks), 413 (oversized) or 422 (an input that drives an output
-// non-finite), never a 5xx; a 200 must carry an output of the endpoint's
-// width with every value finite.
+// through the production mux of one of two servers, picked by the fuzz
+// input along with the endpoint: an f64 autoencoder and an f32 MLP, so
+// both the device replica and the float32 host replica see the bodies.
+// Whatever the body, the handler must not panic and must answer 200, 400
+// (bad JSON, wrong width, an op the model lacks), 413 (oversized) or 422
+// (an input that drives an output non-finite), never a 5xx; a 200 must
+// carry an output of the endpoint's width with every value finite.
 func FuzzInferHandler(f *testing.F) {
-	cfg := phideep.AutoencoderConfig{Visible: 12, Hidden: 5, Seed: 7}
-	srv, err := phideep.NewServer(phideep.ServeAutoencoder(cfg, nil), phideep.ServeConfig{
+	acfg := phideep.AutoencoderConfig{Visible: 12, Hidden: 5, Seed: 7}
+	ae, err := phideep.NewServer(phideep.ServeAutoencoder(acfg, nil), phideep.ServeConfig{
 		Level: phideep.Baseline, MaxBatch: 4, MaxWait: 200 * time.Microsecond,
 	})
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Cleanup(srv.Close)
-	mux := newMux(srv, time.Now())
+	f.Cleanup(ae.Close)
+	mcfg := phideep.MLPConfig{Sizes: []int{acfg.Visible, 6, 4}, Seed: 7}
+	mlp, err := phideep.NewServer(phideep.ServeMLP(mcfg, nil), phideep.ServeConfig{
+		Level: phideep.Improved, Precision: phideep.PrecisionF32, MaxBatch: 4, MaxWait: 200 * time.Microsecond,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(mlp.Close)
+	aeMux, mlpMux := newMux(ae, time.Now()), newMux(mlp, time.Now())
 	endpoints := []struct {
+		mux   http.Handler
 		path  string
-		width int // 0: the autoencoder has no such op
-	}{{"/encode", cfg.Hidden}, {"/reconstruct", cfg.Visible}, {"/predict", 0}}
+		width int // 0: the model has no such op
+	}{
+		{aeMux, "/encode", acfg.Hidden}, {aeMux, "/reconstruct", acfg.Visible}, {aeMux, "/predict", 0},
+		{mlpMux, "/encode", 0}, {mlpMux, "/reconstruct", 0}, {mlpMux, "/predict", mcfg.Sizes[2]},
+	}
 
 	valid, err := json.Marshal(inferRequest{Input: []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1, 0.5}})
 	if err != nil {
 		f.Fatal(err)
+	}
+	// The valid seed must reach both forward passes, or no 200 is fuzzed.
+	for _, e := range endpoints {
+		if e.width == 0 {
+			continue
+		}
+		rec := httptest.NewRecorder()
+		e.mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, e.path, bytes.NewReader(valid)))
+		if rec.Code != http.StatusOK {
+			f.Fatalf("%s: valid seed answered %d", e.path, rec.Code)
+		}
 	}
 	huge := []byte(`{"input":[1e308,-1e308,1e308,-1e308,1e308,-1e308,1e308,-1e308,1e308,-1e308,1e308,-1e308]}`)
 	for ep := range endpoints {
@@ -53,7 +78,7 @@ func FuzzInferHandler(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ep uint8, body []byte) {
 		e := endpoints[int(ep)%len(endpoints)]
 		rec := httptest.NewRecorder()
-		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, e.path, bytes.NewReader(body)))
+		e.mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, e.path, bytes.NewReader(body)))
 		switch rec.Code {
 		case http.StatusOK:
 			var resp inferResponse
