@@ -35,14 +35,23 @@ go test ./...
 # go test ./... above checked this build's file, this checks the pure-Go
 # one.
 go test -tags noasm ./...
+# The behaviour lock must not depend on which branch the standard
+# library's math.Exp takes: every sigmoid and softmax runs kernels.Exp,
+# which gives the same bits with or without FMA. GODEBUG=cpu.fma=off sends
+# math.Exp (and math.FMA) down their non-FMA code, as on a host without
+# FMA; -count=1 because the test cache does not key on GODEBUG.
+GODEBUG=cpu.fma=off go test -count=1 -run 'TestGoldenDigests|TestSigmoid' . ./internal/kernels/
 # Fuzz the decoders of bytes read back from files: a PHCK checkpoint and a
 # parameter blob. go test ./... above ran only their seed corpora; each
 # harness fixes the CRC-64 so mutations reach the field parsers. Then fuzz
 # the bytes that arrive over the wire: phiserve's inference handler must
 # answer any body with 200, 400, 413 or 422, never a 5xx or a panic.
+# Last, any float64s and float32s through the vector sigmoid must give
+# the scalar loop's bits.
 go test -run '^$' -fuzz '^FuzzDecodeCheckpoint$' -fuzztime 5s ./internal/core/
 go test -run '^$' -fuzz '^FuzzLoadParamSet$' -fuzztime 5s ./internal/nn/
 go test -run '^$' -fuzz '^FuzzInferHandler$' -fuzztime 5s ./cmd/phiserve/
+go test -run '^$' -fuzz '^FuzzSigmoidPaths$' -fuzztime 5s ./internal/kernels/
 # kernels' path property tests switch the dispatch between every path the
 # CPU supports inside one binary, so they run under -race here as well.
 # core and stack carry the fault-injection, checkpoint/resume and chunk

@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 
 	"phideep/internal/autoencoder"
@@ -14,6 +13,7 @@ import (
 	"phideep/internal/data"
 	"phideep/internal/device"
 	"phideep/internal/feed"
+	"phideep/internal/nn"
 	"phideep/internal/rng"
 	"phideep/internal/sim"
 	"phideep/internal/tensor"
@@ -247,7 +247,7 @@ func lowRankBatch(r *rng.RNG, n, dim int) *tensor.Matrix {
 	for i := 0; i < n; i++ {
 		for j := 0; j < dim; j++ {
 			s := u.At(i, 0)*v.At(0, j) + u.At(i, 1)*v.At(1, j)
-			x.Set(i, j, 1/(1+math.Exp(-s)))
+			x.Set(i, j, nn.Sigmoid(s))
 		}
 	}
 	return x

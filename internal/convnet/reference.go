@@ -89,7 +89,7 @@ func (p *Params) PredictProbs(cfg Config, x []float64) []float64 {
 		}
 		out[j] = acc + p.B3[j]
 	}
-	softmaxRow(out)
+	nn.SoftmaxRow(out)
 	return out
 }
 
@@ -103,28 +103,6 @@ func (p *Params) Predict(cfg Config, x []float64) int {
 		}
 	}
 	return best
-}
-
-// softmaxRow normalizes in place with the max-subtracted exponential and a
-// single 1/sum multiply — the same operation order as kernels.SoftmaxRows,
-// so Baseline-level device outputs match this reference bitwise.
-func softmaxRow(row []float64) {
-	maxV := math.Inf(-1)
-	for _, v := range row {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	sum := 0.0
-	for j, v := range row {
-		e := math.Exp(v - maxV)
-		row[j] = e
-		sum += e
-	}
-	inv := 1 / sum
-	for j := range row {
-		row[j] *= inv
-	}
 }
 
 // Save writes the parameters to w in the phideep checkpoint format.

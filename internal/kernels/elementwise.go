@@ -2,7 +2,6 @@ package kernels
 
 import (
 	"fmt"
-	"math"
 
 	"phideep/internal/parallel"
 	"phideep/internal/rng"
@@ -28,17 +27,61 @@ func checkSameShape(op string, a, b *tensor.Matrix) {
 }
 
 // Sigmoid computes dst = 1/(1+exp(-src)) elementwise. dst and src may be
-// the same matrix. This is the vectorized sampling map of Eqs. 14–15.
+// the same matrix. This is the vectorized sampling map of Eqs. 14–15: the
+// blocked levels run it four lanes at a time on the assembly paths
+// (vectorSigmoid), bitwise equal to the scalar loop over Exp. When neither
+// matrix has gaps between rows, each worker's rows are one span.
 func Sigmoid(pool *parallel.Pool, lvl Level, dst, src *tensor.Matrix) {
 	checkSameShape("Sigmoid", dst, src)
+	vec := vectorSigmoid(lvl)
+	c := src.Cols
+	dense := dst.Stride == c && src.Stride == c
 	forRows(pool, lvl, src.Rows, func(lo, hi int) {
+		if dense {
+			sigmoidSpan(dst.Data[lo*c:hi*c], src.Data[lo*c:hi*c], vec)
+			return
+		}
 		for i := lo; i < hi; i++ {
-			s, d := src.RowView(i), dst.RowView(i)
-			for j, v := range s {
-				d[j] = 1 / (1 + math.Exp(-v))
-			}
+			sigmoidSpan(dst.RowView(i), src.RowView(i), vec)
 		}
 	})
+}
+
+// sigmoidSpan writes d[j] = sigmoid(s[j]), through the 4-lane kernel first
+// when vec is set.
+func sigmoidSpan(d, s []float64, vec bool) {
+	j := 0
+	if vec {
+		j = vectorSpan(d, s, sigmoid64, sigmoid)
+	}
+	for ; j < len(s); j++ {
+		d[j] = sigmoid(s[j])
+	}
+}
+
+// sigmoid is the scalar logistic function every sigmoid kernel shares.
+func sigmoid(v float64) float64 { return 1 / (1 + Exp(-v)) }
+
+// vectorSigmoid reports whether Sigmoid and Sigmoid32 run their assembly
+// kernel at lvl. Like the GEMM, only the blocked (MKL-grade) levels of
+// Table I are vectorized; the scalar levels and pure-Go builds loop over
+// Exp.
+func vectorSigmoid(lvl Level) bool { return lvl.IsBlocked() && activePath != pathGo }
+
+// vectorSpan runs the 4-lane kernel over d = f(s), and scalar through
+// every block the kernel rejects, until fewer than four elements remain.
+// It returns where the scalar tail starts.
+func vectorSpan[T float32 | float64](d, s []T, kernel func(dst, src []T) int, scalar func(T) T) int {
+	j := 0
+	for {
+		j += kernel(d[j:], s[j:])
+		if len(s)-j < 4 {
+			return j
+		}
+		for end := j + 4; j < end; j++ {
+			d[j] = scalar(s[j])
+		}
+	}
 }
 
 // SigmoidPrimeFromY computes dst = y·(1−y) elementwise, the derivative of

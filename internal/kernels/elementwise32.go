@@ -20,19 +20,41 @@ func checkSameShape32(op string, a, b *tensor.Matrix32) {
 	}
 }
 
-// Sigmoid32 computes dst = 1/(1+exp(-src)) elementwise. dst and src may be
-// the same matrix.
+// Sigmoid32 computes dst = 1/(1+exp(-src)) elementwise, as Sigmoid does.
+// dst and src may be the same matrix.
 func Sigmoid32(pool *parallel.Pool, lvl Level, dst, src *tensor.Matrix32) {
 	checkSameShape32("Sigmoid32", dst, src)
+	vec := vectorSigmoid(lvl)
+	c := src.Cols
+	dense := dst.Stride == c && src.Stride == c
 	forRows(pool, lvl, src.Rows, func(lo, hi int) {
+		if dense {
+			sigmoidSpan32(dst.Data[lo*c:hi*c], src.Data[lo*c:hi*c], vec)
+			return
+		}
 		for i := lo; i < hi; i++ {
-			s, d := src.RowView(i), dst.RowView(i)
-			for j, v := range s {
-				d[j] = float32(1 / (1 + math.Exp(-float64(v))))
-			}
+			sigmoidSpan32(dst.RowView(i), src.RowView(i), vec)
 		}
 	})
 }
+
+func sigmoidSpan32(d, s []float32, vec bool) {
+	j := 0
+	if vec {
+		j = vectorSpan(d, s, sigmoid32, sigmoidF32)
+	}
+	for ; j < len(s); j++ {
+		d[j] = sigmoidF32(s[j])
+	}
+}
+
+// sigmoidF32 evaluates the sigmoid in float64 and rounds once. It is not
+// inlined because, inlined, the compiler widened each element into the
+// register holding the previous element's result, and CVTSS2SD's merge
+// into that register chained every Exp to the one before (2× slower).
+//
+//go:noinline
+func sigmoidF32(v float32) float32 { return float32(sigmoid(float64(v))) }
 
 // AddBiasRow32 adds the bias vector b to every row of m in place.
 func AddBiasRow32(pool *parallel.Pool, lvl Level, m *tensor.Matrix32, b tensor.Vector32) {
@@ -65,7 +87,7 @@ func SoftmaxRows32(pool *parallel.Pool, lvl Level, dst, src *tensor.Matrix32) {
 			}
 			sum := 0.0
 			for j, v := range s {
-				e := math.Exp(float64(v) - maxV)
+				e := Exp(float64(v) - maxV)
 				d[j] = float32(e)
 				sum += e
 			}

@@ -42,7 +42,7 @@ func TestSigmoidValues(t *testing.T) {
 func TestSigmoidInPlace(t *testing.T) {
 	r := rng.New(7)
 	m := tensor.NewMatrix(13, 9).Randomize(r, -4, 4)
-	want := m.Clone().Apply(func(v float64) float64 { return 1 / (1 + math.Exp(-v)) })
+	want := m.Clone().Apply(sigmoid)
 	Sigmoid(nil, Naive, m, m)
 	if d := tensor.MaxAbsDiff(want, m); d > 0 {
 		t.Fatalf("in-place sigmoid diff %g", d)

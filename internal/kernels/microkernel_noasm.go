@@ -25,3 +25,11 @@ func dgemmKernel4x24(kc int, ap, bp, out *float64) {
 func sgemmKernel8x32(kc int, ap, bp, out *float32) {
 	panic("kernels: assembly micro-kernel not available in this build")
 }
+
+func sigmoid64(dst, src []float64) int {
+	panic("kernels: assembly sigmoid not available in this build")
+}
+
+func sigmoid32(dst, src []float32) int {
+	panic("kernels: assembly sigmoid not available in this build")
+}

@@ -24,7 +24,7 @@ func SoftmaxRows(pool *parallel.Pool, lvl Level, dst, src *tensor.Matrix) {
 			}
 			sum := 0.0
 			for j, v := range s {
-				e := math.Exp(v - maxV)
+				e := Exp(v - maxV)
 				d[j] = e
 				sum += e
 			}

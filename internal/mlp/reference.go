@@ -93,7 +93,7 @@ func CostGrad(cfg Config, p *Params, x, y *tensor.Matrix, grad *Params) float64 
 					oi[j] = nn.Sigmoid(oi[j])
 				}
 			} else {
-				softmaxRow(oi)
+				nn.SoftmaxRow(oi)
 			}
 		}
 		acts[l] = out
@@ -179,25 +179,6 @@ func CostGrad(cfg Config, p *Params, x, y *tensor.Matrix, grad *Params) float64 
 	return cost
 }
 
-func softmaxRow(row []float64) {
-	maxV := math.Inf(-1)
-	for _, v := range row {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	sum := 0.0
-	for j, v := range row {
-		e := math.Exp(v - maxV)
-		row[j] = e
-		sum += e
-	}
-	inv := 1 / sum
-	for j := range row {
-		row[j] *= inv
-	}
-}
-
 // PredictProbs runs the forward pass on one example and returns the softmax
 // class probabilities (length Sizes[last]). It is the scalar host reference
 // the serving layer degrades to under overload and verifies the device path
@@ -219,7 +200,7 @@ func (p *Params) PredictProbs(cfg Config, x []float64) []float64 {
 				out[j] = nn.Sigmoid(out[j])
 			}
 		} else {
-			softmaxRow(out)
+			nn.SoftmaxRow(out)
 		}
 		in = out
 	}

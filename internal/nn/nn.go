@@ -14,12 +14,37 @@ import (
 	"math"
 
 	"phideep/internal/device"
+	"phideep/internal/kernels"
 	"phideep/internal/rng"
 	"phideep/internal/tensor"
 )
 
-// Sigmoid is the logistic function 1/(1+e^(−x)).
-func Sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
+// Sigmoid is the logistic function 1/(1+e^(−x)), over kernels.Exp: the
+// scalar form of kernels.Sigmoid, bitwise.
+func Sigmoid(x float64) float64 { return 1 / (1 + kernels.Exp(-x)) }
+
+// SoftmaxRow normalizes row in place with the max-subtracted exponential
+// and a single 1/sum multiply — the operation order of kernels.SoftmaxRows,
+// so Baseline-level device outputs match the scalar model references
+// bitwise.
+func SoftmaxRow(row []float64) {
+	maxV := math.Inf(-1)
+	for _, v := range row {
+		if v > maxV {
+			maxV = v
+		}
+	}
+	sum := 0.0
+	for j, v := range row {
+		e := kernels.Exp(v - maxV)
+		row[j] = e
+		sum += e
+	}
+	inv := 1 / sum
+	for j := range row {
+		row[j] *= inv
+	}
+}
 
 // SigmoidPrime is σ'(x) expressed through y = σ(x): y·(1−y).
 func SigmoidPrime(y float64) float64 { return y * (1 - y) }
