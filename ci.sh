@@ -35,6 +35,12 @@ go test ./...
 # go test ./... above checked this build's file, this checks the pure-Go
 # one.
 go test -tags noasm ./...
+# The kernels are written once over float32 and float64, with build-tagged
+# assembly and pure-Go stubs (!amd64 || noasm). Type-check and compile
+# every package and test file for a port that only has the pure-Go tiles,
+# so the generic stack and its tagged files build on a second
+# architecture too. Offline; needs only the installed toolchain.
+GOARCH=arm64 go vet ./...
 # The behaviour lock must not depend on which branch the standard
 # library's math.Exp takes: every sigmoid and softmax runs kernels.Exp,
 # which gives the same bits with or without FMA. GODEBUG=cpu.fma=off sends

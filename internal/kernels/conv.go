@@ -100,22 +100,12 @@ func (s PoolShape) InDim() int { return s.H * s.W * s.C }
 // OutDim returns the per-image output dimensionality OutH·OutW·C.
 func (s PoolShape) OutDim() int { return s.OutH() * s.OutW() * s.C }
 
-// flat64 asserts m is densely packed and returns its storage as one flat
+// flat asserts m is densely packed and returns its storage as one flat
 // slice of exactly want elements. Conv kernels address images through flat
 // NHWC offsets, so a (batch·oHW)×F GEMM output doubles as a batch×(oHW·F)
 // pooling input with no reshape or copy — the layout identity im2col
 // lowering is built on.
-func flat64(op string, m *tensor.Matrix, want int) []float64 {
-	if m.Stride != m.Cols || len(m.Data) < m.Rows*m.Cols {
-		panic(fmt.Sprintf("kernels: %s needs a contiguous matrix, got %dx%d stride %d", op, m.Rows, m.Cols, m.Stride))
-	}
-	if m.Rows*m.Cols != want {
-		panic(fmt.Sprintf("kernels: %s size mismatch: %dx%d = %d elements, want %d", op, m.Rows, m.Cols, m.Rows*m.Cols, want))
-	}
-	return m.Data[:want]
-}
-
-func flat32(op string, m *tensor.Matrix32, want int) []float32 {
+func flat[T tensor.Float](op string, m *tensor.Dense[T], want int) []T {
 	if m.Stride != m.Cols || len(m.Data) < m.Rows*m.Cols {
 		panic(fmt.Sprintf("kernels: %s needs a contiguous matrix, got %dx%d stride %d", op, m.Rows, m.Cols, m.Stride))
 	}
@@ -143,6 +133,16 @@ func forImages(pool *parallel.Pool, lvl Level, batch int, body parallel.Ranger) 
 // data-parallel across workers; each image's rows are written by exactly
 // one worker, so the result is bit-identical for every worker count.
 func Im2col(pool *parallel.Pool, lvl Level, s ConvShape, batch int, x, cols *tensor.Matrix) {
+	im2col(pool, lvl, s, batch, x, cols)
+}
+
+// Im2col32 is Im2col in float32, for the reduced-precision serving
+// replicas.
+func Im2col32(pool *parallel.Pool, lvl Level, s ConvShape, batch int, x, cols *tensor.Matrix32) {
+	im2col(pool, lvl, s, batch, x, cols)
+}
+
+func im2col[T tensor.Float](pool *parallel.Pool, lvl Level, s ConvShape, batch int, x, cols *tensor.Dense[T]) {
 	if err := s.Validate(); err != nil {
 		panic(err)
 	}
@@ -153,9 +153,9 @@ func Im2col(pool *parallel.Pool, lvl Level, s ConvShape, batch int, x, cols *ten
 	if metrics.Enabled() {
 		start = time.Now()
 	}
-	r := im2colRanger{
+	r := im2colRanger[T]{
 		s: s, batch: batch,
-		x:    flat64("Im2col", x, batch*s.InDim()),
+		x:    flat("Im2col", x, batch*s.InDim()),
 		cols: cols,
 	}
 	if cols.Rows != batch*s.OutH()*s.OutW() || cols.Cols != s.ColK() {
@@ -169,15 +169,15 @@ func Im2col(pool *parallel.Pool, lvl Level, s ConvShape, batch int, x, cols *ten
 	}
 }
 
-type im2colRanger struct {
+type im2colRanger[T tensor.Float] struct {
 	s     ConvShape
 	batch int
-	x     []float64
-	cols  *tensor.Matrix
+	x     []T
+	cols  *tensor.Dense[T]
 }
 
 // Range implements parallel.Ranger over image indices [lo, hi).
-func (r *im2colRanger) Range(lo, hi int) {
+func (r *im2colRanger[T]) Range(lo, hi int) {
 	s := r.s
 	oh, ow := s.OutH(), s.OutW()
 	rowC := s.KW * s.C
@@ -235,7 +235,7 @@ func Col2im(pool *parallel.Pool, lvl Level, s ConvShape, batch int, dcols, dx *t
 	}
 	r := col2imRanger{
 		s: s, batch: batch,
-		dx:    flat64("Col2im", dx, batch*s.InDim()),
+		dx:    flat("Col2im", dx, batch*s.InDim()),
 		dcols: dcols,
 	}
 	if dcols.Rows != batch*s.OutH()*s.OutW() || dcols.Cols != s.ColK() {
@@ -301,6 +301,17 @@ func (r *col2imRanger) Range(lo, hi int) {
 // index) winner, making the argmax — and thus the backward pass —
 // deterministic. Data-parallel over images.
 func MaxPool(pool *parallel.Pool, lvl Level, s PoolShape, batch int, x, y, arg *tensor.Matrix) {
+	maxPool(pool, lvl, s, batch, x, y, arg)
+}
+
+// MaxPool32 is MaxPool in float32 without the argmax: inference replicas
+// never run backward.
+func MaxPool32(pool *parallel.Pool, lvl Level, s PoolShape, batch int, x, y *tensor.Matrix32) {
+	maxPool(pool, lvl, s, batch, x, y, nil)
+}
+
+// maxPool is MaxPool over T; a nil arg skips the argmax.
+func maxPool[T tensor.Float](pool *parallel.Pool, lvl Level, s PoolShape, batch int, x, y *tensor.Dense[T], arg *tensor.Matrix) {
 	if err := s.Validate(); err != nil {
 		panic(err)
 	}
@@ -311,11 +322,13 @@ func MaxPool(pool *parallel.Pool, lvl Level, s PoolShape, batch int, x, y, arg *
 	if metrics.Enabled() {
 		start = time.Now()
 	}
-	r := maxPoolRanger{
+	r := maxPoolRanger[T]{
 		s: s, batch: batch,
-		x:   flat64("MaxPool", x, batch*s.InDim()),
-		y:   flat64("MaxPool", y, batch*s.OutDim()),
-		arg: flat64("MaxPool", arg, batch*s.OutDim()),
+		x: flat("MaxPool", x, batch*s.InDim()),
+		y: flat("MaxPool", y, batch*s.OutDim()),
+	}
+	if arg != nil {
+		r.arg = flat("MaxPool", arg, batch*s.OutDim())
 	}
 	forImages(pool, lvl, batch, &r)
 	if metrics.Enabled() {
@@ -325,14 +338,15 @@ func MaxPool(pool *parallel.Pool, lvl Level, s PoolShape, batch int, x, y, arg *
 	}
 }
 
-type maxPoolRanger struct {
-	s         PoolShape
-	batch     int
-	x, y, arg []float64
+type maxPoolRanger[T tensor.Float] struct {
+	s     PoolShape
+	batch int
+	x, y  []T
+	arg   []float64 // nil: no argmax
 }
 
 // Range implements parallel.Ranger over image indices [lo, hi).
-func (r *maxPoolRanger) Range(lo, hi int) {
+func (r *maxPoolRanger[T]) Range(lo, hi int) {
 	s := r.s
 	oh, ow := s.OutH(), s.OutW()
 	for img := lo; img < hi; img++ {
@@ -355,7 +369,9 @@ func (r *maxPoolRanger) Range(lo, hi int) {
 						}
 					}
 					r.y[ob] = best
-					r.arg[ob] = float64(bestIdx)
+					if r.arg != nil {
+						r.arg[ob] = float64(bestIdx)
+					}
 					ob++
 				}
 			}
@@ -375,9 +391,9 @@ func MaxPoolBackward(pool *parallel.Pool, lvl Level, s PoolShape, batch int, dy,
 	}
 	r := maxPoolBackRanger{
 		s: s, batch: batch,
-		dy:  flat64("MaxPoolBackward", dy, batch*s.OutDim()),
-		arg: flat64("MaxPoolBackward", arg, batch*s.OutDim()),
-		dx:  flat64("MaxPoolBackward", dx, batch*s.InDim()),
+		dy:  flat("MaxPoolBackward", dy, batch*s.OutDim()),
+		arg: flat("MaxPoolBackward", arg, batch*s.OutDim()),
+		dx:  flat("MaxPoolBackward", dx, batch*s.InDim()),
 	}
 	forImages(pool, lvl, batch, &r)
 	if metrics.Enabled() {
@@ -448,138 +464,6 @@ func (r *biasGradRanger) Range(lo, hi int) {
 		row := r.dOut.RowView(i)
 		for j := jlo; j < jhi; j++ {
 			r.db[j] += row[j]
-		}
-	}
-}
-
-// Im2col32 is the float32 forward-only Im2col used by reduced-precision
-// serving replicas. Same layout, parallelization and determinism contract
-// as Im2col.
-func Im2col32(pool *parallel.Pool, lvl Level, s ConvShape, batch int, x, cols *tensor.Matrix32) {
-	if err := s.Validate(); err != nil {
-		panic(err)
-	}
-	if batch <= 0 {
-		panic(fmt.Sprintf("kernels: Im2col32 non-positive batch %d", batch))
-	}
-	r := im2colRanger32{
-		s: s, batch: batch,
-		x:    flat32("Im2col32", x, batch*s.InDim()),
-		cols: cols,
-	}
-	if cols.Rows != batch*s.OutH()*s.OutW() || cols.Cols != s.ColK() {
-		panic(fmt.Sprintf("kernels: Im2col32 cols %dx%d, want %dx%d", cols.Rows, cols.Cols, batch*s.OutH()*s.OutW(), s.ColK()))
-	}
-	forImages(pool, lvl, batch, &r)
-	if metrics.Enabled() {
-		mConvIm2colCalls.Inc()
-		mConvIm2colElems.Add(float64(cols.Rows) * float64(cols.Cols))
-	}
-}
-
-type im2colRanger32 struct {
-	s     ConvShape
-	batch int
-	x     []float32
-	cols  *tensor.Matrix32
-}
-
-// Range implements parallel.Ranger over image indices [lo, hi).
-func (r *im2colRanger32) Range(lo, hi int) {
-	s := r.s
-	oh, ow := s.OutH(), s.OutW()
-	rowC := s.KW * s.C
-	for img := lo; img < hi; img++ {
-		src := r.x[img*s.InDim() : (img+1)*s.InDim()]
-		row := img * oh * ow
-		for oy := 0; oy < oh; oy++ {
-			iy0 := oy*s.Stride - s.Pad
-			for ox := 0; ox < ow; ox++ {
-				ix0 := ox*s.Stride - s.Pad
-				dst := r.cols.RowView(row)
-				row++
-				di := 0
-				for ky := 0; ky < s.KH; ky++ {
-					iy := iy0 + ky
-					if iy < 0 || iy >= s.H {
-						clear(dst[di : di+rowC])
-						di += rowC
-						continue
-					}
-					base := iy * s.W * s.C
-					if ix0 >= 0 && ix0+s.KW <= s.W {
-						copy(dst[di:di+rowC], src[base+ix0*s.C:])
-						di += rowC
-						continue
-					}
-					for kx := 0; kx < s.KW; kx++ {
-						ix := ix0 + kx
-						if ix < 0 || ix >= s.W {
-							clear(dst[di : di+s.C])
-						} else {
-							copy(dst[di:di+s.C], src[base+ix*s.C:base+(ix+1)*s.C])
-						}
-						di += s.C
-					}
-				}
-			}
-		}
-	}
-}
-
-// MaxPool32 is the float32 forward-only MaxPool (no argmax — inference
-// replicas never run backward). Same parallelization and tie-breaking as
-// MaxPool.
-func MaxPool32(pool *parallel.Pool, lvl Level, s PoolShape, batch int, x, y *tensor.Matrix32) {
-	if err := s.Validate(); err != nil {
-		panic(err)
-	}
-	if batch <= 0 {
-		panic(fmt.Sprintf("kernels: MaxPool32 non-positive batch %d", batch))
-	}
-	r := maxPoolRanger32{
-		s: s, batch: batch,
-		x: flat32("MaxPool32", x, batch*s.InDim()),
-		y: flat32("MaxPool32", y, batch*s.OutDim()),
-	}
-	forImages(pool, lvl, batch, &r)
-	if metrics.Enabled() {
-		mConvPoolCalls.Inc()
-		mConvPoolElems.Add(float64(batch) * float64(s.OutDim()))
-	}
-}
-
-type maxPoolRanger32 struct {
-	s     PoolShape
-	batch int
-	x, y  []float32
-}
-
-// Range implements parallel.Ranger over image indices [lo, hi).
-func (r *maxPoolRanger32) Range(lo, hi int) {
-	s := r.s
-	oh, ow := s.OutH(), s.OutW()
-	for img := lo; img < hi; img++ {
-		xr := r.x[img*s.InDim() : (img+1)*s.InDim()]
-		ob := img * s.OutDim()
-		for oy := 0; oy < oh; oy++ {
-			iy0 := oy * s.Stride
-			for ox := 0; ox < ow; ox++ {
-				ix0 := ox * s.Stride
-				for c := 0; c < s.C; c++ {
-					best := xr[(iy0*s.W+ix0)*s.C+c]
-					for ky := 0; ky < s.Size; ky++ {
-						ri := ((iy0+ky)*s.W + ix0) * s.C
-						for kx := 0; kx < s.Size; kx++ {
-							if v := xr[ri+kx*s.C+c]; v > best {
-								best = v
-							}
-						}
-					}
-					r.y[ob] = best
-					ob++
-				}
-			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"phideep/internal/metrics"
 	"phideep/internal/parallel"
 	"phideep/internal/rng"
 	"phideep/internal/tensor"
@@ -375,6 +376,28 @@ func TestConvKernels32MatchF64(t *testing.T) {
 				t.Fatalf("level %v: maxpool32[%d] = %g, want %g", lvl, i, y32.Data[i], float32(y.Data[i]))
 			}
 		}
+	}
+}
+
+// TestConvKernels32ObserveSeconds: with metrics on, one Im2col32 and one
+// MaxPool32 each add exactly one observation to the wall-time histogram
+// they share with Im2col and MaxPool.
+func TestConvKernels32ObserveSeconds(t *testing.T) {
+	defer metrics.SetEnabled(metrics.Enabled())
+	metrics.SetEnabled(true)
+	s := ConvShape{C: 2, H: 6, W: 6, F: 3, KH: 3, KW: 3, Stride: 1, Pad: 1}
+	ps := PoolShape{C: 2, H: 6, W: 6, Size: 2, Stride: 2}
+	x := tensor.NewMatrix32(1, s.InDim())
+	cols := tensor.NewMatrix32(s.OutH()*s.OutW(), s.ColK())
+	y := tensor.NewMatrix32(1, ps.OutDim())
+	im2col, pool := mConvIm2colSeconds.Count(), mConvPoolSeconds.Count()
+	Im2col32(nil, Naive, s, 1, x, cols)
+	MaxPool32(nil, Naive, ps, 1, x, y)
+	if d := mConvIm2colSeconds.Count() - im2col; d != 1 {
+		t.Errorf("Im2col32 added %d observations to kernels.conv.im2col.seconds, want 1", d)
+	}
+	if d := mConvPoolSeconds.Count() - pool; d != 1 {
+		t.Errorf("MaxPool32 added %d observations to kernels.conv.pool.seconds, want 1", d)
 	}
 }
 

@@ -20,7 +20,7 @@ func forRows(pool *parallel.Pool, lvl Level, n int, body func(lo, hi int)) {
 	}
 }
 
-func checkSameShape(op string, a, b *tensor.Matrix) {
+func checkSameShape[T tensor.Float](op string, a, b *tensor.Dense[T]) {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		panic(fmt.Sprintf("kernels: %s shape mismatch: %dx%d vs %dx%d", op, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
@@ -32,6 +32,16 @@ func checkSameShape(op string, a, b *tensor.Matrix) {
 // (vectorSigmoid), bitwise equal to the scalar loop over Exp. When neither
 // matrix has gaps between rows, each worker's rows are one span.
 func Sigmoid(pool *parallel.Pool, lvl Level, dst, src *tensor.Matrix) {
+	sigmoidMatrix(pool, lvl, dst, src)
+}
+
+// Sigmoid32 is Sigmoid in float32: each element is evaluated in float64
+// and rounded once on store.
+func Sigmoid32(pool *parallel.Pool, lvl Level, dst, src *tensor.Matrix32) {
+	sigmoidMatrix(pool, lvl, dst, src)
+}
+
+func sigmoidMatrix[T tensor.Float](pool *parallel.Pool, lvl Level, dst, src *tensor.Dense[T]) {
 	checkSameShape("Sigmoid", dst, src)
 	vec := vectorSigmoid(lvl)
 	c := src.Cols
@@ -49,18 +59,28 @@ func Sigmoid(pool *parallel.Pool, lvl Level, dst, src *tensor.Matrix) {
 
 // sigmoidSpan writes d[j] = sigmoid(s[j]), through the 4-lane kernel first
 // when vec is set.
-func sigmoidSpan(d, s []float64, vec bool) {
+func sigmoidSpan[T tensor.Float](d, s []T, vec bool) {
 	j := 0
 	if vec {
-		j = vectorSpan(d, s, sigmoid64, sigmoid)
+		j = vectorSpan(d, s, prec[T]().sigmoid, sigmoidOf[T])
 	}
 	for ; j < len(s); j++ {
-		d[j] = sigmoid(s[j])
+		d[j] = sigmoidOf(s[j])
 	}
 }
 
 // sigmoid is the scalar logistic function every sigmoid kernel shares.
 func sigmoid(v float64) float64 { return 1 / (1 + Exp(-v)) }
+
+// sigmoidOf is sigmoid at T: evaluated in float64, rounded once on store.
+// It is not inlined because, inlined at float32, the compiler widened each
+// element into the register holding the previous element's result, and
+// CVTSS2SD's merge into that register chained every Exp to the one before
+// (2× slower). At float64 that costs one call per element, paid only by
+// the scalar levels and the blocks the vector kernel rejects.
+//
+//go:noinline
+func sigmoidOf[T tensor.Float](v T) T { return T(sigmoid(float64(v))) }
 
 // vectorSigmoid reports whether Sigmoid and Sigmoid32 run their assembly
 // kernel at lvl. Like the GEMM, only the blocked (MKL-grade) levels of
@@ -71,7 +91,7 @@ func vectorSigmoid(lvl Level) bool { return lvl.IsBlocked() && activePath != pat
 // vectorSpan runs the 4-lane kernel over d = f(s), and scalar through
 // every block the kernel rejects, until fewer than four elements remain.
 // It returns where the scalar tail starts.
-func vectorSpan[T float32 | float64](d, s []T, kernel func(dst, src []T) int, scalar func(T) T) int {
+func vectorSpan[T tensor.Float](d, s []T, kernel func(dst, src []T) int, scalar func(T) T) int {
 	j := 0
 	for {
 		j += kernel(d[j:], s[j:])
@@ -101,6 +121,15 @@ func SigmoidPrimeFromY(pool *parallel.Pool, lvl Level, dst, y *tensor.Matrix) {
 // AddBiasRow adds the bias vector b to every row of m in place:
 // m[i,:] += b. This realizes the "+ b" of y = s(Wx + b) in batched form.
 func AddBiasRow(pool *parallel.Pool, lvl Level, m *tensor.Matrix, b tensor.Vector) {
+	addBiasRow(pool, lvl, m, b)
+}
+
+// AddBiasRow32 is AddBiasRow in float32.
+func AddBiasRow32(pool *parallel.Pool, lvl Level, m *tensor.Matrix32, b tensor.Vector32) {
+	addBiasRow(pool, lvl, m, b)
+}
+
+func addBiasRow[T tensor.Float](pool *parallel.Pool, lvl Level, m *tensor.Dense[T], b tensor.Vec[T]) {
 	if len(b) != m.Cols {
 		panic(fmt.Sprintf("kernels: AddBiasRow bias length %d, want %d", len(b), m.Cols))
 	}

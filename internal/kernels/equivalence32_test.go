@@ -18,37 +18,9 @@ import (
 // across repeated runs and worker counts at a fixed seed. This is the
 // contract DESIGN.md §11 documents for the reduced-precision serving path.
 
-const sentinel32 = float32(-12345.5)
-
-// stridedRand32 builds a rows×cols float32 matrix with Stride = cols+pad
-// whose padding lanes hold the sentinel, filled with uniforms in [-1, 1).
+// stridedRand32 is stridedRand in float32.
 func stridedRand32(r *rng.RNG, rows, cols, pad int) *tensor.Matrix32 {
-	m := &tensor.Matrix32{Rows: rows, Cols: cols, Stride: cols + pad, Data: make([]float32, rows*(cols+pad))}
-	for i := range m.Data {
-		m.Data[i] = sentinel32
-	}
-	for i := 0; i < rows; i++ {
-		row := m.RowView(i)
-		for j := range row {
-			row[j] = float32(r.Uniform(-1, 1))
-		}
-	}
-	return m
-}
-
-func checkPadding32(t *testing.T, ctx string, m *tensor.Matrix32) {
-	t.Helper()
-	if m.Stride == m.Cols {
-		return
-	}
-	for i := 0; i < m.Rows; i++ {
-		lane := m.Data[i*m.Stride+m.Cols : (i+1)*m.Stride]
-		for j, v := range lane {
-			if v != sentinel32 {
-				t.Fatalf("%s: padding lane (%d,+%d) overwritten: %v", ctx, i, j, v)
-			}
-		}
-	}
+	return randStrided[float32](r, rows, cols, pad)
 }
 
 // to64 widens a possibly-strided Matrix32 to a packed f64 matrix, reading
@@ -110,14 +82,14 @@ func runGemm32Case(t *testing.T, pool *parallel.Pool, r *rng.RNG, m, k, n int, t
 		tn := map[bool]string{false: "N", true: "T"}
 		ctx := fmt.Sprintf("%s/%s%s/%dx%dx%d/alpha=%v,beta=%v", lvl, tn[transA], tn[transB], m, k, n, alpha, beta)
 		compareToOracle32(t, ctx, c, want, tol)
-		checkPadding32(t, ctx, c)
+		checkPadding(t, ctx, c)
 	}
-	checkPadding32(t, "input A", a)
-	checkPadding32(t, "input B", b)
+	checkPadding(t, "input A", a)
+	checkPadding(t, "input B", b)
 }
 
 // TestGemm32MatchesF64Oracle sweeps odd m,k,n triples (crossing the mr32=8
-// and nr32=16 tile edges and the kcBlock32/ncBlock32 panel edges), cycling
+// and nr32=16 tile edges and the kcBlock/ncBlock panel edges), cycling
 // trans combos, alpha/beta and view padding per case.
 func TestGemm32MatchesF64Oracle(t *testing.T) {
 	dims := []int{1, 3, 17, 64, 65, 257}
@@ -214,7 +186,7 @@ func TestSoftmax32MatchesF64(t *testing.T) {
 				}
 			}
 		}
-		checkPadding32(t, "softmax input", src)
+		checkPadding(t, "softmax input", src)
 	}
 }
 

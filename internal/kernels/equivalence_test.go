@@ -26,21 +26,26 @@ const sentinel = -12345.5
 // stridedRand builds a rows×cols matrix with Stride = cols+pad whose
 // padding lanes hold the sentinel, filled with uniform values in [-1, 1).
 func stridedRand(r *rng.RNG, rows, cols, pad int) *tensor.Matrix {
-	m := &tensor.Matrix{Rows: rows, Cols: cols, Stride: cols + pad, Data: make([]float64, rows*(cols+pad))}
+	return randStrided[float64](r, rows, cols, pad)
+}
+
+// randStrided is stridedRand at T: the same draws, rounded to T.
+func randStrided[T tensor.Float](r *rng.RNG, rows, cols, pad int) *tensor.Dense[T] {
+	m := &tensor.Dense[T]{Rows: rows, Cols: cols, Stride: cols + pad, Data: make([]T, rows*(cols+pad))}
 	for i := range m.Data {
 		m.Data[i] = sentinel
 	}
 	for i := 0; i < rows; i++ {
 		row := m.RowView(i)
 		for j := range row {
-			row[j] = r.Uniform(-1, 1)
+			row[j] = T(r.Uniform(-1, 1))
 		}
 	}
 	return m
 }
 
 // checkPadding fails the test if any padding lane of m lost its sentinel.
-func checkPadding(t *testing.T, ctx string, m *tensor.Matrix) {
+func checkPadding[T tensor.Float](t *testing.T, ctx string, m *tensor.Dense[T]) {
 	t.Helper()
 	if m.Stride == m.Cols {
 		return
@@ -53,6 +58,17 @@ func checkPadding(t *testing.T, ctx string, m *tensor.Matrix) {
 			}
 		}
 	}
+}
+
+// bitsEqual reports whether a and b hold the same floats bit for bit
+// (widening to float64 is exact, sign of zero included).
+func bitsEqual[T tensor.Float](a, b []T) bool {
+	for i := range a {
+		if math.Float64bits(float64(a[i])) != math.Float64bits(float64(b[i])) {
+			return false
+		}
+	}
+	return len(a) == len(b)
 }
 
 // closeRel reports |got-want| <= 1e-12 relative to max(1, |want|).

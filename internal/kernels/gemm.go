@@ -27,6 +27,16 @@ func Gemm(pool *parallel.Pool, lvl Level, transA, transB bool, alpha float64, a,
 	gemm(pool, lvl, transA, transB, alpha, a, b, nil, beta, c)
 }
 
+// Gemm32 is Gemm in float32, for the forward-only serving path. Halving
+// the element width doubles the SIMD lanes per fused multiply-add and
+// halves memory traffic, the vector-width lever the paper's Phi speedups
+// rest on; training math stays float64. The blocked levels run the 8×16
+// tile, paired into 8×32 on AVX-512. Calls record into the
+// precision-labeled kernels.gemm32.* family.
+func Gemm32(pool *parallel.Pool, lvl Level, transA, transB bool, alpha float32, a, b *tensor.Matrix32, beta float32, c *tensor.Matrix32) {
+	gemm(pool, lvl, transA, transB, alpha, a, b, nil, beta, c)
+}
+
 // GemmPacked is Gemm with op(B) supplied as a pack-once handle: the blocked
 // levels read the handle's panels instead of re-packing B on every call,
 // the scalar levels read the handle's source matrix. Results are
@@ -37,30 +47,38 @@ func GemmPacked(pool *parallel.Pool, lvl Level, transA bool, alpha float64, a *t
 	gemm(pool, lvl, transA, pb.transB, alpha, a, pb.b, pb, beta, c)
 }
 
-// gemm is the instrumented body shared by Gemm (pb nil) and GemmPacked.
-func gemm(pool *parallel.Pool, lvl Level, transA, transB bool, alpha float64, a, b *tensor.Matrix, pb *PackedB, beta float64, c *tensor.Matrix) {
+// Gemm32Packed is GemmPacked in float32: bit-identical to Gemm32, counted
+// under kernels.gemm32.prepacked.
+func Gemm32Packed(pool *parallel.Pool, lvl Level, transA bool, alpha float32, a *tensor.Matrix32, pb *PackedB32, beta float32, c *tensor.Matrix32) {
+	gemm(pool, lvl, transA, pb.transB, alpha, a, pb.b, pb, beta, c)
+}
+
+// gemm is the instrumented body shared by every GEMM entry point (pb nil
+// unless op(B) comes packed).
+func gemm[T tensor.Float](pool *parallel.Pool, lvl Level, transA, transB bool, alpha T, a, b *tensor.Dense[T], pb *packedB[T], beta T, c *tensor.Dense[T]) {
 	if !metrics.Enabled() {
 		gemmDispatch(pool, lvl, transA, transB, alpha, a, b, pb, beta, c)
 		return
 	}
 	start := time.Now()
 	tiled := gemmDispatch(pool, lvl, transA, transB, alpha, a, b, pb, beta, c)
-	mGemmSeconds.Observe(time.Since(start).Seconds())
-	mGemmCalls.Inc()
+	mt := prec[T]().m
+	mt.seconds.Observe(time.Since(start).Seconds())
+	mt.calls.Inc()
 	if pb != nil {
-		mGemmPrepacked.Inc()
+		mt.prepacked.Inc()
 	}
 	m, k := opShape(a, transA)
 	_, n := opShape(b, transB)
-	mGemmFlops.Add(2 * float64(m) * float64(k) * float64(n))
-	mGemmPaths.record(tiled, n <= narrowN)
+	mt.flops.Add(2 * float64(m) * float64(k) * float64(n))
+	mt.paths.record(tiled, n <= narrowN[T]())
 }
 
 // gemmDispatch is the uninstrumented body: validate, then route to the
 // packed micro-kernel (which takes its B panels from pb when non-nil) or
 // the scalar row loops over b. It reports whether the packed micro-kernel
 // ran.
-func gemmDispatch(pool *parallel.Pool, lvl Level, transA, transB bool, alpha float64, a, b *tensor.Matrix, pb *PackedB, beta float64, c *tensor.Matrix) (tiled bool) {
+func gemmDispatch[T tensor.Float](pool *parallel.Pool, lvl Level, transA, transB bool, alpha T, a, b *tensor.Dense[T], pb *packedB[T], beta T, c *tensor.Dense[T]) (tiled bool) {
 	m, ka := opShape(a, transA)
 	kb, n := opShape(b, transB)
 	if ka != kb {
@@ -110,14 +128,14 @@ func gemmDispatch(pool *parallel.Pool, lvl Level, transA, transB bool, alpha flo
 	return false
 }
 
-func opShape(x *tensor.Matrix, trans bool) (rows, cols int) {
+func opShape[T tensor.Float](x *tensor.Dense[T], trans bool) (rows, cols int) {
 	if trans {
 		return x.Cols, x.Rows
 	}
 	return x.Rows, x.Cols
 }
 
-func scaleC(pool *parallel.Pool, lvl Level, beta float64, c *tensor.Matrix) {
+func scaleC[T tensor.Float](pool *parallel.Pool, lvl Level, beta T, c *tensor.Dense[T]) {
 	if beta == 1 {
 		return
 	}
@@ -142,7 +160,7 @@ func scaleC(pool *parallel.Pool, lvl Level, beta float64, c *tensor.Matrix) {
 
 // gemmNN accumulates C[lo:hi,:] += alpha * A[lo:hi,:] * B with the scalar
 // "ikj" loop: streams B rows, accumulates into the C row.
-func gemmNN(alpha float64, a, b, c *tensor.Matrix, lo, hi int) {
+func gemmNN[T tensor.Float](alpha T, a, b, c *tensor.Dense[T], lo, hi int) {
 	k, n := a.Cols, c.Cols
 	for i := lo; i < hi; i++ {
 		arow, crow := a.RowView(i), c.RowView(i)
@@ -161,13 +179,13 @@ func gemmNN(alpha float64, a, b, c *tensor.Matrix, lo, hi int) {
 
 // gemmNT accumulates C[lo:hi,:] += alpha * A[lo:hi,:] * Bᵀ. Both operand
 // rows are contiguous, so the inner kernel is a dot product.
-func gemmNT(alpha float64, a, b, c *tensor.Matrix, lo, hi int) {
+func gemmNT[T tensor.Float](alpha T, a, b, c *tensor.Dense[T], lo, hi int) {
 	k, n := a.Cols, c.Cols
 	for i := lo; i < hi; i++ {
 		arow, crow := a.RowView(i), c.RowView(i)
 		for j := 0; j < n; j++ {
 			brow := b.RowView(j)
-			s := 0.0
+			var s T
 			for l := 0; l < k; l++ {
 				s += arow[l] * brow[l]
 			}
@@ -178,7 +196,7 @@ func gemmNT(alpha float64, a, b, c *tensor.Matrix, lo, hi int) {
 
 // gemmTN accumulates C[lo:hi,:] += alpha * Aᵀ[lo:hi,:] * B, i.e. row i of C
 // gathers column i of A. Used for weight gradients (Δᵀ·X patterns).
-func gemmTN(alpha float64, a, b, c *tensor.Matrix, lo, hi int) {
+func gemmTN[T tensor.Float](alpha T, a, b, c *tensor.Dense[T], lo, hi int) {
 	k, n := a.Rows, c.Cols // op(A) is (a.Cols)×(a.Rows)
 	for l := 0; l < k; l++ {
 		arow, brow := a.RowView(l), b.RowView(l)
@@ -276,7 +294,7 @@ func gemvTransParallel(pool *parallel.Pool, alpha float64, a *tensor.Matrix, x, 
 	}
 	per := (a.Rows + blocks - 1) / blocks
 	blocks = (a.Rows + per - 1) / per
-	ar := arenaPool.Get().(*arena)
+	ar := prec64.arenas.Get().(*arena[float64])
 	m := len(y)
 	partials := ar.ensure(blocks * m)
 	pool.For(blocks, parallel.Static, 0, func(blo, bhi int) {
@@ -297,5 +315,5 @@ func gemvTransParallel(pool *parallel.Pool, alpha float64, a *tensor.Matrix, x, 
 			y[i] += v
 		}
 	}
-	arenaPool.Put(ar)
+	prec64.arenas.Put(ar)
 }

@@ -2,8 +2,6 @@ package kernels
 
 import (
 	"fmt"
-	"math"
-	"sync"
 	"testing"
 
 	"phideep/internal/metrics"
@@ -65,75 +63,32 @@ var pathShapes = [][3]int{
 
 var transCombos = [4][2]bool{{false, false}, {false, true}, {true, false}, {true, true}}
 
-func bitsEqual64(a, b []float64) bool {
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return len(a) == len(b)
-}
+func TestGemmKernelPathsProperty(t *testing.T) { testKernelPathsProperty[float64](t, 61, Levels) }
 
-func TestGemmKernelPathsProperty(t *testing.T) {
-	paths := availablePaths(t)
-	coeffs := []float64{1.5, -0.5, 1, 0}
-	for _, workers := range []int{1, 2, 5} {
-		pool := parallel.NewPool(workers)
-		r := rng.New(61)
-		for idx, s := range pathShapes {
-			m, k, n := s[0], s[1], s[2]
-			alpha, beta := coeffs[idx%3], coeffs[(idx+1)%4]
-			for _, tr := range transCombos {
-				transA, transB := tr[0], tr[1]
-				ar, ac := m, k
-				if transA {
-					ar, ac = k, m
-				}
-				br, bc := k, n
-				if transB {
-					br, bc = n, k
-				}
-				pad := idx % 3
-				a, b := stridedRand(r, ar, ac, pad), stridedRand(r, br, bc, pad+1)
-				c0 := stridedRand(r, m, n, pad)
-				want := c0.Clone()
-				Gemm(nil, Naive, transA, transB, alpha, a, b, beta, want)
-				pb := PackB(b, transB)
-				// The scalar levels run no micro-kernel, but GemmPacked must
-				// still read the handle's source there.
-				for _, lvl := range Levels {
-					got := make([]*tensor.Matrix, len(paths))
-					for i, p := range paths {
-						got[i] = c0.Clone()
-						packed := c0.Clone()
-						withPath(p, func() {
-							Gemm(pool, lvl, transA, transB, alpha, a, b, beta, got[i])
-							GemmPacked(pool, lvl, transA, alpha, a, pb, beta, packed)
-						})
-						ctx := fmt.Sprintf("workers=%d %s", workers, caseName(lvl.String()+"/"+pathNames[p], m, k, n, transA, transB, alpha, beta))
-						compareToOracle(t, ctx, got[i], want)
-						checkPadding(t, ctx, got[i])
-						if !bitsEqual64(packed.Data, got[i].Data) {
-							t.Fatalf("%s: GemmPacked differs from Gemm", ctx)
-						}
-					}
-					if len(paths) == 3 && !bitsEqual64(got[2].Data, got[1].Data) {
-						t.Fatalf("workers=%d %s: avx512 differs from avx2", workers,
-							caseName(lvl.String(), m, k, n, transA, transB, alpha, beta))
-					}
-				}
-			}
-		}
-		pool.Close()
-	}
-}
-
+// TestGemm32KernelPathsProperty is TestGemmKernelPathsProperty for Gemm32,
+// held to the f64 oracle within gemm32Tol, at the blocked levels (the
+// scalar f32 levels are covered by the equivalence suite).
 func TestGemm32KernelPathsProperty(t *testing.T) {
+	testKernelPathsProperty[float32](t, 67, []Level{Blocked, ParallelBlocked})
+}
+
+// compareToOracleAt checks got against the f64 oracle want: within the
+// relative 1e-12 of compareToOracle at f64, within gemm32Tol(k) at f32.
+func compareToOracleAt[T tensor.Float](t *testing.T, ctx string, got *tensor.Dense[T], want *tensor.Matrix, k int) {
+	t.Helper()
+	if got64, ok := any(got).(*tensor.Matrix); ok {
+		compareToOracle(t, ctx, got64, want)
+		return
+	}
+	compareToOracle32(t, ctx, any(got).(*tensor.Matrix32), want, gemm32Tol(k))
+}
+
+func testKernelPathsProperty[T tensor.Float](t *testing.T, seed uint64, levels []Level) {
 	paths := availablePaths(t)
-	coeffs := []float32{1.5, -0.5, 1, 0}
+	coeffs := []T{1.5, -0.5, 1, 0}
 	for _, workers := range []int{1, 2, 5} {
 		pool := parallel.NewPool(workers)
-		r := rng.New(67)
+		r := rng.New(seed)
 		for idx, s := range pathShapes {
 			m, k, n := s[0], s[1], s[2]
 			alpha, beta := coeffs[idx%3], coeffs[(idx+1)%4]
@@ -148,28 +103,32 @@ func TestGemm32KernelPathsProperty(t *testing.T) {
 					br, bc = n, k
 				}
 				pad := idx % 3
-				a, b := stridedRand32(r, ar, ac, pad), stridedRand32(r, br, bc, pad+1)
-				c0 := stridedRand32(r, m, n, pad)
-				want := to64(c0)
-				Gemm(nil, Naive, transA, transB, float64(alpha), to64(a), to64(b), float64(beta), want)
-				pb := PackB32(b, transB)
-				for _, lvl := range []Level{Blocked, ParallelBlocked} {
-					got := make([]*tensor.Matrix32, len(paths))
+				a, b := randStrided[T](r, ar, ac, pad), randStrided[T](r, br, bc, pad+1)
+				c0 := randStrided[T](r, m, n, pad)
+				// The oracle is the f64 Naive kernel on exactly widened
+				// operands (a plain copy at f64).
+				want := c0.To64()
+				Gemm(nil, Naive, transA, transB, float64(alpha), a.To64(), b.To64(), float64(beta), want)
+				pb := newPackedB(b, transB)
+				// The scalar levels run no micro-kernel, but the packed call
+				// must still read the handle's source there.
+				for _, lvl := range levels {
+					got := make([]*tensor.Dense[T], len(paths))
 					for i, p := range paths {
-						got[i] = cloneStrided32(c0)
-						packed := cloneStrided32(c0)
+						got[i] = cloneStrided(c0)
+						packed := cloneStrided(c0)
 						withPath(p, func() {
-							Gemm32(pool, lvl, transA, transB, alpha, a, b, beta, got[i])
-							Gemm32Packed(pool, lvl, transA, alpha, a, pb, beta, packed)
+							gemm(pool, lvl, transA, transB, alpha, a, b, nil, beta, got[i])
+							gemmPackedB(pool, lvl, transA, alpha, a, pb, beta, packed)
 						})
 						ctx := fmt.Sprintf("workers=%d %s", workers, caseName(lvl.String()+"/"+pathNames[p], m, k, n, transA, transB, float64(alpha), float64(beta)))
-						compareToOracle32(t, ctx, got[i], want, gemm32Tol(k))
-						checkPadding32(t, ctx, got[i])
-						if !bitsEqual32(packed.Data, got[i].Data) {
-							t.Fatalf("%s: Gemm32Packed differs from Gemm32", ctx)
+						compareToOracleAt(t, ctx, got[i], want, k)
+						checkPadding(t, ctx, got[i])
+						if !bitsEqual(packed.Data, got[i].Data) {
+							t.Fatalf("%s: the packed GEMM differs from the per-call one", ctx)
 						}
 					}
-					if len(paths) == 3 && !bitsEqual32(got[2].Data, got[1].Data) {
+					if len(paths) == 3 && !bitsEqual(got[2].Data, got[1].Data) {
 						t.Fatalf("workers=%d %s: avx512 differs from avx2", workers,
 							caseName(lvl.String(), m, k, n, transA, transB, float64(alpha), float64(beta)))
 					}
@@ -183,10 +142,10 @@ func TestGemm32KernelPathsProperty(t *testing.T) {
 // TestGemmPathCounters: a call that runs no micro-kernel (an empty
 // product, k = 0, alpha = 0, or a scalar level) counts as path.scalar, and
 // a blocked call counts once under the path that served it, with avx512
-// also counting as asm. A narrow f64 call (n ≤ narrowN) runs only 4×8
-// tiles, so on the avx512 path it counts as asm but not avx512. A
-// pack-once call counts like the per-call one and once more under
-// prepacked.
+// also counting as asm. A narrow call (n ≤ narrowN: 16 columns at f64, 32
+// at f32) runs only the AVX2 tiles, so on the avx512 path it counts as asm
+// but not avx512, at either precision. A pack-once call counts like the
+// per-call one and once more under prepacked.
 func TestGemmPathCounters(t *testing.T) {
 	defer metrics.SetEnabled(metrics.Enabled())
 	metrics.SetEnabled(true)
@@ -202,7 +161,7 @@ func TestGemmPathCounters(t *testing.T) {
 		return v
 	}
 	r := rng.New(71)
-	const wideN = 3 * nr
+	wideN := 3 * tileNR[float32]() // wide at both precisions
 	a, b, c := randMatrix(r, 5, 7), randMatrix(r, 7, wideN), tensor.NewMatrix(5, wideN)
 	a32, b32, c32 := a.To32(), b.To32(), c.To32()
 	narrowB, narrowC := randMatrix(r, 7, 9), tensor.NewMatrix(5, 9)
@@ -235,7 +194,6 @@ func TestGemmPathCounters(t *testing.T) {
 					want[3] = 2
 				}
 			}
-			want32 := want // f32 has no narrow path
 			if cse.narrow {
 				want[3] = 0
 			}
@@ -261,54 +219,13 @@ func TestGemmPathCounters(t *testing.T) {
 				if d := after[i] - before[i]; d != want[i] {
 					t.Errorf("%s %s: %s moved by %d, want %d", pathNames[p], cse.name, names("kernels.gemm")[i], d, want[i])
 				}
-				if d := after32[i] - before32[i]; d != want32[i] {
-					t.Errorf("%s %s: %s moved by %d, want %d", pathNames[p], cse.name, names("kernels.gemm32")[i], d, want32[i])
+				if d := after32[i] - before32[i]; d != want[i] {
+					t.Errorf("%s %s: %s moved by %d, want %d", pathNames[p], cse.name, names("kernels.gemm32")[i], d, want[i])
 				}
 			}
 			if d, d32 := prepacked.Value()-pre, prepacked32.Value()-pre32; d != 1 || d32 != 1 {
 				t.Errorf("%s %s: prepacked counters moved by %d (f64) and %d (f32), want 1 each", pathNames[p], cse.name, d, d32)
 			}
 		}
-	}
-}
-
-// TestPackedBSharedAcrossGoroutines: one handle serves concurrent GEMMs
-// (each with its own pool, A and C, as serving replicas have) and every one
-// gets the sequential answer. Run under -race this is the read-only
-// sharing claim.
-func TestPackedBSharedAcrossGoroutines(t *testing.T) {
-	r := rng.New(47)
-	b := stridedRand(r, 300, 530, 1) // k crosses kcBlock, n crosses ncBlock
-	pb := PackB(b, false)
-	const callers = 6
-	as := make([]*tensor.Matrix, callers)
-	want := make([]*tensor.Matrix, callers)
-	for g := range as {
-		as[g] = stridedRand(r, 8+g, 300, 0)
-		want[g] = tensor.NewMatrix(8+g, 530)
-		Gemm(nil, Blocked, false, false, 1, as[g], b, 0, want[g])
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, callers)
-	for g := 0; g < callers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			pool := parallel.NewPool(1 + g%3)
-			defer pool.Close()
-			for rep := 0; rep < 4; rep++ {
-				c := tensor.NewMatrix(8+g, 530)
-				GemmPacked(pool, ParallelBlocked, false, 1, as[g], pb, 0, c)
-				if !bitsEqual64(c.Data, want[g].Data) {
-					errs <- fmt.Errorf("caller %d rep %d: shared handle gave a different answer", g, rep)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
 	}
 }

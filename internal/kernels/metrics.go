@@ -7,56 +7,19 @@ import "phideep/internal/metrics"
 // so with collection disabled the kernels pay one atomic load per call —
 // never per element — and the packed path stays allocation-free.
 var (
-	// mGemmCalls / mGemmFlops / mGemmSeconds describe every Gemm call:
-	// how many, how much arithmetic (2·m·k·n flops each), and the real
-	// host seconds per call (exponential buckets, 1 µs – ~16 s).
-	mGemmCalls   = metrics.Default().Counter("kernels.gemm.calls")
-	mGemmFlops   = metrics.Default().FloatCounter("kernels.gemm.flops")
-	mGemmSeconds = metrics.Default().Histogram("kernels.gemm.seconds", metrics.ExpBuckets(1e-6, 4, 12)...)
-
-	// mGemmPrepacked counts the Gemm calls that took op(B) from a pack-once
-	// handle (GemmPacked); they count in calls/flops/seconds and the path
-	// counters too.
-	mGemmPrepacked = metrics.Default().Counter("kernels.gemm.prepacked")
-
-	// Micro-kernel path taken per Gemm call: the assembly tiles, the
-	// pure-Go register-tile fallback, or no micro-kernel at all (the
-	// scalar levels, an empty product, alpha == 0). path.avx512 is a
-	// sub-counter of path.asm: a call served by the ZMM tiles counts in
-	// both, so path.asm keeps meaning "any assembly micro-kernel".
-	mGemmPaths = pathCounters{
-		asm:    metrics.Default().Counter("kernels.gemm.path.asm"),
-		avx512: metrics.Default().Counter("kernels.gemm.path.avx512"),
-		goTile: metrics.Default().Counter("kernels.gemm.path.go"),
-		scalar: metrics.Default().Counter("kernels.gemm.path.scalar"),
-	}
-
-	// The float32 inference GEMM records into its own precision-labeled
-	// family so f32-vs-f64 throughput and path mix can be compared from one
-	// /metrics snapshot.
-	mGemm32Calls   = metrics.Default().Counter("kernels.gemm32.calls")
-	mGemm32Flops   = metrics.Default().FloatCounter("kernels.gemm32.flops")
-	mGemm32Seconds = metrics.Default().Histogram("kernels.gemm32.seconds", metrics.ExpBuckets(1e-6, 4, 12)...)
-
-	// mGemm32Prepacked counts the gemm32 calls that took op(B) from a
-	// pack-once handle (Gemm32Packed); they count in calls/flops/seconds
-	// and the path counters too.
-	mGemm32Prepacked = metrics.Default().Counter("kernels.gemm32.prepacked")
-
-	mGemm32Paths = pathCounters{
-		asm:    metrics.Default().Counter("kernels.gemm32.path.asm"),
-		avx512: metrics.Default().Counter("kernels.gemm32.path.avx512"),
-		goTile: metrics.Default().Counter("kernels.gemm32.path.go"),
-		scalar: metrics.Default().Counter("kernels.gemm32.path.scalar"),
-	}
+	// Every Gemm call records into kernels.gemm.*, every Gemm32 call into
+	// the precision-labeled kernels.gemm32.*, so f32-vs-f64 throughput and
+	// path mix can be compared from one /metrics snapshot.
+	gemm64Metrics = newGemmMetrics("kernels.gemm")
+	gemm32Metrics = newGemmMetrics("kernels.gemm32")
 
 	mGemvCalls = metrics.Default().Counter("kernels.gemv.calls")
 
 	// Convolution lowering kernels (DESIGN.md §12): how many gathers and
-	// pools ran, how many elements they moved, and the im2col wall time —
-	// the overhead the lowering pays to reach the packed GEMM. The f32
-	// serving variants record into the same family; the GEMM they feed is
-	// already split by the gemm/gemm32 counters above.
+	// pools ran, how many elements they moved, and their wall time — the
+	// overhead the lowering pays to reach the packed GEMM. Im2col32 and
+	// MaxPool32 record into the same family; the GEMM they feed is already
+	// split by the gemm/gemm32 counters above.
 	mConvIm2colCalls   = metrics.Default().Counter("kernels.conv.im2col.calls")
 	mConvIm2colElems   = metrics.Default().FloatCounter("kernels.conv.im2col.elems")
 	mConvIm2colSeconds = metrics.Default().Histogram("kernels.conv.im2col.seconds", metrics.ExpBuckets(1e-6, 4, 12)...)
@@ -73,14 +36,49 @@ var (
 	mArenaGrow  = metrics.Default().Counter("kernels.pack.arena.grow")
 )
 
-// pathCounters is one precision's kernels.gemm*.path.* family.
+// gemmMetrics is one precision's GEMM family under prefix:
+//
+//   - calls, flops, seconds: how many calls, how much arithmetic (2·m·k·n
+//     flops each), and the real host seconds per call (exponential
+//     buckets, 1 µs – ~16 s);
+//   - prepacked: the calls that took op(B) from a pack-once handle
+//     (GemmPacked, Gemm32Packed), which count in everything else too;
+//   - paths: the micro-kernel path that served each call.
+type gemmMetrics struct {
+	calls, prepacked *metrics.Counter
+	flops            *metrics.FloatCounter
+	seconds          *metrics.Histogram
+	paths            pathCounters
+}
+
+func newGemmMetrics(prefix string) gemmMetrics {
+	reg := metrics.Default()
+	return gemmMetrics{
+		calls:     reg.Counter(prefix + ".calls"),
+		prepacked: reg.Counter(prefix + ".prepacked"),
+		flops:     reg.FloatCounter(prefix + ".flops"),
+		seconds:   reg.Histogram(prefix+".seconds", metrics.ExpBuckets(1e-6, 4, 12)...),
+		paths: pathCounters{
+			asm:    reg.Counter(prefix + ".path.asm"),
+			avx512: reg.Counter(prefix + ".path.avx512"),
+			goTile: reg.Counter(prefix + ".path.go"),
+			scalar: reg.Counter(prefix + ".path.scalar"),
+		},
+	}
+}
+
+// pathCounters is one precision's path family: the assembly tiles, the
+// pure-Go register-tile fallback, or no micro-kernel at all (the scalar
+// levels, an empty product, alpha == 0). path.avx512 is a sub-counter of
+// path.asm: a call served by the ZMM tiles counts in both, so path.asm
+// keeps meaning "any assembly micro-kernel".
 type pathCounters struct {
 	asm, avx512, goTile, scalar *metrics.Counter
 }
 
-// record counts one call. ranTile is what gemmDispatch / gemm32Dispatch
-// returned: whether the packed micro-kernel ran. narrow marks an f64 call
-// on the narrow path, whose 4×8 tiles are assembly but never ZMM.
+// record counts one call. ranTile is what gemmDispatch returned: whether
+// the packed micro-kernel ran. narrow marks a call on the narrow path,
+// whose tiles are assembly but never ZMM.
 func (p pathCounters) record(ranTile, narrow bool) {
 	switch {
 	case !ranTile:

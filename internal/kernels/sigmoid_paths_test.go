@@ -77,7 +77,7 @@ func TestSigmoidPathsMatchScalar(t *testing.T) {
 				want32 := tensor.NewMatrix32(src.Rows, n)
 				for i := range src.Rows {
 					for j, v := range src32.RowView(i) {
-						want32.Set(i, j, sigmoidF32(v))
+						want32.Set(i, j, sigmoidOf(v))
 					}
 				}
 				for _, p := range paths {
@@ -108,7 +108,7 @@ func checkSigmoid(t *testing.T, name string, pool *parallel.Pool, lvl Level, src
 		}
 		Sigmoid(pool, lvl, dst, src)
 		for i := range src.Rows {
-			if !bitsEqual64(dst.RowView(i), want.RowView(i)) {
+			if !bitsEqual(dst.RowView(i), want.RowView(i)) {
 				t.Fatalf("%s: dst stride %d, row %d = %v, want %v (src %v)", name, stride, i, dst.RowView(i), want.RowView(i), src.RowView(i))
 			}
 			if stride > src.Cols && dst.Data[i*stride+src.Cols] != pad {
@@ -119,7 +119,7 @@ func checkSigmoid(t *testing.T, name string, pool *parallel.Pool, lvl Level, src
 	inPlace := src.Clone()
 	Sigmoid(pool, lvl, inPlace, inPlace)
 	for i := range src.Rows {
-		if !bitsEqual64(inPlace.RowView(i), want.RowView(i)) {
+		if !bitsEqual(inPlace.RowView(i), want.RowView(i)) {
 			t.Fatalf("%s: in place, row %d = %v, want %v", name, i, inPlace.RowView(i), want.RowView(i))
 		}
 	}
@@ -135,7 +135,7 @@ func checkSigmoid32(t *testing.T, name string, pool *parallel.Pool, lvl Level, s
 		}
 		Sigmoid32(pool, lvl, dst, src)
 		for i := range src.Rows {
-			if !bitsEqual32(dst.RowView(i), want.RowView(i)) {
+			if !bitsEqual(dst.RowView(i), want.RowView(i)) {
 				t.Fatalf("%s: f32 dst stride %d, row %d = %v, want %v (src %v)", name, stride, i, dst.RowView(i), want.RowView(i), src.RowView(i))
 			}
 			if stride > src.Cols && dst.Data[i*stride+src.Cols] != pad {
@@ -146,7 +146,7 @@ func checkSigmoid32(t *testing.T, name string, pool *parallel.Pool, lvl Level, s
 	inPlace := src.Clone()
 	Sigmoid32(pool, lvl, inPlace, inPlace)
 	for i := range src.Rows {
-		if !bitsEqual32(inPlace.RowView(i), want.RowView(i)) {
+		if !bitsEqual(inPlace.RowView(i), want.RowView(i)) {
 			t.Fatalf("%s: f32 in place, row %d = %v, want %v", name, i, inPlace.RowView(i), want.RowView(i))
 		}
 	}
@@ -183,7 +183,7 @@ func FuzzSigmoidPaths(f *testing.F) {
 		dst32 := tensor.NewMatrix32(1, n32)
 		Sigmoid32(nil, Blocked, dst32, src32)
 		for j, v := range src32.Data {
-			if want := sigmoidF32(v); math.Float32bits(dst32.Data[j]) != math.Float32bits(want) {
+			if want := sigmoidOf(v); math.Float32bits(dst32.Data[j]) != math.Float32bits(want) {
 				t.Fatalf("sigmoid32(%v [%#x]) = %#x, want %#x", v, math.Float32bits(v), math.Float32bits(dst32.Data[j]), math.Float32bits(want))
 			}
 		}

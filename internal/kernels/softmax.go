@@ -12,23 +12,34 @@ import (
 // dst[i,j] = exp(src[i,j] − max_i) / Σ_j exp(src[i,j] − max_i). dst and src
 // may be the same matrix. Used by the supervised fine-tuning head.
 func SoftmaxRows(pool *parallel.Pool, lvl Level, dst, src *tensor.Matrix) {
+	softmaxRows(pool, lvl, dst, src)
+}
+
+// SoftmaxRows32 is SoftmaxRows in float32. The max, the exponentials and
+// their sum are evaluated in float64, so wide rows lose no more precision
+// than the rounding on store.
+func SoftmaxRows32(pool *parallel.Pool, lvl Level, dst, src *tensor.Matrix32) {
+	softmaxRows(pool, lvl, dst, src)
+}
+
+func softmaxRows[T tensor.Float](pool *parallel.Pool, lvl Level, dst, src *tensor.Dense[T]) {
 	checkSameShape("SoftmaxRows", dst, src)
 	forRows(pool, lvl, src.Rows, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			s, d := src.RowView(i), dst.RowView(i)
 			maxV := math.Inf(-1)
 			for _, v := range s {
-				if v > maxV {
-					maxV = v
+				if float64(v) > maxV {
+					maxV = float64(v)
 				}
 			}
 			sum := 0.0
 			for j, v := range s {
-				e := Exp(v - maxV)
-				d[j] = e
+				e := Exp(float64(v) - maxV)
+				d[j] = T(e)
 				sum += e
 			}
-			inv := 1 / sum
+			inv := T(1 / sum)
 			for j := range d {
 				d[j] *= inv
 			}

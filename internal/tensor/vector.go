@@ -7,10 +7,16 @@ import (
 	"phideep/internal/rng"
 )
 
-// Vector is a dense float64 vector with convenience helpers. It is a named
-// slice type, so ordinary slice operations (len, indexing, range, append)
-// work directly.
-type Vector []float64
+// Vec is a dense vector with convenience helpers. It is a named slice
+// type, so ordinary slice operations (len, indexing, range, append) work
+// directly.
+type Vec[T Float] []T
+
+// Vector is the float64 vector every training path uses.
+type Vector = Vec[float64]
+
+// Vector32 is the float32 vector of the reduced-precision inference path.
+type Vector32 = Vec[float32]
 
 // NewVector allocates a zeroed length-n vector.
 func NewVector(n int) Vector {
@@ -21,43 +27,44 @@ func NewVector(n int) Vector {
 }
 
 // Clone returns a deep copy of v.
-func (v Vector) Clone() Vector {
-	out := make(Vector, len(v))
+func (v Vec[T]) Clone() Vec[T] {
+	out := make(Vec[T], len(v))
 	copy(out, v)
 	return out
 }
 
 // Zero sets every element to 0.
-func (v Vector) Zero() {
+func (v Vec[T]) Zero() {
 	clear(v)
 }
 
 // Fill sets every element to x.
-func (v Vector) Fill(x float64) {
+func (v Vec[T]) Fill(x T) {
 	for i := range v {
 		v[i] = x
 	}
 }
 
 // Apply sets each element to f(element) in place and returns v.
-func (v Vector) Apply(f func(float64) float64) Vector {
+func (v Vec[T]) Apply(f func(T) T) Vec[T] {
 	for i, x := range v {
 		v[i] = f(x)
 	}
 	return v
 }
 
-// Randomize fills v with uniform values in [lo, hi).
-func (v Vector) Randomize(r *rng.RNG, lo, hi float64) Vector {
+// Randomize fills v with uniform values in [lo, hi), drawn in float64 and
+// rounded to T.
+func (v Vec[T]) Randomize(r *rng.RNG, lo, hi float64) Vec[T] {
 	for i := range v {
-		v[i] = r.Uniform(lo, hi)
+		v[i] = T(r.Uniform(lo, hi))
 	}
 	return v
 }
 
 // Sum returns the sum of the elements.
-func (v Vector) Sum() float64 {
-	s := 0.0
+func (v Vec[T]) Sum() T {
+	var s T
 	for _, x := range v {
 		s += x
 	}
@@ -65,11 +72,11 @@ func (v Vector) Sum() float64 {
 }
 
 // Dot returns the inner product of v and w; lengths must match.
-func (v Vector) Dot(w Vector) float64 {
+func (v Vec[T]) Dot(w Vec[T]) T {
 	if len(v) != len(w) {
 		panic(fmt.Sprintf("tensor: Dot length mismatch: %d vs %d", len(v), len(w)))
 	}
-	s := 0.0
+	var s T
 	for i, x := range v {
 		s += x * w[i]
 	}
@@ -77,19 +84,19 @@ func (v Vector) Dot(w Vector) float64 {
 }
 
 // Norm2 returns the Euclidean norm of v.
-func (v Vector) Norm2() float64 {
-	s := 0.0
+func (v Vec[T]) Norm2() float64 {
+	var s T
 	for _, x := range v {
 		s += x * x
 	}
-	return math.Sqrt(s)
+	return math.Sqrt(float64(s))
 }
 
 // MaxAbs returns the largest absolute element, or 0 for an empty vector.
-func (v Vector) MaxAbs() float64 {
-	m := 0.0
+func (v Vec[T]) MaxAbs() T {
+	var m T
 	for _, x := range v {
-		if a := math.Abs(x); a > m {
+		if a := T(math.Abs(float64(x))); a > m {
 			m = a
 		}
 	}
@@ -97,10 +104,24 @@ func (v Vector) MaxAbs() float64 {
 }
 
 // AsRow wraps v as a 1×n matrix sharing storage.
-func (v Vector) AsRow() *Matrix { return FromSlice(1, len(v), v) }
+func (v Vec[T]) AsRow() *Dense[T] { return FromSlice(1, len(v), v) }
 
 // AsCol wraps v as an n×1 matrix sharing storage.
-func (v Vector) AsCol() *Matrix { return FromSlice(len(v), 1, v) }
+func (v Vec[T]) AsCol() *Dense[T] { return FromSlice(len(v), 1, v) }
+
+// To32 returns v rounded to float32, element by element to nearest.
+func (v Vec[T]) To32() Vector32 { return convertVec[float32](v) }
+
+// To64 returns v widened to float64.
+func (v Vec[T]) To64() Vector { return convertVec[float64](v) }
+
+func convertVec[U, T Float](v Vec[T]) Vec[U] {
+	out := make(Vec[U], len(v))
+	for i, x := range v {
+		out[i] = U(x)
+	}
+	return out
+}
 
 // EqualVec reports whether a and b have the same length and elements
 // within tol.
@@ -114,4 +135,26 @@ func EqualVec(a, b Vector, tol float64) bool {
 		}
 	}
 	return true
+}
+
+// Round32 narrows every element of a float64 row to float32 in place of
+// dst: dst[j] = float32(src[j]). Lengths must match. This is the staging
+// boundary conversion of the serving path.
+func Round32(dst []float32, src []float64) {
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("tensor: Round32 length mismatch: %d vs %d", len(dst), len(src)))
+	}
+	for j, v := range src {
+		dst[j] = float32(v)
+	}
+}
+
+// Widen64 widens a float32 row into a float64 slice: dst[j] = float64(src[j]).
+func Widen64(dst []float64, src []float32) {
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("tensor: Widen64 length mismatch: %d vs %d", len(dst), len(src)))
+	}
+	for j, v := range src {
+		dst[j] = float64(v)
+	}
 }
