@@ -99,6 +99,11 @@ go run ./cmd/phiserve -model ae -visible 64 -hidden 16 -loadgen -clients 8 -dura
 go run ./cmd/phiserve -model ae -visible 64 -hidden 16 -loadgen -clients 8 \
     -duration 2s -fault-rate 0.05 -fault-permanent 0.2 -fault-seed 7 \
     -workers 2 -max-restarts 100 | grep "health:"
+# The same fault mix at -precision f32: faults are drawn per batch at both
+# precisions, so the f32 report must count fault batches too.
+go run ./cmd/phiserve -model ae -visible 64 -hidden 16 -loadgen -clients 8 \
+    -duration 2s -fault-rate 0.05 -fault-permanent 0.2 -fault-seed 7 \
+    -workers 2 -max-restarts 100 -precision f32 | grep -E "health: .*, [1-9][0-9]* fault batches"
 # Shared-feed cluster smoke: every node streams from one dataset feed
 # (lease/commit protocol) under fault injection — the "feed:" line proves
 # the lease ledger balanced (leases == commits) across crash/rejoin.

@@ -15,7 +15,7 @@ import (
 // FuzzInferHandler posts arbitrary bodies to the inference endpoints
 // through the production mux of one of two servers, picked by the fuzz
 // input along with the endpoint: an f64 autoencoder and an f32 MLP, so
-// both the device replica and the float32 host replica see the bodies.
+// the replica sees the bodies at both precisions.
 // Whatever the body, the handler must not panic and must answer 200, 400
 // (bad JSON, wrong width, an op the model lacks), 413 (oversized) or 422
 // (an input that drives an output non-finite), never a 5xx; a 200 must

@@ -1,6 +1,7 @@
 // Command phiserve serves a trained phideep model over HTTP, coalescing
 // concurrent single-example requests into micro-batches on a pool of
-// device-bound workers (see internal/serve and DESIGN.md §10, §14).
+// workers, each running a host replica of the model on the packed kernels
+// (see internal/serve and DESIGN.md §10, §14).
 //
 // Serve a checkpoint written by phitrain -export:
 //
@@ -29,21 +30,18 @@
 // path inline. -request-timeout bounds every request's queue+service time;
 // expired requests answer 504.
 //
-// -precision f32 serves from float32 weight snapshots on the packed SIMD
-// host kernels instead of the simulated f64 device — lower latency, answers
-// within float32 rounding of the f64 path (training always stays f64).
+// -precision f64 (the default) answers with the bits of the model's
+// device forward, the path training runs; -precision f32 serves from
+// float32 weight snapshots on the packed SIMD kernels — lower latency,
+// answers within float32 rounding of the f64 path (training always stays
+// f64).
 //
 // Robustness knobs (DESIGN.md §14): -fault-rate arms the deterministic
-// PCIe fault injector on every worker device (with -fault-permanent and
-// -fault-seed shaping the streams), -max-restarts caps worker rebuilds
-// before a slot retires, and SIGINT/SIGTERM triggers a graceful drain
-// bounded by -drain-timeout instead of killing in-flight requests.
-//
-// -tune-seed runs the calibrated performance predictor (DESIGN.md §13)
-// over the batch-crossed candidate grid before serving and seeds the
-// micro-batcher defaults from its pick: -max-batch defaults to the
-// fastest candidate's batch size and -max-wait to its per-batch simulated
-// time. Explicitly set flags always win over the seeded values.
+// PCIe fault injector on every worker at either precision, drawn once per
+// batch (with -fault-permanent and -fault-seed shaping the streams),
+// -max-restarts caps worker rebuilds before a slot retires, and
+// SIGINT/SIGTERM triggers a graceful drain bounded by -drain-timeout
+// instead of killing in-flight requests.
 //
 // The built-in closed-loop load generator drives the same Server in
 // process and prints a throughput/latency report instead of listening:
@@ -84,8 +82,6 @@ type serveOptions struct {
 	conv      phideep.ConvnetConfig
 
 	levelName string
-	archName  string
-	cores     int
 	workers   int
 	pool      int
 	maxBatch  int
@@ -101,13 +97,6 @@ type serveOptions struct {
 	maxRestarts    int
 	requestTimeout time.Duration
 	drainTimeout   time.Duration
-
-	// tuneSeed runs the predictor search before serving; maxBatchSet and
-	// maxWaitSet record whether the user pinned the knobs explicitly (set
-	// flags always beat seeded defaults).
-	tuneSeed    bool
-	maxBatchSet bool
-	maxWaitSet  bool
 
 	addr     string
 	loadgen  bool
@@ -135,25 +124,22 @@ func main() {
 	flag.IntVar(&o.conv.Classes, "classes", 10, "convnet: output classes (must match training)")
 
 	flag.StringVar(&o.levelName, "level", "improved", "baseline | openmp | mkl | improved")
-	flag.StringVar(&o.archName, "arch", "phi", "phi | cpu1 | cpu4 | cpu8 | matlab")
-	flag.IntVar(&o.cores, "cores", 0, "physical core limit per worker device (0 = all)")
-	flag.IntVar(&o.workers, "workers", 2, "device-bound serving workers")
-	flag.IntVar(&o.pool, "pool-workers", 0, "Go pool size behind each device's parallel kernels (0 = run inline)")
+	flag.IntVar(&o.workers, "workers", 2, "serving workers, one model replica each")
+	flag.IntVar(&o.pool, "pool-workers", 0, "Go pool size behind each replica's parallel kernels (0 = run inline)")
 	flag.IntVar(&o.maxBatch, "max-batch", 16, "micro-batch coalescing limit")
 	flag.DurationVar(&o.maxWait, "max-wait", time.Millisecond, "micro-batch flush deadline while every replica is busy (with one idle, a batch flushes at once)")
 	flag.IntVar(&o.queue, "queue-depth", 0, "admission bound on queued requests (0 = 4x max-batch)")
 	flag.StringVar(&o.policy, "policy", "block", "full-queue policy: block | shed | degrade")
-	flag.StringVar(&o.precision, "precision", "f64", "forward-path numeric width: f64 (device path) | f32 (packed SIMD host kernels)")
-	flag.Uint64Var(&o.seed, "seed", 1, "worker RNG seed (and fresh-weights seed without -checkpoint)")
+	flag.StringVar(&o.precision, "precision", "f64", "replica numeric width: f64 (the device forward's bits) | f32 (float32 weights)")
+	flag.Uint64Var(&o.seed, "seed", 1, "fresh-weights seed without -checkpoint")
 	collect := flag.Bool("collect", true, "enable the internal metrics registry (feeds /metrics)")
 
-	flag.Float64Var(&o.faultRate, "fault-rate", 0, "per-transfer device fault probability (0 = injector off)")
+	flag.Float64Var(&o.faultRate, "fault-rate", 0, "per-attempt fault probability of a batch's staging (0 = injector off)")
 	flag.Float64Var(&o.faultPermanent, "fault-permanent", 0, "fraction of injected faults that are permanent (replica loss)")
 	flag.Uint64Var(&o.faultSeed, "fault-seed", 1, "fault injector base seed (per-worker streams derive from it)")
 	flag.IntVar(&o.maxRestarts, "max-restarts", 0, "worker rebuild budget before a slot retires (0 = default 3, -1 = retire on first fault)")
 	flag.DurationVar(&o.requestTimeout, "request-timeout", 0, "per-request deadline across queueing and service (0 = none)")
 	flag.DurationVar(&o.drainTimeout, "drain-timeout", 5*time.Second, "graceful drain bound on SIGINT/SIGTERM (0 = wait forever)")
-	flag.BoolVar(&o.tuneSeed, "tune-seed", false, "seed max-batch/max-wait defaults from the calibrated predictor's pruned search before serving")
 
 	flag.StringVar(&o.addr, "addr", "localhost:8080", "HTTP listen address")
 	flag.BoolVar(&o.loadgen, "loadgen", false, "run the built-in closed-loop load generator and exit (no HTTP)")
@@ -162,14 +148,6 @@ func main() {
 	flag.StringVar(&o.op, "op", "", "loadgen: operation (encode | reconstruct | predict; default: first the model supports)")
 	flag.Parse()
 
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "max-batch":
-			o.maxBatchSet = true
-		case "max-wait":
-			o.maxWaitSet = true
-		}
-	})
 	metrics.SetEnabled(*collect)
 	if err := run(os.Stdout, o); err != nil {
 		fmt.Fprintln(os.Stderr, "phiserve:", err)
@@ -186,10 +164,6 @@ func run(w io.Writer, o serveOptions) error {
 	if err != nil {
 		return err
 	}
-	archDesc, err := pickArch(o.archName)
-	if err != nil {
-		return err
-	}
 	pol, err := pickPolicy(o.policy)
 	if err != nil {
 		return err
@@ -198,26 +172,16 @@ func run(w io.Writer, o serveOptions) error {
 	if err != nil {
 		return err
 	}
-	if o.tuneSeed {
-		if err := applyTuneSeed(w, &o, archDesc); err != nil {
-			return err
-		}
+	fc := phideep.FaultConfig{Rate: o.faultRate, PermanentFrac: o.faultPermanent, Seed: o.faultSeed}
+	if err := fc.Validate(); err != nil {
+		return err
 	}
-	cfg := phideep.ServeConfig{
-		Arch: archDesc, Level: lvl, Cores: o.cores,
-		Workers: o.workers, PoolWorkers: o.pool,
+	srv, err := phideep.NewServer(m, phideep.ServeConfig{
+		Level: lvl, Workers: o.workers, PoolWorkers: o.pool,
 		MaxBatch: o.maxBatch, MaxWait: o.maxWait,
-		QueueDepth: o.queue, Policy: pol, Seed: o.seed,
-		MaxRestarts: o.maxRestarts, RequestTimeout: o.requestTimeout,
-	}
-	if o.faultRate > 0 {
-		fc := phideep.FaultConfig{Rate: o.faultRate, PermanentFrac: o.faultPermanent, Seed: o.faultSeed}
-		if err := fc.Validate(); err != nil {
-			return err
-		}
-		cfg.Faults = fc
-	}
-	srv, err := phideep.NewServer(m, cfg, phideep.WithPrecision(prec))
+		QueueDepth: o.queue, Policy: pol, Precision: prec, Seed: o.seed,
+		Faults: fc, MaxRestarts: o.maxRestarts, RequestTimeout: o.requestTimeout,
+	})
 	if err != nil {
 		return err
 	}
@@ -227,8 +191,8 @@ func run(w io.Writer, o serveOptions) error {
 		return runLoadgen(w, srv, o.op, o.clients, o.duration, o.maxWait, o.policy, o.seed)
 	}
 
-	fmt.Fprintf(w, "phiserve: %s model (%d inputs) on %s [%s], %d workers, batch<=%d wait<=%v policy=%s precision=%s\n",
-		m.Kind(), m.InputDim(), archDesc.Name, lvl, o.workers, o.maxBatch, o.maxWait, pol, prec)
+	fmt.Fprintf(w, "phiserve: %s model (%d inputs) [%s], %d workers, batch<=%d wait<=%v policy=%s precision=%s\n",
+		m.Kind(), m.InputDim(), lvl, o.workers, o.maxBatch, o.maxWait, pol, prec)
 	if o.faultRate > 0 {
 		fmt.Fprintf(w, "phiserve: fault injection armed: rate=%g permanent=%g seed=%d max-restarts=%d\n",
 			o.faultRate, o.faultPermanent, o.faultSeed, o.maxRestarts)
@@ -343,23 +307,6 @@ func pickLevel(name string) (phideep.OptLevel, error) {
 		return phideep.Improved, nil
 	default:
 		return 0, fmt.Errorf("unknown level %q", name)
-	}
-}
-
-func pickArch(name string) (*phideep.Arch, error) {
-	switch name {
-	case "phi":
-		return phideep.XeonPhi5110P(), nil
-	case "cpu1":
-		return phideep.XeonE5620Core(), nil
-	case "cpu4":
-		return phideep.XeonE5620Full(), nil
-	case "cpu8":
-		return phideep.XeonE5620Dual(), nil
-	case "matlab":
-		return phideep.MatlabR2012a(), nil
-	default:
-		return nil, fmt.Errorf("unknown arch %q", name)
 	}
 }
 

@@ -31,8 +31,8 @@ func serveHTTP(t *testing.T, m *phideep.ServeModel, cfg phideep.ServeConfig) (*p
 	return srv, ts
 }
 
-// newAEServer serves a small autoencoder at Baseline (whose device path is
-// bit-identical to the host reference) and returns the host params for
+// newAEServer serves a small autoencoder at Baseline (whose f64 replica
+// is bit-identical to the host reference) and returns the host params for
 // comparison.
 func newAEServer(t *testing.T) (*httptest.Server, *autoencoder.Params) {
 	t.Helper()
@@ -460,6 +460,30 @@ func TestHealthzAfterCheckpointExport(t *testing.T) {
 	for i := range want {
 		if got.Output[i] != want[i] {
 			t.Fatalf("output[%d] = %v, want %v", i, got.Output[i], want[i])
+		}
+	}
+}
+
+// TestRunRejectsBadFaultConfig: an out-of-range -fault-rate or
+// -fault-permanent stops run before it serves, whatever the rate, instead
+// of starting a server with injection silently off.
+func TestRunRejectsBadFaultConfig(t *testing.T) {
+	base := serveOptions{
+		modelKind: "ae", visible: 8, hidden: 4, seed: 1,
+		levelName: "baseline", workers: 1, maxBatch: 4, maxWait: time.Millisecond,
+		policy: "block", precision: "f64",
+		loadgen: true, clients: 1, duration: 10 * time.Millisecond,
+	}
+	for _, bad := range []func(*serveOptions){
+		func(o *serveOptions) { o.faultRate = -0.5 },
+		func(o *serveOptions) { o.faultPermanent = 3 },
+	} {
+		o := base
+		bad(&o)
+		var out bytes.Buffer
+		err := run(&out, o)
+		if err == nil || !strings.Contains(err.Error(), "outside") {
+			t.Fatalf("rate %g permanent %g: run error %v, want the fault range rejected\n%s", o.faultRate, o.faultPermanent, err, out.String())
 		}
 	}
 }

@@ -166,7 +166,7 @@ func (c *Context) Gemm(transA, transB bool, alpha float64, a, b *device.Buffer, 
 // dependencies and writes — and gives the same bits. A nil pb is plain
 // Gemm, so forward code shared by training and inference calls it
 // unconditionally.
-func (c *Context) GemmPacked(transA, transB bool, alpha float64, a, b *device.Buffer, pb *kernels.PackedB, beta float64, dst *device.Buffer) {
+func (c *Context) GemmPacked(transA, transB bool, alpha float64, a, b *device.Buffer, pb *kernels.PackedB[float64], beta float64, dst *device.Buffer) {
 	m, ka := opShape(a, transA)
 	kb, n := opShape(b, transB)
 	if ka != kb || dst.Rows != m || dst.Cols != n {
@@ -198,12 +198,12 @@ type Packs struct {
 type packed struct {
 	b      *device.Buffer
 	transB bool
-	pb     *kernels.PackedB
+	pb     *kernels.PackedB[float64]
 }
 
 // B returns the handle of op(b), packing it on first use. It returns nil on
 // a nil Packs and on a model-only device, whose buffers hold no numbers.
-func (p *Packs) B(b *device.Buffer, transB bool) *kernels.PackedB {
+func (p *Packs) B(b *device.Buffer, transB bool) *kernels.PackedB[float64] {
 	if p == nil || b.Mat == nil {
 		return nil
 	}

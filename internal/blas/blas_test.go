@@ -49,7 +49,7 @@ func TestGemmPackedIsGemm(t *testing.T) {
 			if transB {
 				b = b.T()
 			}
-			run := func(ctx *Context, pb func(*device.Buffer) *kernels.PackedB) *tensor.Matrix {
+			run := func(ctx *Context, pb func(*device.Buffer) *kernels.PackedB[float64]) *tensor.Matrix {
 				da, db := upload(ctx, a), upload(ctx, b)
 				dc := ctx.Dev.MustAlloc(6, 9)
 				ctx.GemmPacked(false, transB, 1.5, da, db, pb(db), 0, dc)
@@ -57,8 +57,8 @@ func TestGemmPackedIsGemm(t *testing.T) {
 				return dc.Mat
 			}
 			var packs Packs
-			want := run(plain, func(*device.Buffer) *kernels.PackedB { return nil })
-			got := run(packed, func(db *device.Buffer) *kernels.PackedB { return packs.B(db, transB) })
+			want := run(plain, func(*device.Buffer) *kernels.PackedB[float64] { return nil })
+			got := run(packed, func(db *device.Buffer) *kernels.PackedB[float64] { return packs.B(db, transB) })
 			for i := range want.Data {
 				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
 					t.Fatalf("level %v transB=%v: element %d = %v, want %v", lvl, transB, i, got.Data[i], want.Data[i])

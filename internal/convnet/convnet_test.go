@@ -300,13 +300,13 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 func TestInference32MatchesReference(t *testing.T) {
 	cfg := testCfg()
 	p := NewParams(cfg, 31)
-	p32 := p.To32()
+	p32 := NewHostParams[float32](p)
 	n := 5
 	x, _, _ := labeledImages(cfg, rng.New(32), n)
 	x32 := x.To32()
 
 	for _, lvl := range kernels.Levels {
-		inf := NewInference32(nil, lvl, cfg, n, p32)
+		inf := NewHostInference(nil, lvl, cfg, n, p32)
 		probs := inf.Infer(x32)
 		for i := 0; i < n; i++ {
 			want := p.PredictProbs(cfg, x.RowView(i))
@@ -322,7 +322,8 @@ func TestInference32MatchesReference(t *testing.T) {
 
 // TestInferPartialBatch checks that sliced-workspace inference on fewer
 // rows than the model batch matches per-example reference outputs, for
-// both precisions.
+// both precisions, and that the float64 host replica gives the device
+// forward's bits.
 func TestInferPartialBatch(t *testing.T) {
 	cfg := testCfg()
 	p := NewParams(cfg, 41)
@@ -352,7 +353,13 @@ func TestInferPartialBatch(t *testing.T) {
 		}
 	}
 
-	inf32 := NewInference32(nil, kernels.ParallelBlocked, cfg, cfg.Batch, p.To32())
+	host := NewHostInference(nil, kernels.ParallelBlocked, cfg, cfg.Batch, NewHostParams[float64](p)).Infer(x)
+	for e, v := range out.Mat.Data[:n*cfg.Classes] {
+		if host.Data[e] != v {
+			t.Fatalf("host element %d = %v, device %v", e, host.Data[e], v)
+		}
+	}
+	inf32 := NewHostInference(nil, kernels.ParallelBlocked, cfg, cfg.Batch, NewHostParams[float32](p))
 	out32 := inf32.Infer(x.To32())
 	if out32.Rows != n {
 		t.Fatalf("f32 inference rows %d", out32.Rows)

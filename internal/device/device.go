@@ -362,19 +362,8 @@ func (d *Device) TryCopyIn(b *Buffer, host *tensor.Matrix, earliest float64) (fl
 // time. The transfer starts only after both the buffer's contents are ready
 // and the compute engine has issued everything that produces them. Slice
 // views copy out their own rows, charging the view's byte span. When the
-// fault model abandons the transfer CopyOut panics; callers that degrade
-// gracefully use TryCopyOut.
+// fault model abandons the transfer CopyOut panics.
 func (d *Device) CopyOut(b *Buffer, host *tensor.Matrix) float64 {
-	end, err := d.TryCopyOut(b, host)
-	if err != nil {
-		panic(err.Error())
-	}
-	return end
-}
-
-// TryCopyOut is CopyOut that reports an abandoned transfer as a
-// *TransferError instead of panicking. On failure host is left untouched.
-func (d *Device) TryCopyOut(b *Buffer, host *tensor.Matrix) (float64, error) {
 	if b.isFreed() {
 		panic("device: CopyOut of freed buffer")
 	}
@@ -393,7 +382,7 @@ func (d *Device) TryCopyOut(b *Buffer, host *tensor.Matrix) (float64, error) {
 	d.transfers++
 	end, err := d.scheduleTransfer("copy-out", b.bytes, ready)
 	if err != nil {
-		return end, err
+		panic(err.Error())
 	}
 	if d.Numeric {
 		if metrics.Enabled() {
@@ -409,7 +398,7 @@ func (d *Device) TryCopyOut(b *Buffer, host *tensor.Matrix) (float64, error) {
 		mTransfers.Inc()
 		mBytesMoved.Add(b.bytes)
 	}
-	return end, nil
+	return end
 }
 
 // Exec schedules the kernel described by op on the compute engine, waiting

@@ -130,13 +130,6 @@ func (c FaultConfig) WithSeed(seed uint64) FaultConfig {
 	return c
 }
 
-// FaultsArmed reports whether the injectable fault model is live on the
-// device (EnableFaults was called with a non-zero rate and DisableFaults
-// has not since disarmed it).
-func (d *Device) FaultsArmed() bool {
-	return d.faults != nil && d.faults.stream.cfg.Rate > 0
-}
-
 // faultState is the device-side fault injector: the deterministic fault
 // stream and the accumulated counters.
 type faultState struct {
@@ -169,14 +162,6 @@ func (d *Device) EnableFaults(cfg FaultConfig) error {
 	}
 	d.faults = &faultState{stream: stream}
 	return nil
-}
-
-// DisableFaults disarms the fault model; transfers succeed unconditionally
-// again. Accumulated fault counters in Stats are kept.
-func (d *Device) DisableFaults() {
-	if d.faults != nil {
-		d.faults.stream.cfg.Rate = 0
-	}
 }
 
 // TransferError reports a transfer abandoned by the fault model: either a

@@ -132,17 +132,7 @@ func forImages(pool *parallel.Pool, lvl Level, batch int, body parallel.Ranger) 
 // ordered (ky, kx, c), out-of-bounds taps zero-filled. Images are
 // data-parallel across workers; each image's rows are written by exactly
 // one worker, so the result is bit-identical for every worker count.
-func Im2col(pool *parallel.Pool, lvl Level, s ConvShape, batch int, x, cols *tensor.Matrix) {
-	im2col(pool, lvl, s, batch, x, cols)
-}
-
-// Im2col32 is Im2col in float32, for the reduced-precision serving
-// replicas.
-func Im2col32(pool *parallel.Pool, lvl Level, s ConvShape, batch int, x, cols *tensor.Matrix32) {
-	im2col(pool, lvl, s, batch, x, cols)
-}
-
-func im2col[T tensor.Float](pool *parallel.Pool, lvl Level, s ConvShape, batch int, x, cols *tensor.Dense[T]) {
+func Im2col[T tensor.Float](pool *parallel.Pool, lvl Level, s ConvShape, batch int, x, cols *tensor.Dense[T]) {
 	if err := s.Validate(); err != nil {
 		panic(err)
 	}
@@ -299,19 +289,9 @@ func (r *col2imRanger) Range(lo, hi int) {
 // each winner (stored as float64 so it can live in a device buffer), which
 // MaxPoolBackward uses to route gradients. Ties keep the first (lowest
 // index) winner, making the argmax — and thus the backward pass —
-// deterministic. Data-parallel over images.
-func MaxPool(pool *parallel.Pool, lvl Level, s PoolShape, batch int, x, y, arg *tensor.Matrix) {
-	maxPool(pool, lvl, s, batch, x, y, arg)
-}
-
-// MaxPool32 is MaxPool in float32 without the argmax: inference replicas
-// never run backward.
-func MaxPool32(pool *parallel.Pool, lvl Level, s PoolShape, batch int, x, y *tensor.Matrix32) {
-	maxPool(pool, lvl, s, batch, x, y, nil)
-}
-
-// maxPool is MaxPool over T; a nil arg skips the argmax.
-func maxPool[T tensor.Float](pool *parallel.Pool, lvl Level, s PoolShape, batch int, x, y *tensor.Dense[T], arg *tensor.Matrix) {
+// deterministic. Data-parallel over images. A nil arg skips the argmax:
+// inference replicas never run backward.
+func MaxPool[T tensor.Float](pool *parallel.Pool, lvl Level, s PoolShape, batch int, x, y *tensor.Dense[T], arg *tensor.Matrix) {
 	if err := s.Validate(); err != nil {
 		panic(err)
 	}

@@ -359,7 +359,7 @@ func TestConvKernels32MatchF64(t *testing.T) {
 		cols := tensor.NewMatrix(batch*oHW, s.ColK())
 		Im2col(pool, lvl, s, batch, x, cols)
 		cols32 := tensor.NewMatrix32(batch*oHW, s.ColK())
-		Im2col32(pool, lvl, s, batch, x32, cols32)
+		Im2col(pool, lvl, s, batch, x32, cols32)
 		for i := range cols32.Data {
 			if cols32.Data[i] != float32(cols.Data[i]) {
 				t.Fatalf("level %v: im2col32[%d] = %g, want %g", lvl, i, cols32.Data[i], float32(cols.Data[i]))
@@ -370,7 +370,7 @@ func TestConvKernels32MatchF64(t *testing.T) {
 		arg := tensor.NewMatrix(batch, ps.OutDim())
 		MaxPool(pool, lvl, ps, batch, px, y, arg)
 		y32 := tensor.NewMatrix32(batch, ps.OutDim())
-		MaxPool32(pool, lvl, ps, batch, px32, y32)
+		MaxPool(pool, lvl, ps, batch, px32, y32, nil)
 		for i := range y32.Data {
 			if y32.Data[i] != float32(y.Data[i]) {
 				t.Fatalf("level %v: maxpool32[%d] = %g, want %g", lvl, i, y32.Data[i], float32(y.Data[i]))
@@ -379,9 +379,9 @@ func TestConvKernels32MatchF64(t *testing.T) {
 	}
 }
 
-// TestConvKernels32ObserveSeconds: with metrics on, one Im2col32 and one
-// MaxPool32 each add exactly one observation to the wall-time histogram
-// they share with Im2col and MaxPool.
+// TestConvKernels32ObserveSeconds: with metrics on, one float32 Im2col and
+// one float32 MaxPool each add exactly one observation to the wall-time
+// histogram they share with the float64 calls.
 func TestConvKernels32ObserveSeconds(t *testing.T) {
 	defer metrics.SetEnabled(metrics.Enabled())
 	metrics.SetEnabled(true)
@@ -391,13 +391,13 @@ func TestConvKernels32ObserveSeconds(t *testing.T) {
 	cols := tensor.NewMatrix32(s.OutH()*s.OutW(), s.ColK())
 	y := tensor.NewMatrix32(1, ps.OutDim())
 	im2col, pool := mConvIm2colSeconds.Count(), mConvPoolSeconds.Count()
-	Im2col32(nil, Naive, s, 1, x, cols)
-	MaxPool32(nil, Naive, ps, 1, x, y)
+	Im2col(nil, Naive, s, 1, x, cols)
+	MaxPool(nil, Naive, ps, 1, x, y, nil)
 	if d := mConvIm2colSeconds.Count() - im2col; d != 1 {
-		t.Errorf("Im2col32 added %d observations to kernels.conv.im2col.seconds, want 1", d)
+		t.Errorf("Im2col added %d observations to kernels.conv.im2col.seconds, want 1", d)
 	}
 	if d := mConvPoolSeconds.Count() - pool; d != 1 {
-		t.Errorf("MaxPool32 added %d observations to kernels.conv.pool.seconds, want 1", d)
+		t.Errorf("MaxPool added %d observations to kernels.conv.pool.seconds, want 1", d)
 	}
 }
 

@@ -31,17 +31,9 @@ func checkSameShape[T tensor.Float](op string, a, b *tensor.Dense[T]) {
 // blocked levels run it four lanes at a time on the assembly paths
 // (vectorSigmoid), bitwise equal to the scalar loop over Exp. When neither
 // matrix has gaps between rows, each worker's rows are one span.
-func Sigmoid(pool *parallel.Pool, lvl Level, dst, src *tensor.Matrix) {
-	sigmoidMatrix(pool, lvl, dst, src)
-}
-
-// Sigmoid32 is Sigmoid in float32: each element is evaluated in float64
-// and rounded once on store.
-func Sigmoid32(pool *parallel.Pool, lvl Level, dst, src *tensor.Matrix32) {
-	sigmoidMatrix(pool, lvl, dst, src)
-}
-
-func sigmoidMatrix[T tensor.Float](pool *parallel.Pool, lvl Level, dst, src *tensor.Dense[T]) {
+// In float32 each element is evaluated in float64 and rounded once on
+// store.
+func Sigmoid[T tensor.Float](pool *parallel.Pool, lvl Level, dst, src *tensor.Dense[T]) {
 	checkSameShape("Sigmoid", dst, src)
 	vec := vectorSigmoid(lvl)
 	c := src.Cols
@@ -82,10 +74,9 @@ func sigmoid(v float64) float64 { return 1 / (1 + Exp(-v)) }
 //go:noinline
 func sigmoidOf[T tensor.Float](v T) T { return T(sigmoid(float64(v))) }
 
-// vectorSigmoid reports whether Sigmoid and Sigmoid32 run their assembly
-// kernel at lvl. Like the GEMM, only the blocked (MKL-grade) levels of
-// Table I are vectorized; the scalar levels and pure-Go builds loop over
-// Exp.
+// vectorSigmoid reports whether Sigmoid runs its assembly kernel at lvl.
+// Like the GEMM, only the blocked (MKL-grade) levels of Table I are
+// vectorized; the scalar levels and pure-Go builds loop over Exp.
 func vectorSigmoid(lvl Level) bool { return lvl.IsBlocked() && activePath != pathGo }
 
 // vectorSpan runs the 4-lane kernel over d = f(s), and scalar through
@@ -120,16 +111,7 @@ func SigmoidPrimeFromY(pool *parallel.Pool, lvl Level, dst, y *tensor.Matrix) {
 
 // AddBiasRow adds the bias vector b to every row of m in place:
 // m[i,:] += b. This realizes the "+ b" of y = s(Wx + b) in batched form.
-func AddBiasRow(pool *parallel.Pool, lvl Level, m *tensor.Matrix, b tensor.Vector) {
-	addBiasRow(pool, lvl, m, b)
-}
-
-// AddBiasRow32 is AddBiasRow in float32.
-func AddBiasRow32(pool *parallel.Pool, lvl Level, m *tensor.Matrix32, b tensor.Vector32) {
-	addBiasRow(pool, lvl, m, b)
-}
-
-func addBiasRow[T tensor.Float](pool *parallel.Pool, lvl Level, m *tensor.Dense[T], b tensor.Vec[T]) {
+func AddBiasRow[T tensor.Float](pool *parallel.Pool, lvl Level, m *tensor.Dense[T], b tensor.Vec[T]) {
 	if len(b) != m.Cols {
 		panic(fmt.Sprintf("kernels: AddBiasRow bias length %d, want %d", len(b), m.Cols))
 	}

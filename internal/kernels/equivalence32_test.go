@@ -171,7 +171,7 @@ func TestSoftmax32MatchesF64(t *testing.T) {
 		SoftmaxRows(nil, Naive, want, to64(src))
 		for _, lvl := range Levels {
 			dst := tensor.NewMatrix32(rows, cols)
-			SoftmaxRows32(pool, lvl, dst, src)
+			SoftmaxRows(pool, lvl, dst, src)
 			if d := tensor.MaxAbsDiff32(dst, want); d > 1e-6 {
 				t.Fatalf("%s %dx%d: softmax diff %g", lvl, rows, cols, d)
 			}
@@ -210,8 +210,8 @@ func TestSigmoid32AndBias32MatchF64(t *testing.T) {
 
 	for _, lvl := range Levels {
 		got := src.Clone()
-		AddBiasRow32(pool, lvl, got, bias)
-		Sigmoid32(pool, lvl, got, got)
+		AddBiasRow(pool, lvl, got, bias)
+		Sigmoid(pool, lvl, got, got)
 		if d := tensor.MaxAbsDiff32(got, want); d > 1e-6 {
 			t.Fatalf("%s: bias+sigmoid diff %g", lvl, d)
 		}

@@ -40,22 +40,16 @@ func Gemm32(pool *parallel.Pool, lvl Level, transA, transB bool, alpha float32, 
 // GemmPacked is Gemm with op(B) supplied as a pack-once handle: the blocked
 // levels read the handle's panels instead of re-packing B on every call,
 // the scalar levels read the handle's source matrix. Results are
-// bit-identical to Gemm on the same operands at every level and worker
-// count. Calls record into the same kernels.gemm.* series, plus the
-// kernels.gemm.prepacked counter.
-func GemmPacked(pool *parallel.Pool, lvl Level, transA bool, alpha float64, a *tensor.Matrix, pb *PackedB, beta float64, c *tensor.Matrix) {
-	gemm(pool, lvl, transA, pb.transB, alpha, a, pb.b, pb, beta, c)
-}
-
-// Gemm32Packed is GemmPacked in float32: bit-identical to Gemm32, counted
-// under kernels.gemm32.prepacked.
-func Gemm32Packed(pool *parallel.Pool, lvl Level, transA bool, alpha float32, a *tensor.Matrix32, pb *PackedB32, beta float32, c *tensor.Matrix32) {
+// bit-identical to Gemm (Gemm32) on the same operands at every level and
+// worker count. Calls record into the same kernels.gemm{,32}.* series,
+// plus the prepacked counter.
+func GemmPacked[T tensor.Float](pool *parallel.Pool, lvl Level, transA bool, alpha T, a *tensor.Dense[T], pb *PackedB[T], beta T, c *tensor.Dense[T]) {
 	gemm(pool, lvl, transA, pb.transB, alpha, a, pb.b, pb, beta, c)
 }
 
 // gemm is the instrumented body shared by every GEMM entry point (pb nil
 // unless op(B) comes packed).
-func gemm[T tensor.Float](pool *parallel.Pool, lvl Level, transA, transB bool, alpha T, a, b *tensor.Dense[T], pb *packedB[T], beta T, c *tensor.Dense[T]) {
+func gemm[T tensor.Float](pool *parallel.Pool, lvl Level, transA, transB bool, alpha T, a, b *tensor.Dense[T], pb *PackedB[T], beta T, c *tensor.Dense[T]) {
 	if !metrics.Enabled() {
 		gemmDispatch(pool, lvl, transA, transB, alpha, a, b, pb, beta, c)
 		return
@@ -78,7 +72,7 @@ func gemm[T tensor.Float](pool *parallel.Pool, lvl Level, transA, transB bool, a
 // packed micro-kernel (which takes its B panels from pb when non-nil) or
 // the scalar row loops over b. It reports whether the packed micro-kernel
 // ran.
-func gemmDispatch[T tensor.Float](pool *parallel.Pool, lvl Level, transA, transB bool, alpha T, a, b *tensor.Dense[T], pb *packedB[T], beta T, c *tensor.Dense[T]) (tiled bool) {
+func gemmDispatch[T tensor.Float](pool *parallel.Pool, lvl Level, transA, transB bool, alpha T, a, b *tensor.Dense[T], pb *PackedB[T], beta T, c *tensor.Dense[T]) (tiled bool) {
 	m, ka := opShape(a, transA)
 	kb, n := opShape(b, transB)
 	if ka != kb {

@@ -107,7 +107,7 @@ func testNarrowMatchesWide[T tensor.Float](t *testing.T, seed uint64, bigM, bigK
 				bw := opRand[T](r, k, wideN, transB, pad+1)
 				c0 := randStrided[T](r, m, wideN, pad)
 				b := firstCols(bw, transB, n)
-				pb := newPackedB(b, transB)
+				pb := PackB(b, transB)
 				for _, p := range paths {
 					want := cloneStrided(c0)
 					withPath(p, func() { gemm(nil, Blocked, transA, transB, alpha, a, bw, nil, beta, want) })
@@ -115,7 +115,7 @@ func testNarrowMatchesWide[T tensor.Float](t *testing.T, seed uint64, bigM, bigK
 						got, packed := cloneStrided(c0), cloneStrided(c0)
 						withPath(p, func() {
 							gemm(pool, ParallelBlocked, transA, transB, alpha, a, b, nil, beta, firstCols(got, false, n))
-							gemmPackedB(pool, ParallelBlocked, transA, alpha, a, pb, beta, firstCols(packed, false, n))
+							GemmPacked(pool, ParallelBlocked, transA, alpha, a, pb, beta, firstCols(packed, false, n))
 						})
 						ctx := fmt.Sprintf("workers=%d %s", pool.Workers(), caseName(pathNames[p], m, k, n, transA, transB, float64(alpha), float64(beta)))
 						checkNarrow(t, ctx, got, want, c0, n)
@@ -143,10 +143,10 @@ func testNarrowDoesNotAllocate[T tensor.Float](t *testing.T) {
 	defer pool.Close()
 	r := rng.New(89)
 	a, b, c := randStrided[T](r, 600, 25, 0), randStrided[T](r, 600, 6, 0), tensor.New[T](25, 6)
-	pb := newPackedB(b, false)
+	pb := PackB(b, false)
 	for name, call := range map[string]func(){
 		"per-call":  func() { gemm(pool, ParallelBlocked, true, false, 1, a, b, nil, 0, c) },
-		"pack-once": func() { gemmPackedB(pool, ParallelBlocked, true, 1, a, pb, 0, c) },
+		"pack-once": func() { GemmPacked(pool, ParallelBlocked, true, 1, a, pb, 0, c) },
 	} {
 		if avg := testing.AllocsPerRun(50, call); avg > 0 {
 			t.Errorf("narrow %s GEMM allocates %.2f objects per call", name, avg)

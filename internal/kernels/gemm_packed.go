@@ -14,7 +14,7 @@ import (
 // worker.
 type gemmState[T tensor.Float] struct {
 	a, b, c        *tensor.Dense[T]
-	pb             *packedB[T]
+	pb             *PackedB[T]
 	transA, transB bool
 	alpha, beta    T
 	m, k, n        int
@@ -133,37 +133,28 @@ func (nw *gemmNarrow[T]) Range(lo, hi int) {
 	}
 }
 
-// packedB is a constant right-hand GEMM operand packed once and reused
-// across GemmPacked (Gemm32Packed) calls — the weights of a serving
-// replica, which the per-call path re-packs for every micro-batch. It
-// holds the panels packB writes for every (jc, pc) block of gemmPacked's
-// loop, laid out in loop order, plus the source matrix for the scalar
-// levels. A handle is immutable once built and safe to share across
-// goroutines; the source matrix must not change while the handle is in
-// use.
-type packedB[T tensor.Float] struct {
+// PackedB is a constant right-hand GEMM operand packed once and reused
+// across GemmPacked calls — the weights of a serving replica, which the
+// per-call path re-packs for every micro-batch. It holds the panels packB
+// writes for every (jc, pc) block of gemmPacked's loop, laid out in loop
+// order, plus the source matrix for the scalar levels. A handle is
+// immutable once built and safe to share across goroutines; the source
+// matrix must not change while the handle is in use.
+type PackedB[T tensor.Float] struct {
 	b      *tensor.Dense[T]
 	transB bool
 	k      int
 	panels []T
 }
 
-// PackedB is a pack-once float64 operand; see PackB.
-type PackedB = packedB[float64]
-
-// PackedB32 is a pack-once float32 operand; see PackB32.
-type PackedB32 = packedB[float32]
+// PackedB32 is a pack-once float32 operand; see PackB.
+type PackedB32 = PackedB[float32]
 
 // PackB packs op(b) for reuse by GemmPacked. The blocked levels never read
 // b again; the scalar levels read it on every call.
-func PackB(b *tensor.Matrix, transB bool) *PackedB { return newPackedB(b, transB) }
-
-// PackB32 packs op(b) for reuse by Gemm32Packed.
-func PackB32(b *tensor.Matrix32, transB bool) *PackedB32 { return newPackedB(b, transB) }
-
-func newPackedB[T tensor.Float](b *tensor.Dense[T], transB bool) *packedB[T] {
+func PackB[T tensor.Float](b *tensor.Dense[T], transB bool) *PackedB[T] {
 	k, n := opShape(b, transB)
-	pb := &packedB[T]{b: b, transB: transB, k: k, panels: make([]T, k*roundUp(n, tileNR[T]()))}
+	pb := &PackedB[T]{b: b, transB: transB, k: k, panels: make([]T, k*roundUp(n, tileNR[T]()))}
 	for jc := 0; jc < n; jc += ncBlock {
 		nc := min(ncBlock, n-jc)
 		for pc := 0; pc < k; pc += kcBlock {
@@ -178,7 +169,7 @@ func newPackedB[T tensor.Float](b *tensor.Dense[T], transB bool) *packedB[T] {
 // block before the last is ncBlock wide (a multiple of nr, so it packs
 // without padding) and spans all k rows, which puts block (jc, pc) at jc·k
 // plus the pc rows of its own padded width.
-func (pb *packedB[T]) block(jc, nc, pc, kc int) []T {
+func (pb *PackedB[T]) block(jc, nc, pc, kc int) []T {
 	w := roundUp(nc, tileNR[T]())
 	off := jc*pb.k + pc*w
 	return pb.panels[off : off+kc*w]
@@ -198,7 +189,7 @@ func roundUp(n, m int) int { return (n + m - 1) / m * m }
 // on the submitting goroutine. A narrow one (n ≤ narrowN) runs as a single
 // gemmNarrow region. Both paths give every C element the same FMA chain
 // per k-panel and the same foldTile sequence, so they agree bit for bit.
-func gemmPacked[T tensor.Float](pool *parallel.Pool, lvl Level, transA, transB bool, alpha T, a, b *tensor.Dense[T], pb *packedB[T], beta T, c *tensor.Dense[T], m, k, n int) {
+func gemmPacked[T tensor.Float](pool *parallel.Pool, lvl Level, transA, transB bool, alpha T, a, b *tensor.Dense[T], pb *PackedB[T], beta T, c *tensor.Dense[T], m, k, n int) {
 	p := prec[T]()
 	g := p.states.Get().(*gemmState[T])
 	*g = gemmState[T]{a: a, b: b, c: c, pb: pb, transA: transA, transB: transB, alpha: alpha, beta: beta, m: m, k: k, n: n}

@@ -17,7 +17,7 @@ import (
 // kcBlock/ncBlock panel edges — in all four trans layouts, at both blocked
 // levels and pool sizes 1, 2 and 5. Each path must sit within the
 // equivalence suites' tolerance of the Naive oracle, and avx512 must equal
-// avx2 bit for bit. A pack-once operand (GemmPacked, Gemm32Packed) must
+// avx2 bit for bit. A pack-once operand (GemmPacked) must
 // give exactly the per-call answer on every path, level and pool size.
 
 var pathNames = [...]string{pathGo: "go", pathAVX2: "avx2", pathAVX512: "avx512"}
@@ -109,7 +109,7 @@ func testKernelPathsProperty[T tensor.Float](t *testing.T, seed uint64, levels [
 				// operands (a plain copy at f64).
 				want := c0.To64()
 				Gemm(nil, Naive, transA, transB, float64(alpha), a.To64(), b.To64(), float64(beta), want)
-				pb := newPackedB(b, transB)
+				pb := PackB(b, transB)
 				// The scalar levels run no micro-kernel, but the packed call
 				// must still read the handle's source there.
 				for _, lvl := range levels {
@@ -119,7 +119,7 @@ func testKernelPathsProperty[T tensor.Float](t *testing.T, seed uint64, levels [
 						packed := cloneStrided(c0)
 						withPath(p, func() {
 							gemm(pool, lvl, transA, transB, alpha, a, b, nil, beta, got[i])
-							gemmPackedB(pool, lvl, transA, alpha, a, pb, beta, packed)
+							GemmPacked(pool, lvl, transA, alpha, a, pb, beta, packed)
 						})
 						ctx := fmt.Sprintf("workers=%d %s", workers, caseName(lvl.String()+"/"+pathNames[p], m, k, n, transA, transB, float64(alpha), float64(beta)))
 						compareToOracleAt(t, ctx, got[i], want, k)
@@ -205,14 +205,14 @@ func TestGemmPathCounters(t *testing.T) {
 			case cse.narrow:
 				y, y32, z, z32 = narrowB, narrowB32, narrowC, narrowC32
 			}
-			pb, pb32 := PackB(y, false), PackB32(y32, false)
+			pb, pb32 := PackB(y, false), PackB(y32, false)
 			before, before32 := read("kernels.gemm"), read("kernels.gemm32")
 			pre, pre32 := prepacked.Value(), prepacked32.Value()
 			withPath(p, func() {
 				Gemm(nil, cse.lvl, false, false, cse.alpha, x, y, 1, z)
 				GemmPacked(nil, cse.lvl, false, cse.alpha, x, pb, 1, z)
 				Gemm32(nil, cse.lvl, false, false, float32(cse.alpha), x32, y32, 1, z32)
-				Gemm32Packed(nil, cse.lvl, false, float32(cse.alpha), x32, pb32, 1, z32)
+				GemmPacked(nil, cse.lvl, false, float32(cse.alpha), x32, pb32, 1, z32)
 			})
 			after, after32 := read("kernels.gemm"), read("kernels.gemm32")
 			for i := range want {

@@ -10,14 +10,9 @@ import (
 	"phideep/internal/tensor"
 )
 
-// Pack-once suite, run at both precisions: a packedB handle must give
+// Pack-once suite, run at both precisions: a PackedB handle must give
 // exactly the per-call GEMM's bytes, and one handle must serve concurrent
 // callers.
-
-// gemmPackedB is GemmPacked (Gemm32Packed) at T.
-func gemmPackedB[T tensor.Float](pool *parallel.Pool, lvl Level, transA bool, alpha T, a *tensor.Dense[T], pb *packedB[T], beta T, c *tensor.Dense[T]) {
-	gemm(pool, lvl, transA, pb.transB, alpha, a, pb.b, pb, beta, c)
-}
 
 // cloneStrided copies m with its stride and padding lanes intact.
 func cloneStrided[T tensor.Float](m *tensor.Dense[T]) *tensor.Dense[T] {
@@ -31,7 +26,7 @@ func cloneStrided[T tensor.Float](m *tensor.Dense[T]) *tensor.Dense[T] {
 // of 1, 2 and 5 workers.
 func TestGemmPackedBitwise(t *testing.T) { testPackedBitwise[float64](t) }
 
-// TestGemm32PackedBitwise is TestGemmPackedBitwise for Gemm32Packed.
+// TestGemm32PackedBitwise is TestGemmPackedBitwise at float32.
 func TestGemm32PackedBitwise(t *testing.T) { testPackedBitwise[float32](t) }
 
 func testPackedBitwise[T tensor.Float](t *testing.T) {
@@ -64,11 +59,11 @@ func testPackedBitwise[T tensor.Float](t *testing.T) {
 			a := randStrided[T](r, ar, ac, pad)
 			b := randStrided[T](r, br, bc, (pad+1)%4)
 			c0 := randStrided[T](r, m, n, pad)
-			pb := newPackedB(b, transB)
+			pb := PackB(b, transB)
 			for _, lvl := range Levels {
 				want, got := cloneStrided(c0), cloneStrided(c0)
 				gemm(pool, lvl, transA, transB, alpha, a, b, nil, beta, want)
-				gemmPackedB(pool, lvl, transA, alpha, a, pb, beta, got)
+				GemmPacked(pool, lvl, transA, alpha, a, pb, beta, got)
 				if !bitsEqual(got.Data, want.Data) {
 					t.Fatalf("workers=%d %s transA=%v transB=%v %dx%dx%d alpha=%v beta=%v: prepacked result differs from the per-call GEMM",
 						workers, lvl, transA, transB, m, k, n, alpha, beta)
@@ -93,7 +88,7 @@ func TestPackedB32SharedAcrossGoroutines(t *testing.T) { testPackedBShared[float
 func testPackedBShared[T tensor.Float](t *testing.T, seed uint64) {
 	r := rng.New(seed)
 	b := randStrided[T](r, 300, 530, 1) // k crosses kcBlock, n crosses ncBlock
-	pb := newPackedB(b, false)
+	pb := PackB(b, false)
 	const callers = 6
 	as := make([]*tensor.Dense[T], callers)
 	want := make([]*tensor.Dense[T], callers)
@@ -112,7 +107,7 @@ func testPackedBShared[T tensor.Float](t *testing.T, seed uint64) {
 			defer pool.Close()
 			for rep := 0; rep < 4; rep++ {
 				c := tensor.New[T](8+g, 530)
-				gemmPackedB(pool, ParallelBlocked, false, 1, as[g], pb, 0, c)
+				GemmPacked(pool, ParallelBlocked, false, 1, as[g], pb, 0, c)
 				if !bitsEqual(c.Data, want[g].Data) {
 					errs <- fmt.Errorf("caller %d rep %d: shared handle gave a different answer", g, rep)
 					return

@@ -17,9 +17,9 @@ var (
 
 	// Convolution lowering kernels (DESIGN.md §12): how many gathers and
 	// pools ran, how many elements they moved, and their wall time — the
-	// overhead the lowering pays to reach the packed GEMM. Im2col32 and
-	// MaxPool32 record into the same family; the GEMM they feed is already
-	// split by the gemm/gemm32 counters above.
+	// overhead the lowering pays to reach the packed GEMM, at either
+	// precision; the GEMM they feed is already split by the gemm/gemm32
+	// counters above.
 	mConvIm2colCalls   = metrics.Default().Counter("kernels.conv.im2col.calls")
 	mConvIm2colElems   = metrics.Default().FloatCounter("kernels.conv.im2col.elems")
 	mConvIm2colSeconds = metrics.Default().Histogram("kernels.conv.im2col.seconds", metrics.ExpBuckets(1e-6, 4, 12)...)
@@ -42,7 +42,7 @@ var (
 //     flops each), and the real host seconds per call (exponential
 //     buckets, 1 µs – ~16 s);
 //   - prepacked: the calls that took op(B) from a pack-once handle
-//     (GemmPacked, Gemm32Packed), which count in everything else too;
+//     (GemmPacked), which count in everything else too;
 //   - paths: the micro-kernel path that served each call.
 type gemmMetrics struct {
 	calls, prepacked *metrics.Counter

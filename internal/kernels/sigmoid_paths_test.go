@@ -12,8 +12,8 @@ import (
 )
 
 // Sigmoid path property suite: on every path this build and CPU can run,
-// at a scalar and a vectorized level and pool sizes 1, 2 and 5, Sigmoid
-// and Sigmoid32 must be bitwise the scalar loop over Exp — for every row
+// at a scalar and a vectorized level and pool sizes 1, 2 and 5, Sigmoid at
+// both precisions must be bitwise the scalar loop over Exp — for every row
 // length 0…67 (each 4-lane tail), in place and out of place, on strided
 // row views, with lanes the vector kernel must hand back to Exp at the
 // start, middle and end of a row.
@@ -133,7 +133,7 @@ func checkSigmoid32(t *testing.T, name string, pool *parallel.Pool, lvl Level, s
 		for i := range dst.Data {
 			dst.Data[i] = pad
 		}
-		Sigmoid32(pool, lvl, dst, src)
+		Sigmoid(pool, lvl, dst, src)
 		for i := range src.Rows {
 			if !bitsEqual(dst.RowView(i), want.RowView(i)) {
 				t.Fatalf("%s: f32 dst stride %d, row %d = %v, want %v (src %v)", name, stride, i, dst.RowView(i), want.RowView(i), src.RowView(i))
@@ -144,7 +144,7 @@ func checkSigmoid32(t *testing.T, name string, pool *parallel.Pool, lvl Level, s
 		}
 	}
 	inPlace := src.Clone()
-	Sigmoid32(pool, lvl, inPlace, inPlace)
+	Sigmoid(pool, lvl, inPlace, inPlace)
 	for i := range src.Rows {
 		if !bitsEqual(inPlace.RowView(i), want.RowView(i)) {
 			t.Fatalf("%s: f32 in place, row %d = %v, want %v", name, i, inPlace.RowView(i), want.RowView(i))
@@ -153,7 +153,7 @@ func checkSigmoid32(t *testing.T, name string, pool *parallel.Pool, lvl Level, s
 }
 
 // FuzzSigmoidPaths reads any byte string as little-endian float64s (and as
-// float32s) and holds the dispatched Sigmoid and Sigmoid32 at a vectorized
+// float32s) and holds the dispatched Sigmoid at both precisions at a vectorized
 // level to the scalar loop over Exp, bit for bit.
 func FuzzSigmoidPaths(f *testing.F) {
 	seed := make([]byte, 0, 8*len(sigmoidHostile)+8*9)
@@ -181,7 +181,7 @@ func FuzzSigmoidPaths(f *testing.F) {
 			src32.Data[j] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*j:]))
 		}
 		dst32 := tensor.NewMatrix32(1, n32)
-		Sigmoid32(nil, Blocked, dst32, src32)
+		Sigmoid(nil, Blocked, dst32, src32)
 		for j, v := range src32.Data {
 			if want := sigmoidOf(v); math.Float32bits(dst32.Data[j]) != math.Float32bits(want) {
 				t.Fatalf("sigmoid32(%v [%#x]) = %#x, want %#x", v, math.Float32bits(v), math.Float32bits(dst32.Data[j]), math.Float32bits(want))

@@ -11,18 +11,9 @@ import (
 // SoftmaxRows computes a numerically stable row-wise softmax:
 // dst[i,j] = exp(src[i,j] − max_i) / Σ_j exp(src[i,j] − max_i). dst and src
 // may be the same matrix. Used by the supervised fine-tuning head.
-func SoftmaxRows(pool *parallel.Pool, lvl Level, dst, src *tensor.Matrix) {
-	softmaxRows(pool, lvl, dst, src)
-}
-
-// SoftmaxRows32 is SoftmaxRows in float32. The max, the exponentials and
-// their sum are evaluated in float64, so wide rows lose no more precision
-// than the rounding on store.
-func SoftmaxRows32(pool *parallel.Pool, lvl Level, dst, src *tensor.Matrix32) {
-	softmaxRows(pool, lvl, dst, src)
-}
-
-func softmaxRows[T tensor.Float](pool *parallel.Pool, lvl Level, dst, src *tensor.Dense[T]) {
+// In float32 the max, the exponentials and their sum are evaluated in
+// float64, so wide rows lose no more precision than the rounding on store.
+func SoftmaxRows[T tensor.Float](pool *parallel.Pool, lvl Level, dst, src *tensor.Dense[T]) {
 	checkSameShape("SoftmaxRows", dst, src)
 	forRows(pool, lvl, src.Rows, func(lo, hi int) {
 		for i := lo; i < hi; i++ {

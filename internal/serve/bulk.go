@@ -162,9 +162,6 @@ func (s *Server) ScoreFeedContext(ctx context.Context, op Op, fc *feed.Consumer,
 // from the loader to the workers.
 type bulkStage struct {
 	x *tensor.Matrix // ChunkExamples×Dim, filled by the loader
-	// x32 is x rounded once per chunk (F32 servers only), so the workers
-	// copy rows instead of converting them.
-	x32 *tensor.Matrix32
 
 	lease  feed.Lease
 	labels []int // when the sweep scores accuracy
@@ -187,9 +184,6 @@ func (s *Server) takeStages(rows, dim, n int) []*bulkStage {
 	stages = make([]*bulkStage, n)
 	for i := range stages {
 		stages[i] = &bulkStage{x: tensor.NewMatrix(rows, dim)}
-		if s.cfg.Precision == F32 {
-			stages[i].x32 = tensor.NewMatrix32(rows, dim)
-		}
 	}
 	return stages
 }
@@ -239,17 +233,9 @@ func (sw *sweep) score(st *bulkStage) error {
 	s, l, res := sw.s, st.lease, sw.res
 	reqs := make([]request, l.N)
 	enq := time.Now()
-	if st.x32 != nil {
-		tensor.Round32(st.x32.Data, st.x.Data)
-	}
 	for i := range reqs {
 		r := &reqs[i]
-		r.op, r.enq, r.done, r.settled = sw.op, enq, make(chan struct{}), &st.busy
-		if st.x32 != nil {
-			r.in32 = st.x32.RowView(i)
-		} else {
-			r.in = st.x.RowView(i)
-		}
+		r.op, r.in, r.enq, r.done, r.settled = sw.op, st.x.RowView(i), enq, make(chan struct{}), &st.busy
 	}
 	st.busy.Add(l.N)
 	deadline := s.deadlineFor(sw.ctx, enq)

@@ -6,14 +6,17 @@ import (
 	"testing"
 
 	"phideep/internal/autoencoder"
+	"phideep/internal/device"
 	"phideep/internal/kernels"
 	"phideep/internal/mlp"
 	"phideep/internal/rbm"
 )
 
 // TestInvalidConfigRejected: a model whose config its family rejects must
-// fail New with that error at both precisions, without panicking. The f32
-// host replicas build no device model that would reject it.
+// fail New with that error at both precisions, without panicking (the host
+// replicas build no device model that would reject it), and so must an
+// out-of-range fault config, which would otherwise leave injection
+// silently off.
 func TestInvalidConfigRejected(t *testing.T) {
 	conv := convTestConfig()
 	conv.Classes = 1
@@ -38,21 +41,27 @@ func TestInvalidConfigRejected(t *testing.T) {
 			}
 		}
 	}
+	model := Autoencoder(aeTestConfig(), nil)
+	for _, fc := range []device.FaultConfig{{Rate: -0.5}, {PermanentFrac: 3}, {MaxRetries: -1}} {
+		if s, err := New(model, Config{Faults: fc}); err == nil {
+			s.Close()
+			t.Fatalf("fault config %+v: served with injection silently off", fc)
+		}
+	}
 }
 
-// TestAutoencoderSnapshotPacksOneDecoder: the f32 snapshot holds the
-// encoder and only the decoder the config uses — W1ᵀ when tied, W2
-// otherwise.
+// TestAutoencoderSnapshotPacksOneDecoder: the snapshot holds the encoder
+// and only the decoder the config uses — W1ᵀ when tied, W2 otherwise.
 func TestAutoencoderSnapshotPacksOneDecoder(t *testing.T) {
 	for _, tied := range []bool{false, true} {
 		cfg := aeTestConfig()
 		cfg.Tied = tied
 		p := autoencoder.NewParams(cfg, 3)
-		layers := autoencoderLayers32(cfg, p)
+		layers := autoencoderLayers[float32](cfg, p)
 		if len(layers) != 2 {
 			t.Fatalf("tied=%v: %d layers, want encoder and one decoder", tied, len(layers))
 		}
-		w1T, w2 := kernels.PackB32(p.W1.To32(), true), kernels.PackB32(p.W2.To32(), false)
+		w1T, w2 := kernels.PackB(p.W1.To32(), true), kernels.PackB(p.W2.To32(), false)
 		want, other := w2, w1T
 		if tied {
 			want, other = w1T, w2
@@ -60,7 +69,7 @@ func TestAutoencoderSnapshotPacksOneDecoder(t *testing.T) {
 		if dec := layers[1].W; !reflect.DeepEqual(dec, want) || reflect.DeepEqual(dec, other) {
 			t.Fatalf("tied=%v: decoder is not the one the config uses", tied)
 		}
-		if !reflect.DeepEqual(layers[0].W, kernels.PackB32(p.W1.To32(), false)) {
+		if !reflect.DeepEqual(layers[0].W, kernels.PackB(p.W1.To32(), false)) {
 			t.Fatalf("tied=%v: encoder is not W1", tied)
 		}
 	}

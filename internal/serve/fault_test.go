@@ -186,8 +186,8 @@ func TestChaosTransientDeterministic(t *testing.T) {
 // worker assignment is scheduler-dependent (workers compete on one
 // dispatch channel), so the test pins the outcome instead of the path:
 // worker 0's stream is seeded (by replay) to fault within its first few
-// draws, worker 1's injector is disarmed through the in-package device
-// seam, and sustained concurrent load guarantees both workers serve.
+// draws, worker 1's fault stream is removed (white-box), and sustained
+// concurrent load guarantees both workers serve.
 // Worker 0 then dies at a fixed point of its own stream wherever its
 // batches fall, its fatal batch is salvaged by re-dispatch, and every
 // request of the run must succeed bitwise.
@@ -220,13 +220,13 @@ func TestChaosPermanentDegraded(t *testing.T) {
 	}
 	defer srv.Close()
 	forceBusy(srv)
-	// Worker 1 is the designated survivor: disarm its injector so only
-	// worker 0's seeded stream decides the lifecycle.
-	srv.workers[1].ctx.Dev.DisableFaults()
+	// Worker 1 is the designated survivor: without a fault stream it draws
+	// no faults, so only worker 0's seeded stream decides the lifecycle.
+	srv.workers[1].faults = nil
 
-	// Phase A: concurrent barrage. Worker 0 dies within its first three
-	// batches; its fatal batch re-dispatches to the immortal survivor, so
-	// every request must still succeed bitwise.
+	// Phase A: concurrent barrage. Each batch draws once, so worker 0 dies
+	// within its first six batches; its fatal batch re-dispatches to the
+	// immortal survivor, so every request must still succeed bitwise.
 	const clients, perClient = 4, 60
 	var wg sync.WaitGroup
 	for g := 0; g < clients; g++ {

@@ -62,7 +62,7 @@ var ErrDown = errors.New("serve: no live worker replica")
 
 // WorkerFaultError reports a request completed by the supervisor instead
 // of a worker: the executing replica hit a worker-fatal fault — a
-// permanent device transfer fault, transient-retry exhaustion, or a panic
+// permanent injected transfer fault, transient-retry exhaustion, or a panic
 // in the batch path — and the batch could not be (re-)dispatched to a
 // healthy replica. Completing with this error, rather than dropping the
 // request, is the contract that no admitted request ever hangs.

@@ -178,16 +178,15 @@ type BatcherStats struct {
 	Health            string
 	WorkersLive       int
 	WorkersConfigured int
-	// FaultBatches counts batches that faulted out of a worker (transfer
-	// faults surviving the retry budgets, or recovered panics);
-	// FaultRetries the serve-level transfer re-attempts that preceded
-	// them; Redispatches the faulted batches salvaged by a healthy
-	// replica.
+	// FaultBatches counts batches that faulted out of a worker (injected
+	// faults surviving the retry budget, or recovered panics);
+	// FaultRetries the transient faults a batch retried past;
+	// Redispatches the faulted batches salvaged by a healthy replica.
 	FaultBatches int64
 	FaultRetries int64
 	Redispatches int64
-	// Restarts counts worker rebuilds on fresh devices; Retired the slots
-	// whose restart budget ran out.
+	// Restarts counts worker rebuilds; Retired the slots whose restart
+	// budget ran out.
 	Restarts int64
 	Retired  int64
 	// DeadlineTimeouts counts requests abandoned at their deadline (or

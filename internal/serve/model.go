@@ -6,10 +6,8 @@ import (
 	"sync"
 
 	"phideep/internal/autoencoder"
-	"phideep/internal/blas"
 	"phideep/internal/convnet"
 	"phideep/internal/core"
-	"phideep/internal/device"
 	"phideep/internal/kernels"
 	"phideep/internal/mlp"
 	"phideep/internal/nn"
@@ -41,74 +39,47 @@ type family struct {
 	// reference answers one row of op into out with the scalar host
 	// forward pass (the Degrade path).
 	reference func(op Op, x, out []float64)
-	// replica builds a forward-only f64 replica for up to maxBatch rows on
-	// ctx's device.
-	replica func(ctx *blas.Context, maxBatch int) (replica, error)
-	// replica32 builds a host float32 replica for up to maxBatch rows. It
-	// owns the family's f32 weight snapshot: converted by the first call,
-	// exactly once, then shared read-only by every replica like the f64
-	// parameters it mirrors.
-	replica32 func(pool *parallel.Pool, lvl kernels.Level, maxBatch int) replica32
+	// replica builds a worker's replica at each precision. The builder at
+	// a precision owns the family's weight snapshot at that precision:
+	// packed by its first call, exactly once, then shared read-only by
+	// every replica like the float64 parameters it is made from.
+	replica [numPrecisions]builder
 }
 
-// replica is a device-resident f64 forward pass; its output is a view of
-// the replica's workspace valid until the next call.
+// builder builds one host replica for up to maxBatch rows. pool may be nil
+// for sequential execution; lvl picks the kernel ladder rung.
+type builder func(pool *parallel.Pool, lvl kernels.Level, maxBatch int) replica
+
+// replica is one worker's forward pass. It is not safe for concurrent use.
 type replica interface {
-	forward(op Op, x *device.Buffer) *device.Buffer
-	Free()
+	// forward runs op on the inputs of a batch of at most maxBatch
+	// requests and returns their outputs in one fresh slice, row i at
+	// out[i*cols : (i+1)*cols].
+	forward(op Op, batch []*request) (out []float64, cols int)
 }
 
-// replica32 is a host float32 forward pass; its output is a view of the
-// replica's workspace valid until the next call.
-type replica32 interface {
-	forward(op Op, x *tensor.Matrix32) *tensor.Matrix32
+// hostReplica is the replica at precision T: the batch's rows are staged
+// into x, converted to T, run through run, and copied out widened to
+// float64. Per-row results do not depend on the batch's composition (every
+// kernel partitions and reduces per row), so coalescing never changes an
+// answer bit.
+type hostReplica[T tensor.Float] struct {
+	x   *tensor.Dense[T] // maxBatch×in; a batch uses its head rows
+	run func(op Op, x *tensor.Dense[T]) *tensor.Dense[T]
 }
 
-// codecModel is a device model with an encoder and a decoder.
-type codecModel interface {
-	Encode(x *device.Buffer) *device.Buffer
-	Reconstruct(x *device.Buffer) *device.Buffer
-	Free()
-}
-
-type codecReplica struct{ codecModel }
-
-func (r codecReplica) forward(op Op, x *device.Buffer) *device.Buffer {
-	if op == OpEncode {
-		return r.Encode(x)
+func (r *hostReplica[T]) forward(op Op, batch []*request) ([]float64, int) {
+	x := r.x.RowsView(0, len(batch))
+	for i, q := range batch {
+		tensor.Convert(x.RowView(i), q.in)
 	}
-	return r.Reconstruct(x)
-}
-
-// classifierModel is a device model with one forward pass.
-type classifierModel interface {
-	Infer(x *device.Buffer) *device.Buffer
-	Free()
-}
-
-type classifierReplica struct{ classifierModel }
-
-func (r classifierReplica) forward(_ Op, x *device.Buffer) *device.Buffer { return r.Infer(x) }
-
-// codecChain serves an encoder/decoder pair as a two-layer dense chain:
-// Encode runs the first layer, Reconstruct both.
-type codecChain struct{ *nn.Chain32 }
-
-func (c codecChain) forward(op Op, x *tensor.Matrix32) *tensor.Matrix32 {
-	if op == OpEncode {
-		return c.Run(x, 1)
+	y := r.run(op, x)
+	out := make([]float64, y.Rows*y.Cols)
+	for i := 0; i < y.Rows; i++ {
+		tensor.Convert(out[i*y.Cols:(i+1)*y.Cols], y.RowView(i))
 	}
-	return c.Run(x, 2)
+	return out, y.Cols
 }
-
-// inferer32 is a host float32 replica with one forward pass.
-type inferer32 interface {
-	Infer(x *tensor.Matrix32) *tensor.Matrix32
-}
-
-type classifier32 struct{ inferer32 }
-
-func (c classifier32) forward(_ Op, x *tensor.Matrix32) *tensor.Matrix32 { return c.Infer(x) }
 
 // codecWidths are the response widths of an encoder/decoder family.
 func codecWidths(visible, hidden int) (out [numOps]int) {
@@ -122,12 +93,19 @@ func classifierWidths(classes int) (out [numOps]int) {
 	return out
 }
 
-// codecReplicas32 is the f32 replica builder of an encoder/decoder family:
-// a chain over the two layers that layers converts on first use.
-func codecReplicas32(layers func() []*nn.Dense32) func(*parallel.Pool, kernels.Level, int) replica32 {
+// codecReplicas is the builder at T of an encoder/decoder family served as
+// a two-layer dense chain, the layers packed on first use: Encode runs the
+// first layer, Reconstruct both.
+func codecReplicas[T tensor.Float](visible int, layers func() []*nn.Dense[T]) builder {
 	snap := sync.OnceValue(layers)
-	return func(pool *parallel.Pool, lvl kernels.Level, maxBatch int) replica32 {
-		return codecChain{nn.NewChain32(pool, lvl, maxBatch, snap())}
+	return func(pool *parallel.Pool, lvl kernels.Level, maxBatch int) replica {
+		c := nn.NewChain(pool, lvl, maxBatch, snap())
+		return &hostReplica[T]{x: tensor.New[T](maxBatch, visible), run: func(op Op, x *tensor.Dense[T]) *tensor.Dense[T] {
+			if op == OpEncode {
+				return c.Run(x, 1)
+			}
+			return c.Run(x, 2)
+		}}
 	}
 }
 
@@ -143,21 +121,21 @@ func autoencoderModel(cfg autoencoder.Config, p *autoencoder.Params) *Model {
 				p.Reconstruct(x, out, cfg.Tied)
 			}
 		},
-		replica: func(ctx *blas.Context, maxBatch int) (replica, error) {
-			m, err := autoencoder.NewInference(ctx, cfg, maxBatch, p)
-			return codecReplica{m}, err
-		},
-		replica32: codecReplicas32(func() []*nn.Dense32 { return autoencoderLayers32(cfg, p) }),
+		replica: [numPrecisions]builder{F64: autoencoderReplicas[float64](cfg, p), F32: autoencoderReplicas[float32](cfg, p)},
 	}}
 }
 
-// autoencoderLayers32 packs the encoder and the one decoder cfg uses.
-func autoencoderLayers32(cfg autoencoder.Config, p *autoencoder.Params) []*nn.Dense32 {
-	dec := nn.NewDense32(p.W1, true, p.B2, nn.ActSigmoid)
+func autoencoderReplicas[T tensor.Float](cfg autoencoder.Config, p *autoencoder.Params) builder {
+	return codecReplicas(cfg.Visible, func() []*nn.Dense[T] { return autoencoderLayers[T](cfg, p) })
+}
+
+// autoencoderLayers packs the encoder and the one decoder cfg uses.
+func autoencoderLayers[T tensor.Float](cfg autoencoder.Config, p *autoencoder.Params) []*nn.Dense[T] {
+	dec := nn.NewDense[T](p.W1, true, p.B2, nn.ActSigmoid)
 	if !cfg.Tied {
-		dec = nn.NewDense32(p.W2, false, p.B2, nn.ActSigmoid)
+		dec = nn.NewDense[T](p.W2, false, p.B2, nn.ActSigmoid)
 	}
-	return []*nn.Dense32{nn.NewDense32(p.W1, false, p.B1, nn.ActSigmoid), dec}
+	return []*nn.Dense[T]{nn.NewDense[T](p.W1, false, p.B1, nn.ActSigmoid), dec}
 }
 
 // rbmModel serves an RBM: Encode is the hidden conditional σ(v·W+c),
@@ -175,18 +153,18 @@ func rbmModel(cfg rbm.Config, p *rbm.Params) *Model {
 				p.Reconstruct(x, out, cfg.GaussianVisible)
 			}
 		},
-		replica: func(ctx *blas.Context, maxBatch int) (replica, error) {
-			m, err := rbm.NewInference(ctx, cfg, maxBatch, p)
-			return codecReplica{m}, err
-		},
-		replica32: codecReplicas32(func() []*nn.Dense32 {
-			visible := nn.ActSigmoid
-			if cfg.GaussianVisible {
-				visible = nn.ActIdentity
-			}
-			return []*nn.Dense32{nn.NewDense32(p.W, false, p.C, nn.ActSigmoid), nn.NewDense32(p.W, true, p.B, visible)}
-		}),
+		replica: [numPrecisions]builder{F64: rbmReplicas[float64](cfg, p), F32: rbmReplicas[float32](cfg, p)},
 	}}
+}
+
+func rbmReplicas[T tensor.Float](cfg rbm.Config, p *rbm.Params) builder {
+	return codecReplicas(cfg.Visible, func() []*nn.Dense[T] {
+		visible := nn.ActSigmoid
+		if cfg.GaussianVisible {
+			visible = nn.ActIdentity
+		}
+		return []*nn.Dense[T]{nn.NewDense[T](p.W, false, p.C, nn.ActSigmoid), nn.NewDense[T](p.W, true, p.B, visible)}
+	})
 }
 
 // mlpModel serves the deep classifier's Predict.
@@ -195,34 +173,36 @@ func mlpModel(cfg mlp.Config, p *mlp.Params) *Model {
 	if n := len(cfg.Sizes); n > 0 {
 		in, classes = cfg.Sizes[0], cfg.Sizes[n-1]
 	}
-	snap := sync.OnceValue(p.To32)
 	return &Model{family{
 		kind: "mlp", in: in, out: classifierWidths(classes), validate: cfg.Validate,
 		reference: func(_ Op, x, out []float64) { copy(out, p.PredictProbs(cfg, x)) },
-		replica: func(ctx *blas.Context, maxBatch int) (replica, error) {
-			m, err := mlp.NewInference(ctx, cfg, maxBatch, p)
-			return classifierReplica{m}, err
-		},
-		replica32: func(pool *parallel.Pool, lvl kernels.Level, maxBatch int) replica32 {
-			return classifier32{mlp.NewInference32(pool, lvl, cfg, maxBatch, snap())}
-		},
+		replica:   [numPrecisions]builder{F64: mlpReplicas[float64](cfg, p), F32: mlpReplicas[float32](cfg, p)},
 	}}
+}
+
+func mlpReplicas[T tensor.Float](cfg mlp.Config, p *mlp.Params) builder {
+	snap := sync.OnceValue(func() *mlp.HostParams[T] { return mlp.NewHostParams[T](p) })
+	return func(pool *parallel.Pool, lvl kernels.Level, maxBatch int) replica {
+		m := mlp.NewHostInference(pool, lvl, cfg, maxBatch, snap())
+		return &hostReplica[T]{x: tensor.New[T](maxBatch, cfg.Sizes[0]), run: func(_ Op, x *tensor.Dense[T]) *tensor.Dense[T] { return m.Infer(x) }}
+	}
 }
 
 // convnetModel serves the convolutional classifier's Predict.
 func convnetModel(cfg convnet.Config, p *convnet.Params) *Model {
-	snap := sync.OnceValue(p.To32)
 	return &Model{family{
 		kind: "convnet", in: cfg.InputDim(), out: classifierWidths(cfg.Classes), validate: cfg.Validate,
 		reference: func(_ Op, x, out []float64) { copy(out, p.PredictProbs(cfg, x)) },
-		replica: func(ctx *blas.Context, maxBatch int) (replica, error) {
-			m, err := convnet.NewInference(ctx, cfg, maxBatch, p)
-			return classifierReplica{m}, err
-		},
-		replica32: func(pool *parallel.Pool, lvl kernels.Level, maxBatch int) replica32 {
-			return classifier32{convnet.NewInference32(pool, lvl, cfg, maxBatch, snap())}
-		},
+		replica:   [numPrecisions]builder{F64: convnetReplicas[float64](cfg, p), F32: convnetReplicas[float32](cfg, p)},
 	}}
+}
+
+func convnetReplicas[T tensor.Float](cfg convnet.Config, p *convnet.Params) builder {
+	snap := sync.OnceValue(func() *convnet.HostParams[T] { return convnet.NewHostParams[T](p) })
+	return func(pool *parallel.Pool, lvl kernels.Level, maxBatch int) replica {
+		m := convnet.NewHostInference(pool, lvl, cfg, maxBatch, snap())
+		return &hostReplica[T]{x: tensor.New[T](maxBatch, cfg.InputDim()), run: func(_ Op, x *tensor.Dense[T]) *tensor.Dense[T] { return m.Infer(x) }}
+	}
 }
 
 // Autoencoder wraps autoencoder parameters for serving (Encode and
@@ -330,7 +310,7 @@ func (m *Model) Ops() []Op {
 }
 
 // hostInfer answers one request on the calling goroutine with the scalar
-// host reference — the Degrade path. Bit-identical to the device path at
+// host reference — the Degrade path. Bit-identical to the f64 replicas at
 // core.Baseline; toleranced (≈1e-12 relative) against the blocked levels,
 // which reorder the reduction. An op the model family does not implement
 // returns *UnsupportedOpError rather than falling through to a different

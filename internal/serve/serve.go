@@ -15,43 +15,44 @@
 // while the replicas work — the batching lever that CHAOS (Viebke et al.)
 // shows keeps many-core utilization high — and no request waits on a
 // timer while a replica sits idle. Flushed batches execute on a pool of
-// device-bound workers, each owning a private simulated device
-// (device.Device is not safe for concurrent use) with a forward-only model
-// replica built by the model packages' NewInference constructors, running
-// the exact blas/kernels forward path of training at any core OptLevel;
-// the replica packs its weights once, on the first batch that reads them.
-//
-// At Config.Precision F32 the workers skip the simulated device and run
-// the reduced-precision host path instead: one float32 weight snapshot is
-// converted per model (lazily, shared read-only) and each worker executes
-// the packed f32 kernels with a private activation workspace. The request
-// and response surface stays []float64 — rounding happens at the staging
-// boundary — and answers differ from the f64 path only by float32
-// rounding, bounded by the cross-precision equivalence suite.
+// workers, each owning one host replica of the model: dense layers
+// (nn.Dense, nn.Chain, and the convnet's lowering around them) over weights
+// packed once per model and shared read-only, with a private activation
+// workspace, running the packed kernels on the worker's pool at the
+// config's core OptLevel. There is one replica kind; Config.Precision only
+// picks its element type. At F64 it issues the kernels of the model's
+// device forward (the NewInference constructors, which training and the
+// behaviour lock run) in the same order, so it answers with their bits; at
+// F32 the weights are rounded once and answers differ from F64 only by
+// float32 rounding, bounded by the cross-precision equivalence suite. The
+// request and response surface stays []float64 at both: rows convert at
+// the staging boundary.
 //
 // Admission is controlled by a bounded queue of Config.QueueDepth
 // not-yet-dispatched requests. When the queue is full the configured
 // Policy applies: Block waits for space, Shed fails fast with
 // ErrOverloaded, and Degrade answers inline from the scalar host
 // reference (Params.Encode and friends) — correct but slow, and
-// bit-identical to the device path only at core.Baseline.
+// bit-identical to the F64 replicas only at core.Baseline.
 //
 // # Robustness
 //
 // The serving plane composes with the deterministic PCIe fault model the
-// training plane already survives (DESIGN.md §14). Config.Faults arms
-// per-worker seeded fault streams on the f64 device path; workers use the
-// non-panicking TryCopyIn/TryCopyOut with a bounded serve-level retry on
-// top of the device's own, and a supervisor catches worker-fatal faults
-// (permanent transfers, retry exhaustion, panics) at the batch boundary:
+// training plane already survives (DESIGN.md §14). Config.Faults arms one
+// seeded fault stream per worker incarnation, at both precisions. Each
+// batch draws from it before its forward pass, as the staging copy of a
+// device replica would: a transient fault is retried within
+// Faults.MaxRetries, and a supervisor catches worker-fatal faults
+// (permanent faults, retry exhaustion, panics) at the batch boundary:
 // the batch is re-dispatched once to a healthy replica or completed with
-// a typed *WorkerFaultError, and the worker is rebuilt on a fresh device
-// under a capped-restart circuit. Exhausted slots retire, moving the
-// health state machine Healthy → Degraded → Down (see Health). Per-request
-// deadlines (Config.RequestTimeout, or ctx on the *Context call variants)
-// guarantee no caller ever hangs: expired requests return ErrDeadline and
-// the late batch result is discarded safely. Drain provides graceful
-// shutdown: admission stops while in-flight requests complete.
+// a typed *WorkerFaultError, and the worker is rebuilt with a fresh
+// replica and fault stream under a capped-restart circuit. Exhausted slots
+// retire, moving the health state machine Healthy → Degraded → Down (see
+// Health). Per-request deadlines (Config.RequestTimeout, or ctx on the
+// *Context call variants) guarantee no caller ever hangs: expired
+// requests return ErrDeadline and the late batch result is discarded
+// safely. Drain provides graceful shutdown: admission stops while
+// in-flight requests complete.
 //
 // # Model loading
 //
@@ -81,8 +82,6 @@ import (
 
 	"phideep/internal/core"
 	"phideep/internal/device"
-	"phideep/internal/sim"
-	"phideep/internal/tensor"
 )
 
 // Op identifies a serving operation.
@@ -126,7 +125,7 @@ const (
 	Shed
 	// Degrade answers on the caller's goroutine from the scalar host
 	// reference instead of queueing — graceful degradation that trades
-	// the device's throughput for bounded queueing.
+	// the replicas' throughput for bounded queueing.
 	Degrade
 )
 
@@ -143,19 +142,21 @@ func (p Policy) String() string {
 	}
 }
 
-// Precision selects the numeric width of the worker forward path.
+// Precision selects the element type of the worker replicas.
 type Precision int
 
 const (
-	// F64 (the default) runs the same float64 device path as training.
+	// F64 (the default) serves at float64, with the bits of the model's
+	// device forward — the path training runs.
 	F64 Precision = iota
-	// F32 runs the reduced-precision host path: workers hold float32
-	// weight snapshots (converted copy-on-load) and execute the packed f32
-	// kernels directly — double the SIMD lanes per FMA, half the memory
-	// traffic. Requests and responses stay []float64 at the API surface;
-	// rounding happens at the staging boundary. The Degrade fallback
-	// remains the f64 scalar host reference.
+	// F32 serves from float32 weight snapshots (rounded once, on the first
+	// replica build) on the packed f32 kernels: double the SIMD lanes per
+	// FMA, half the memory traffic. Requests and responses stay []float64
+	// at the API surface; rounding happens at the staging boundary. The
+	// Degrade fallback remains the f64 scalar host reference.
 	F32
+
+	numPrecisions = 2
 )
 
 func (p Precision) String() string {
@@ -192,18 +193,14 @@ var ErrClosed = errors.New("serve: server closed")
 // Config parameterizes a Server. The zero value of every field selects a
 // sensible default (see each field).
 type Config struct {
-	// Arch is the simulated platform each worker's device models; nil
-	// selects the paper's Xeon Phi 5110P.
-	Arch *sim.Arch
-	// Level is the optimization-ladder step the workers execute at
-	// (core.Baseline by default — set core.Improved for the full stack).
+	// Level is the optimization-ladder step whose kernel level the workers
+	// execute at (core.Baseline by default — set core.Improved for the
+	// full stack).
 	Level core.OptLevel
-	// Cores bounds each worker device's physical cores (0 = all).
-	Cores int
-	// Workers is the number of device-bound workers; each owns a private
-	// device and model replica. Default 1.
+	// Workers is the number of workers; each owns a private model replica.
+	// Default 1.
 	Workers int
-	// PoolWorkers sizes the Go worker pool backing each device's parallel
+	// PoolWorkers sizes the Go worker pool behind each replica's parallel
 	// kernels; 0 runs kernels on the worker goroutine (deterministic and
 	// cheap for small models).
 	PoolWorkers int
@@ -222,34 +219,29 @@ type Config struct {
 	QueueDepth int
 	// Policy is the full-queue behavior (Block by default).
 	Policy Policy
-	// Precision is the numeric width of the worker forward path: F64 (the
-	// default) serves on the simulated device exactly as trained; F32
-	// serves from float32 weight snapshots on the packed f32 host kernels,
+	// Precision is the element type of the worker replicas: F64 (the
+	// default) answers with the bits of the model's device forward; F32
+	// serves from float32 weight snapshots on the packed f32 kernels,
 	// trading ~1e-6-grade per-element differences (see the equivalence
 	// suite) for raw latency.
 	Precision Precision
-	// Seed seeds each worker context's RNG stream (worker i gets
-	// Seed + i). Inference paths draw no samples, so this matters only
-	// for diagnostics.
+	// Seed is the seed of the run the server belongs to, for callers that
+	// record one. Inference draws no samples, so it does not affect
+	// answers.
 	Seed uint64
 
-	// Faults arms the deterministic PCIe fault model on every F64
-	// worker's device (a zero Rate leaves it off). Each worker draws from
-	// its own derived stream — seeded from Faults.Seed, the slot index,
-	// and the rebuild incarnation — so a chaos run replays exactly,
-	// independent of goroutine scheduling. The F32 path holds no device
-	// and is unaffected. Model upload during replica construction is
-	// never fault-injected: faults arm after the replica is built, as a
-	// real deployment would fence off provisioning from serving.
+	// Faults arms the deterministic PCIe fault model on every worker, at
+	// both precisions (a zero Rate leaves it off; the zero value is
+	// valid). Each worker incarnation draws from its own derived stream —
+	// seeded from Faults.Seed, the slot index, and the rebuild count — once
+	// per batch before its forward pass, so a chaos run replays exactly,
+	// independent of goroutine scheduling. A transient fault is retried up
+	// to Faults.MaxRetries times (default 4) and counted in
+	// BatcherStats.FaultRetries; a permanent fault, or a transient one left
+	// when that budget is spent, escalates to the supervisor.
 	Faults device.FaultConfig
-	// FaultRetries bounds the serve-level re-attempts of a staging
-	// transfer after the device's own retry budget (Faults.MaxRetries) is
-	// exhausted by transient faults — a second line of defense before the
-	// fault escalates to the supervisor. Permanent faults escalate
-	// immediately. Default 2; negative is invalid.
-	FaultRetries int
-	// MaxRestarts caps how many times a faulted worker is rebuilt on a
-	// fresh device before its slot retires, degrading the server. Default
+	// MaxRestarts caps how many times a faulted worker is rebuilt with a
+	// fresh replica before its slot retires, degrading the server. Default
 	// 3. -1 disables rebuilds (retire on first worker-fatal fault); below
 	// -1 is invalid.
 	MaxRestarts int
@@ -263,9 +255,6 @@ type Config struct {
 }
 
 func (c *Config) fillDefaults() error {
-	if c.Arch == nil {
-		c.Arch = sim.XeonPhi5110P()
-	}
 	if c.Workers == 0 {
 		c.Workers = 1
 	}
@@ -303,16 +292,8 @@ func (c *Config) fillDefaults() error {
 	default:
 		return fmt.Errorf("serve: unknown precision %d", int(c.Precision))
 	}
-	if c.Faults.Rate > 0 {
-		if err := c.Faults.Validate(); err != nil {
-			return err
-		}
-	}
-	if c.FaultRetries == 0 {
-		c.FaultRetries = 2
-	}
-	if c.FaultRetries < 0 {
-		return fmt.Errorf("serve: negative fault retries %d", c.FaultRetries)
+	if err := c.Faults.Validate(); err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
 	if c.MaxRestarts == 0 {
 		c.MaxRestarts = 3
@@ -344,17 +325,16 @@ const (
 )
 
 // request is one serving call, completed by a worker or the supervisor, or
-// settled at admission (rejected, or answered by the degrade path). Its
-// input is staged before admission in the width the workers compute in: in
-// on F64 servers, in32 — rounded once — on F32 servers. A single request
-// owns a private copy, so the caller may reuse its slice the moment the
-// call returns, even after a deadline abandons the request while its batch
-// is still in flight; a bulk row views a staging buffer that ScoreFeed
-// refills only after settled reports every row of the chunk finished.
+// settled at admission (rejected, or answered by the degrade path). A
+// single request owns a private copy of its input, so the caller may reuse
+// its slice the moment the call returns, even after a deadline abandons
+// the request while its batch is still in flight; a bulk row views a
+// staging buffer that ScoreFeed refills only after settled reports every
+// row of the chunk finished. The worker converts in to its replica's
+// precision when it stages the batch.
 type request struct {
 	op   Op
 	in   []float64
-	in32 []float32
 	out  []float64
 	err  error
 	done chan struct{}
@@ -375,7 +355,7 @@ type request struct {
 }
 
 // Server coalesces concurrent inference requests into micro-batches and
-// executes them on device-bound workers. Create with New; all exported
+// executes them on a pool of replica-owning workers. Create with New; all exported
 // methods are safe for concurrent use.
 type Server struct {
 	cfg   Config
@@ -421,8 +401,8 @@ type Server struct {
 	st counters
 }
 
-// New builds a server for the model: Workers device-bound replicas plus
-// the micro-batcher. The model's weights were already copied at load time,
+// New builds a server for the model: Workers host replicas plus the
+// micro-batcher. The model's weights were already copied at load time,
 // so the source of the parameters may keep training.
 func New(m *Model, cfg Config) (*Server, error) {
 	if m == nil {
@@ -431,8 +411,8 @@ func New(m *Model, cfg Config) (*Server, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
-	// Checked here rather than by the replica builders: the f32 host path
-	// has no device model to reject a bad geometry.
+	// Checked here: the host replicas build no device model that would
+	// reject a bad geometry.
 	if err := m.f.validate(); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
@@ -448,14 +428,7 @@ func New(m *Model, cfg Config) (*Server, error) {
 	}
 	s.notFull = sync.NewCond(&s.mu)
 	for i := 0; i < cfg.Workers; i++ {
-		w, err := newWorker(s, i)
-		if err != nil {
-			for _, prev := range s.workers {
-				prev.freeQuiet()
-			}
-			return nil, fmt.Errorf("serve: worker %d: %w", i, err)
-		}
-		s.workers = append(s.workers, w)
+		s.workers = append(s.workers, newWorker(s, i))
 	}
 	for _, w := range s.workers {
 		s.wg.Add(1)
@@ -511,17 +484,11 @@ func (s *Server) doCtx(ctx context.Context, op Op, x []float64) ([]float64, erro
 	if len(x) != s.model.InputDim() {
 		return nil, fmt.Errorf("serve: input length %d, want %d", len(x), s.model.InputDim())
 	}
-	reqs := []request{{op: op, done: make(chan struct{}), enq: time.Now()}}
-	r := &reqs[0]
 	// Copy at admission: the request must not alias the caller's slice,
 	// which the caller is free to reuse the moment this call returns —
 	// and, under a deadline, even before the batch stages.
-	if s.cfg.Precision == F32 {
-		r.in32 = make([]float32, len(x))
-		tensor.Round32(r.in32, x)
-	} else {
-		r.in = append([]float64(nil), x...)
-	}
+	reqs := []request{{op: op, in: append([]float64(nil), x...), done: make(chan struct{}), enq: time.Now()}}
+	r := &reqs[0]
 	deadline := s.deadlineFor(ctx, r.enq)
 	s.admitRows(ctx, reqs, x, deadline, false)
 	return s.await(ctx, r, deadline)
@@ -836,7 +803,7 @@ func (s *Server) flushAllLocked() {
 }
 
 // Close flushes the pending queues, waits for every in-flight batch to
-// complete, and releases the workers' devices. Blocked submitters are
+// complete, and releases the workers' pools. Blocked submitters are
 // woken with ErrClosed; no admitted request is dropped. When Close
 // returns no server goroutine or flush timer is left. Close is idempotent.
 func (s *Server) Close() {

@@ -189,19 +189,29 @@ func TestIdleFlush(t *testing.T) {
 	}
 }
 
-// gateReplica blocks worker slot's next forward pass inside its first
-// kernel launch: entered closes once the batch is on the device, and the
-// pass continues when the returned open func is first called.
+// gatedReplica holds its first forward pass until the gate opens.
+type gatedReplica struct {
+	replica
+	entered, gate chan struct{}
+	held          *sync.Once
+}
+
+func (g gatedReplica) forward(op Op, batch []*request) ([]float64, int) {
+	g.held.Do(func() {
+		close(g.entered)
+		<-g.gate
+	})
+	return g.replica.forward(op, batch)
+}
+
+// gateReplica blocks worker slot's next forward pass before it starts:
+// entered closes once the batch has reached the replica, and the pass
+// continues when the returned open func is first called.
 func gateReplica(s *Server, slot int) (entered <-chan struct{}, open func()) {
-	in, gate := make(chan struct{}), make(chan struct{})
-	var held, opened sync.Once
-	s.workers[slot].ctx.Dev.Observe = func(sim.Op) {
-		held.Do(func() {
-			close(in)
-			<-gate
-		})
-	}
-	return in, func() { opened.Do(func() { close(gate) }) }
+	g := gatedReplica{replica: s.workers[slot].rep, entered: make(chan struct{}), gate: make(chan struct{}), held: new(sync.Once)}
+	s.workers[slot].rep = g
+	var opened sync.Once
+	return g.entered, func() { opened.Do(func() { close(g.gate) }) }
 }
 
 // TestBusyQueueFlushesOnBatchDone: while every replica is busy a request

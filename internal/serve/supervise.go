@@ -7,14 +7,14 @@ import (
 )
 
 // This file is the worker supervisor: the recovery policy that runs when a
-// batch faults out of a worker (a device transfer fault that survived the
-// retry budgets, or a panic caught at the batch boundary by runSafe).
+// batch faults out of a worker (an injected fault that survived the retry
+// budget, or a panic caught at the batch boundary by runSafe).
 //
 // The sequence per fault: count it, try to re-dispatch the batch once to a
 // healthy replica (so one worker's fault stays invisible to callers when
-// survivors exist), rebuild the faulted worker on a fresh device under a
-// capped-restart circuit, and — when the budget is spent — retire the slot,
-// moving the server's health state machine toward Degraded/Down. Whatever
+// survivors exist), rebuild the faulted worker under a capped-restart
+// circuit, and — when the budget is spent — retire the slot, moving the
+// server's health state machine toward Degraded/Down. Whatever
 // happens, every request of the batch completes: with the re-dispatched
 // answer, or with a typed *WorkerFaultError. Nothing admitted ever hangs.
 
@@ -75,27 +75,21 @@ func (w *worker) handleFault(batch []*request, cause error) bool {
 	return last
 }
 
-// rebuild tears the worker's device state down and constructs a fresh
-// incarnation (new device, new replica, new fault stream), consuming the
-// restart budget. It reports whether the worker came back; on budget
-// exhaustion — including rebuilds that themselves fail — the slot retires.
+// rebuild tears the worker's state down and constructs a fresh
+// incarnation (new replica, new fault stream), consuming the restart
+// budget. It reports whether the worker came back; on budget exhaustion
+// the slot retires.
 func (w *worker) rebuild(cause error) bool {
-	w.freeQuiet()
-	for {
-		if w.restarts >= w.s.cfg.maxRestarts() {
-			w.retire(cause)
-			return false
-		}
-		w.restarts++
-		w.s.st.restarts.Add(1)
-		recordRestart()
-		err := w.build()
-		if err == nil {
-			return true
-		}
-		cause = err
-		w.freeQuiet()
+	w.free()
+	if w.restarts >= w.s.cfg.maxRestarts() {
+		w.retire(cause)
+		return false
 	}
+	w.restarts++
+	w.s.st.restarts.Add(1)
+	recordRestart()
+	w.build()
+	return true
 }
 
 // retire marks the worker permanently failed and updates the server's

@@ -220,6 +220,16 @@ func (m *Dense[T]) To32() *Matrix32 { return convert[float32](m) }
 // float32 is representable).
 func (m *Dense[T]) To64() *Matrix { return convert[float64](m) }
 
+// As returns m at precision U: m itself when U is float64, else a rounded
+// packed copy. A serving snapshot at float64 thus shares the model's own
+// immutable weights, and one at float32 rounds them once.
+func As[U Float](m *Matrix) *Dense[U] {
+	if same, ok := any(m).(*Dense[U]); ok {
+		return same
+	}
+	return convert[U](m)
+}
+
 func convert[U, T Float](m *Dense[T]) *Dense[U] {
 	out := New[U](m.Rows, m.Cols)
 	for i := 0; i < m.Rows; i++ {

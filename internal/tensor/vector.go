@@ -137,24 +137,23 @@ func EqualVec(a, b Vector, tol float64) bool {
 	return true
 }
 
-// Round32 narrows every element of a float64 row to float32 in place of
-// dst: dst[j] = float32(src[j]). Lengths must match. This is the staging
+// Convert copies src into dst, converting each element to U (rounded to
+// nearest when narrowing). Lengths must match. This is the staging
 // boundary conversion of the serving path.
-func Round32(dst []float32, src []float64) {
+func Convert[U, T Float](dst []U, src []T) {
 	if len(dst) != len(src) {
-		panic(fmt.Sprintf("tensor: Round32 length mismatch: %d vs %d", len(dst), len(src)))
+		panic(fmt.Sprintf("tensor: Convert length mismatch: %d vs %d", len(dst), len(src)))
 	}
 	for j, v := range src {
-		dst[j] = float32(v)
+		dst[j] = U(v)
 	}
 }
 
-// Widen64 widens a float32 row into a float64 slice: dst[j] = float64(src[j]).
-func Widen64(dst []float64, src []float32) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("tensor: Widen64 length mismatch: %d vs %d", len(dst), len(src)))
+// AsVec returns v at precision U: v itself when U is float64, else a
+// rounded copy (see As).
+func AsVec[U Float](v Vector) Vec[U] {
+	if same, ok := any(v).(Vec[U]); ok {
+		return same
 	}
-	for j, v := range src {
-		dst[j] = float64(v)
-	}
+	return convertVec[U](v)
 }

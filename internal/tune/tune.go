@@ -178,20 +178,3 @@ func DefaultCandidates(arch *sim.Arch) []Candidate {
 	}
 	return out
 }
-
-// CrossBatches expands a candidate list with minibatch-size options: every
-// candidate is replicated once per batch value, making batch a searchable
-// axis next to level, cores, threads and fusion.
-func CrossBatches(cands []Candidate, batches []int) []Candidate {
-	if len(batches) == 0 {
-		return cands
-	}
-	out := make([]Candidate, 0, len(cands)*len(batches))
-	for _, b := range batches {
-		for _, c := range cands {
-			c.Batch = b
-			out = append(out, c)
-		}
-	}
-	return out
-}

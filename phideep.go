@@ -44,13 +44,11 @@
 // Trained models answer online traffic through the serving layer: wrap the
 // parameters with ServeAutoencoder / ServeRBM / ServeMLP / ServeConvnet
 // (or load a PHCK checkpoint), then NewServer coalesces concurrent
-// requests into micro-batches on device-bound workers. See internal/serve
-// and cmd/phiserve.
+// requests into micro-batches on a pool of host replicas. See
+// internal/serve and cmd/phiserve.
 package phideep
 
 import (
-	"time"
-
 	"phideep/internal/autoencoder"
 	"phideep/internal/blas"
 	"phideep/internal/cluster"
@@ -236,12 +234,13 @@ type (
 	TunePredictor = tune.Predictor
 
 	// Server coalesces concurrent single-example inference requests into
-	// micro-batches executed on device-bound workers — the online serving
-	// layer over a trained model. Create with NewServer.
+	// micro-batches executed on a pool of replica workers — the online
+	// serving layer over a trained model. Create with NewServer.
 	Server = serve.Server
-	// ServeConfig parameterizes a Server: platform, OptLevel, worker
-	// count, micro-batching window (MaxBatch/MaxWait) and admission
-	// control (QueueDepth/Policy).
+	// ServeConfig parameterizes a Server: OptLevel, worker count,
+	// precision, micro-batching window (MaxBatch/MaxWait), admission
+	// control (QueueDepth/Policy) and robustness (Faults, MaxRestarts,
+	// RequestTimeout).
 	ServeConfig = serve.Config
 	// ServeModel is an immutable (copy-on-load) snapshot of trained
 	// parameters ready to serve; build one with ServeAutoencoder,
@@ -309,10 +308,11 @@ const (
 
 // Serving numeric widths (ServeConfig.Precision).
 const (
-	// PrecisionF64 serves on the float64 device path, exactly as trained.
+	// PrecisionF64 serves at float64 with the bits of the model's device
+	// forward, the path training runs.
 	PrecisionF64 = serve.F64
 	// PrecisionF32 serves from float32 weight snapshots on the packed f32
-	// host kernels — double the SIMD lanes, half the memory traffic, with
+	// kernels — double the SIMD lanes, half the memory traffic, with
 	// answers within float32 rounding of the f64 path. Training is always
 	// float64; only the forward serving pass narrows.
 	PrecisionF32 = serve.F32
@@ -511,20 +511,6 @@ func BuildHybridAE(phiCtx, hostCtx *Context, cfg HybridAEConfig) (*HybridAE, err
 // platform: optimization level × cores × threads/core × fusion.
 func TuneDefaultCandidates(arch *Arch) []TuneCandidate { return tune.DefaultCandidates(arch) }
 
-// TuneCrossBatches expands a candidate grid with the given micro-batch
-// sizes, so the predictor can rank batching against kernel knobs jointly.
-// See `phiserve -tune-seed` for the serving-side use.
-func TuneCrossBatches(cands []TuneCandidate, batches []int) []TuneCandidate {
-	return tune.CrossBatches(cands, batches)
-}
-
-// TuneEffectiveIters returns the iteration count candidate c should run
-// for so that every candidate trains on the same number of examples
-// (batch-overriding candidates get proportionally fewer updates).
-func TuneEffectiveIters(w TuneWorkload, c TuneCandidate) int {
-	return tune.EffectiveIters(w, c)
-}
-
 // TuneCalibrate fits the calibrated performance predictor for a workload
 // from short probe runs against the simulator; the result predicts any
 // grid candidate's full-run epoch time without simulating it.
@@ -540,42 +526,11 @@ func TunePrunedSearch(w TuneWorkload, cands []TuneCandidate, topK int) (*TuneRes
 	return tune.PrunedSearch(w, cands, topK)
 }
 
-// ServeOption adjusts a ServeConfig in NewServer. Options compose left to
-// right after the explicit config, so they win over its field values:
-//
-//	phideep.NewServer(m, cfg, phideep.WithPrecision(phideep.PrecisionF32))
-type ServeOption func(*ServeConfig)
-
-// WithPrecision selects the numeric width of the serving forward path
-// (ServeConfig.Precision): PrecisionF64 replays the training path on the
-// simulated device, PrecisionF32 runs the reduced-precision host kernels.
-func WithPrecision(p Precision) ServeOption {
-	return func(c *ServeConfig) { c.Precision = p }
-}
-
-// WithFaults arms the deterministic PCIe fault model on every f64
-// serving worker's device (ServeConfig.Faults): each worker draws from
-// its own stream derived from fc.Seed, so chaos runs replay exactly. See
-// `phiserve -fault-rate`.
-func WithFaults(fc FaultConfig) ServeOption {
-	return func(c *ServeConfig) { c.Faults = fc }
-}
-
-// WithRequestTimeout sets the per-request deadline
-// (ServeConfig.RequestTimeout): expired requests fail with ErrDeadline
-// instead of ever hanging, and their late batch results are discarded.
-func WithRequestTimeout(d time.Duration) ServeOption {
-	return func(c *ServeConfig) { c.RequestTimeout = d }
-}
-
 // NewServer builds an online inference server over a ServeModel: Workers
-// device-bound replicas behind a dynamic micro-batcher with admission
-// control. See ServeConfig for the knobs and cmd/phiserve for the HTTP
-// front-end.
-func NewServer(m *ServeModel, cfg ServeConfig, opts ...ServeOption) (*Server, error) {
-	for _, opt := range opts {
-		opt(&cfg)
-	}
+// host replicas behind a dynamic micro-batcher with admission control. See
+// ServeConfig for the knobs (Precision, Faults, RequestTimeout, …) and
+// cmd/phiserve for the HTTP front-end.
+func NewServer(m *ServeModel, cfg ServeConfig) (*Server, error) {
 	return serve.New(m, cfg)
 }
 
