@@ -79,8 +79,9 @@ go test -run TestClusterRecovery -count=2 ./internal/cluster/
 # permanent replica loss, fail-fast at zero workers) must hold under the
 # race detector, and twice in a row — the injected fault streams are
 # seeded, so outcomes and fault ledgers must replay identically. The
-# work-conserving batcher's tests (flush to an idle replica, flush when a
-# busy batch finishes) and the Close leak check ride along.
+# pull batcher's tests (a free worker takes a lone request at once, a busy
+# worker takes the pending one when its batch finishes) and the Close leak
+# check ride along.
 go test -race -run 'TestChaos|TestIdleFlush|TestBusyQueueFlushesOnBatchDone|TestCloseLeavesNothing' -count=2 ./internal/serve/
 # Loading-thread determinism gate: the loader's FIFO/panic/join contract,
 # the trainer's exact feed ledger at ring depths 1-3, the fill-overlaps-step
@@ -93,17 +94,19 @@ go test -race -count=5 -run 'TestLoader|TestTrainerLedgerExact|TestTrainerFillOv
 # clients against the in-process server and print a latency report.
 go run ./cmd/phiserve -model ae -visible 64 -hidden 16 -loadgen -clients 8 -duration 2s
 # Degradation smoke: loadgen against a fault-injected server (transient +
-# permanent faults, seeded; restart budget high enough that the supervisor
-# rebuilds through the permanent losses). Every outcome must be typed —
-# the report's "health:" line proves the server stayed up and counting.
+# permanent faults, seeded; a restart intensity high enough that the
+# supervisor rebuilds through the permanent losses — 1 % of batches here,
+# over a run of hundreds of 1000-batch restart windows per slot). Every
+# outcome must be typed, and the report's final "health:" line must show
+# at least one live worker and the fault batches it survived.
 go run ./cmd/phiserve -model ae -visible 64 -hidden 16 -loadgen -clients 8 \
     -duration 2s -fault-rate 0.05 -fault-permanent 0.2 -fault-seed 7 \
-    -workers 2 -max-restarts 100 | grep "health:"
+    -workers 2 -max-restarts 100 | grep -E "health: .*\([1-9][0-9]*/2 workers live\), [1-9][0-9]* fault batches"
 # The same fault mix at -precision f32: faults are drawn per batch at both
-# precisions, so the f32 report must count fault batches too.
+# precisions, so the f32 server must survive them alike.
 go run ./cmd/phiserve -model ae -visible 64 -hidden 16 -loadgen -clients 8 \
     -duration 2s -fault-rate 0.05 -fault-permanent 0.2 -fault-seed 7 \
-    -workers 2 -max-restarts 100 -precision f32 | grep -E "health: .*, [1-9][0-9]* fault batches"
+    -workers 2 -max-restarts 100 -precision f32 | grep -E "health: .*\([1-9][0-9]*/2 workers live\), [1-9][0-9]* fault batches"
 # Shared-feed cluster smoke: every node streams from one dataset feed
 # (lease/commit protocol) under fault injection — the "feed:" line proves
 # the lease ledger balanced (leases == commits) across crash/rejoin.

@@ -23,7 +23,7 @@ import (
 func FuzzInferHandler(f *testing.F) {
 	acfg := phideep.AutoencoderConfig{Visible: 12, Hidden: 5, Seed: 7}
 	ae, err := phideep.NewServer(phideep.ServeAutoencoder(acfg, nil), phideep.ServeConfig{
-		Level: phideep.Baseline, MaxBatch: 4, MaxWait: 200 * time.Microsecond,
+		Level: phideep.Baseline, MaxBatch: 4,
 	})
 	if err != nil {
 		f.Fatal(err)
@@ -31,7 +31,7 @@ func FuzzInferHandler(f *testing.F) {
 	f.Cleanup(ae.Close)
 	mcfg := phideep.MLPConfig{Sizes: []int{acfg.Visible, 6, 4}, Seed: 7}
 	mlp, err := phideep.NewServer(phideep.ServeMLP(mcfg, nil), phideep.ServeConfig{
-		Level: phideep.Improved, Precision: phideep.PrecisionF32, MaxBatch: 4, MaxWait: 200 * time.Microsecond,
+		Level: phideep.Improved, Precision: phideep.PrecisionF32, MaxBatch: 4,
 	})
 	if err != nil {
 		f.Fatal(err)

@@ -17,11 +17,10 @@ import (
 // answered) for `duration`, then prints a throughput and latency report.
 // Closed-loop load is the natural probe for a micro-batcher: concurrency
 // directly bounds the coalescing the batcher can achieve, so sweeping
-// -clients against -max-wait maps the latency/throughput trade-off (see
-// EXPERIMENTS.md). Under -fault-rate the report also separates the typed
+// -clients maps the latency/throughput trade-off (see EXPERIMENTS.md). Under -fault-rate the report also separates the typed
 // failure classes (deadline, worker fault, server down) and prints the
 // health line, so a chaos run's degradation is visible at a glance.
-func runLoadgen(w io.Writer, srv *phideep.Server, opName string, clients int, duration time.Duration, maxWait time.Duration, policyName string, seed uint64) error {
+func runLoadgen(w io.Writer, srv *phideep.Server, opName string, clients int, duration time.Duration, policyName string, seed uint64) error {
 	if clients <= 0 {
 		return fmt.Errorf("loadgen: need at least one client, got %d", clients)
 	}
@@ -99,8 +98,8 @@ func runLoadgen(w io.Writer, srv *phideep.Server, opName string, clients int, du
 		sum += d
 	}
 
-	fmt.Fprintf(w, "phiserve loadgen: op=%s clients=%d duration=%v max-wait=%v policy=%s precision=%s\n",
-		opName, clients, duration, maxWait, policyName, st.Precision)
+	fmt.Fprintf(w, "phiserve loadgen: op=%s clients=%d duration=%v policy=%s precision=%s\n",
+		opName, clients, duration, policyName, st.Precision)
 	fmt.Fprintf(w, "  requests: %d ok, %d shed, %d deadline, %d faulted, %d down, %d failed (%.1f req/s)\n",
 		len(all), sheds, deadlines, faults, down, errs, float64(len(all))/duration.Seconds())
 	fmt.Fprintf(w, "  latency:  mean=%v p50=%v p90=%v p99=%v max=%v\n",
@@ -109,8 +108,8 @@ func runLoadgen(w io.Writer, srv *phideep.Server, opName string, clients int, du
 		pct(all, 99).Round(time.Microsecond), all[len(all)-1].Round(time.Microsecond))
 	fmt.Fprintf(w, "  overload: %d sheds, %d degrades (server-side admission counters)\n",
 		st.Sheds, st.Degrades)
-	fmt.Fprintf(w, "  batcher:  %d batches, avg size %.2f (%d full, %d idle, %d deadline flushes)\n",
-		st.Batches, st.AvgBatchSize, st.FlushFull, st.FlushIdle, st.FlushDeadline)
+	fmt.Fprintf(w, "  batcher:  %d batches, avg size %.2f, %d full\n",
+		st.Batches, st.AvgBatchSize, st.FlushFull)
 	fmt.Fprintf(w, "  health:   %s (%d/%d workers live), %d fault batches, %d retries, %d redispatches, %d restarts, %d retired\n",
 		st.Health, st.WorkersLive, st.WorkersConfigured,
 		st.FaultBatches, st.FaultRetries, st.Redispatches, st.Restarts, st.Retired)

@@ -39,7 +39,8 @@
 // Robustness knobs (DESIGN.md §14): -fault-rate arms the deterministic
 // PCIe fault injector on every worker at either precision, drawn once per
 // batch (with -fault-permanent and -fault-seed shaping the streams),
-// -max-restarts caps worker rebuilds before a slot retires, and
+// -max-restarts is the restart intensity — the rebuilds a worker slot may
+// take within its last 1000 batches before it retires — and
 // SIGINT/SIGTERM triggers a graceful drain bounded by -drain-timeout
 // instead of killing in-flight requests.
 //
@@ -85,7 +86,6 @@ type serveOptions struct {
 	workers   int
 	pool      int
 	maxBatch  int
-	maxWait   time.Duration
 	queue     int
 	policy    string
 	precision string
@@ -126,8 +126,7 @@ func main() {
 	flag.StringVar(&o.levelName, "level", "improved", "baseline | openmp | mkl | improved")
 	flag.IntVar(&o.workers, "workers", 2, "serving workers, one model replica each")
 	flag.IntVar(&o.pool, "pool-workers", 0, "Go pool size behind each replica's parallel kernels (0 = run inline)")
-	flag.IntVar(&o.maxBatch, "max-batch", 16, "micro-batch coalescing limit")
-	flag.DurationVar(&o.maxWait, "max-wait", time.Millisecond, "micro-batch flush deadline while every replica is busy (with one idle, a batch flushes at once)")
+	flag.IntVar(&o.maxBatch, "max-batch", 16, "micro-batch coalescing limit: a free worker takes at most this many pending requests")
 	flag.IntVar(&o.queue, "queue-depth", 0, "admission bound on queued requests (0 = 4x max-batch)")
 	flag.StringVar(&o.policy, "policy", "block", "full-queue policy: block | shed | degrade")
 	flag.StringVar(&o.precision, "precision", "f64", "replica numeric width: f64 (the device forward's bits) | f32 (float32 weights)")
@@ -137,7 +136,7 @@ func main() {
 	flag.Float64Var(&o.faultRate, "fault-rate", 0, "per-attempt fault probability of a batch's staging (0 = injector off)")
 	flag.Float64Var(&o.faultPermanent, "fault-permanent", 0, "fraction of injected faults that are permanent (replica loss)")
 	flag.Uint64Var(&o.faultSeed, "fault-seed", 1, "fault injector base seed (per-worker streams derive from it)")
-	flag.IntVar(&o.maxRestarts, "max-restarts", 0, "worker rebuild budget before a slot retires (0 = default 3, -1 = retire on first fault)")
+	flag.IntVar(&o.maxRestarts, "max-restarts", 0, "restart intensity: worker rebuilds allowed per slot within its last 1000 batches before it retires (0 = default 3, -1 = retire on first fault)")
 	flag.DurationVar(&o.requestTimeout, "request-timeout", 0, "per-request deadline across queueing and service (0 = none)")
 	flag.DurationVar(&o.drainTimeout, "drain-timeout", 5*time.Second, "graceful drain bound on SIGINT/SIGTERM (0 = wait forever)")
 
@@ -178,8 +177,7 @@ func run(w io.Writer, o serveOptions) error {
 	}
 	srv, err := phideep.NewServer(m, phideep.ServeConfig{
 		Level: lvl, Workers: o.workers, PoolWorkers: o.pool,
-		MaxBatch: o.maxBatch, MaxWait: o.maxWait,
-		QueueDepth: o.queue, Policy: pol, Precision: prec, Seed: o.seed,
+		MaxBatch: o.maxBatch, QueueDepth: o.queue, Policy: pol, Precision: prec, Seed: o.seed,
 		Faults: fc, MaxRestarts: o.maxRestarts, RequestTimeout: o.requestTimeout,
 	})
 	if err != nil {
@@ -188,11 +186,11 @@ func run(w io.Writer, o serveOptions) error {
 	defer srv.Close()
 
 	if o.loadgen {
-		return runLoadgen(w, srv, o.op, o.clients, o.duration, o.maxWait, o.policy, o.seed)
+		return runLoadgen(w, srv, o.op, o.clients, o.duration, o.policy, o.seed)
 	}
 
-	fmt.Fprintf(w, "phiserve: %s model (%d inputs) [%s], %d workers, batch<=%d wait<=%v policy=%s precision=%s\n",
-		m.Kind(), m.InputDim(), lvl, o.workers, o.maxBatch, o.maxWait, pol, prec)
+	fmt.Fprintf(w, "phiserve: %s model (%d inputs) [%s], %d workers, batch<=%d policy=%s precision=%s\n",
+		m.Kind(), m.InputDim(), lvl, o.workers, o.maxBatch, pol, prec)
 	if o.faultRate > 0 {
 		fmt.Fprintf(w, "phiserve: fault injection armed: rate=%g permanent=%g seed=%d max-restarts=%d\n",
 			o.faultRate, o.faultPermanent, o.faultSeed, o.maxRestarts)
@@ -215,8 +213,8 @@ func run(w io.Writer, o serveOptions) error {
 }
 
 // drainAndShutdown is the graceful exit path: the batcher drains first
-// (admission flips to draining — /healthz answers 503 — queued batches
-// flush, and in-flight requests finish inside the timeout), then the HTTP
+// (admission flips to draining — /healthz answers 503 — and the workers
+// finish every admitted request inside the timeout), then the HTTP
 // listener shuts down. Split from run's signal plumbing so the httptest
 // suite can drive it directly.
 func drainAndShutdown(w io.Writer, srv *phideep.Server, hs *http.Server, timeout time.Duration) error {

@@ -39,7 +39,7 @@ func newAEServer(t *testing.T) (*httptest.Server, *autoencoder.Params) {
 	cfg := phideep.AutoencoderConfig{Visible: 12, Hidden: 5, Seed: 7}
 	p := autoencoder.NewParams(cfg, cfg.Seed)
 	_, ts := serveHTTP(t, phideep.ServeAutoencoder(cfg, p), phideep.ServeConfig{
-		Level: phideep.Baseline, MaxBatch: 4, MaxWait: 200 * time.Microsecond,
+		Level: phideep.Baseline, MaxBatch: 4,
 	})
 	return ts, p
 }
@@ -118,7 +118,7 @@ func TestPredictEndpoint(t *testing.T) {
 	cfg := phideep.MLPConfig{Sizes: []int{8, 6, 4}, Seed: 3}
 	p := mlp.NewParams(cfg, cfg.Seed)
 	_, ts := serveHTTP(t, phideep.ServeMLP(cfg, p), phideep.ServeConfig{
-		Level: phideep.Baseline, MaxBatch: 4, MaxWait: 200 * time.Microsecond,
+		Level: phideep.Baseline, MaxBatch: 4,
 	})
 
 	x := []float64{0.9, 0.1, 0.4, 0.2, 0.8, 0.3, 0.6, 0.5}
@@ -262,7 +262,7 @@ func TestHealthz(t *testing.T) {
 func TestHealthzDraining(t *testing.T) {
 	cfg := phideep.AutoencoderConfig{Visible: 12, Hidden: 5, Seed: 7}
 	srv, ts := serveHTTP(t, phideep.ServeAutoencoder(cfg, nil), phideep.ServeConfig{
-		Level: phideep.Baseline, MaxBatch: 4, MaxWait: 200 * time.Microsecond,
+		Level: phideep.Baseline, MaxBatch: 4,
 	})
 
 	if err := srv.Drain(time.Second); err != nil {
@@ -339,13 +339,14 @@ func TestDrainAndShutdown(t *testing.T) {
 	cfg := phideep.AutoencoderConfig{Visible: 12, Hidden: 5, Seed: 7}
 	p := autoencoder.NewParams(cfg, cfg.Seed)
 	srv, ts := serveHTTP(t, phideep.ServeAutoencoder(cfg, p), phideep.ServeConfig{
-		Level: phideep.Baseline, MaxBatch: 4, MaxWait: time.Hour,
+		Level: phideep.Baseline, MaxBatch: 4,
 	})
 
-	// Two requests are admitted. An idle replica takes each at once, so a
-	// request may be queued or already on a replica when the drain starts;
+	// Two requests are admitted. A free worker takes each at once, so a
+	// request may be pending or already on a replica when the drain starts;
 	// either way the drain must wait for its answer. (serve's
-	// TestDrainGraceful holds the replicas busy to drain parked requests.)
+	// TestDrainGraceful holds the workers at a gate to drain pending
+	// requests.)
 	x := make([]float64, 12)
 	for i := range x {
 		x[i] = 0.05 * float64(i)
@@ -411,7 +412,7 @@ func waitFor(t *testing.T, cond func() bool) {
 func TestLoadgenFaultReport(t *testing.T) {
 	cfg := phideep.AutoencoderConfig{Visible: 12, Hidden: 5, Seed: 7}
 	srv, err := phideep.NewServer(phideep.ServeAutoencoder(cfg, nil), phideep.ServeConfig{
-		Level: phideep.Baseline, MaxBatch: 4, MaxWait: 200 * time.Microsecond,
+		Level: phideep.Baseline, MaxBatch: 4,
 		Faults: phideep.FaultConfig{Rate: 0.05, Seed: 7},
 	})
 	if err != nil {
@@ -420,7 +421,7 @@ func TestLoadgenFaultReport(t *testing.T) {
 	defer srv.Close()
 
 	var out bytes.Buffer
-	if err := runLoadgen(&out, srv, "", 4, 300*time.Millisecond, 200*time.Microsecond, "block", 1); err != nil {
+	if err := runLoadgen(&out, srv, "", 4, 300*time.Millisecond, "block", 1); err != nil {
 		t.Fatalf("runLoadgen: %v", err)
 	}
 	report := out.String()
@@ -470,7 +471,7 @@ func TestHealthzAfterCheckpointExport(t *testing.T) {
 func TestRunRejectsBadFaultConfig(t *testing.T) {
 	base := serveOptions{
 		modelKind: "ae", visible: 8, hidden: 4, seed: 1,
-		levelName: "baseline", workers: 1, maxBatch: 4, maxWait: time.Millisecond,
+		levelName: "baseline", workers: 1, maxBatch: 4,
 		policy: "block", precision: "f64",
 		loadgen: true, clients: 1, duration: 10 * time.Millisecond,
 	}

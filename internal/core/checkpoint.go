@@ -173,32 +173,60 @@ func EncodeCheckpoint(c *Checkpoint) []byte { return c.encode() }
 // (or read from a checkpoint file).
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) { return decodeCheckpoint(data) }
 
-// WriteCheckpoint atomically persists c to path: the bytes are written to a
-// temporary file in the same directory, synced to stable storage, and
-// renamed over the destination, so a crash at any point leaves either the
-// previous checkpoint or the new one — never a torn file.
+// WriteCheckpoint atomically persists c to path with WriteFileAtomic, so a
+// crash at any point leaves either the previous checkpoint or the new one —
+// never a torn file.
 func WriteCheckpoint(path string, c *Checkpoint) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	err := WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(c.encode())
+		return err
+	})
 	if err != nil {
 		return fmt.Errorf("core: checkpoint: %w", err)
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(c.encode()); err != nil {
-		tmp.Close()
-		return fmt.Errorf("core: checkpoint: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("core: checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("core: checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("core: checkpoint: %w", err)
-	}
 	return nil
+}
+
+// WriteFileAtomic streams save's output into path crash-consistently: the
+// bytes go to a temporary file in the same directory, which is synced to
+// stable storage, closed and renamed over path, and then the directory is
+// synced so that the rename itself survives power loss. A failing save
+// leaves the previous file untouched and no temporary behind.
+func WriteFileAtomic(path string, save func(io.Writer) error) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	err = save(tmp)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err == nil {
+		err = syncDir(dir)
+	}
+	return err
+}
+
+// syncDir flushes a directory's entries, such as a rename into it, to
+// stable storage.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // ReadCheckpoint loads and verifies a checkpoint written by

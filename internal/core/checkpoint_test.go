@@ -5,6 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc64"
+	"io"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"phideep/internal/autoencoder"
@@ -77,4 +80,47 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			t.Fatalf("accepted %d bytes encode back as %d different ones", len(data), len(out))
 		}
 	})
+}
+
+// TestWriteFileAtomicFailingSave: a save callback that fails halfway leaves
+// the previous file byte-identical and no temporary file behind, and a
+// later successful write replaces it whole.
+func TestWriteFileAtomicFailingSave(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "model.phck")
+	prev := &Checkpoint{Step: 3, Model: []byte("previous")}
+	if err := WriteCheckpoint(path, prev); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("save failed")
+	err := WriteFileAtomic(path, func(w io.Writer) error {
+		if _, err := w.Write([]byte("torn")); err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("WriteFileAtomic error %v, want the save error", err)
+	}
+	checkFile := func(want []byte) {
+		t.Helper()
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("file holds %q, want %q", got, want)
+		}
+		if tmps, _ := filepath.Glob(path + ".tmp*"); len(tmps) != 0 {
+			t.Fatalf("temporary files left behind: %v", tmps)
+		}
+	}
+	checkFile(EncodeCheckpoint(prev))
+
+	if err := WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write([]byte("next"))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	checkFile([]byte("next"))
 }

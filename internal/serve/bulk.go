@@ -166,9 +166,9 @@ type bulkStage struct {
 	lease  feed.Lease
 	labels []int // when the sweep scores accuracy
 
-	// busy counts the chunk's rows a worker may still read. It outlives
+	// reading counts the chunk's rows a worker may still read. It outlives
 	// the rows' waiters: a row abandoned at its deadline stays in its batch.
-	busy sync.WaitGroup
+	reading sync.WaitGroup
 }
 
 // takeStages returns n staging buffers of rows×dim, the server's cached set
@@ -235,11 +235,11 @@ func (sw *sweep) score(st *bulkStage) error {
 	enq := time.Now()
 	for i := range reqs {
 		r := &reqs[i]
-		r.op, r.in, r.enq, r.done, r.settled = sw.op, st.x.RowView(i), enq, make(chan struct{}), &st.busy
+		r.op, r.in, r.enq, r.done, r.settled = sw.op, st.x.RowView(i), enq, make(chan struct{}), &st.reading
 	}
-	st.busy.Add(l.N)
+	st.reading.Add(l.N)
 	deadline := s.deadlineFor(sw.ctx, enq)
-	s.admitRows(sw.ctx, reqs, st.x.Data, deadline, true)
+	s.admitRows(sw.ctx, reqs, st.x.Data, deadline)
 
 	failed, fatal := 0, error(nil)
 	for i := range reqs {
@@ -265,7 +265,7 @@ func (sw *sweep) score(st *bulkStage) error {
 	commitErr := sw.fc.Commit(l, sw.clock(), failed == l.N)
 	// A row whose waiter gave up at its deadline is still in a batch that
 	// reads the stage; wait the workers out before anyone refills it.
-	st.busy.Wait()
+	st.reading.Wait()
 	switch {
 	case fatal != nil:
 		return fmt.Errorf("serve: bulk sweep aborted: %w", fatal)

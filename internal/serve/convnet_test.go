@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"phideep/internal/convnet"
 	"phideep/internal/core"
@@ -41,7 +40,6 @@ func TestConvnetServedMatchesDirectDevice(t *testing.T) {
 				Level:    lvl,
 				Workers:  2,
 				MaxBatch: 4,
-				MaxWait:  2 * time.Millisecond,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -110,7 +108,6 @@ func TestConvnetServedF32(t *testing.T) {
 		Level:     core.Improved,
 		Precision: F32,
 		MaxBatch:  4,
-		MaxWait:   time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

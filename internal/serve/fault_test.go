@@ -35,10 +35,7 @@ func bitwiseEqual(a, b []float64) bool {
 func refAnswers(t *testing.T, xs [][]float64) [][]float64 {
 	t.Helper()
 	cfg := aeTestConfig()
-	srv, err := New(Autoencoder(cfg, autoencoder.NewParams(cfg, 1)), Config{
-		MaxBatch: 1,
-		MaxWait:  time.Hour,
-	})
+	srv, err := New(Autoencoder(cfg, autoencoder.NewParams(cfg, 1)), Config{MaxBatch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,23 +90,21 @@ type chaosRun struct {
 }
 
 // runTransientChaos drives one deterministic transient-fault scenario:
-// a single worker (sequential dispatch, so the fault stream consumption
+// a single worker (sequential batches, so the fault stream consumption
 // is scheduling-independent), batch size 1, a high fault rate with an
-// effectively unlimited restart budget.
+// effectively unlimited restart intensity.
 func runTransientChaos(t *testing.T, xs [][]float64) chaosRun {
 	t.Helper()
 	cfg := aeTestConfig()
 	goroutines := runtime.NumGoroutine()
 	srv, err := New(Autoencoder(cfg, autoencoder.NewParams(cfg, 1)), Config{
 		MaxBatch:    1,
-		MaxWait:     time.Hour,
 		MaxRestarts: 1 << 20,
 		Faults:      device.FaultConfig{Rate: 0.7, Seed: 42, MaxRetries: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	release := forceBusy(srv)
 	run := chaosRun{}
 	for _, x := range xs {
 		out, err := srv.Encode(x)
@@ -117,7 +112,6 @@ func runTransientChaos(t *testing.T, xs [][]float64) chaosRun {
 		run.kinds = append(run.kinds, classifyOutcome(err))
 	}
 	run.stats = srv.Stats()
-	release()
 	srv.Close()
 	checkClosed(t, srv, goroutines)
 	return run
@@ -183,13 +177,13 @@ func TestChaosTransientDeterministic(t *testing.T) {
 
 // TestChaosPermanentDegraded: with one worker permanently failed, the
 // server keeps serving on the survivor and reports Degraded. Batch-to-
-// worker assignment is scheduler-dependent (workers compete on one
-// dispatch channel), so the test pins the outcome instead of the path:
+// worker assignment is scheduler-dependent (free workers compete for the
+// pending requests), so the test pins the outcome instead of the path:
 // worker 0's stream is seeded (by replay) to fault within its first few
 // draws, worker 1's fault stream is removed (white-box), and sustained
 // concurrent load guarantees both workers serve.
 // Worker 0 then dies at a fixed point of its own stream wherever its
-// batches fall, its fatal batch is salvaged by re-dispatch, and every
+// batches fall, its fatal batch is salvaged by its retry, and every
 // request of the run must succeed bitwise.
 func TestChaosPermanentDegraded(t *testing.T) {
 	base := device.FaultConfig{Rate: 0.5, PermanentFrac: 1}
@@ -211,7 +205,6 @@ func TestChaosPermanentDegraded(t *testing.T) {
 	srv, err := New(Autoencoder(mcfg, autoencoder.NewParams(mcfg, 1)), Config{
 		Workers:     2,
 		MaxBatch:    1,
-		MaxWait:     time.Hour,
 		MaxRestarts: -1, // retire on first fault
 		Faults:      base,
 	})
@@ -219,14 +212,13 @@ func TestChaosPermanentDegraded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	forceBusy(srv)
 	// Worker 1 is the designated survivor: without a fault stream it draws
 	// no faults, so only worker 0's seeded stream decides the lifecycle.
 	srv.workers[1].faults = nil
 
 	// Phase A: concurrent barrage. Each batch draws once, so worker 0 dies
-	// within its first six batches; its fatal batch re-dispatches to the
-	// immortal survivor, so every request must still succeed bitwise.
+	// within its first six batches; the immortal survivor retries its
+	// fatal batch, so every request must still succeed bitwise.
 	const clients, perClient = 4, 60
 	var wg sync.WaitGroup
 	for g := 0; g < clients; g++ {
@@ -299,7 +291,6 @@ func TestChaosDownFailFast(t *testing.T) {
 	ref := refAnswers(t, xs)
 	srv, err := New(Autoencoder(mcfg, autoencoder.NewParams(mcfg, 1)), Config{
 		MaxBatch:    1,
-		MaxWait:     time.Hour,
 		MaxRestarts: -1,
 		Faults:      base,
 	})
@@ -307,7 +298,6 @@ func TestChaosDownFailFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	forceBusy(srv)
 
 	var ferr *WorkerFaultError
 	faulted := false
@@ -345,30 +335,120 @@ func TestChaosDownFailFast(t *testing.T) {
 	}
 }
 
-// TestRequestDeadline: a request stranded in a never-filling batch fails
-// with ErrDeadline at Config.RequestTimeout, and its late batch result is
-// discarded safely at Close instead of completing a vanished caller.
+// TestRestartIntensity pins the restart window: a slot is rebuilt while it
+// has fewer than MaxRestarts rebuilds within its last restartWindow
+// batches, so faults spaced wider than the window never retire it, and
+// faults that outpace the intensity do. It drives one unstarted worker's
+// rebuild directly (white-box) at chosen batch counts.
+func TestRestartIntensity(t *testing.T) {
+	mcfg := aeTestConfig()
+	srv, err := New(Autoencoder(mcfg, nil), Config{MaxRestarts: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	w := newWorker(srv, 0)
+	defer w.free()
+	for _, step := range []struct {
+		ran   int
+		alive bool
+	}{
+		{1, true}, {2, true}, // two rebuilds inside one window
+		{3, false},             // a third within it exceeds MaxRestarts
+		{restartWindow, false}, // batch 1 is still inside the window
+		{restartWindow + 1, true},
+		{restartWindow + 2, true}, // batch 2's rebuild has left it too
+		{restartWindow + 3, false},
+		{10 * restartWindow, true}, // a fault after a quiet window is forgiven
+	} {
+		w.ran = step.ran
+		if alive := w.rebuild(); alive != step.alive {
+			t.Fatalf("fault at batch %d: rebuilt %v, want %v (rebuilds at %v)", step.ran, alive, step.alive, w.rebuilt)
+		}
+	}
+	if w.restarts != 5 {
+		t.Fatalf("%d rebuilds, want 5", w.restarts)
+	}
+}
+
+// TestChaosIntensityReachesDown: a slot whose batches fault permanently
+// faster than its restart intensity allows retires and takes a one-worker
+// server Down — the rebuilds it was allowed do not keep it up.
+func TestChaosIntensityReachesDown(t *testing.T) {
+	// A base seed whose first three incarnations of slot 0 each fault on
+	// their first draw.
+	base := device.FaultConfig{Rate: 0.99, PermanentFrac: 1}
+	firstDrawsFault := func() bool {
+		for k := 0; k < 3; k++ {
+			if drawsToFault(t, workerFaultConfig(base, 0, k), 1) != 1 {
+				return false
+			}
+		}
+		return true
+	}
+	for !firstDrawsFault() {
+		base.Seed++
+	}
+	mcfg := aeTestConfig()
+	srv, err := New(Autoencoder(mcfg, autoencoder.NewParams(mcfg, 1)), Config{
+		MaxBatch:    1,
+		MaxRestarts: 2,
+		Faults:      base,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	x := randExamples(1, mcfg.Visible, 23)[0]
+	// Request 1 faults, is retried after the first rebuild and faults
+	// again; request 2's fault finds the intensity spent.
+	for i := 0; i < 2; i++ {
+		var ferr *WorkerFaultError
+		if _, err := srv.Encode(x); !errors.As(err, &ferr) {
+			t.Fatalf("request %d: error %v, want *WorkerFaultError", i, err)
+		}
+	}
+	if _, err := srv.Encode(x); !errors.Is(err, ErrDown) {
+		t.Fatalf("request after retirement: error %v, want ErrDown", err)
+	}
+	st := srv.Stats()
+	if st.Health != "down" || st.FaultBatches != 3 || st.Redispatches != 1 || st.Restarts != 2 || st.Retired != 1 {
+		t.Fatalf("want down after 3 fault batches, 1 redispatch, 2 restarts, 1 retired; got %+v", st)
+	}
+}
+
+// TestRequestDeadline: a request stranded behind a held worker fails with
+// ErrDeadline at Config.RequestTimeout, as does the held request itself,
+// and their late batch results are discarded safely instead of completing
+// vanished callers.
 func TestRequestDeadline(t *testing.T) {
 	mcfg := aeTestConfig()
 	srv, err := New(Autoencoder(mcfg, autoencoder.NewParams(mcfg, 1)), Config{
 		MaxBatch:       16,
-		MaxWait:        time.Hour,
 		RequestTimeout: 20 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	forceBusy(srv)
+	open := holdWorkers(t, srv)
 	x := randExamples(1, mcfg.Visible, 9)[0]
 	if _, err := srv.Encode(x); !errors.Is(err, ErrDeadline) {
 		t.Fatalf("error %v, want ErrDeadline", err)
 	}
-	if st := srv.Stats(); st.DeadlineTimeouts != 1 || st.Completed != 0 {
-		t.Fatalf("want 1 timeout and 0 completions, got %+v", st)
+	// Nothing can answer the held request while its worker is held, so it
+	// expires too; wait for its caller to abandon it before the gate opens.
+	for srv.Stats().DeadlineTimeouts < 2 {
+		time.Sleep(100 * time.Microsecond)
 	}
-	srv.Close() // flushes the abandoned request through a worker
-	if st := srv.Stats(); st.Discarded != 1 {
-		t.Fatalf("want the late result discarded, got %+v", st)
+	if err := open(); !errors.Is(err, ErrDeadline) {
+		t.Fatalf("held request error %v, want ErrDeadline", err)
+	}
+	if st := srv.Stats(); st.DeadlineTimeouts != 2 || st.Completed != 0 {
+		t.Fatalf("want 2 timeouts and 0 completions, got %+v", st)
+	}
+	srv.Close() // waits for the worker to run both abandoned requests
+	if st := srv.Stats(); st.Discarded != 2 {
+		t.Fatalf("want both late results discarded, got %+v", st)
 	}
 }
 
@@ -377,15 +457,13 @@ func TestRequestDeadline(t *testing.T) {
 // surfaces as ErrDeadline (same class as RequestTimeout).
 func TestContextCancelAndDeadline(t *testing.T) {
 	mcfg := aeTestConfig()
-	srv, err := New(Autoencoder(mcfg, autoencoder.NewParams(mcfg, 1)), Config{
-		MaxBatch: 16,
-		MaxWait:  time.Hour,
-	})
+	srv, err := New(Autoencoder(mcfg, autoencoder.NewParams(mcfg, 1)), Config{MaxBatch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	forceBusy(srv)
+	open := holdWorkers(t, srv)
+	defer open()
 	x := randExamples(1, mcfg.Visible, 11)[0]
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -418,15 +496,12 @@ func TestInputCopiedAtAdmission(t *testing.T) {
 	xs := randExamples(2, mcfg.Visible, 13)
 	ref := refAnswers(t, xs)
 
-	srv, err := New(Autoencoder(mcfg, autoencoder.NewParams(mcfg, 1)), Config{
-		MaxBatch: 2,
-		MaxWait:  time.Hour,
-	})
+	srv, err := New(Autoencoder(mcfg, autoencoder.NewParams(mcfg, 1)), Config{MaxBatch: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	forceBusy(srv)
+	open := holdWorkers(t, srv)
 
 	x1 := append([]float64(nil), xs[0]...)
 	var out1 []float64
@@ -442,7 +517,18 @@ func TestInputCopiedAtAdmission(t *testing.T) {
 	for j := range x1 {
 		x1[j] = -1e9 // caller reuses its buffer while the request is queued
 	}
-	if _, err := srv.Encode(xs[1]); err != nil { // completes the pair
+	errc := make(chan error, 1)
+	go func() { // completes the pair
+		_, err := srv.Encode(xs[1])
+		errc <- err
+	}()
+	for srv.Stats().QueueDepth < 2 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	if err := open(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
 	<-done
@@ -454,63 +540,17 @@ func TestInputCopiedAtAdmission(t *testing.T) {
 	}
 }
 
-// TestFlushTimerChurn is the regression test for stale deadline timers:
-// full flushes must Stop the armed MaxWait timer instead of leaving a
-// generation-guarded timer pending per batch. After heavy churn with an
-// hour-long MaxWait, no timers may remain armed and none may have fired.
-func TestFlushTimerChurn(t *testing.T) {
-	mcfg := aeTestConfig()
-	srv, err := New(Autoencoder(mcfg, autoencoder.NewParams(mcfg, 1)), Config{
-		MaxBatch: 2,
-		MaxWait:  time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	forceBusy(srv)
-	xs := randExamples(2, mcfg.Visible, 17)
-
-	const rounds = 50
-	for i := 0; i < rounds; i++ {
-		var wg sync.WaitGroup
-		for k := 0; k < 2; k++ {
-			wg.Add(1)
-			go func(x []float64) {
-				defer wg.Done()
-				if _, err := srv.Encode(x); err != nil {
-					t.Errorf("encode: %v", err)
-				}
-			}(xs[k])
-		}
-		wg.Wait()
-	}
-
-	srv.mu.Lock()
-	armed := srv.timersArmed
-	srv.mu.Unlock()
-	if armed != 0 {
-		t.Fatalf("%d flush timers still armed after churn, want 0", armed)
-	}
-	if st := srv.Stats(); st.Batches != rounds || st.FlushDeadline != 0 {
-		t.Fatalf("want %d full flushes and no deadline flushes, got %+v", rounds, st)
-	}
-}
-
 // TestDrainGraceful: Drain stops admission (ErrClosed, health draining),
-// flushes the pending queues, and returns once every admitted request has
-// completed.
+// lets the workers take what is pending, and returns once every admitted
+// request has completed.
 func TestDrainGraceful(t *testing.T) {
 	mcfg := aeTestConfig()
-	srv, err := New(Autoencoder(mcfg, autoencoder.NewParams(mcfg, 1)), Config{
-		MaxBatch: 4,
-		MaxWait:  time.Hour,
-	})
+	srv, err := New(Autoencoder(mcfg, autoencoder.NewParams(mcfg, 1)), Config{MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	forceBusy(srv)
+	open := holdWorkers(t, srv)
 	xs := randExamples(2, mcfg.Visible, 19)
 
 	var wg sync.WaitGroup
@@ -526,13 +566,26 @@ func TestDrainGraceful(t *testing.T) {
 	for srv.Stats().QueueDepth < 2 {
 		time.Sleep(100 * time.Microsecond)
 	}
-	if err := srv.Drain(5 * time.Second); err != nil {
+	drained := make(chan error, 1)
+	go func() { drained <- srv.Drain(5 * time.Second) }()
+	for srv.Health() != Draining {
+		time.Sleep(100 * time.Microsecond)
+	}
+	select {
+	case err := <-drained:
+		t.Fatalf("drain returned with requests pending behind a held worker: %v", err)
+	case <-time.After(10 * time.Millisecond):
+	}
+	if err := open(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-drained; err != nil {
 		t.Fatalf("drain: %v", err)
 	}
 	wg.Wait()
 
-	if st := srv.Stats(); st.Health != "draining" || st.Completed != 2 {
-		t.Fatalf("want draining with both requests completed, got %+v", st)
+	if st := srv.Stats(); st.Health != "draining" || st.Completed != 3 {
+		t.Fatalf("want draining with the held and both pending requests completed, got %+v", st)
 	}
 	if _, err := srv.Encode(xs[0]); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-drain error %v, want ErrClosed", err)

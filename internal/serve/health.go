@@ -63,8 +63,8 @@ var ErrDown = errors.New("serve: no live worker replica")
 // WorkerFaultError reports a request completed by the supervisor instead
 // of a worker: the executing replica hit a worker-fatal fault — a
 // permanent injected transfer fault, transient-retry exhaustion, or a panic
-// in the batch path — and the batch could not be (re-)dispatched to a
-// healthy replica. Completing with this error, rather than dropping the
+// in the batch path — and the batch could not be retried on a healthy
+// replica. Completing with this error, rather than dropping the
 // request, is the contract that no admitted request ever hangs.
 type WorkerFaultError struct {
 	// Worker is the faulted slot index.
@@ -108,36 +108,30 @@ func (s *Server) Health() Health {
 }
 
 // Drain gracefully stops the server's intake: admission closes (new calls
-// fail with ErrClosed, /healthz flips to draining), the pending queues
-// flush immediately, and Drain waits until every already-admitted request
-// has completed — including deadline-abandoned ones whose discarded
-// results are still in flight — or until timeout elapses, whichever is
-// first. A timeout of 0 waits indefinitely. Drain does not release the
-// workers; call Close afterwards (which returns quickly once drained).
+// fail with ErrClosed, /healthz flips to draining), the workers keep taking
+// what is pending, and Drain waits until every already-admitted request
+// has finished — including deadline-abandoned ones whose discarded results
+// are still in flight — or until timeout elapses, whichever is first. A
+// timeout of 0 waits indefinitely. Drain does not release the workers; call
+// Close afterwards (which returns quickly once drained).
 func (s *Server) Drain(timeout time.Duration) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if !s.closed && !s.draining {
 		s.draining = true
-		s.flushAllLocked()
 		s.notFull.Broadcast()
 		recordHealth(s.healthLocked())
 	}
-	s.mu.Unlock()
-
 	var deadline time.Time
 	if timeout > 0 {
 		deadline = time.Now().Add(timeout)
+		defer time.AfterFunc(timeout, s.broadcaster(s.idle)).Stop()
 	}
-	for {
-		s.mu.Lock()
-		n := s.inflight
-		s.mu.Unlock()
-		if n == 0 {
-			return nil
-		}
+	for s.inflight > 0 {
 		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			return fmt.Errorf("serve: drain deadline after %v: %d request(s) still in flight", timeout, n)
+			return fmt.Errorf("serve: drain deadline after %v: %d request(s) still in flight", timeout, s.inflight)
 		}
-		time.Sleep(200 * time.Microsecond)
+		s.idle.Wait()
 	}
+	return nil
 }

@@ -18,12 +18,7 @@ var (
 	mQueueDepth = metrics.Default().Gauge("serve.queue.depth")
 	mBatchSize  = metrics.Default().Histogram("serve.batch.size", metrics.LinearBuckets(1, 1, 64)...)
 	mLatency    = metrics.Default().Histogram("serve.latency.seconds", metrics.ExpBuckets(1e-6, 2, 24)...)
-	// Flushes by kind, indexed by flushKind.
-	mFlushes = [...]*metrics.Counter{
-		flushFull:     metrics.Default().Counter("serve.flush.full"),
-		flushIdle:     metrics.Default().Counter("serve.flush.idle"),
-		flushDeadline: metrics.Default().Counter("serve.flush.deadline"),
-	}
+	mFlushFull  = metrics.Default().Counter("serve.flush.full")
 
 	mFaultBatches = metrics.Default().Counter("serve.fault.batches")
 	mFaultRetries = metrics.Default().Counter("serve.fault.retries")
@@ -35,25 +30,26 @@ var (
 	mHealth       = metrics.Default().Gauge("serve.health")
 )
 
-func recordBatch(size int, kind flushKind) {
+// recordBatch records a batch a worker took; full says it held MaxBatch
+// requests.
+func recordBatch(size int, full bool) {
 	if !metrics.Enabled() {
 		return
 	}
 	mRequests.Add(int64(size))
 	mBatches.Inc()
 	mBatchSize.Observe(float64(size))
-	mFlushes[kind].Inc()
-}
-
-func recordShed() {
-	if metrics.Enabled() {
-		mSheds.Inc()
+	if full {
+		mFlushFull.Inc()
 	}
 }
 
-func recordDegrade() {
+// count records one event in the server's always-on ledger and, when
+// collection is on, in the registry counter that mirrors it.
+func count(ledger *atomic.Int64, c *metrics.Counter) {
+	ledger.Add(1)
 	if metrics.Enabled() {
-		mDegrades.Inc()
+		c.Inc()
 	}
 }
 
@@ -69,48 +65,6 @@ func recordLatency(d time.Duration) {
 	}
 }
 
-func recordFaultBatch() {
-	if metrics.Enabled() {
-		mFaultBatches.Inc()
-	}
-}
-
-func recordFaultRetry() {
-	if metrics.Enabled() {
-		mFaultRetries.Inc()
-	}
-}
-
-func recordRedispatch() {
-	if metrics.Enabled() {
-		mRedispatches.Inc()
-	}
-}
-
-func recordRestart() {
-	if metrics.Enabled() {
-		mRestarts.Inc()
-	}
-}
-
-func recordRetire() {
-	if metrics.Enabled() {
-		mRetired.Inc()
-	}
-}
-
-func recordDeadlineTimeout() {
-	if metrics.Enabled() {
-		mDeadlines.Inc()
-	}
-}
-
-func recordDiscarded() {
-	if metrics.Enabled() {
-		mDiscarded.Inc()
-	}
-}
-
 // recordHealth publishes the health state machine position as a gauge
 // (0 healthy, 1 degraded, 2 draining, 3 down).
 func recordHealth(h Health) {
@@ -123,7 +77,7 @@ func recordHealth(h Health) {
 type counters struct {
 	requests     atomic.Int64
 	batches      atomic.Int64
-	flushes      [len(mFlushes)]atomic.Int64 // by flushKind
+	flushFull    atomic.Int64
 	sheds        atomic.Int64
 	degrades     atomic.Int64
 	completed    atomic.Int64
@@ -150,21 +104,17 @@ type BatcherStats struct {
 	// by a worker (degraded answers count in Degrades only).
 	Requests  int64
 	Completed int64
-	// Batches counts dispatched batches. FlushFull of them flushed at
-	// MaxBatch, FlushIdle at once because a replica was idle, and
-	// FlushDeadline on the MaxWait timer while every replica was busy
-	// (flushes for Close, Drain, a bulk sweep's tail and Down count as
-	// deadline flushes).
-	Batches       int64
-	FlushFull     int64
-	FlushIdle     int64
-	FlushDeadline int64
+	// Batches counts the batches workers took from the pending queues (a
+	// faulted batch's retry is not counted again); FlushFull of them held
+	// MaxBatch requests.
+	Batches   int64
+	FlushFull int64
 	// Sheds and Degrades count full-queue rejections and host-path
 	// fallbacks under the respective policies.
 	Sheds    int64
 	Degrades int64
-	// QueueDepth is the current number of admitted, not-yet-dispatched
-	// requests.
+	// QueueDepth is the current number of admitted requests no worker has
+	// taken yet.
 	QueueDepth int
 	// AvgBatchSize is Requests-weighted mean coalescing achieved.
 	AvgBatchSize float64
@@ -181,12 +131,12 @@ type BatcherStats struct {
 	// FaultBatches counts batches that faulted out of a worker (injected
 	// faults surviving the retry budget, or recovered panics);
 	// FaultRetries the transient faults a batch retried past;
-	// Redispatches the faulted batches salvaged by a healthy replica.
+	// Redispatches the faulted batches queued for their one retry.
 	FaultBatches int64
 	FaultRetries int64
 	Redispatches int64
-	// Restarts counts worker rebuilds; Retired the slots whose restart
-	// budget ran out.
+	// Restarts counts worker rebuilds; Retired the slots whose faults
+	// exceeded the restart intensity.
 	Restarts int64
 	Retired  int64
 	// DeadlineTimeouts counts requests abandoned at their deadline (or
@@ -200,15 +150,13 @@ type BatcherStats struct {
 // field is read atomically; the set is not a single atomic cut).
 func (s *Server) Stats() BatcherStats {
 	st := BatcherStats{
-		Precision:     s.cfg.Precision.String(),
-		Requests:      s.st.requests.Load(),
-		Completed:     s.st.completed.Load(),
-		Batches:       s.st.batches.Load(),
-		FlushFull:     s.st.flushes[flushFull].Load(),
-		FlushIdle:     s.st.flushes[flushIdle].Load(),
-		FlushDeadline: s.st.flushes[flushDeadline].Load(),
-		Sheds:         s.st.sheds.Load(),
-		Degrades:      s.st.degrades.Load(),
+		Precision: s.cfg.Precision.String(),
+		Requests:  s.st.requests.Load(),
+		Completed: s.st.completed.Load(),
+		Batches:   s.st.batches.Load(),
+		FlushFull: s.st.flushFull.Load(),
+		Sheds:     s.st.sheds.Load(),
+		Degrades:  s.st.degrades.Load(),
 
 		WorkersConfigured: s.cfg.Workers,
 		FaultBatches:      s.st.faultBatches.Load(),

@@ -3,7 +3,6 @@ package serve
 import (
 	"math"
 	"testing"
-	"time"
 
 	"phideep/internal/autoencoder"
 	"phideep/internal/core"
@@ -26,7 +25,7 @@ const precTol = 1e-4
 // every op of the model on both, comparing per element.
 func comparePrecisions(t *testing.T, m *Model, inputs [][]float64) {
 	t.Helper()
-	cfg := Config{Level: core.Improved, MaxBatch: 4, MaxWait: 200 * time.Microsecond, Workers: 2, PoolWorkers: 2}
+	cfg := Config{Level: core.Improved, MaxBatch: 4, Workers: 2, PoolWorkers: 2}
 
 	s64, err := New(m, cfg)
 	if err != nil {

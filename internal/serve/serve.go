@@ -6,21 +6,20 @@
 //
 // # Architecture
 //
-// Requests are coalesced by a work-conserving micro-batcher: each
-// operation has a pending queue that flushes to the workers as soon as a
-// replica is idle. Only while every replica is busy does the queue wait,
-// and then it flushes when it reaches Config.MaxBatch, when a replica
-// finishes a batch, or when its oldest request has waited Config.MaxWait,
-// whichever comes first. Batches form from the requests that arrive
-// while the replicas work — the batching lever that CHAOS (Viebke et al.)
-// shows keeps many-core utilization high — and no request waits on a
-// timer while a replica sits idle. Flushed batches execute on a pool of
-// workers, each owning one host replica of the model: dense layers
-// (nn.Dense, nn.Chain, and the convnet's lowering around them) over weights
-// packed once per model and shared read-only, with a private activation
-// workspace, running the packed kernels on the worker's pool at the
-// config's core OptLevel. There is one replica kind; Config.Precision only
-// picks its element type. At F64 it issues the kernels of the model's
+// Requests are coalesced by a pull-based micro-batcher. Each operation has
+// a pending queue; a worker that frees up takes its next batch itself, up
+// to Config.MaxBatch requests of the operation whose head request is
+// oldest, and sleeps until admission signals when nothing is pending. No
+// request waits while a replica is idle and none waits on a timer: batches
+// form from the requests that arrive while the replicas work, so at low
+// load they hold one row and grow toward MaxBatch as load rises — the
+// batching lever that CHAOS (Viebke et al.) shows keeps many-core
+// utilization high. Each worker owns one host replica of the model: dense
+// layers (nn.Dense, nn.Chain, and the convnet's lowering around them) over
+// weights packed once per model and shared read-only, with a private
+// activation workspace, running the packed kernels on the worker's pool at
+// the config's core OptLevel. There is one replica kind; Config.Precision
+// only picks its element type. At F64 it issues the kernels of the model's
 // device forward (the NewInference constructors, which training and the
 // behaviour lock run) in the same order, so it answers with their bits; at
 // F32 the weights are rounded once and answers differ from F64 only by
@@ -29,7 +28,7 @@
 // the staging boundary.
 //
 // Admission is controlled by a bounded queue of Config.QueueDepth
-// not-yet-dispatched requests. When the queue is full the configured
+// requests no worker has taken yet. When the queue is full the configured
 // Policy applies: Block waits for space, Shed fails fast with
 // ErrOverloaded, and Degrade answers inline from the scalar host
 // reference (Params.Encode and friends) — correct but slow, and
@@ -44,10 +43,10 @@
 // device replica would: a transient fault is retried within
 // Faults.MaxRetries, and a supervisor catches worker-fatal faults
 // (permanent faults, retry exhaustion, panics) at the batch boundary:
-// the batch is re-dispatched once to a healthy replica or completed with
-// a typed *WorkerFaultError, and the worker is rebuilt with a fresh
-// replica and fault stream under a capped-restart circuit. Exhausted slots
-// retire, moving the health state machine Healthy → Degraded → Down (see
+// the batch is retried once, whole, by the next free worker or completed
+// with a typed *WorkerFaultError, and the worker is rebuilt with a fresh
+// replica and fault stream while its slot stays within the restart
+// intensity (Config.MaxRestarts). Slots that exceed it retire, moving the health state machine Healthy → Degraded → Down (see
 // Health). Per-request deadlines (Config.RequestTimeout, or ctx on the
 // *Context call variants) guarantee no caller ever hangs: expired
 // requests return ErrDeadline and the late batch result is discarded
@@ -63,7 +62,7 @@
 // trained device model via its Download method:
 //
 //	model := serve.Autoencoder(cfg, trained.Download())
-//	srv, err := serve.New(model, serve.Config{MaxBatch: 16, MaxWait: time.Millisecond})
+//	srv, err := serve.New(model, serve.Config{MaxBatch: 16})
 //
 // Every stage records into internal/metrics (serve.queue.depth,
 // serve.batch.size, serve.latency.seconds, serve.sheds, serve.degrades,
@@ -204,18 +203,19 @@ type Config struct {
 	// kernels; 0 runs kernels on the worker goroutine (deterministic and
 	// cheap for small models).
 	PoolWorkers int
-	// MaxBatch is the coalescing limit: a pending queue flushes as soon
-	// as it holds this many requests. A queue flushes sooner, at any size,
-	// whenever a replica is idle. Default 16.
+	// MaxBatch is the coalescing limit: a free worker takes at most this
+	// many requests of one operation as its batch. Default 16.
 	MaxBatch int
-	// MaxWait bounds the wait while every replica is busy: a pending queue
-	// flushes when its oldest request has waited this long, even if the
-	// batch is short and no replica has finished. With a replica idle no
-	// request waits at all. Default 1ms.
+	// MaxWait is ignored: a free worker takes whatever is pending, so no
+	// request waits on a flush timer.
+	//
+	// Deprecated: the batcher has no flush timer; MaxWait remains only so
+	// existing configs compile.
 	MaxWait time.Duration
-	// QueueDepth bounds the not-yet-dispatched requests across all
-	// operations; at the bound, Policy applies. Default 4×MaxBatch, and
-	// it must be at least MaxBatch so a full batch can form.
+	// QueueDepth bounds the admitted requests no worker has taken yet,
+	// across all operations; at the bound, Policy applies. Default
+	// 4×MaxBatch, and it must be at least MaxBatch so a full batch can
+	// form.
 	QueueDepth int
 	// Policy is the full-queue behavior (Block by default).
 	Policy Policy
@@ -240,10 +240,14 @@ type Config struct {
 	// BatcherStats.FaultRetries; a permanent fault, or a transient one left
 	// when that budget is spent, escalates to the supervisor.
 	Faults device.FaultConfig
-	// MaxRestarts caps how many times a faulted worker is rebuilt with a
-	// fresh replica before its slot retires, degrading the server. Default
-	// 3. -1 disables rebuilds (retire on first worker-fatal fault); below
-	// -1 is invalid.
+	// MaxRestarts is the restart intensity of a worker slot: a faulted
+	// worker is rebuilt with a fresh replica as long as its slot was
+	// rebuilt fewer than MaxRestarts times within its last restartWindow
+	// (1000) batches; a fault beyond that retires the slot, degrading the
+	// server. The period counts the slot's own batches, not seconds, so a
+	// seeded chaos run replays exactly; a slot whose faults outpace the
+	// intensity still retires. Default 3. -1 disables rebuilds (retire on
+	// first worker-fatal fault); below -1 is invalid.
 	MaxRestarts int
 	// RequestTimeout is the per-request deadline measured from admission
 	// attempt to answer. Expired requests fail with ErrDeadline — whether
@@ -269,12 +273,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.MaxBatch < 0 {
 		return fmt.Errorf("serve: negative max batch %d", c.MaxBatch)
-	}
-	if c.MaxWait == 0 {
-		c.MaxWait = time.Millisecond
-	}
-	if c.MaxWait < 0 {
-		return fmt.Errorf("serve: negative max wait %v", c.MaxWait)
 	}
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 4 * c.MaxBatch
@@ -307,8 +305,13 @@ func (c *Config) fillDefaults() error {
 	return nil
 }
 
-// maxRestarts is the effective restart budget: the -1 sentinel means zero
-// rebuilds.
+// restartWindow is the period of the restart intensity, in a slot's
+// batches: MaxRestarts rebuilds are allowed within any restartWindow
+// consecutive batches of one slot.
+const restartWindow = 1000
+
+// maxRestarts is the effective restart intensity: the -1 sentinel means
+// zero rebuilds.
 func (c *Config) maxRestarts() int {
 	if c.MaxRestarts < 0 {
 		return 0
@@ -347,10 +350,8 @@ type request struct {
 	// the worker, reqPending → reqAbandoned by a deadline-expired caller);
 	// the loser of the CAS race discards its side.
 	state atomic.Int32
-	// redispatched marks a batch already re-dispatched once after a worker
-	// fault; guarded by s.mu. It gates the one-retry supervisor policy and
-	// tells the receiving worker the batch already left the admission
-	// queue accounting.
+	// redispatched marks a batch already retried once after a worker
+	// fault; guarded by s.mu. It gates the one-retry supervisor policy.
 	redispatched bool
 }
 
@@ -361,34 +362,31 @@ type Server struct {
 	cfg   Config
 	model *Model
 
-	mu       sync.Mutex
-	notFull  *sync.Cond
-	pending  [numOps][]*request
-	timerGen [numOps]uint64
-	// timers holds the armed flush timer per op so flushes stop it
-	// eagerly instead of letting stale generation-guarded timers fire
-	// into the lock; timersArmed counts live timers (tested by the churn
-	// suite to prove no pile-up), and timerCalls tracks the same timers
-	// so Close can wait out a callback that already fired.
-	timers      [numOps]*time.Timer
-	timersArmed int
-	timerCalls  sync.WaitGroup
-	queued      int
-	// inflight counts admitted requests whose batch has not finished; Drain
-	// waits on it reaching zero.
+	mu sync.Mutex
+	// work wakes free workers: admission signals it once per request, a
+	// retried batch signals it, Close broadcasts it.
+	work *sync.Cond
+	// notFull wakes Block-policy admissions waiting for queue space: each
+	// take broadcasts it, and so do Close, Drain and a retirement.
+	notFull *sync.Cond
+	// idle wakes Drain when the in-flight count reaches zero.
+	idle *sync.Cond
+	// pending holds each op's admitted requests no worker has taken yet,
+	// oldest first; queued is their total, bounded by QueueDepth.
+	pending [numOps][]*request
+	queued  int
+	// retry holds faulted batches awaiting their one retry; a free worker
+	// takes them before any pending request.
+	retry [][]*request
+	// inflight counts admitted requests that have not finished; Drain waits
+	// on it reaching zero.
 	inflight int
-	// busy counts batches flushed to the workers and not yet finished. A
-	// batch finishes when it is answered, failed by its worker or failed
-	// by the supervisor; a re-dispatch does not finish it. busy < live
-	// means a replica is idle, so a pending queue flushes at once.
-	busy int
 	// live counts worker slots that have not retired; draining marks a
 	// Drain in progress. Both feed healthLocked.
 	live     int
 	draining bool
 	closed   bool
 
-	batches chan []*request
 	workers []*worker
 	wg      sync.WaitGroup
 
@@ -416,17 +414,10 @@ func New(m *Model, cfg Config) (*Server, error) {
 	if err := m.f.validate(); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	s := &Server{
-		cfg:   cfg,
-		model: m,
-		// Workers slots of headroom beyond QueueDepth: flushes send at
-		// most queued (≤ QueueDepth) batches, and each worker can have at
-		// most one re-dispatched batch in flight, so sends under s.mu
-		// never block.
-		batches: make(chan []*request, cfg.QueueDepth+cfg.Workers),
-		live:    cfg.Workers,
-	}
+	s := &Server{cfg: cfg, model: m, live: cfg.Workers}
+	s.work = sync.NewCond(&s.mu)
 	s.notFull = sync.NewCond(&s.mu)
+	s.idle = sync.NewCond(&s.mu)
 	for i := 0; i < cfg.Workers; i++ {
 		s.workers = append(s.workers, newWorker(s, i))
 	}
@@ -490,7 +481,7 @@ func (s *Server) doCtx(ctx context.Context, op Op, x []float64) ([]float64, erro
 	reqs := []request{{op: op, in: append([]float64(nil), x...), done: make(chan struct{}), enq: time.Now()}}
 	r := &reqs[0]
 	deadline := s.deadlineFor(ctx, r.enq)
-	s.admitRows(ctx, reqs, x, deadline, false)
+	s.admitRows(ctx, reqs, x, deadline)
 	return s.await(ctx, r, deadline)
 }
 
@@ -508,21 +499,17 @@ func (s *Server) deadlineFor(ctx context.Context, enq time.Time) time.Time {
 }
 
 // admitRows is the admission path: it takes reqs — a run of requests for
-// one op with their inputs already staged — through the pending queue under
-// one acquisition of s.mu, flushing a batch to the workers each time the
-// queue reaches MaxBatch. The admission policy applies per
-// row at a full queue: Block waits for space (woken by queue space, Close,
-// Drain, the last worker retiring, ctx cancellation or the deadline — the
-// latter two via one-shot broadcasts armed on first wait), Shed rejects the
-// row with ErrOverloaded, Degrade answers it inline from the scalar host
-// reference, reading the row's float64 form from host (row i is
-// host[i·InputDim:]) with the lock released. A row that is not admitted is
-// settled here, so every row of reqs can be awaited alike. Whenever the
-// lock is released with a short queue pending, parkLocked flushes it to an
-// idle replica or arms the MaxWait timer. last says the caller has no more
-// rows coming: a short tail is flushed at once instead of waiting out
-// MaxWait.
-func (s *Server) admitRows(ctx context.Context, reqs []request, host []float64, deadline time.Time, last bool) {
+// one op with their inputs already staged — into the pending queue under
+// one acquisition of s.mu, signalling a free worker per request. The
+// admission policy applies per row at a full queue: Block waits for space
+// (woken by a take, Close, Drain, the last worker retiring, ctx
+// cancellation or the deadline — the latter two via one-shot broadcasts
+// armed on first wait), Shed rejects the row with ErrOverloaded, Degrade
+// answers it inline from the scalar host reference, reading the row's
+// float64 form from host (row i is host[i·InputDim:]) with the lock
+// released. A row that is not admitted is settled here, so every row of
+// reqs can be awaited alike.
+func (s *Server) admitRows(ctx context.Context, reqs []request, host []float64, deadline time.Time) {
 	op, dim := reqs[0].op, s.model.InputDim()
 	var waker *time.Timer
 	var stopCtx func() bool
@@ -535,8 +522,7 @@ func (s *Server) admitRows(ctx context.Context, reqs []request, host []float64, 
 			timedOut := ctx.Err() == nil && errors.Is(err, ErrDeadline)
 			for ; i < len(reqs); i++ {
 				if timedOut {
-					s.st.deadlineTimeouts.Add(1)
-					recordDeadlineTimeout()
+					count(&s.st.deadlineTimeouts, mDeadlines)
 				}
 				reqs[i].settle(nil, err)
 			}
@@ -549,33 +535,24 @@ func (s *Server) admitRows(ctx context.Context, reqs []request, host []float64, 
 		}
 		switch s.cfg.Policy {
 		case Shed:
-			s.st.sheds.Add(1)
-			recordShed()
+			count(&s.st.sheds, mSheds)
 			reqs[i].settle(nil, ErrOverloaded)
 			i++
 		case Degrade:
-			s.st.degrades.Add(1)
-			recordDegrade()
-			s.parkLocked(op)
+			count(&s.st.degrades, mDegrades)
 			s.mu.Unlock()
 			reqs[i].settle(s.model.hostInfer(op, host[i*dim:(i+1)*dim]))
 			i++
 			s.mu.Lock()
 		default: // Block
 			if waker == nil && !deadline.IsZero() {
-				waker = time.AfterFunc(time.Until(deadline), s.notFull.Broadcast)
+				waker = time.AfterFunc(time.Until(deadline), s.broadcaster(s.notFull))
 			}
 			if stopCtx == nil && ctx.Done() != nil {
-				stopCtx = context.AfterFunc(ctx, s.notFull.Broadcast)
+				stopCtx = context.AfterFunc(ctx, s.broadcaster(s.notFull))
 			}
-			s.parkLocked(op)
 			s.notFull.Wait()
 		}
-	}
-	if last {
-		s.flushLocked(op, flushDeadline)
-	} else {
-		s.parkLocked(op)
 	}
 	recordQueueDepth(s.queued)
 	s.mu.Unlock()
@@ -584,6 +561,18 @@ func (s *Server) admitRows(ctx context.Context, reqs []request, host []float64, 
 	}
 	if stopCtx != nil {
 		stopCtx()
+	}
+}
+
+// broadcaster returns a func that broadcasts c under s.mu, for the timers
+// and ctx callbacks that wake waiters to re-check a deadline: a waiter
+// checks it between taking the lock and Wait, where a broadcast made
+// without the lock could land unseen.
+func (s *Server) broadcaster(c *sync.Cond) func() {
+	return func() {
+		s.mu.Lock()
+		c.Broadcast()
+		s.mu.Unlock()
 	}
 }
 
@@ -603,20 +592,14 @@ func (s *Server) refusalLocked(ctx context.Context, deadline time.Time) error {
 	return nil
 }
 
-// enqueueLocked admits r into its op's pending queue and flushes the queue
-// when it reaches MaxBatch. Caller holds s.mu and runs
-// parkLocked before releasing it with a queue left pending.
+// enqueueLocked admits r into its op's pending queue and wakes a free
+// worker, if one is waiting, to take it. Caller holds s.mu.
 func (s *Server) enqueueLocked(r *request) {
 	s.queued++
 	s.inflight++
 	s.st.requests.Add(1)
-	if s.pending[r.op] == nil {
-		s.pending[r.op] = make([]*request, 0, s.cfg.MaxBatch)
-	}
 	s.pending[r.op] = append(s.pending[r.op], r)
-	if len(s.pending[r.op]) >= s.cfg.MaxBatch {
-		s.flushLocked(r.op, flushFull)
-	}
+	s.work.Signal()
 }
 
 // settle completes a request that never reached a worker: refused or shed
@@ -678,8 +661,7 @@ func (s *Server) await(ctx context.Context, r *request, deadline time.Time) ([]f
 // race against the completing worker.
 func (s *Server) abandon(r *request) bool {
 	if r.state.CompareAndSwap(reqPending, reqAbandoned) {
-		s.st.deadlineTimeouts.Add(1)
-		recordDeadlineTimeout()
+		count(&s.st.deadlineTimeouts, mDeadlines)
 		return true
 	}
 	return false
@@ -695,117 +677,81 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// flushKind says why a pending queue was handed to the workers.
-type flushKind int
-
-const (
-	// flushFull: the queue reached MaxBatch.
-	flushFull flushKind = iota
-	// flushIdle: a replica was idle, so waiting could only add latency.
-	flushIdle
-	// flushDeadline: the MaxWait timer fired while every replica was busy,
-	// or the server flushed for Close, Drain, a bulk tail or Down.
-	flushDeadline
-)
-
-// parkLocked runs before s.mu is released with op's queue pending, and
-// makes the batcher work-conserving: with a replica idle (busy < live) the
-// queue flushes now; only while every replica is busy does it wait for
-// more rows, until the MaxWait timer it arms fires or a batch finishes
-// (batchDone). Caller holds s.mu.
-func (s *Server) parkLocked(op Op) {
-	if len(s.pending[op]) > 0 && s.busy < s.live {
-		s.flushLocked(op, flushIdle)
-		return
-	}
-	s.armTimerLocked(op)
-}
-
-// armTimerLocked starts the MaxWait flush timer for op's pending queue
-// unless the queue is empty or already has one. Caller holds s.mu; a set
-// s.timers[op] is always the live timer of the queue's current generation,
-// because every flush clears it.
-func (s *Server) armTimerLocked(op Op) {
-	if len(s.pending[op]) == 0 || s.timers[op] != nil {
-		return
-	}
-	gen := s.timerGen[op]
-	s.timersArmed++
-	s.timerCalls.Add(1)
-	s.timers[op] = time.AfterFunc(s.cfg.MaxWait, func() { s.deadlineFlush(op, gen) })
-}
-
-// flushLocked hands the pending queue of op to the workers as one busy
-// batch, stopping the queue's armed flush timer. Caller holds s.mu. The
-// batches channel has a slot for every queued request plus re-dispatch
-// headroom, so the send cannot block while the lock is held.
-func (s *Server) flushLocked(op Op, kind flushKind) {
-	if t := s.timers[op]; t != nil {
-		if t.Stop() {
-			// Stopped before firing; a false return means the timer
-			// callback is already running and will settle the ledger
-			// itself in deadlineFlush.
-			s.timersArmed--
-			s.timerCalls.Done()
-		}
-		s.timers[op] = nil
-	}
-	batch := s.pending[op]
-	if len(batch) == 0 {
-		return
-	}
-	s.pending[op] = nil
-	s.timerGen[op]++
-	s.busy++
-	s.st.batches.Add(1)
-	s.st.batchSizeSum.Add(int64(len(batch)))
-	s.st.flushes[kind].Add(1)
-	recordBatch(len(batch), kind)
-	s.batches <- batch
-}
-
-// deadlineFlush fires when the oldest request of a pending queue has
-// waited MaxWait. gen detects queues already flushed for another reason
-// (the timer is stopped eagerly on flush, but Stop can race the firing).
-func (s *Server) deadlineFlush(op Op, gen uint64) {
-	defer s.timerCalls.Done()
+// take finishes the worker's previous batch, whose finished requests leave
+// the in-flight count, then blocks until there is work and returns the
+// worker's next batch: a faulted batch awaiting its retry first, else up to
+// MaxBatch requests of the op whose head request is oldest. It returns nil
+// once the server is closed and nothing is left to take.
+func (w *worker) take(finished int) []*request {
+	s := w.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.timersArmed--
-	if s.closed || gen != s.timerGen[op] {
-		return
-	}
-	s.timers[op] = nil
-	s.flushLocked(op, flushDeadline)
-}
-
-// batchDone finishes one batch of n requests, which a worker answered or
-// failed, or the supervisor failed: its requests leave the in-flight count
-// and its replica is free, so pending queues flush while replicas are idle.
-func (s *Server) batchDone(n int) {
-	s.mu.Lock()
-	s.inflight -= n
-	s.busy--
-	for op := range s.pending {
-		if s.busy >= s.live {
-			break
+	s.finishLocked(finished)
+	for {
+		if len(s.retry) > 0 {
+			batch := s.retry[0]
+			s.retry = s.retry[1:]
+			return batch
 		}
-		s.flushLocked(Op(op), flushIdle)
-	}
-	s.mu.Unlock()
-}
-
-// flushAllLocked flushes every pending queue; caller holds s.mu.
-func (s *Server) flushAllLocked() {
-	for op := range s.pending {
-		s.flushLocked(Op(op), flushDeadline)
+		if op := s.oldestLocked(); op >= 0 {
+			return w.takeLocked(op)
+		}
+		if s.closed {
+			return nil
+		}
+		s.work.Wait()
 	}
 }
 
-// Close flushes the pending queues, waits for every in-flight batch to
-// complete, and releases the workers' pools. Blocked submitters are
-// woken with ErrClosed; no admitted request is dropped. When Close
-// returns no server goroutine or flush timer is left. Close is idempotent.
+// oldestLocked returns the op whose head request was admitted first, -1
+// when nothing is pending. Caller holds s.mu.
+func (s *Server) oldestLocked() Op {
+	op := Op(-1)
+	for o, q := range s.pending {
+		if len(q) > 0 && (op < 0 || q[0].enq.Before(s.pending[op][0].enq)) {
+			op = Op(o)
+		}
+	}
+	return op
+}
+
+// takeLocked moves up to MaxBatch requests from the head of op's pending
+// queue into the worker's batch buffer and frees their queue space.
+// Caller holds s.mu.
+func (w *worker) takeLocked(op Op) []*request {
+	s := w.s
+	q := s.pending[op]
+	batch := w.batch[:copy(w.batch, q)]
+	n := len(batch)
+	rest := copy(q, q[n:])
+	clear(q[rest:])
+	s.pending[op] = q[:rest]
+	s.queued -= n
+	s.notFull.Broadcast()
+	recordQueueDepth(s.queued)
+	full := n == s.cfg.MaxBatch
+	s.st.batches.Add(1)
+	s.st.batchSizeSum.Add(int64(n))
+	if full {
+		s.st.flushFull.Add(1)
+	}
+	recordBatch(n, full)
+	return batch
+}
+
+// finishLocked retires n finished requests from the in-flight count and
+// wakes Drain when none is left. Caller holds s.mu.
+func (s *Server) finishLocked(n int) {
+	s.inflight -= n
+	if s.inflight == 0 {
+		s.idle.Broadcast()
+	}
+}
+
+// Close stops admission, lets the workers take and finish every admitted
+// request, and releases their pools. Blocked submitters are woken with
+// ErrClosed; no admitted request is dropped. When Close returns no server
+// goroutine is left. Close is idempotent.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -813,12 +759,9 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
-	s.flushAllLocked()
+	s.work.Broadcast()
 	s.notFull.Broadcast()
-	h := s.healthLocked()
+	recordHealth(s.healthLocked())
 	s.mu.Unlock()
-	recordHealth(h)
-	close(s.batches)
 	s.wg.Wait()
-	s.timerCalls.Wait()
 }

@@ -2,10 +2,12 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -45,53 +47,88 @@ func closeRel(a, b, tol float64) bool {
 	return d <= tol*math.Max(scale, 1)
 }
 
-// forceBusy makes every replica look busy (white-box) and returns a
-// release func: it adds live phantom batches that never finish to the busy
-// count, so requests park in the pending queue until it fills or the
-// MaxWait timer fires — the batcher as it was before it flushed to idle
-// replicas.
-func forceBusy(s *Server) (release func()) {
-	s.mu.Lock()
-	n := s.live
-	s.busy += n
-	s.mu.Unlock()
-	return func() {
-		s.mu.Lock()
-		s.busy -= n
-		s.mu.Unlock()
+// holdWorkers parks every worker of s inside its replica's forward pass
+// (gateReplica), each on a one-row request of its own, so requests
+// admitted next stay pending. The returned open releases the workers and
+// returns the first error of the held requests once all have returned.
+func holdWorkers(t *testing.T, s *Server) (open func() error) {
+	t.Helper()
+	var entered []<-chan struct{}
+	var opens []func()
+	for slot := range s.workers {
+		e, o := gateReplica(s, slot)
+		entered = append(entered, e)
+		opens = append(opens, o)
+	}
+	op, x := s.model.Ops()[0], make([]float64, s.model.InputDim())
+	held := make(chan error, len(s.workers))
+	for k := range s.workers {
+		go func() {
+			_, err := s.doCtx(context.Background(), op, x)
+			held <- err
+		}()
+		// One request per worker: the next one must find a free worker.
+		for heldCount(entered) <= k {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	var once sync.Once
+	var first error
+	return func() error {
+		once.Do(func() {
+			for _, o := range opens {
+				o()
+			}
+			for range s.workers {
+				if err := <-held; err != nil && first == nil {
+					first = err
+				}
+			}
+		})
+		return first
 	}
 }
 
-// checkClosed asserts what Close leaves behind: no busy batch, no
-// in-flight request, no armed flush timer, and no goroutine beyond the
-// count before the server was built.
+// heldCount counts the gates a batch has reached.
+func heldCount(entered []<-chan struct{}) int {
+	n := 0
+	for _, e := range entered {
+		select {
+		case <-e:
+			n++
+		default:
+		}
+	}
+	return n
+}
+
+// checkClosed asserts what Close leaves behind: no pending, retried or
+// in-flight request, and no goroutine beyond the count before the server
+// was built.
 func checkClosed(t *testing.T, s *Server, goroutines int) {
 	t.Helper()
 	s.mu.Lock()
-	busy, inflight, armed := s.busy, s.inflight, s.timersArmed
+	queued, retry, inflight := s.queued, len(s.retry), s.inflight
 	s.mu.Unlock()
-	if busy != 0 || inflight != 0 || armed != 0 {
-		t.Fatalf("after Close: %d busy batches, %d in-flight requests, %d armed timers; want 0", busy, inflight, armed)
+	if queued != 0 || retry != 0 || inflight != 0 {
+		t.Fatalf("after Close: %d pending, %d retried batches, %d in-flight requests; want 0", queued, retry, inflight)
 	}
 	if n := settledGoroutines(goroutines); n > goroutines {
 		t.Fatalf("after Close: %d goroutines, %d before the server was built", n, goroutines)
 	}
 }
 
-// TestFlushOnFull pins the max-batch trigger: with every replica busy and
-// an effectively infinite deadline, exactly MaxBatch concurrent requests
-// must coalesce into one full flush.
+// TestFlushOnFull pins the max-batch limit: MaxBatch requests that
+// arrive while every worker is busy are taken as one full batch. The held
+// worker's own one-row request is the other batch.
 func TestFlushOnFull(t *testing.T) {
 	cfg := aeTestConfig()
-	srv, err := New(Autoencoder(cfg, autoencoder.NewParams(cfg, 1)), Config{
-		MaxBatch: 4,
-		MaxWait:  time.Hour,
-	})
+	srv, err := New(Autoencoder(cfg, autoencoder.NewParams(cfg, 1)), Config{MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	forceBusy(srv)
+	open := holdWorkers(t, srv)
 
 	xs := randExamples(4, cfg.Visible, 2)
 	var wg sync.WaitGroup
@@ -104,68 +141,31 @@ func TestFlushOnFull(t *testing.T) {
 			}
 		}(x)
 	}
-	wg.Wait()
-
-	st := srv.Stats()
-	if st.Batches != 1 || st.FlushFull != 1 || st.FlushDeadline != 0 {
-		t.Fatalf("want one full flush, got %+v", st)
+	for srv.Stats().QueueDepth < 4 {
+		time.Sleep(100 * time.Microsecond)
 	}
-	if st.AvgBatchSize != 4 {
-		t.Fatalf("avg batch size %g, want 4", st.AvgBatchSize)
-	}
-	if st.Requests != 4 || st.Completed != 4 {
-		t.Fatalf("requests/completed %d/%d, want 4/4", st.Requests, st.Completed)
-	}
-}
-
-// TestFlushOnDeadline pins the max-wait trigger: with every replica busy,
-// a partial batch must flush on the deadline, never reaching MaxBatch.
-func TestFlushOnDeadline(t *testing.T) {
-	cfg := aeTestConfig()
-	srv, err := New(Autoencoder(cfg, autoencoder.NewParams(cfg, 1)), Config{
-		MaxBatch: 64,
-		MaxWait:  5 * time.Millisecond,
-	})
-	if err != nil {
+	if err := open(); err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	forceBusy(srv)
-
-	xs := randExamples(3, cfg.Visible, 3)
-	var wg sync.WaitGroup
-	for _, x := range xs {
-		wg.Add(1)
-		go func(x []float64) {
-			defer wg.Done()
-			if _, err := srv.Encode(x); err != nil {
-				t.Errorf("Encode: %v", err)
-			}
-		}(x)
-	}
 	wg.Wait()
 
 	st := srv.Stats()
-	if st.FlushFull != 0 {
-		t.Fatalf("unexpected full flush: %+v", st)
+	if st.Batches != 2 || st.FlushFull != 1 {
+		t.Fatalf("want the held batch and one full batch, got %+v", st)
 	}
-	if st.FlushDeadline < 1 {
-		t.Fatalf("no deadline flush: %+v", st)
+	if st.AvgBatchSize != 2.5 {
+		t.Fatalf("avg batch size %g, want 2.5", st.AvgBatchSize)
 	}
-	if st.Completed != 3 {
-		t.Fatalf("completed %d, want 3", st.Completed)
+	if st.Requests != 5 || st.Completed != 5 {
+		t.Fatalf("requests/completed %d/%d, want 5/5", st.Requests, st.Completed)
 	}
 }
 
-// TestIdleFlush pins the work-conserving rule: with a replica idle, a lone
-// request flushes at once as an idle flush instead of waiting out an
-// hour-long MaxWait.
+// TestIdleFlush pins the work-conserving rule: a free worker takes a lone
+// request at once as a one-row batch instead of waiting for more.
 func TestIdleFlush(t *testing.T) {
 	cfg := aeTestConfig()
-	srv, err := New(Autoencoder(cfg, autoencoder.NewParams(cfg, 1)), Config{
-		MaxBatch: 16,
-		MaxWait:  time.Hour,
-	})
+	srv, err := New(Autoencoder(cfg, autoencoder.NewParams(cfg, 1)), Config{MaxBatch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,10 +182,10 @@ func TestIdleFlush(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("a request to an idle replica waited for MaxWait")
+		t.Fatal("a request to an idle worker was not taken")
 	}
-	if st := srv.Stats(); st.Batches != 1 || st.FlushIdle != 1 || st.FlushFull != 0 || st.FlushDeadline != 0 {
-		t.Fatalf("want one idle flush, got %+v", st)
+	if st := srv.Stats(); st.Batches != 1 || st.FlushFull != 0 || st.AvgBatchSize != 1 {
+		t.Fatalf("want one one-row batch, got %+v", st)
 	}
 }
 
@@ -214,15 +214,11 @@ func gateReplica(s *Server, slot int) (entered <-chan struct{}, open func()) {
 	return g.entered, func() { opened.Do(func() { close(g.gate) }) }
 }
 
-// TestBusyQueueFlushesOnBatchDone: while every replica is busy a request
-// parks, and it flushes the moment a batch finishes — long before an
-// hour-long MaxWait.
+// TestBusyQueueFlushesOnBatchDone: while every worker is busy a request
+// stays pending, and the worker takes it the moment its batch finishes.
 func TestBusyQueueFlushesOnBatchDone(t *testing.T) {
 	cfg := aeTestConfig()
-	srv, err := New(Autoencoder(cfg, autoencoder.NewParams(cfg, 1)), Config{
-		MaxBatch: 16,
-		MaxWait:  time.Hour,
-	})
+	srv, err := New(Autoencoder(cfg, autoencoder.NewParams(cfg, 1)), Config{MaxBatch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +236,7 @@ func TestBusyQueueFlushesOnBatchDone(t *testing.T) {
 	select {
 	case <-entered:
 	case <-time.After(5 * time.Second):
-		t.Fatal("the first request never reached the idle replica")
+		t.Fatal("the first request never reached the idle worker")
 	}
 	go encode(xs[1])
 	for srv.Stats().QueueDepth == 0 {
@@ -248,7 +244,7 @@ func TestBusyQueueFlushesOnBatchDone(t *testing.T) {
 	}
 	select {
 	case err := <-done:
-		t.Fatalf("a request returned while the only replica was held: %v", err)
+		t.Fatalf("a request returned while the only worker was held: %v", err)
 	case <-time.After(20 * time.Millisecond):
 	}
 	open()
@@ -259,17 +255,67 @@ func TestBusyQueueFlushesOnBatchDone(t *testing.T) {
 				t.Fatal(err)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatal("the parked request did not flush when the busy batch finished")
+			t.Fatal("the pending request was not taken when the busy batch finished")
 		}
 	}
-	if st := srv.Stats(); st.Batches != 2 || st.FlushIdle != 2 || st.FlushDeadline != 0 {
-		t.Fatalf("want two idle flushes, got %+v", st)
+	if st := srv.Stats(); st.Batches != 2 || st.FlushFull != 0 {
+		t.Fatalf("want two one-row batches, got %+v", st)
+	}
+}
+
+// opRecorder logs the op of every batch its replica runs.
+type opRecorder struct {
+	replica
+	ops *[]Op
+}
+
+func (r opRecorder) forward(op Op, batch []*request) ([]float64, int) {
+	*r.ops = append(*r.ops, op)
+	return r.replica.forward(op, batch)
+}
+
+// TestCrossOpOrder: a free worker takes the op whose head request is
+// oldest, not the lowest-numbered op. Behind a held worker a reconstruct
+// is queued before an encode; when the worker frees up, the reconstruct
+// runs first.
+func TestCrossOpOrder(t *testing.T) {
+	cfg := aeTestConfig()
+	srv, err := New(Autoencoder(cfg, autoencoder.NewParams(cfg, 1)), Config{MaxBatch: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var ops []Op
+	srv.workers[0].rep = opRecorder{srv.workers[0].rep, &ops}
+	open := holdWorkers(t, srv)
+
+	xs := randExamples(2, cfg.Visible, 10)
+	var wg sync.WaitGroup
+	for i, call := range []func([]float64) ([]float64, error){srv.Reconstruct, srv.Encode} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := call(xs[i]); err != nil {
+				t.Error(err)
+			}
+		}()
+		for srv.Stats().QueueDepth <= i {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	if err := open(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	// The held request is an encode; then the two queued ones, oldest first.
+	if want := []Op{OpEncode, OpReconstruct, OpEncode}; !slices.Equal(ops, want) {
+		t.Fatalf("batches ran as %v, want %v", ops, want)
 	}
 }
 
 // TestCloseLeavesNothing: after Close — with requests of two ops in
-// flight and parked across two pooled replicas — no server goroutine,
-// busy batch, in-flight request or armed timer remains.
+// flight and pending across two pooled replicas — no server goroutine and
+// no pending, retried or in-flight request remains.
 func TestCloseLeavesNothing(t *testing.T) {
 	cfg := aeTestConfig()
 	goroutines := runtime.NumGoroutine()
@@ -277,7 +323,6 @@ func TestCloseLeavesNothing(t *testing.T) {
 		Workers:     2,
 		PoolWorkers: 2,
 		MaxBatch:    4,
-		MaxWait:     time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -327,16 +372,15 @@ func TestShedOverload(t *testing.T) {
 	cfg := aeTestConfig()
 	srv, err := New(Autoencoder(cfg, autoencoder.NewParams(cfg, 1)), Config{
 		MaxBatch: 8,
-		MaxWait:  20 * time.Millisecond,
 		Policy:   Shed,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	forceBusy(srv)
+	open := holdWorkers(t, srv)
 
-	// Admit two requests; they sit pending until the deadline flush.
+	// Admit two requests; they stay pending until the worker is released.
 	xs := randExamples(3, cfg.Visible, 4)
 	results := make(chan error, 2)
 	for _, x := range xs[:2] {
@@ -346,7 +390,7 @@ func TestShedOverload(t *testing.T) {
 		}(x)
 	}
 	// Wait until both are admitted before saturating.
-	for srv.Stats().Requests < 2 {
+	for srv.Stats().QueueDepth < 2 {
 		time.Sleep(time.Millisecond)
 	}
 
@@ -355,6 +399,9 @@ func TestShedOverload(t *testing.T) {
 		t.Fatalf("full-queue Encode error = %v, want ErrOverloaded", err)
 	}
 	release()
+	if err := open(); err != nil {
+		t.Fatal(err)
+	}
 
 	for i := 0; i < 2; i++ {
 		if err := <-results; err != nil {
@@ -365,8 +412,8 @@ func TestShedOverload(t *testing.T) {
 	if st.Sheds != 1 {
 		t.Fatalf("sheds %d, want 1", st.Sheds)
 	}
-	if st.Completed != 2 {
-		t.Fatalf("completed %d, want 2", st.Completed)
+	if st.Completed != 3 {
+		t.Fatalf("completed %d, want 3 (the held request and both admitted)", st.Completed)
 	}
 }
 
@@ -404,10 +451,7 @@ func TestDegradeOverload(t *testing.T) {
 // until space frees, then the request completes normally.
 func TestBlockOverload(t *testing.T) {
 	cfg := aeTestConfig()
-	srv, err := New(Autoencoder(cfg, autoencoder.NewParams(cfg, 1)), Config{
-		MaxWait: time.Millisecond,
-		Policy:  Block,
-	})
+	srv, err := New(Autoencoder(cfg, autoencoder.NewParams(cfg, 1)), Config{Policy: Block})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +499,6 @@ func TestServedMatchesReference(t *testing.T) {
 				Level:    lvl,
 				Workers:  2,
 				MaxBatch: 4,
-				MaxWait:  2 * time.Millisecond,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -523,7 +566,7 @@ func TestServedMatchesReference(t *testing.T) {
 func TestRBMServed(t *testing.T) {
 	cfg := rbm.Config{Visible: 10, Hidden: 6}
 	p := rbm.NewParams(cfg, 21)
-	srv, err := New(RBM(cfg, p), Config{Level: core.Improved, MaxBatch: 4, MaxWait: time.Millisecond})
+	srv, err := New(RBM(cfg, p), Config{Level: core.Improved, MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,7 +603,7 @@ func TestRBMServed(t *testing.T) {
 func TestMLPServed(t *testing.T) {
 	cfg := mlp.Config{Sizes: []int{8, 5, 3}}
 	p := mlp.NewParams(cfg, 31)
-	srv, err := New(MLP(cfg, p), Config{Level: core.Improved, MaxBatch: 4, MaxWait: time.Millisecond})
+	srv, err := New(MLP(cfg, p), Config{Level: core.Improved, MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -670,25 +713,36 @@ func TestCopyOnLoad(t *testing.T) {
 	}
 }
 
-// TestClose pins shutdown: pending work completes, later calls fail with
-// ErrClosed, and Close is idempotent.
+// TestClose pins shutdown: work pending when Close starts completes, later
+// calls fail with ErrClosed, and Close is idempotent.
 func TestClose(t *testing.T) {
 	cfg := aeTestConfig()
-	srv, err := New(Autoencoder(cfg, nil), Config{MaxBatch: 64, MaxWait: time.Hour})
+	srv, err := New(Autoencoder(cfg, nil), Config{MaxBatch: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	forceBusy(srv)
+	open := holdWorkers(t, srv)
 	x := randExamples(1, cfg.Visible, 61)[0]
 	done := make(chan error, 1)
 	go func() {
 		_, err := srv.Encode(x)
 		done <- err
 	}()
-	for srv.Stats().Requests < 1 {
+	for srv.Stats().QueueDepth < 1 {
 		time.Sleep(time.Millisecond)
 	}
-	srv.Close()
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	for srv.Health() != Draining {
+		time.Sleep(100 * time.Microsecond)
+	}
+	if err := open(); err != nil {
+		t.Fatal(err)
+	}
+	<-closed
 	if err := <-done; err != nil {
 		t.Fatalf("pending request dropped by Close: %v", err)
 	}
@@ -707,7 +761,6 @@ func TestConcurrentStress(t *testing.T) {
 		Level:    core.Improved,
 		Workers:  3,
 		MaxBatch: 8,
-		MaxWait:  500 * time.Microsecond,
 		Policy:   Block,
 	})
 	if err != nil {
@@ -759,7 +812,6 @@ func TestConfigValidation(t *testing.T) {
 		{Workers: -1},
 		{PoolWorkers: -1},
 		{MaxBatch: -2},
-		{MaxWait: -time.Second},
 		{MaxBatch: 8, QueueDepth: 4},
 		{Policy: Policy(9)},
 	}
@@ -771,6 +823,12 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(nil, Config{}); err == nil {
 		t.Fatal("nil model should be rejected")
 	}
+	// MaxWait is a deprecated no-op: any value is accepted and ignored.
+	ignored, err := New(m, Config{MaxWait: -time.Second})
+	if err != nil {
+		t.Fatalf("MaxWait is ignored, yet New rejected it: %v", err)
+	}
+	ignored.Close()
 	srv, err := New(m, Config{})
 	if err != nil {
 		t.Fatal(err)

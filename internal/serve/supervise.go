@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"slices"
 	"time"
 
 	"phideep/internal/device"
@@ -10,13 +11,12 @@ import (
 // batch faults out of a worker (an injected fault that survived the retry
 // budget, or a panic caught at the batch boundary by runSafe).
 //
-// The sequence per fault: count it, try to re-dispatch the batch once to a
-// healthy replica (so one worker's fault stays invisible to callers when
-// survivors exist), rebuild the faulted worker under a capped-restart
-// circuit, and — when the budget is spent — retire the slot, moving the
-// server's health state machine toward Degraded/Down. Whatever
-// happens, every request of the batch completes: with the re-dispatched
-// answer, or with a typed *WorkerFaultError. Nothing admitted ever hangs.
+// The sequence per fault: count it, rebuild the faulted worker while its
+// slot stays within the restart intensity, and — when it does not — retire
+// the slot, moving the server's health state machine toward Degraded/Down.
+// The batch is retried once, whole, by the next free worker (so one
+// worker's fault stays invisible to callers while a live worker remains),
+// or completed with a typed *WorkerFaultError. Nothing admitted ever hangs.
 
 // workerFaultConfig derives worker slot's fault stream for its current
 // incarnation. Each (slot, restart) pair gets its own seed offset — large
@@ -28,89 +28,76 @@ func workerFaultConfig(base device.FaultConfig, slot, incarnation int) device.Fa
 
 // handleFault is the supervisor entry point, called on the worker's own
 // goroutine when runSafe returns an error for batch. It reports whether the
-// worker should keep receiving batches: true after a successful rebuild (or
-// for the channel drainer that must keep failing batches once the server is
-// Down), false when the retired worker should exit and leave the channel to
-// the survivors.
+// worker came back and keeps taking batches; false means its slot retired
+// and the worker exits.
 func (w *worker) handleFault(batch []*request, cause error) bool {
 	s := w.s
-	s.st.faultBatches.Add(1)
-	recordFaultBatch()
+	count(&s.st.faultBatches, mFaultBatches)
 	ferr := w.faultError(cause)
-	alive := w.rebuild(cause)
+	alive := w.rebuild()
 
-	// Re-dispatch the batch once to a healthy replica. The check-and-send
-	// runs under s.mu, which excludes Close's close(s.batches): closed is
-	// set under the same lock before the channel closes. The send itself is
-	// non-blocking — the channel has Workers slots of headroom beyond
-	// QueueDepth precisely so one in-flight re-dispatch per worker fits, but
-	// blocking under the lock is never acceptable.
 	s.mu.Lock()
-	if !s.closed && s.live > 0 && !batch[0].redispatched {
-		for _, r := range batch {
-			r.redispatched = true
-		}
-		select {
-		case s.batches <- batch:
-			s.st.redispatches.Add(1)
-			recordRedispatch()
-			batch = nil
-		default:
-		}
+	defer s.mu.Unlock()
+	if !alive {
+		s.retireLocked(ferr)
 	}
-	s.mu.Unlock()
-	if batch != nil {
-		s.failBatch(batch, ferr)
+	if s.closed || s.live == 0 || batch[0].redispatched {
+		s.failLocked(batch, ferr)
+		return alive
 	}
-
-	if alive {
-		return true
+	// The batch leaves the worker's buffer, which the next take refills.
+	batch = slices.Clone(batch)
+	for _, r := range batch {
+		r.redispatched = true
 	}
-	// Retired. If no live worker remains, this goroutine stays behind as
-	// the channel drainer so batches flushed after Down still complete
-	// (with typed errors) instead of sitting in the channel forever.
-	s.mu.Lock()
-	last := s.live == 0
-	s.mu.Unlock()
-	return last
+	s.retry = append(s.retry, batch)
+	count(&s.st.redispatches, mRedispatches)
+	s.work.Signal()
+	return alive
 }
 
-// rebuild tears the worker's state down and constructs a fresh
-// incarnation (new replica, new fault stream), consuming the restart
-// budget. It reports whether the worker came back; on budget exhaustion
-// the slot retires.
-func (w *worker) rebuild(cause error) bool {
+// rebuild tears the worker's state down and, while the slot has been
+// rebuilt fewer than MaxRestarts times within its last restartWindow
+// batches, constructs a fresh incarnation (new replica, new fault stream).
+// It reports whether the worker came back.
+func (w *worker) rebuild() bool {
 	w.free()
-	if w.restarts >= w.s.cfg.maxRestarts() {
-		w.retire(cause)
+	for len(w.rebuilt) > 0 && w.rebuilt[0] <= w.ran-restartWindow {
+		w.rebuilt = w.rebuilt[1:]
+	}
+	if len(w.rebuilt) >= w.s.cfg.maxRestarts() {
 		return false
 	}
+	w.rebuilt = append(w.rebuilt, w.ran)
 	w.restarts++
-	w.s.st.restarts.Add(1)
-	recordRestart()
+	count(&w.s.st.restarts, mRestarts)
 	w.build()
 	return true
 }
 
-// retire marks the worker permanently failed and updates the server's
-// membership: live worker count drops, health moves to Degraded (or Down
-// when this was the last slot), and — at Down — the pending queues flush so
-// the drainer completes them with typed errors rather than stranding them.
-func (w *worker) retire(cause error) {
-	w.retired = true
-	w.cause = cause
-	s := w.s
-	s.mu.Lock()
+// retireLocked takes a worker slot out of service: the live count drops
+// and health moves to Degraded, or to Down when it was the last slot. The
+// last retiree fails every pending and retried request with ferr, so no
+// admitted request waits for a worker that will never come. Caller holds
+// s.mu.
+func (s *Server) retireLocked(ferr error) {
 	s.live--
-	s.st.retired.Add(1)
+	count(&s.st.retired, mRetired)
 	if s.live == 0 {
-		s.flushAllLocked()
+		for op, q := range s.pending {
+			s.failLocked(q, ferr)
+			s.queued -= len(q)
+			clear(q)
+			s.pending[op] = q[:0]
+		}
+		for _, batch := range s.retry {
+			s.failLocked(batch, ferr)
+		}
+		s.retry = nil
+		recordQueueDepth(s.queued)
 	}
 	s.notFull.Broadcast()
-	h := s.healthLocked()
-	s.mu.Unlock()
-	recordRetire()
-	recordHealth(h)
+	recordHealth(s.healthLocked())
 }
 
 // faultError wraps cause with the worker's identity for callers.
@@ -118,21 +105,21 @@ func (w *worker) faultError(cause error) error {
 	return &WorkerFaultError{Worker: w.slot, Restarts: w.restarts, Cause: cause}
 }
 
-// failBatch completes every request of batch with err and finishes the
-// batch.
-func (s *Server) failBatch(batch []*request, err error) {
+// failLocked completes every request of batch with err and finishes them.
+// Caller holds s.mu.
+func (s *Server) failLocked(batch []*request, err error) {
 	now := time.Now()
 	for _, r := range batch {
 		s.finishRequest(r, nil, err, now)
 	}
-	s.batchDone(len(batch))
+	s.finishLocked(len(batch))
 }
 
 // finishRequest completes one admitted request exactly once. The CAS
 // against the request's state decides the race with an abandoning caller
 // (deadline/ctx expiry): the winner's outcome stands, a losing worker
 // result is discarded safely. The in-flight ledger that Drain watches is
-// settled when the request's batch finishes (batchDone).
+// settled when the request's batch finishes (finishLocked).
 func (s *Server) finishRequest(r *request, out []float64, err error, now time.Time) {
 	if r.state.CompareAndSwap(reqPending, reqDone) {
 		r.out, r.err = out, err
@@ -141,8 +128,7 @@ func (s *Server) finishRequest(r *request, out []float64, err error, now time.Ti
 		s.st.latencyNanos.Add(lat.Nanoseconds())
 		recordLatency(lat)
 	} else {
-		s.st.discarded.Add(1)
-		recordDiscarded()
+		count(&s.st.discarded, mDiscarded)
 	}
 	r.finish()
 }

@@ -13,18 +13,22 @@ import (
 // model's immutable weight snapshot read-only; each owns its replica's
 // activation workspace and, with Config.PoolWorkers, a private pool.
 //
-// The lifecycle fields (restarts, retired, cause) and the fault stream are
-// owned by the worker's own goroutine: only loop and the supervisor it
-// calls touch them.
+// The lifecycle fields (ran, restarts, rebuilt), the batch buffer and the
+// fault stream are owned by the worker's own goroutine: only loop, the take
+// it runs under s.mu and the supervisor it calls touch them.
 type worker struct {
 	s    *Server
 	slot int
 
-	// restarts counts rebuilds consumed from Config.MaxRestarts; retired
-	// marks the slot permanently failed with cause the final fault.
+	// batch is the buffer take moves pending requests into, MaxBatch long.
+	batch []*request
+
+	// ran counts the batches the slot has run; restarts its rebuilds, and
+	// rebuilt the values of ran at the rebuilds still inside the restart
+	// window, oldest first.
+	ran      int
 	restarts int
-	retired  bool
-	cause    error
+	rebuilt  []int
 
 	pool *parallel.Pool
 	rep  replica
@@ -34,7 +38,7 @@ type worker struct {
 
 // newWorker builds worker i's first incarnation.
 func newWorker(s *Server, i int) *worker {
-	w := &worker{s: s, slot: i}
+	w := &worker{s: s, slot: i, batch: make([]*request, s.cfg.MaxBatch)}
 	w.build()
 	return w
 }
@@ -55,34 +59,27 @@ func (w *worker) build() {
 	w.rep = w.s.model.f.replica[cfg.Precision](w.pool, cfg.Level.KernelLevel(), cfg.MaxBatch)
 }
 
-// loop drains the dispatch channel until the server closes it, handing
-// faulted batches to the supervisor. A retired worker normally exits and
-// leaves the channel to the survivors; the last retiree instead stays
-// behind as the drainer, completing everything with typed errors.
+// loop takes and runs batches until the server closes or the slot
+// retires. Each take also finishes the batch before it, so a worker takes
+// s.mu once per batch; a faulted batch goes to the supervisor, which
+// finishes or retries it.
 func (w *worker) loop() {
 	defer w.s.wg.Done()
 	defer w.free()
-	for batch := range w.s.batches {
-		// Re-dispatched batches already left the admission queue's
-		// accounting when their first worker received them.
-		if !batch[0].redispatched {
-			w.s.mu.Lock()
-			w.s.queued -= len(batch)
-			w.s.notFull.Broadcast()
-			recordQueueDepth(w.s.queued)
-			w.s.mu.Unlock()
+	finished := 0
+	for {
+		batch := w.take(finished)
+		if batch == nil {
+			return
 		}
-		if w.retired {
-			w.s.failBatch(batch, w.faultError(w.cause))
-			continue
-		}
+		w.ran++
+		finished = len(batch)
 		if err := w.runSafe(batch); err != nil {
+			finished = 0
 			if !w.handleFault(batch, err) {
 				return
 			}
-			continue
 		}
-		w.s.batchDone(len(batch))
 	}
 }
 
@@ -130,8 +127,7 @@ func (w *worker) drawFaults(batch []*request) error {
 			bytes := int64(8 * len(batch) * w.s.model.InputDim())
 			return &device.TransferError{Op: "copy-in", Bytes: bytes, Attempts: attempt, Permanent: permanent}
 		}
-		w.s.st.faultRetries.Add(1)
-		recordFaultRetry()
+		count(&w.s.st.faultRetries, mFaultRetries)
 	}
 }
 

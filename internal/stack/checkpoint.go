@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
+
+	"phideep/internal/core"
 )
 
 // Layer-wise checkpoint hand-off.
@@ -46,32 +47,6 @@ func fileExists(path string) bool {
 	return err == nil
 }
 
-// writeFileAtomic streams save's output into path via a same-directory
-// temporary file, fsync and rename — the same crash-consistency contract
-// as core.WriteCheckpoint.
-func writeFileAtomic(path string, save func(io.Writer) error) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("stack: checkpoint: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := save(tmp); err != nil {
-		tmp.Close()
-		return fmt.Errorf("stack: checkpoint: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("stack: checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("stack: checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("stack: checkpoint: %w", err)
-	}
-	return nil
-}
-
 // loadParams reads a .done parameter file into dst via its Load method.
 func loadParams(path string, load func(io.Reader) error) error {
 	f, err := os.Open(path)
@@ -91,8 +66,8 @@ func finishLayer(ckpt, done string, save func(io.Writer) error) error {
 	if done == "" {
 		return nil
 	}
-	if err := writeFileAtomic(done, save); err != nil {
-		return err
+	if err := core.WriteFileAtomic(done, save); err != nil {
+		return fmt.Errorf("stack: checkpoint: %w", err)
 	}
 	os.Remove(ckpt) // best-effort; the .done file is authoritative
 	return nil

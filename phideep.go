@@ -238,7 +238,7 @@ type (
 	// serving layer over a trained model. Create with NewServer.
 	Server = serve.Server
 	// ServeConfig parameterizes a Server: OptLevel, worker count,
-	// precision, micro-batching window (MaxBatch/MaxWait), admission
+	// precision, micro-batch limit (MaxBatch), admission
 	// control (QueueDepth/Policy) and robustness (Faults, MaxRestarts,
 	// RequestTimeout).
 	ServeConfig = serve.Config
