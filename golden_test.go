@@ -17,6 +17,7 @@ import (
 
 	"phideep/internal/autoencoder"
 	"phideep/internal/blas"
+	"phideep/internal/cluster"
 	"phideep/internal/convnet"
 	"phideep/internal/core"
 	"phideep/internal/data"
@@ -59,6 +60,14 @@ type goldenDigest struct {
 	// Out is the SHA-256 of a served sweep's output bits; served entries
 	// carry only this field.
 	Out string `json:"out_sha256,omitempty"`
+	// Cluster entries carry SimSeconds and these instead of PHCK and
+	// EpochLoss: the SHA-256 of the final parameters' bits, every step's
+	// loss bits, the SHA-256 of the run report's JSON, and the SHA-256 of
+	// each feed consumer's projection of the ledger, in shard order.
+	Params   string   `json:"params_sha256,omitempty"`
+	StepLoss []string `json:"step_loss_bits,omitempty"`
+	Report   string   `json:"report_sha256,omitempty"`
+	Ledger   []string `json:"ledger_sha256,omitempty"`
 }
 
 // goldenJob is one model family: train it on src (a fresh one per job)
@@ -266,6 +275,9 @@ func TestGoldenDigests(t *testing.T) {
 	for name, d := range servedDigests(t, pool) {
 		got[name] = d
 	}
+	for name, d := range clusterDigests(t) {
+		got[name] = d
+	}
 
 	if *updateGolden {
 		out, err := json.MarshalIndent(got, "", "  ")
@@ -305,6 +317,14 @@ func TestGoldenDigests(t *testing.T) {
 			t.Errorf("%s: sim seconds %s, want %s", name, g.SimSeconds, w.SimSeconds)
 		case g.Out != w.Out:
 			t.Errorf("%s: served output sha256 %s, want %s", name, g.Out, w.Out)
+		case g.Params != w.Params:
+			t.Errorf("%s: parameter sha256 %s, want %s", name, g.Params, w.Params)
+		case fmt.Sprint(g.StepLoss) != fmt.Sprint(w.StepLoss):
+			t.Errorf("%s: step loss bits %v, want %v", name, g.StepLoss, w.StepLoss)
+		case g.Report != w.Report:
+			t.Errorf("%s: report sha256 %s, want %s", name, g.Report, w.Report)
+		case fmt.Sprint(g.Ledger) != fmt.Sprint(w.Ledger):
+			t.Errorf("%s: per-consumer ledger sha256 %v, want %v", name, g.Ledger, w.Ledger)
 		}
 	}
 }
@@ -415,12 +435,106 @@ func servedSweep(t *testing.T, name string, srv *serve.Server, op serve.Op) stri
 		t.Fatalf("%s: %d rows answered, %d failed, want %d and 0", name, res.Rows, res.Failed, src.Len())
 	}
 	h := sha256.New()
-	var b [8]byte
 	for _, row := range outs {
-		for _, v := range row {
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-			h.Write(b[:])
-		}
+		writeBits(h, row)
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// writeBits writes the IEEE-754 bits of v to w, little-endian.
+func writeBits(w io.Writer, v []float64) {
+	var b [8]byte
+	for _, x := range v {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+		w.Write(b[:])
+	}
+}
+
+// goldenClusterSteps is the length of every cluster job: long enough for
+// the crashed node to rejoin and resynchronize, the straggler to lag a
+// barrier, and the lost node to be detected.
+const goldenClusterSteps = 14
+
+// goldenClusterScript is the cluster jobs' fault schedule. Node 1 crashes
+// at step 2 and rejoins at step 5 from the lead's checkpoint; node 2
+// straggles at 6× for steps 6 and 7; node 3 is lost for good at step 9,
+// and its feed consumer is closed once the detector excises it.
+var goldenClusterScript = []cluster.NodeFault{
+	{Step: 2, Node: 1, Kind: cluster.FaultCrash, RejoinAfter: 3},
+	{Step: 6, Node: 2, Kind: cluster.FaultStall, StallFactor: 6, StallSteps: 2},
+	{Step: 9, Node: 3, Kind: cluster.FaultCrash, Permanent: true},
+}
+
+// clusterDigests runs the cluster jobs, one per straggler policy: four
+// numeric nodes, each a replica of the golden autoencoder, lease
+// golden-batch shards from one ledgered feed over the golden digits and
+// train goldenClusterSteps steps under goldenClusterScript, averaging
+// every second step. The lock leaves free how one step's leases and
+// commits interleave across consumers, so the report's feed high-water
+// mark (max_outstanding), which follows from that interleaving, is cleared
+// before the report is hashed; each consumer's own event sequence is
+// pinned through its ledger projection.
+func clusterDigests(t *testing.T) map[string]goldenDigest {
+	t.Helper()
+	const nodes = 4
+	got := map[string]goldenDigest{}
+	for _, pol := range []cluster.Policy{cluster.WaitAll, cluster.TimeoutDrop, cluster.BackupNode} {
+		name := "cluster/" + pol.String()
+		src := goldenDigits()
+		plan, err := data.PlanChunks(data.PlanRequest{SourceLen: src.Len(), Batch: goldenBatch, ChunkExamples: goldenBatch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := feed.New(src, feed.Config{Plan: plan, Window: 1, Ledger: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, err := cluster.New(sim.XeonE5620Dual(), core.Improved, cluster.Config{
+			Model: autoencoder.Config{Visible: goldenSide * goldenSide, Hidden: 16, Lambda: 1e-4, Beta: 0.1, Rho: 0.05},
+			Nodes: nodes, GlobalBatch: nodes * goldenBatch, SyncEvery: 2, Net: cluster.GigabitEthernet(),
+			Faults: &cluster.FaultPlan{Script: goldenClusterScript}, Policy: pol, Feed: f,
+		}, true, goldenSeed)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var d goldenDigest
+		for range goldenClusterSteps {
+			loss := cl.Step(nil, 0.3)
+			d.StepLoss = append(d.StepLoss, fmt.Sprintf("%016x", math.Float64bits(loss)))
+		}
+		h := sha256.New()
+		writeBits(h, cl.Download().ParamSet().Flatten(nil))
+		d.Params = hex.EncodeToString(h.Sum(nil))
+		d.SimSeconds = strconv.FormatFloat(cl.SimSeconds(), 'g', -1, 64)
+		rep := cl.Report()
+		if rep.Crashes != 2 || rep.Rejoins != 1 || rep.Resyncs != 1 || rep.Stalls != 1 || rep.LiveNodes != 3 {
+			t.Fatalf("%s: the scripted faults did not all take effect: %+v", name, rep)
+		}
+		rep.Feed.MaxOutstanding = 0
+		d.Report = jsonSHA(t, rep)
+		events := f.Events()
+		for shard := range nodes {
+			var own []feed.Event
+			for _, e := range events {
+				if e.Shard == shard {
+					own = append(own, e)
+				}
+			}
+			d.Ledger = append(d.Ledger, jsonSHA(t, own))
+		}
+		cl.Free()
+		got[name] = d
+	}
+	return got
+}
+
+// jsonSHA returns the SHA-256 of v's JSON encoding.
+func jsonSHA(t *testing.T, v any) string {
+	t.Helper()
+	raw, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(raw)
+	return hex.EncodeToString(sum[:])
 }
