@@ -83,6 +83,13 @@ go test -run TestClusterRecovery -count=2 ./internal/cluster/
 # worker takes the pending one when its batch finishes) and the Close leak
 # check ride along.
 go test -race -run 'TestChaos|TestIdleFlush|TestBusyQueueFlushesOnBatchDone|TestCloseLeavesNothing' -count=2 ./internal/serve/
+# Cluster concurrency gate: every live node steps on its own goroutine and
+# the barrier downloads, averages and uploads concurrently, so the shared
+# feed, the crash/rejoin/straggler paths and every straggler policy must
+# hold under the race detector three times in a row, and the concurrent
+# step must equal the serial loop bit for bit and re-raise a node's panic
+# on the caller.
+go test -race -count=3 -run 'TestFeedCluster|TestFaulted|TestClusterRecovery|TestStraggler|TestBackupNode|TestTimeoutDrop|TestConcurrentStep|TestStepPanic' ./internal/cluster/
 # Loading-thread determinism gate: the loader's FIFO/panic/join contract,
 # the trainer's exact feed ledger at ring depths 1-3, the fill-overlaps-step
 # proof and the trainer's failure paths must hold under the race detector

@@ -205,11 +205,23 @@ func (m *Model) Upload(p *Params) {
 // device the returned parameters are the zero initialization.
 func (m *Model) Download() *Params {
 	p := zeroParams(m.Cfg)
+	m.DownloadInto(p)
+	return p
+}
+
+// DownloadInto is Download into parameters the caller owns, which must be
+// shaped like the model's: the same transfers, no allocation. With tied
+// weights p.W2 receives the transpose of W1; on a model-only device p is
+// left untouched.
+func (m *Model) DownloadInto(p *Params) {
 	p.ParamSet().CopyOut(m.Ctx.Dev, m.params())
 	if m.Cfg.Tied && m.Ctx.Dev.Numeric {
-		p.W2 = p.W1.T()
+		for i := 0; i < p.W1.Rows; i++ {
+			for j, v := range p.W1.RowView(i) {
+				p.W2.Set(j, i, v)
+			}
+		}
 	}
-	return p
 }
 
 // SaveState writes the model's resumable training state to w: the

@@ -26,13 +26,25 @@
 // restoring the lead replica's PHCK checkpoint and resynchronizing
 // parameters at the next barrier before re-entering the ring. Report
 // accounts every sync, drop, stall, detection and resync.
+//
+// The nodes are simulated parallel machines, and in wall clock they run in
+// parallel too: every live node steps on its own goroutine, and the
+// barrier downloads, averages (in disjoint element stripes, one goroutine
+// each) and uploads concurrently into host buffers allocated once at New,
+// so a warm step allocates no parameter- or shard-sized memory. Whatever
+// decides the simulated outcome (fault injection, lease order, the loss
+// sum, commits, the barrier's policy) runs serially in node order, so
+// numerics, simulated time and each feed consumer's ledger equal those of
+// a serial loop over the nodes bit for bit.
 package cluster
 
 import (
 	"bytes"
 	"fmt"
 	"math"
-	"sort"
+	"runtime"
+	"slices"
+	"sync"
 
 	"phideep/internal/autoencoder"
 	"phideep/internal/blas"
@@ -178,6 +190,11 @@ type Cluster struct {
 	scripted map[int][]NodeFault
 	ckptBlob []byte // lead replica's encoded PHCK checkpoint at the last sync
 
+	// trainers are this step's stepping nodes (reused scratch); avg is the
+	// barrier's average (numeric multi-node clusters only).
+	trainers []*node
+	avg      *autoencoder.Params
+
 	rep   Report
 	freed bool
 }
@@ -225,6 +242,13 @@ func New(arch *sim.Arch, lvl core.OptLevel, cfg Config, numeric bool, seed uint6
 	c.paramsB = int64(v*h+h+h*v+v) * 8
 	model := cfg.Model
 	model.Batch, model.Seed = c.perNode, seed // same seed: identical init
+	// Host copies for the barrier: each node downloads into its own, and
+	// the average lands in the cluster's. Zero-valued, shaped like the
+	// model (ZeroGrad is the package's shape-only constructor).
+	averages := numeric && cfg.Nodes > 1
+	if averages {
+		c.avg = autoencoder.ZeroGrad(model)
+	}
 	for i := 0; i < cfg.Nodes; i++ {
 		dev := device.New(arch, numeric, nil)
 		ctx := core.NewContext(dev, lvl, 0, seed+uint64(i))
@@ -234,6 +258,14 @@ func New(arch *sim.Arch, lvl core.OptLevel, cfg Config, numeric bool, seed uint6
 			return nil, fmt.Errorf("cluster: node %d: %w", i, err)
 		}
 		n := &node{id: i, m: m, status: statusLive, inRing: true}
+		c.nodes = append(c.nodes, n)
+		if n.shard, err = dev.Alloc(c.perNode, v); err != nil {
+			c.Free()
+			return nil, fmt.Errorf("cluster: node %d: %w", i, err)
+		}
+		if averages {
+			n.host = autoencoder.ZeroGrad(model)
+		}
 		if c.faulty {
 			n.stream = c.plan.stream(i)
 		}
@@ -247,7 +279,6 @@ func New(arch *sim.Arch, lvl core.OptLevel, cfg Config, numeric bool, seed uint6
 				n.stage = tensor.NewMatrix(c.perNode, cfg.Model.Visible)
 			}
 		}
-		c.nodes = append(c.nodes, n)
 	}
 	return c, nil
 }
@@ -263,6 +294,9 @@ func (c *Cluster) Free() {
 		if n.feedc != nil {
 			n.feedc.Close()
 		}
+		if n.shard != nil {
+			n.dev().Free(n.shard)
+		}
 		n.m.Free()
 	}
 	c.nodes = nil
@@ -277,6 +311,13 @@ func (c *Cluster) numeric() bool { return len(c.nodes) > 0 && c.nodes[0].dev().N
 // steps the ring synchronizes over the live membership. Returns the mean
 // reconstruction error across the nodes that trained (0 on timing-only
 // devices or when every node is down).
+//
+// The nodes train concurrently, one goroutine each; everything they share
+// (fault streams, feed cursors, the loss sum, the report) is handled in
+// node order before and after. Within one step the shared feed therefore
+// sees every node's lease before any node's commit, and each consumer's
+// own events keep their order. A panic on a node's goroutine is
+// re-raised on the caller's once every node has finished.
 func (c *Cluster) Step(x *tensor.Matrix, lr float64) float64 {
 	step := c.steps // 0-based index of the step being executed
 
@@ -295,24 +336,17 @@ func (c *Cluster) Step(x *tensor.Matrix, lr float64) float64 {
 		}
 	}
 
-	lossSum, lossN := 0.0, 0
+	// Serial prologue: who trains, from when, on which lease.
+	c.trainers = c.trainers[:0]
 	for _, n := range c.nodes {
 		if n.status != statusLive || n.resync {
 			continue
 		}
-		dev := n.dev()
 		// Lock-step issue: a node's next shard transfer starts no earlier
 		// than the last barrier and its own previous step's end.
-		earliest := c.syncedAt
-		if n.stepEnd > earliest {
-			earliest = n.stepEnd
-		}
-		start := earliest
-		if t := dev.Now(); t > start {
-			start = t
-		}
-		var lease feed.Lease
-		leased := false
+		n.earliest = max(c.syncedAt, n.stepEnd)
+		n.start = max(n.earliest, n.dev().Now())
+		n.leased = false
 		if c.Cfg.Feed != nil {
 			// The node's consumer must sit at the current step: a rejoined
 			// node (or one that idled through an outage) re-seeks here —
@@ -328,43 +362,23 @@ func (c *Cluster) Step(x *tensor.Matrix, lr float64) float64 {
 				// Horizon exhausted: the node idles this step.
 				continue
 			}
-			lease, leased = l, true
+			n.lease, n.leased = l, true
 		}
-		shard := dev.MustAlloc(c.perNode, c.Cfg.Model.Visible)
-		if !dev.Numeric {
-			dev.CopyIn(shard, nil, earliest)
-		} else if leased {
-			if err := c.Cfg.Feed.Fill(lease, n.stage); err != nil {
-				// Unreachable after New's geometry validation: the lease
-				// was granted this step and has not been committed.
-				panic(fmt.Sprintf("cluster: feed fill: %v", err))
-			}
-			dev.CopyIn(shard, n.stage, earliest)
-		} else {
-			dev.CopyIn(shard, x.RowsView(n.id*c.perNode, (n.id+1)*c.perNode).Contiguous(), earliest)
-		}
-		lossSum += n.m.Step(shard, lr)
-		lossN++
-		dev.Free(shard)
-		end := dev.Now()
-		n.rawDur = end - start
-		if n.stallLeft > 0 {
-			// The straggler's slowdown is injected idle time on its compute
-			// engine: numerics identical, clock slower.
-			extra := (n.stallFactor - 1) * n.rawDur
-			dev.StallCompute(extra)
-			n.stallLeft--
-			n.r.StallSeconds += extra
-			end = dev.Now()
-		}
-		n.stepEnd = end
-		n.lastBeat = end
-		n.r.Steps++
-		if leased {
+		c.trainers = append(c.trainers, n)
+	}
+
+	trainers := c.trainers
+	fanOut(len(trainers), func(i int) { c.stepNode(trainers[i], x, lr) })
+
+	// Serial epilogue, in node order: the loss sum and the commits.
+	lossSum := 0.0
+	for _, n := range trainers {
+		lossSum += n.loss
+		if n.leased {
 			// The chunk is drained once the step's compute ends; the
 			// commit timestamp is the deterministic simulated clock, so
 			// fault-injected runs ledger identically across repeats.
-			if err := n.feedc.Commit(lease, end, false); err != nil {
+			if err := n.feedc.Commit(n.lease, n.stepEnd, false); err != nil {
 				panic(fmt.Sprintf("cluster: feed commit: %v", err))
 			}
 		}
@@ -374,10 +388,75 @@ func (c *Cluster) Step(x *tensor.Matrix, lr float64) float64 {
 	if c.steps%c.Cfg.SyncEvery == 0 && c.Cfg.Nodes > 1 {
 		c.sync()
 	}
-	if lossN == 0 || !c.numeric() {
+	if len(trainers) == 0 || !c.numeric() {
 		return 0
 	}
-	return lossSum / float64(lossN)
+	return lossSum / float64(len(trainers))
+}
+
+// stepNode trains one node on its shard: the concurrent body of Step. It
+// touches only the node's own device, model, staging matrix and
+// bookkeeping.
+func (c *Cluster) stepNode(n *node, x *tensor.Matrix, lr float64) {
+	dev := n.dev()
+	switch {
+	case !dev.Numeric:
+		dev.CopyIn(n.shard, nil, n.earliest)
+	case n.leased:
+		if err := c.Cfg.Feed.Fill(n.lease, n.stage); err != nil {
+			// Unreachable after New's geometry validation: the lease
+			// was granted this step and has not been committed.
+			panic(fmt.Sprintf("cluster: feed fill: %v", err))
+		}
+		dev.CopyIn(n.shard, n.stage, n.earliest)
+	default:
+		// The transfer copies row by row, so the view needs no packed copy.
+		dev.CopyIn(n.shard, x.RowsView(n.id*c.perNode, (n.id+1)*c.perNode), n.earliest)
+	}
+	n.loss = n.m.Step(n.shard, lr)
+	end := dev.Now()
+	n.rawDur = end - n.start
+	if n.stallLeft > 0 {
+		// The straggler's slowdown is injected idle time on its compute
+		// engine: numerics identical, clock slower.
+		extra := (n.stallFactor - 1) * n.rawDur
+		dev.StallCompute(extra)
+		n.stallLeft--
+		n.r.StallSeconds += extra
+		end = dev.Now()
+	}
+	n.stepEnd = end
+	n.lastBeat = end
+	n.r.Steps++
+}
+
+// fanOut runs f(0), …, f(n−1) on a goroutine each and returns when all
+// have; n ≤ 1 runs inline. A panic in any call is re-raised on the
+// caller's goroutine once every call has returned — the lowest index's,
+// so what recover sees does not depend on scheduling.
+func fanOut(n int, f func(i int)) {
+	if n <= 1 {
+		if n == 1 {
+			f(0)
+		}
+		return
+	}
+	panics := make([]any, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := range n {
+		go func() {
+			defer wg.Done()
+			defer func() { panics[i] = recover() }()
+			f(i)
+		}()
+	}
+	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 }
 
 // sync runs one barrier round: the failure detector excises silent ring
@@ -479,10 +558,9 @@ func (c *Cluster) sync() {
 	c.syncedAt = barrier + c.Cfg.Net.AllReduceTime(c.paramsB, len(kept))
 	var avg *autoencoder.Params
 	if c.numeric() && len(kept) > 1 {
-		avg = averageParams(kept)
-		for _, n := range kept {
-			n.m.Upload(avg)
-		}
+		avg = c.avg
+		averageParams(avg, kept)
+		fanOut(len(kept), func(i int) { kept[i].m.Upload(avg) })
 	}
 
 	// Dropped laggards pull the fresh average when they finally finish,
@@ -505,7 +583,8 @@ func (c *Cluster) sync() {
 		ready := c.syncedAt + c.Cfg.Net.BroadcastTime(c.paramsB)
 		if c.numeric() {
 			if avg == nil {
-				avg = kept[0].m.Download()
+				avg = c.avg
+				kept[0].m.DownloadInto(avg)
 			}
 			n.m.Upload(avg)
 		}
@@ -551,54 +630,39 @@ func (c *Cluster) catchUp(n *node, ready float64) {
 	n.lastBeat = ready
 }
 
-// averageParams returns the mean of the participants' parameters. The sum
-// is accumulated in ascending node-id order whatever order the participant
-// list was assembled in, so the result is bit-identical regardless of node
-// iteration order.
-func averageParams(parts []*node) *autoencoder.Params {
-	sorted := append([]*node(nil), parts...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].id < sorted[j].id })
-	params := make([]*autoencoder.Params, len(sorted))
-	for i, n := range sorted {
-		params[i] = n.m.Download()
-	}
-	avg := params[0]
-	accumulate := func(dst, src *tensor.Matrix) {
-		for r := 0; r < dst.Rows; r++ {
-			d, s := dst.RowView(r), src.RowView(r)
+// averageParams downloads the participants' parameters into their host
+// copies, one goroutine each, and writes their mean into dst. It sorts
+// parts by node id and sums in that order whatever order the list was
+// assembled in, so the result is bit-identical regardless of node
+// iteration order. The elements are split into disjoint stripes, one
+// goroutine each, and every element follows one sequence: the lowest id's
+// value, += each higher id's in ascending order, then *= 1/n.
+func averageParams(dst *autoencoder.Params, parts []*node) {
+	slices.SortFunc(parts, func(a, b *node) int { return a.id - b.id })
+	fanOut(len(parts), func(i int) { parts[i].m.DownloadInto(parts[i].host) })
+	inv := 1 / float64(len(parts))
+	stripes := runtime.GOMAXPROCS(0)
+	fanOut(stripes, func(s int) {
+		for t, d := range flat(dst) {
+			lo, hi := len(d)*s/stripes, len(d)*(s+1)/stripes
+			d = d[lo:hi]
+			copy(d, flat(parts[0].host)[t][lo:hi])
+			for _, n := range parts[1:] {
+				for j, v := range flat(n.host)[t][lo:hi] {
+					d[j] += v
+				}
+			}
 			for j := range d {
-				d[j] += s[j]
+				d[j] *= inv
 			}
 		}
-	}
-	for _, p := range params[1:] {
-		accumulate(avg.W1, p.W1)
-		accumulate(avg.W2, p.W2)
-		for j := range avg.B1 {
-			avg.B1[j] += p.B1[j]
-		}
-		for j := range avg.B2 {
-			avg.B2[j] += p.B2[j]
-		}
-	}
-	inv := 1 / float64(len(params))
-	scale := func(m *tensor.Matrix) {
-		for r := 0; r < m.Rows; r++ {
-			row := m.RowView(r)
-			for j := range row {
-				row[j] *= inv
-			}
-		}
-	}
-	scale(avg.W1)
-	scale(avg.W2)
-	for j := range avg.B1 {
-		avg.B1[j] *= inv
-	}
-	for j := range avg.B2 {
-		avg.B2[j] *= inv
-	}
-	return avg
+	})
+}
+
+// flat lists p's tensors as their backing slices (the host matrices are
+// dense, Stride == Cols).
+func flat(p *autoencoder.Params) [4][]float64 {
+	return [4][]float64{p.W1.Data, p.W2.Data, p.B1, p.B2}
 }
 
 // SimSeconds returns the cluster makespan: the last barrier or the latest

@@ -300,8 +300,9 @@ func TestDegradedAllReduceShrinks(t *testing.T) {
 func TestAverageParamsOrderIndependent(t *testing.T) {
 	cl := runFaulty(t, smallCfg(3, 1000), 3, 7) // never syncs: replicas diverge
 	defer cl.Free()
-	fwd := averageParams([]*node{cl.nodes[0], cl.nodes[1], cl.nodes[2]})
-	rev := averageParams([]*node{cl.nodes[2], cl.nodes[0], cl.nodes[1]})
+	fwd, rev := autoencoder.ZeroGrad(cl.Cfg.Model), autoencoder.ZeroGrad(cl.Cfg.Model)
+	averageParams(fwd, []*node{cl.nodes[0], cl.nodes[1], cl.nodes[2]})
+	averageParams(rev, []*node{cl.nodes[2], cl.nodes[0], cl.nodes[1]})
 	if !paramsEqual(fwd, rev) {
 		t.Fatal("averageParams depends on node iteration order")
 	}

@@ -33,6 +33,11 @@ type node struct {
 	// stage is its host staging matrix for leased chunks (numeric only).
 	feedc *feed.Consumer
 	stage *tensor.Matrix
+	// shard is the device buffer every step's shard is copied into; host
+	// is the host copy the barrier downloads into (numeric multi-node
+	// clusters only). Both are allocated once, at New.
+	shard *device.Buffer
+	host  *autoencoder.Params
 
 	status nodeStatus
 	// inRing marks the node a member of the all-reduce ring. A crashed
@@ -50,6 +55,13 @@ type node struct {
 	lastBeat    float64 // heartbeat: simulated end of the last completed step
 	stepEnd     float64 // this round's step end (scratch; live nodes only)
 	rawDur      float64 // un-stalled duration of the last step
+
+	// This step's scratch, set by Step's serial prologue (earliest issue
+	// time, start, lease) and by the node's goroutine (loss).
+	earliest, start float64
+	lease           feed.Lease
+	leased          bool
+	loss            float64
 
 	r NodeReport // per-node accounting
 }
