@@ -71,6 +71,13 @@ go test -run '^$' -fuzz '^FuzzSigmoidPaths$' -fuzztime 5s ./internal/kernels/
 # source readers and the lease/commit protocol's shared cursor state
 # (many consumers leasing/committing against one feed).
 go test -race ./internal/kernels/... ./internal/parallel/... ./internal/device/... ./internal/metrics/... ./internal/core/... ./internal/stack/... ./internal/cluster/... ./internal/serve/... ./internal/convnet/... ./internal/tune/... ./internal/data/... ./internal/feed/...
+# Fork/join gate: the caller runs blocks and claims any a helper has not
+# started, so who runs which block depends on scheduling. Exercise the
+# claim protocol under several GOMAXPROCS, five times each under the race
+# detector, and hold the golden digests and the GEMM's cross-worker-count
+# determinism at one and four procs.
+go test -race -count=5 -cpu 1,2,4 ./internal/parallel/
+go test -count=2 -cpu 1,4 -run 'TestGoldenDigests|TestGemmDeterministicAcrossWorkerCounts' . ./internal/kernels/
 # Determinism spot-check: the crash/rejoin/resync scenario must produce the
 # identical ledger on back-to-back runs (fault injection is seeded, never
 # wall-clock dependent).

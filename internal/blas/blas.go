@@ -52,6 +52,8 @@ type Context struct {
 	fuseFirst bool
 	// recording collects ops for a Concurrent group; see Concurrent.
 	recording *[]device.Branch
+	// spare is the last group's branch slice, cleared, for the next group.
+	spare []device.Branch
 }
 
 // NewContext returns a context at the given ladder level with the
@@ -95,13 +97,16 @@ func (c *Context) Concurrent(body func()) {
 	if c.fused {
 		panic("blas: Concurrent inside Fused")
 	}
-	var branches []device.Branch
+	branches := c.spare[:0]
+	c.spare = nil
 	c.recording = &branches
 	func() {
 		defer func() { c.recording = nil }()
 		body()
 	}()
 	c.Dev.ExecConcurrent(branches)
+	clear(branches)
+	c.spare = branches
 }
 
 // MaybeFused runs body under Fused when AutoFuse is set, else plainly.

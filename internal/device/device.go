@@ -266,11 +266,16 @@ func (d *Device) scheduleTransfer(op string, bytes int64, earliest float64) (end
 			mSimTransfer.Add(dur)
 		}
 		fault, permanent := f.draw()
+		if d.trace != nil {
+			name := fmt.Sprintf("%s %d B", op, bytes)
+			if fault {
+				name += " (fault)"
+			}
+			d.trace.add(TraceEvent{Name: name, Engine: "transfer", Start: start, End: end})
+		}
 		if !fault {
-			d.trace.add(TraceEvent{Name: fmt.Sprintf("%s %d B", op, bytes), Engine: "transfer", Start: start, End: end})
 			return end, nil
 		}
-		d.trace.add(TraceEvent{Name: fmt.Sprintf("%s %d B (fault)", op, bytes), Engine: "transfer", Start: start, End: end})
 		if metrics.Enabled() {
 			mFaults.Inc()
 		}
@@ -435,7 +440,9 @@ func (d *Device) Exec(op sim.Op, deps []*Buffer, writes []*Buffer, fn func()) {
 		mLaunches.Inc()
 		mSimCompute.Add(dur)
 	}
-	d.trace.add(TraceEvent{Name: opName(op), Engine: "compute", Start: start, End: end})
+	if d.trace != nil {
+		d.trace.add(TraceEvent{Name: opName(op), Engine: "compute", Start: start, End: end})
+	}
 	if d.Numeric && fn != nil {
 		if metrics.Enabled() {
 			t0 := time.Now()

@@ -73,10 +73,9 @@ type traceBuffer struct {
 	dropped int
 }
 
+// add records e. Callers check d.trace for nil first, so that an untraced
+// device never formats an event name.
 func (t *traceBuffer) add(e TraceEvent) {
-	if t == nil {
-		return
-	}
 	if t.limit > 0 && len(t.events) >= t.limit {
 		t.dropped++
 		return

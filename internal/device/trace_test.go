@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"phideep/internal/kernels"
+	"phideep/internal/metrics"
 	"phideep/internal/sim"
 )
 
@@ -135,5 +136,75 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 	if parsed[1]["tid"].(float64) != 1 {
 		t.Fatalf("compute event malformed: %+v", parsed[1])
+	}
+}
+
+// traceNamesScenario issues one activity of every traced kind: transfers
+// with and without an injected fault, and kernels of every op kind alone
+// and in a concurrent group.
+func traceNamesScenario(t *testing.T, d *Device) {
+	b := d.MustAlloc(10, 10)
+	d.CopyIn(b, nil, 0)
+	ops := []sim.Op{
+		{Kind: sim.OpGemm, M: 10, K: 20, N: 30, Level: kernels.ParallelBlocked, Vector: true},
+		{Kind: sim.OpIm2col, M: 4, K: 9, N: 36, Level: kernels.Parallel},
+		{Kind: sim.OpCol2im, M: 4, K: 9, N: 36, Level: kernels.Parallel},
+		{Kind: sim.OpPool, M: 4, Elems: 144, Level: kernels.Naive},
+		{Kind: sim.OpElem, Elems: 100, Level: kernels.Naive},
+	}
+	for _, op := range ops {
+		d.Exec(op, []*Buffer{b}, []*Buffer{b}, nil)
+	}
+	d.ExecConcurrent([]Branch{{Op: ops[0]}, {Op: ops[4]}})
+	if err := d.EnableFaults(FaultConfig{Rate: 0.999999, MaxRetries: 1, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	d.TryCopyIn(b, nil, 0)
+}
+
+// TestTraceEventNames locks the recorded names, byte for byte, now that
+// they are formatted only when tracing is on.
+func TestTraceEventNames(t *testing.T) {
+	d := New(sim.XeonPhi5110P(), false, nil)
+	d.EnableTrace(0)
+	traceNamesScenario(t, d)
+	want := []string{
+		"copy-in 800 B",
+		"gemm 10x20x30 [parallel+blocked]",
+		"im2col 4 imgs 36x9 [parallel]",
+		"col2im 4 imgs 36x9 [parallel]",
+		"pool 4 imgs 144 elems [naive]",
+		"elem 100 elems [naive]",
+		"gemm 10x20x30 [parallel+blocked] (concurrent)",
+		"elem 100 elems [naive] (concurrent)",
+		"copy-in 800 B (fault)",
+		"copy-in 800 B (fault)",
+	}
+	ev, _ := d.Trace()
+	if len(ev) != len(want) {
+		t.Fatalf("got %d events, want %d", len(ev), len(want))
+	}
+	for i, e := range ev {
+		if e.Name != want[i] {
+			t.Errorf("event %d: name %q, want %q", i, e.Name, want[i])
+		}
+	}
+}
+
+// TestUntracedLaunchDoesNotAllocate checks that with tracing off a warm
+// Exec and a warm transfer build no trace names: neither allocates.
+func TestUntracedLaunchDoesNotAllocate(t *testing.T) {
+	if metrics.Enabled() {
+		t.Skip("metrics collection is on")
+	}
+	d := New(sim.XeonPhi5110P(), false, nil)
+	b := d.MustAlloc(10, 10)
+	deps, writes := []*Buffer{b}, []*Buffer{b}
+	op := sim.Op{Kind: sim.OpGemm, M: 10, K: 20, N: 30, Level: kernels.ParallelBlocked, Vector: true}
+	if avg := testing.AllocsPerRun(100, func() { d.Exec(op, deps, writes, nil) }); avg != 0 {
+		t.Errorf("untraced Exec allocates %.1f objects per call", avg)
+	}
+	if avg := testing.AllocsPerRun(100, func() { d.CopyIn(b, nil, 0) }); avg != 0 {
+		t.Errorf("untraced CopyIn allocates %.1f objects per call", avg)
 	}
 }

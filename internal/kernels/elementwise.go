@@ -192,8 +192,8 @@ func MulElem(pool *parallel.Pool, lvl Level, dst, a, b *tensor.Matrix) {
 
 // ColSums accumulates the column sums of m into out (len m.Cols):
 // out[j] = Σ_i m[i,j]. Bias gradients reduce through this kernel. The
-// parallel levels reduce privately per block and combine in block order so
-// the result is deterministic.
+// parallel levels reduce privately per block, into a pooled scratch
+// buffer, and combine in block order so the result is deterministic.
 func ColSums(pool *parallel.Pool, lvl Level, m *tensor.Matrix, out tensor.Vector) {
 	if len(out) != m.Cols {
 		panic(fmt.Sprintf("kernels: ColSums output length %d, want %d", len(out), m.Cols))
@@ -214,25 +214,24 @@ func ColSums(pool *parallel.Pool, lvl Level, m *tensor.Matrix, out tensor.Vector
 	workers := pool.Workers()
 	per := (m.Rows + workers - 1) / workers
 	blocks := (m.Rows + per - 1) / per
-	partials := make([][]float64, blocks)
+	ar := prec64.arenas.Get().(*arena[float64])
+	partials := ar.ensure(blocks * m.Cols)
 	pool.For(m.Rows, parallel.Static, 0, func(lo, hi int) {
-		p := make([]float64, m.Cols)
+		p := partials[lo/per*m.Cols : (lo/per+1)*m.Cols]
+		clear(p)
 		for i := lo; i < hi; i++ {
 			row := m.RowView(i)
 			for j, v := range row {
 				p[j] += v
 			}
 		}
-		partials[lo/per] = p
 	})
-	for _, p := range partials {
-		if p == nil {
-			continue
-		}
-		for j, v := range p {
+	for b := 0; b < blocks; b++ {
+		for j, v := range partials[b*m.Cols : (b+1)*m.Cols] {
 			out[j] += v
 		}
 	}
+	prec64.arenas.Put(ar)
 }
 
 // SampleBernoulli fills dst[i,j] with 1 if u < p[i,j] else 0, where u are

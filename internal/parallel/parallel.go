@@ -1,21 +1,24 @@
-// Package parallel is phideep's OpenMP substitute: a long-lived worker pool
-// with parallel-for, reductions and a reusable barrier.
+// Package parallel is phideep's OpenMP substitute: a long-lived team of
+// goroutines with parallel-for and reductions.
 //
 // The paper parallelizes loop nests with OpenMP and observes that the
 // granularity of parallel regions matters — small loop bodies drown in
 // synchronization cost (§IV.B.2). This package mirrors that programming
-// model: a fixed pool of workers, static or dynamic iteration scheduling,
-// and fork/join semantics per For call. The *simulated* fork/join cost that
+// model: a fixed team, static or dynamic iteration scheduling, and
+// fork/join semantics per For call. The *simulated* fork/join cost that
 // drives the paper's timing figures is charged separately by
 // internal/device; this package provides the real concurrent execution used
 // when kernels run numerically.
 //
-// The fork/join itself is allocation-free in steady state: the loop
-// descriptor lives in preallocated per-pool slots, workers are woken through
-// per-worker buffered channels, and one reusable sync.WaitGroup forms the
-// join barrier. No closures are created and no per-block channel sends
-// happen inside For/ReduceSum/Run — the real-execution analogue of the
-// paper's granularity observation.
+// The fork/join works like OpenMP's master thread: the submitting
+// goroutine is the team's first member, so a pool of w workers starts w−1
+// helpers. A region is a list of blocks that members claim by index until
+// none is left, and a block's range depends only on its index, never on
+// who runs it. The caller wakes at most one helper per block after the
+// first (a non-blocking send on a buffered channel) and joins only the
+// blocks a helper has claimed, so a descheduled helper never holds a
+// region up. One mutex guards the descriptor and the claim counters; a
+// region allocates nothing.
 package parallel
 
 import (
@@ -29,10 +32,10 @@ import (
 )
 
 // Observability handles (DESIGN.md §"Observability"). Regions, items and
-// durations are recorded per fork/join submission — For, ForRanger,
-// ReduceSum and Run each count as one region — and only when
-// metrics.Enabled() holds, so the allocation-free steady state of the hot
-// loop is untouched when collection is off.
+// durations are recorded per fork/join submission — For, ForRanger and
+// ReduceSum each count as one region — and only when metrics.Enabled()
+// holds, so the allocation-free steady state of the hot loop is untouched
+// when collection is off.
 var (
 	mRegions       = metrics.Default().Counter("parallel.regions")
 	mRegionItems   = metrics.Default().Counter("parallel.region.items")
@@ -48,8 +51,8 @@ const (
 	// Static pre-partitions the iteration space into one contiguous block
 	// per worker. Lowest overhead; best for uniform bodies.
 	Static Schedule = iota
-	// Dynamic hands out fixed-size chunks from a shared counter as workers
-	// become free. Higher overhead; best for irregular bodies.
+	// Dynamic hands out fixed-size chunks as workers become free. Higher
+	// overhead; best for irregular bodies.
 	Dynamic
 )
 
@@ -73,63 +76,58 @@ type Ranger interface {
 	Range(lo, hi int)
 }
 
-// loopMode tags the kind of parallel region stored in the pool's descriptor
-// slots.
-type loopMode int
-
-const (
-	modeNone loopMode = iota
-	modeStatic
-	modeDynamic
-	modeReduce
-	modeThunks
-)
-
-// Pool is a fixed set of workers executing parallel loops. The zero value
-// is not usable; call NewPool. A Pool is safe for use from one goroutine at
-// a time (nested For calls from loop bodies are not supported, matching the
+// Pool is a fixed team executing parallel loops: the goroutine that
+// submits a region plus Workers()−1 helpers. The zero value is not usable;
+// call NewPool. A Pool is safe for use from one goroutine at a time
+// (nested For calls from loop bodies are not supported, matching the
 // paper's single level of OpenMP parallelism).
 type Pool struct {
 	workers int
-	wake    []chan struct{} // per-worker wake-up, buffered 1
+	wake    []chan struct{} // per-helper wake-up, buffered 1
 	done    chan struct{}
-	wg      sync.WaitGroup // reusable join barrier
+	joined  chan struct{} // buffered 1: the last helper block of a region finished
 	closed  atomic.Bool
-	mu      sync.Mutex // serializes Close
 
-	// Descriptor of the in-flight parallel region. Written by the
-	// submitting goroutine before the wake sends, read by workers after
-	// receiving them (the channel send establishes the happens-before
-	// edge), cleared after the join so captured state can be collected.
-	mode     loopMode
-	fn       func(lo, hi int)
-	ranger   Ranger
-	red      func(lo, hi int) float64
-	thunks   []func()
+	// mu guards the region's descriptor and claim counters. A helper reads
+	// them only under mu, so one that wakes late finds no block left or
+	// claims a block of whatever region is current by then.
+	mu       sync.Mutex
+	body     loopBody
 	n        int
-	per      int // static block size: ceil(n/workers)
-	chunk    int
-	cursor   atomic.Int64 // dynamic-schedule / thunk work cursor
-	partials []float64    // per-block reduction slots
+	size     int // iterations per block (the last block may be short)
+	blocks   int
+	next     int  // next unclaimed block
+	pending  int  // blocks helpers have claimed and not finished
+	waiting  bool // the caller is parked on joined
+	partials []float64
 }
 
-// NewPool creates a pool with the given number of workers. workers <= 0
-// selects runtime.GOMAXPROCS(0).
+// NewPool creates a pool with the given number of workers, the calling
+// goroutine included. workers <= 0 selects runtime.GOMAXPROCS(0).
 func NewPool(workers int) *Pool {
+	p := newPool(workers)
+	for i := range p.wake {
+		go p.helper(i)
+	}
+	mPoolWorkers.Set(float64(p.workers))
+	return p
+}
+
+// newPool builds a pool without starting its helpers.
+func newPool(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	p := &Pool{
 		workers:  workers,
-		wake:     make([]chan struct{}, workers),
+		wake:     make([]chan struct{}, workers-1),
 		done:     make(chan struct{}),
+		joined:   make(chan struct{}, 1),
 		partials: make([]float64, workers),
 	}
-	for i := 0; i < workers; i++ {
+	for i := range p.wake {
 		p.wake[i] = make(chan struct{}, 1)
-		go p.worker(i)
 	}
-	mPoolWorkers.Set(float64(workers))
 	return p
 }
 
@@ -153,84 +151,123 @@ func regionEnd(start time.Time, n int) {
 	mRegionItems.Add(int64(n))
 }
 
-func (p *Pool) worker(id int) {
+// helper sleeps until woken, then claims and runs blocks until none is
+// left. The helper that finishes a region's last outstanding block wakes
+// the caller if it is parked in join.
+func (p *Pool) helper(id int) {
 	for {
 		select {
 		case <-p.wake[id]:
-			p.run(id)
-			p.wg.Done()
 		case <-p.done:
 			return
 		}
-	}
-}
-
-// run executes worker id's share of the current region.
-func (p *Pool) run(id int) {
-	switch p.mode {
-	case modeStatic:
-		lo := id * p.per
-		if lo < p.n {
-			hi := lo + p.per
-			if hi > p.n {
-				hi = p.n
+		signal := false
+		p.mu.Lock()
+		for p.next < p.blocks {
+			b := p.next
+			p.next++
+			p.pending++
+			f := p.body
+			lo, hi := p.bounds(b)
+			p.mu.Unlock()
+			v := f.run(lo, hi)
+			p.mu.Lock()
+			if f.red != nil {
+				p.partials[b] = v
 			}
-			p.call(lo, hi)
+			p.pending--
+			// The caller parks only after join marked every block claimed,
+			// so this ends the loop, and joined's buffer is empty.
+			if p.pending == 0 && p.waiting {
+				p.waiting, signal = false, true
+			}
 		}
-	case modeDynamic:
-		for {
-			hi := int(p.cursor.Add(int64(p.chunk)))
-			lo := hi - p.chunk
-			if lo >= p.n {
-				return
-			}
-			if hi > p.n {
-				hi = p.n
-			}
-			p.call(lo, hi)
-		}
-	case modeReduce:
-		lo := id * p.per
-		if lo < p.n {
-			hi := lo + p.per
-			if hi > p.n {
-				hi = p.n
-			}
-			p.partials[id] = p.red(lo, hi)
-		}
-	case modeThunks:
-		for {
-			i := int(p.cursor.Add(1)) - 1
-			if i >= len(p.thunks) {
-				return
-			}
-			p.thunks[i]()
+		p.mu.Unlock()
+		if signal {
+			p.joined <- struct{}{}
 		}
 	}
 }
 
-func (p *Pool) call(lo, hi int) {
-	if p.fn != nil {
-		p.fn(lo, hi)
-	} else {
-		p.ranger.Range(lo, hi)
+// bounds returns block b's iteration range.
+func (p *Pool) bounds(b int) (lo, hi int) {
+	lo = b * p.size
+	return lo, min(lo+p.size, p.n)
+}
+
+// loopBody is a region's body; exactly one field is non-nil.
+type loopBody struct {
+	fn     func(lo, hi int)
+	ranger Ranger
+	red    func(lo, hi int) float64
+}
+
+// run executes iterations [lo, hi) and returns red's partial sum, or 0.
+func (f loopBody) run(lo, hi int) float64 {
+	switch {
+	case f.red != nil:
+		return f.red(lo, hi)
+	case f.fn != nil:
+		f.fn(lo, hi)
+	default:
+		f.ranger.Range(lo, hi)
+	}
+	return 0
+}
+
+// fork runs f over blocks of size iterations of [0, n): it wakes one
+// helper per block after the first, runs blocks itself until none is
+// unclaimed, and joins. If a block the caller runs panics, the deferred
+// join abandons the unclaimed blocks and waits for the claimed ones before
+// the panic propagates, so the pool is ready for the next region.
+func (p *Pool) fork(n, size int, f loopBody) {
+	p.mu.Lock()
+	p.body = f
+	p.n, p.size = n, size
+	p.blocks = (n + size - 1) / size
+	p.next = 1
+	p.mu.Unlock()
+	for _, c := range p.wake[:min(len(p.wake), p.blocks-1)] {
+		select {
+		case c <- struct{}{}:
+		default:
+		}
+	}
+	defer p.join()
+	for b := 0; b >= 0; b = p.claim() {
+		v := f.run(p.bounds(b))
+		if f.red != nil {
+			p.partials[b] = v
+		}
 	}
 }
 
-// fork wakes every worker, waits for all of them to finish the region
-// described in the pool's slots, then clears the descriptor. One channel
-// send per worker, no allocations.
-func (p *Pool) fork() {
-	p.wg.Add(p.workers)
-	for _, c := range p.wake {
-		c <- struct{}{}
+// claim returns the next unclaimed block for the caller, or −1.
+func (p *Pool) claim() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.next >= p.blocks {
+		return -1
 	}
-	p.wg.Wait()
-	p.mode = modeNone
-	p.fn = nil
-	p.ranger = nil
-	p.red = nil
-	p.thunks = nil
+	p.next++
+	return p.next - 1
+}
+
+// join waits for every block a helper has claimed, then clears the
+// descriptor so captured state can be collected and a late helper finds
+// nothing to claim.
+func (p *Pool) join() {
+	p.mu.Lock()
+	p.next = p.blocks
+	for p.pending > 0 {
+		p.waiting = true
+		p.mu.Unlock()
+		<-p.joined
+		p.mu.Lock()
+	}
+	p.body = loopBody{}
+	p.blocks, p.next = 0, 0
+	p.mu.Unlock()
 }
 
 func (p *Pool) checkOpen(op string) {
@@ -239,14 +276,12 @@ func (p *Pool) checkOpen(op string) {
 	}
 }
 
-// Workers returns the pool size.
+// Workers returns the pool size, the submitting goroutine included.
 func (p *Pool) Workers() int { return p.workers }
 
-// Close stops the workers. For must not be called after Close (it panics
-// rather than hanging on the stopped workers). Close is idempotent.
+// Close stops the helpers. For must not be called after Close (it panics
+// rather than running on a stopped team). Close is idempotent.
 func (p *Pool) Close() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.closed.CompareAndSwap(false, true) {
 		close(p.done)
 	}
@@ -265,8 +300,7 @@ func (p *Pool) For(n int, s Schedule, chunk int, body func(lo, hi int)) {
 	if p.workers == 1 {
 		body(0, n)
 	} else {
-		p.fn = body
-		p.submit(n, s, chunk)
+		p.fork(n, p.blockSize(n, s, chunk), loopBody{fn: body})
 	}
 	regionEnd(start, n)
 }
@@ -283,33 +317,25 @@ func (p *Pool) ForRanger(n int, s Schedule, chunk int, body Ranger) {
 	if p.workers == 1 {
 		body.Range(0, n)
 	} else {
-		p.ranger = body
-		p.submit(n, s, chunk)
+		p.fork(n, p.blockSize(n, s, chunk), loopBody{ranger: body})
 	}
 	regionEnd(start, n)
 }
 
-func (p *Pool) submit(n int, s Schedule, chunk int) {
-	p.n = n
+// blockSize returns the iterations per block: ceil(n/workers) for Static
+// (one block per worker), the chunk for Dynamic.
+func (p *Pool) blockSize(n int, s Schedule, chunk int) int {
 	switch s {
 	case Static:
-		p.mode = modeStatic
-		p.per = (n + p.workers - 1) / p.workers
+		return (n + p.workers - 1) / p.workers
 	case Dynamic:
 		if chunk <= 0 {
-			chunk = (n + 8*p.workers - 1) / (8 * p.workers)
-			if chunk < 1 {
-				chunk = 1
-			}
+			chunk = max(1, (n+8*p.workers-1)/(8*p.workers))
 		}
-		p.mode = modeDynamic
-		p.chunk = chunk
-		p.cursor.Store(0)
+		return chunk
 	default:
-		p.fn, p.ranger = nil, nil
 		panic(fmt.Sprintf("parallel: unknown schedule %d", int(s)))
 	}
-	p.fork()
 }
 
 // ReduceSum evaluates body over a static partition of [0, n), where body
@@ -327,38 +353,12 @@ func (p *Pool) ReduceSum(n int, body func(lo, hi int) float64) float64 {
 		regionEnd(start, n)
 		return total
 	}
-	p.mode = modeReduce
-	p.red = body
-	p.n = n
-	p.per = (n + p.workers - 1) / p.workers
-	blocks := (n + p.per - 1) / p.per
-	p.fork()
+	per := p.blockSize(n, Static, 0)
+	p.fork(n, per, loopBody{red: body})
 	total := 0.0
-	for _, v := range p.partials[:blocks] {
+	for _, v := range p.partials[:(n+per-1)/per] {
 		total += v
 	}
 	regionEnd(start, n)
 	return total
-}
-
-// Run executes the given thunks concurrently and waits for all of them.
-// It is the building block for the Fig. 6 dependency-graph schedule, where
-// independent matrix operations of the RBM gradient run at the same time.
-func (p *Pool) Run(thunks ...func()) {
-	p.checkOpen("Run")
-	if len(thunks) == 0 {
-		return
-	}
-	start := regionStart()
-	if len(thunks) == 1 || p.workers == 1 {
-		for _, f := range thunks {
-			f()
-		}
-	} else {
-		p.mode = modeThunks
-		p.thunks = thunks
-		p.cursor.Store(0)
-		p.fork()
-	}
-	regionEnd(start, len(thunks))
 }

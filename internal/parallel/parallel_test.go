@@ -82,32 +82,6 @@ func TestReduceSumDeterministic(t *testing.T) {
 	}
 }
 
-func TestRunExecutesAllThunks(t *testing.T) {
-	pool := NewPool(2)
-	defer pool.Close()
-	var mu sync.Mutex
-	got := map[int]bool{}
-	thunks := make([]func(), 9)
-	for i := range thunks {
-		i := i
-		thunks[i] = func() {
-			mu.Lock()
-			got[i] = true
-			mu.Unlock()
-		}
-	}
-	pool.Run(thunks...)
-	if len(got) != 9 {
-		t.Fatalf("only %d thunks ran", len(got))
-	}
-	pool.Run() // no-op
-	ran := false
-	pool.Run(func() { ran = true })
-	if !ran {
-		t.Fatal("single thunk did not run")
-	}
-}
-
 func TestSingleWorkerRunsInline(t *testing.T) {
 	pool := NewPool(1)
 	defer pool.Close()
@@ -208,7 +182,6 @@ func TestPoolUseAfterClosePanics(t *testing.T) {
 		{"For", func(p *Pool) { p.For(4, Static, 0, func(lo, hi int) {}) }},
 		{"ForRanger", func(p *Pool) { p.ForRanger(4, Static, 0, &rangeCounter{seen: map[int]int{}}) }},
 		{"ReduceSum", func(p *Pool) { p.ReduceSum(4, func(lo, hi int) float64 { return 0 }) }},
-		{"Run", func(p *Pool) { p.Run(func() {}, func() {}) }},
 	}
 	for _, tc := range calls {
 		pool := NewPool(2)
@@ -237,7 +210,7 @@ func TestCloseStopsWorkers(t *testing.T) {
 		before := runtime.NumGoroutine()
 		pool := NewPool(workers)
 		pool.For(100, Dynamic, 7, func(lo, hi int) {})
-		pool.Run(func() {}, func() {})
+		pool.ReduceSum(100, func(lo, hi int) float64 { return 0 })
 		pool.Close()
 		deadline := time.Now().Add(5 * time.Second)
 		n := runtime.NumGoroutine()
@@ -253,8 +226,8 @@ func TestCloseStopsWorkers(t *testing.T) {
 
 // TestForkJoinDoesNotAllocate checks the allocation-free fork/join claim:
 // steady-state ForRanger and ReduceSum submissions allocate nothing (the
-// loop descriptor lives in the pool, workers are woken via preallocated
-// channels, and the join barrier is reused).
+// loop descriptor lives in the pool, and helpers are woken and the caller
+// joined through preallocated channels).
 func TestForkJoinDoesNotAllocate(t *testing.T) {
 	pool := NewPool(4)
 	defer pool.Close()
@@ -272,5 +245,136 @@ func TestForkJoinDoesNotAllocate(t *testing.T) {
 		pool.ReduceSum(64, red)
 	}); avg > 0.5 {
 		t.Fatalf("ReduceSum allocates %.1f objects per call", avg)
+	}
+}
+
+// TestCallerAloneCoversEveryIndex runs regions on a pool whose helpers
+// never start: the caller must claim and run every block itself and
+// return, because the join waits only for blocks a helper has claimed.
+func TestCallerAloneCoversEveryIndex(t *testing.T) {
+	for _, workers := range []int{2, 3, 8} {
+		pool := newPool(workers)
+		for _, n := range []int{1, 5, 64, 1001} {
+			for _, s := range []Schedule{Static, Dynamic} {
+				counts := make([]int32, n)
+				pool.For(n, s, 3, func(lo, hi int) {
+					for i := lo; i < hi; i++ {
+						counts[i]++
+					}
+				})
+				rc := &rangeCounter{seen: make(map[int]int)}
+				pool.ForRanger(n, s, 3, rc)
+				for i := range counts {
+					if counts[i] != 1 || rc.seen[i] != 1 {
+						t.Fatalf("workers=%d %v n=%d: index %d visited %d/%d times", workers, s, n, i, counts[i], rc.seen[i])
+					}
+				}
+			}
+			if got, want := pool.ReduceSum(n, func(lo, hi int) float64 { return float64(hi - lo) }), float64(n); got != want {
+				t.Fatalf("workers=%d n=%d: ReduceSum %g, want %g", workers, n, got, want)
+			}
+		}
+		pool.Close()
+	}
+}
+
+// TestLateHelpersUnderStress submits thousands of back-to-back tiny
+// regions, so helpers routinely wake after the caller has finished the
+// region they were woken for, or in the middle of a later one. Every index
+// must still run exactly once, and ReduceSum must equal the serial sum of
+// the same blocks in block order, bit for bit.
+func TestLateHelpersUnderStress(t *testing.T) {
+	const regions = 3000
+	for _, workers := range []int{2, 3, 5} {
+		pool := NewPool(workers)
+		counts := make([]int32, 64)
+		for r := 0; r < regions; r++ {
+			n := 1 + r%len(counts)
+			body := func(lo, hi int) {
+				if r%3 == 0 {
+					runtime.Gosched()
+				}
+				for i := lo; i < hi; i++ {
+					atomic.AddInt32(&counts[i], 1)
+				}
+			}
+			switch r % 3 {
+			case 0:
+				pool.For(n, Static, 0, body)
+			case 1:
+				pool.For(n, Dynamic, 1+r%4, body)
+			default:
+				sum := func(lo, hi int) float64 {
+					s := 0.0
+					for i := lo; i < hi; i++ {
+						s += 1 / float64(i+r)
+					}
+					return s
+				}
+				per := (n + workers - 1) / workers
+				want := 0.0
+				for lo := 0; lo < n; lo += per {
+					want += sum(lo, min(lo+per, n))
+				}
+				red := func(lo, hi int) float64 {
+					body(lo, hi)
+					return sum(lo, hi)
+				}
+				if got := pool.ReduceSum(n, red); got != want {
+					t.Fatalf("workers=%d region %d: ReduceSum %v, serial %v", workers, r, got, want)
+				}
+			}
+			for i := range counts {
+				want := int32(0)
+				if i < n {
+					want = 1
+				}
+				if c := atomic.LoadInt32(&counts[i]); c != want {
+					t.Fatalf("workers=%d region %d (n=%d): index %d visited %d times", workers, r, n, i, c)
+				}
+				counts[i] = 0
+			}
+		}
+		pool.Close()
+	}
+}
+
+// TestCallerPanicReachesCaller checks that a panic in a block the caller
+// runs (block 0 is always the caller's) propagates to the caller only
+// after every block a helper claimed has finished, and that the next
+// region on the same pool covers every index exactly once.
+func TestCallerPanicReachesCaller(t *testing.T) {
+	pool := NewPool(4)
+	defer pool.Close()
+	var started, finished atomic.Int32
+	func() {
+		defer func() {
+			if r := recover(); r != "block 0" {
+				t.Fatalf("recovered %v, want the caller's panic", r)
+			}
+			if s, f := started.Load(), finished.Load(); s != f {
+				t.Fatalf("panic returned with %d of %d helper blocks still running", s-f, s)
+			}
+		}()
+		pool.For(400, Dynamic, 10, func(lo, hi int) {
+			if lo == 0 {
+				time.Sleep(time.Millisecond)
+				panic("block 0")
+			}
+			started.Add(1)
+			time.Sleep(100 * time.Microsecond)
+			finished.Add(1)
+		})
+	}()
+	counts := make([]int32, 1000)
+	pool.For(len(counts), Static, 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			atomic.AddInt32(&counts[i], 1)
+		}
+	})
+	for i, c := range counts {
+		if c != 1 {
+			t.Fatalf("after a caller panic: index %d visited %d times", i, c)
+		}
 	}
 }
