@@ -52,12 +52,15 @@ GODEBUG=cpu.fma=off go test -count=1 -run 'TestGoldenDigests|TestSigmoid' . ./in
 # harness fixes the CRC-64 so mutations reach the field parsers. Then fuzz
 # the bytes that arrive over the wire: phiserve's inference handler must
 # answer any body with 200, 400, 413 or 422, never a 5xx or a panic.
-# Last, any float64s and float32s through the vector sigmoid must give
-# the scalar loop's bits.
+# Then any float64s and float32s through the vector sigmoid must give
+# the scalar loop's bits, and any finite stroke the digit rasteriser
+# draws must give the bits of the oracle that runs the exact arithmetic
+# on every pixel.
 go test -run '^$' -fuzz '^FuzzDecodeCheckpoint$' -fuzztime 5s ./internal/core/
 go test -run '^$' -fuzz '^FuzzLoadParamSet$' -fuzztime 5s ./internal/nn/
 go test -run '^$' -fuzz '^FuzzInferHandler$' -fuzztime 5s ./cmd/phiserve/
 go test -run '^$' -fuzz '^FuzzSigmoidPaths$' -fuzztime 5s ./internal/kernels/
+go test -run '^$' -fuzz '^FuzzDrawSegment$' -fuzztime 5s ./internal/data/
 # kernels' path property tests switch the dispatch between every path the
 # CPU supports inside one binary, so they run under -race here as well.
 # core and stack carry the fault-injection, checkpoint/resume and chunk

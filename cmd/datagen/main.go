@@ -44,11 +44,20 @@ func run(kind string, side, n int, seed uint64, format, out string, labels bool)
 		src    phideep.Source
 		digits *data.Digits
 	)
+	if n < 0 {
+		return fmt.Errorf("-n %d is negative", n)
+	}
 	switch kind {
 	case "digits":
+		if side < data.MinDigitsSide {
+			return fmt.Errorf("digits: -side %d is below the minimum %d", side, data.MinDigitsSide)
+		}
 		digits = data.NewDigits(side, n, seed, 0.05)
 		src = digits
 	case "natural":
+		if side < data.MinPatchSide {
+			return fmt.Errorf("natural: -side %d is below the minimum %d", side, data.MinPatchSide)
+		}
 		src = data.NewNaturalPatches(side, n, seed)
 	default:
 		return fmt.Errorf("unknown kind %q", kind)

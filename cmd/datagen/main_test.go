@@ -62,6 +62,28 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadSizes: a side below what the generator can render, or a
+// negative count, is an error before any generator is built, not a panic.
+func TestRunRejectsBadSizes(t *testing.T) {
+	cases := []struct {
+		kind    string
+		side, n int
+		want    string
+	}{
+		{"digits", 4, 1, "-side 4 is below the minimum 8"},
+		{"digits", 0, 1, "-side 0 is below the minimum 8"},
+		{"natural", 0, 1, "-side 0 is below the minimum 2"},
+		{"natural", -3, 1, "-side -3 is below the minimum 2"},
+		{"digits", 8, -1, "-n -1 is negative"},
+	}
+	for _, c := range cases {
+		err := run(c.kind, c.side, c.n, 1, "csv", filepath.Join(t.TempDir(), "x.csv"), false)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s -side %d -n %d: err = %v, want %q", c.kind, c.side, c.n, err, c.want)
+		}
+	}
+}
+
 func TestWritePGMClampsValues(t *testing.T) {
 	dir := t.TempDir()
 	name := filepath.Join(dir, "t.pgm")

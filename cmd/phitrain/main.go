@@ -152,11 +152,17 @@ func pickData(kind string, side, dim, n int, seed uint64, numeric bool) (phideep
 	}
 	switch kind {
 	case "digits":
+		if side < phideep.MinDigitsSide {
+			return nil, fmt.Errorf("digits: -side %d is below the minimum %d", side, phideep.MinDigitsSide)
+		}
 		if side*side != dim {
 			return nil, fmt.Errorf("digits: visible %d is not side^2 (%d)", dim, side*side)
 		}
 		return phideep.NewDigits(side, n, seed, 0.05), nil
 	case "natural":
+		if side < phideep.MinPatchSide {
+			return nil, fmt.Errorf("natural: -side %d is below the minimum %d", side, phideep.MinPatchSide)
+		}
 		if side*side != dim {
 			return nil, fmt.Errorf("natural: visible %d is not side^2 (%d)", dim, side*side)
 		}

@@ -83,6 +83,26 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunRejectsSmallSide: a -side below what the data generator can
+// render is an error from the run path, not a panic in the constructor.
+func TestRunRejectsSmallSide(t *testing.T) {
+	cases := []struct {
+		data string
+		side int
+		want string
+	}{
+		{"digits", 4, "digits: -side 4 is below the minimum 8"},
+		{"natural", 1, "natural: -side 1 is below the minimum 2"},
+		{"natural", 0, "natural: -side 0 is below the minimum 2"},
+	}
+	for _, c := range cases {
+		err := run("ae", c.data, c.side, 0, 8, "", 200, 20, 1, 0, 0.5, 0, 0, 0, "improved", "phi", 0, true, true, 1, "", options{})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("-data %s -side %d: err = %v, want %q", c.data, c.side, err, c.want)
+		}
+	}
+}
+
 func TestPickHelpers(t *testing.T) {
 	for _, name := range []string{"phi", "cpu1", "cpu4", "cpu8", "matlab"} {
 		if a, err := pickArch(name); err != nil || a == nil {

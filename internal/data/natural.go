@@ -27,10 +27,14 @@ type NaturalPatches struct {
 	images []*tensor.Matrix
 }
 
+// MinPatchSide is the smallest patch side NewNaturalPatches cuts.
+const MinPatchSide = 2
+
 // NewNaturalPatches returns a patch source with dim = patchSide² pixels
-// drawn from 8 base images of 256×256.
+// drawn from 8 base images of 256×256. It panics if patchSide <
+// MinPatchSide.
 func NewNaturalPatches(patchSide, n int, seed uint64) *NaturalPatches {
-	if patchSide < 2 {
+	if patchSide < MinPatchSide {
 		panic(fmt.Sprintf("data: NewNaturalPatches patch side %d too small", patchSide))
 	}
 	imgSide := 256

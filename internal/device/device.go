@@ -55,7 +55,8 @@ type Device struct {
 	// and Fused set on all but the first branch — the exact inputs to the
 	// core-sharing split, so an observer can replay the split and the
 	// group-makespan rule deterministically. When nil, Observe (if set)
-	// receives the branches individually instead.
+	// receives the branches individually instead. The slice is the
+	// device's scratch, valid only during the call; copy it to keep it.
 	ObserveGroup func(ops []sim.Op)
 	// ObserveTransfer, when non-nil, is called once per logical PCIe
 	// transfer with its byte count (retry attempts under the fault model
@@ -80,6 +81,28 @@ type Device struct {
 	// faults is the injectable PCIe fault model (nil = transfers never
 	// fail); see EnableFaults.
 	faults *faultState
+
+	// group is ExecConcurrent's per-branch scratch.
+	group groupScratch
+}
+
+// groupScratch is ExecConcurrent's per-branch working storage, owned by
+// the Device and reused by every group, so a warm group allocates
+// nothing. Neither Timeline.ScheduleGroup nor an ObserveGroup observer
+// keeps a reference past the call.
+type groupScratch struct {
+	ready, durs, full []float64
+	obs               []sim.Op
+}
+
+// reset sizes the scratch for k branches with ready zeroed; durs and full
+// are overwritten by every group.
+func (g *groupScratch) reset(k int) {
+	if cap(g.ready) < k {
+		g.ready, g.durs, g.full = make([]float64, k), make([]float64, k), make([]float64, k)
+	}
+	g.ready, g.durs, g.full = g.ready[:k], g.durs[:k], g.full[:k]
+	clear(g.ready)
 }
 
 // New creates a device for the given architecture. numeric selects numeric
@@ -483,11 +506,13 @@ func (d *Device) ExecConcurrent(branches []Branch) {
 	}
 	k := len(branches)
 	if d.ObserveGroup != nil || d.Observe != nil {
-		obs := make([]sim.Op, k)
+		obs := d.group.obs[:0]
 		for i := range branches {
-			obs[i] = branches[i].Op
-			obs[i].Fused = i > 0
+			op := branches[i].Op
+			op.Fused = i > 0
+			obs = append(obs, op)
 		}
+		d.group.obs = obs
 		if d.ObserveGroup != nil {
 			d.ObserveGroup(obs)
 		} else {
@@ -496,12 +521,11 @@ func (d *Device) ExecConcurrent(branches []Branch) {
 			}
 		}
 	}
-	ready := make([]float64, k)
-	durs := make([]float64, k)
+	d.group.reset(k)
+	ready, durs, full := d.group.ready, d.group.durs, d.group.full
 	// First pass: full-device durations, used to split the cores between
 	// the branches in proportion to their work (a big GEMM paired with a
 	// tiny reduction should keep nearly all the cores).
-	full := make([]float64, k)
 	totalFull := 0.0
 	for i := range branches {
 		op := branches[i].Op

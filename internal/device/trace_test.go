@@ -208,3 +208,57 @@ func TestUntracedLaunchDoesNotAllocate(t *testing.T) {
 		t.Errorf("untraced CopyIn allocates %.1f objects per call", avg)
 	}
 }
+
+// TestWarmConcurrentGroupDoesNotAllocate checks that a warm two-branch
+// ExecConcurrent reuses the device's scratch, with and without a group
+// observer, and that the reuse leaves the simulated clock exactly where
+// fresh scratch would: scratch left longer and dirty by a wider group with
+// late dependencies must not leak into a later group's schedule, even
+// after ResetTime rewinds the clock below those ready times.
+func TestWarmConcurrentGroupDoesNotAllocate(t *testing.T) {
+	if metrics.Enabled() {
+		t.Skip("metrics collection is on")
+	}
+	gemm := sim.Op{Kind: sim.OpGemm, M: 64, K: 64, N: 64, Level: kernels.ParallelBlocked, Vector: true}
+	elem := sim.Op{Kind: sim.OpElem, Elems: 4096, Level: kernels.ParallelBlocked}
+	d := New(sim.XeonPhi5110P(), false, nil)
+	a, b, c := d.MustAlloc(10, 10), d.MustAlloc(10, 10), d.MustAlloc(10, 10)
+	branches := []Branch{{Op: gemm, Deps: []*Buffer{a}, Writes: []*Buffer{b}}, {Op: elem, Deps: []*Buffer{a}, Writes: []*Buffer{c}}}
+	if avg := testing.AllocsPerRun(100, func() { d.ExecConcurrent(branches) }); avg != 0 {
+		t.Errorf("warm two-branch group allocates %.1f objects per call", avg)
+	}
+	observed := 0
+	d.ObserveGroup = func(ops []sim.Op) { observed += len(ops) }
+	if avg := testing.AllocsPerRun(100, func() { d.ExecConcurrent(branches) }); avg != 0 {
+		t.Errorf("warm observed two-branch group allocates %.1f objects per call", avg)
+	}
+	if observed == 0 {
+		t.Error("ObserveGroup never called")
+	}
+
+	run := func(fresh bool) Stats {
+		d := New(sim.XeonPhi5110P(), false, nil)
+		a, b, c, late := d.MustAlloc(10, 10), d.MustAlloc(10, 10), d.MustAlloc(10, 10), d.MustAlloc(10, 10)
+		d.Exec(sim.Op{Kind: sim.OpGemm, M: 512, K: 512, N: 512, Level: kernels.ParallelBlocked}, nil, []*Buffer{late}, nil)
+		groups := [][]Branch{
+			{{Op: gemm, Deps: []*Buffer{late}, Writes: []*Buffer{a}}, {Op: elem, Writes: []*Buffer{b}}, {Op: elem, Deps: []*Buffer{a}, Writes: []*Buffer{c}}},
+			{{Op: gemm, Deps: []*Buffer{a}, Writes: []*Buffer{b}}, {Op: elem, Writes: []*Buffer{c}}},
+			{{Op: elem, Deps: []*Buffer{b}, Writes: []*Buffer{a}}, {Op: gemm, Deps: []*Buffer{c}, Writes: []*Buffer{late}}},
+		}
+		exec := func(g []Branch) {
+			if fresh {
+				d.group = groupScratch{}
+			}
+			d.ExecConcurrent(g)
+		}
+		for _, g := range groups {
+			exec(g)
+		}
+		d.ResetTime()
+		exec([]Branch{{Op: elem}, {Op: gemm}})
+		return d.Stats()
+	}
+	if reused, fresh := run(false), run(true); reused != fresh {
+		t.Errorf("stats with reused scratch %+v, with fresh scratch %+v", reused, fresh)
+	}
+}

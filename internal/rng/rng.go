@@ -82,6 +82,28 @@ func (r *RNG) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()
 }
 
+// AddUniform adds Uniform(lo, hi) to every element of dst in order: the
+// same draws, bit for bit, as a loop of dst[i] += r.Uniform(lo, hi). Its
+// loop body restates Uint64 and Uniform with the generator state held in
+// locals for the length of the slice, which a loop of calls leaves in
+// memory.
+func (r *RNG) AddUniform(dst []float64, lo, hi float64) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for i := range dst {
+		result := rotl(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+		f := float64(result>>11) * (1.0 / (1 << 53))
+		dst[i] += lo + (hi-lo)*f
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+}
+
 // Norm returns a standard normal variate (Box-Muller, with caching of the
 // spare value so consecutive calls cost one transform per pair).
 func (r *RNG) Norm() float64 {

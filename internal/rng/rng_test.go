@@ -120,6 +120,32 @@ func TestUniformRange(t *testing.T) {
 	}
 }
 
+// TestAddUniformMatchesUniformLoop: AddUniform draws the same stream and
+// adds the same bits as a loop over Uniform, and leaves the generator where
+// that loop would.
+func TestAddUniformMatchesUniformLoop(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 784} {
+		a, b := New(uint64(n)+11), New(uint64(n)+11)
+		got, want := make([]float64, n), make([]float64, n)
+		for i := range got {
+			got[i] = float64(i%5) * 0.25
+			want[i] = got[i]
+		}
+		a.AddUniform(got, -0.05, 0.05)
+		for i := range want {
+			want[i] += b.Uniform(-0.05, 0.05)
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d: element %d = %v, Uniform loop %v", n, i, got[i], want[i])
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("n=%d: generator state diverged after AddUniform", n)
+		}
+	}
+}
+
 func TestBernoulli(t *testing.T) {
 	r := New(8)
 	if r.Bernoulli(0) != 0 {

@@ -595,6 +595,13 @@ func NewCluster(arch *Arch, lvl OptLevel, cfg ClusterConfig, numeric bool, seed 
 func GigabitEthernet() Interconnect    { return cluster.GigabitEthernet() }
 func TenGigabitEthernet() Interconnect { return cluster.TenGigabitEthernet() }
 
+// MinDigitsSide and MinPatchSide are the smallest sides NewDigits and
+// NewNaturalPatches accept; both panic below them.
+const (
+	MinDigitsSide = data.MinDigitsSide
+	MinPatchSide  = data.MinPatchSide
+)
+
 // NewDigits returns a deterministic stream of n stroke-rendered digit
 // images of side×side pixels with the given additive noise.
 func NewDigits(side, n int, seed uint64, noise float64) *Digits {
