@@ -77,10 +77,11 @@ go test -race ./internal/kernels/... ./internal/parallel/... ./internal/device/.
 # Fork/join gate: the caller runs blocks and claims any a helper has not
 # started, so who runs which block depends on scheduling. Exercise the
 # claim protocol under several GOMAXPROCS, five times each under the race
-# detector, and hold the golden digests and the GEMM's cross-worker-count
-# determinism at one and four procs.
+# detector, and hold the golden digests, the GEMM's cross-worker-count
+# determinism and the serial cutoff's inline == forked property at one and
+# four procs.
 go test -race -count=5 -cpu 1,2,4 ./internal/parallel/
-go test -count=2 -cpu 1,4 -run 'TestGoldenDigests|TestGemmDeterministicAcrossWorkerCounts' . ./internal/kernels/
+go test -count=2 -cpu 1,4 -run 'TestGoldenDigests|TestGemmDeterministicAcrossWorkerCounts|TestRegionsInlineMatchFork' . ./internal/kernels/
 # Determinism spot-check: the crash/rejoin/resync scenario must produce the
 # identical ledger on back-to-back runs (fault injection is seeded, never
 # wall-clock dependent).

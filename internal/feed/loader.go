@@ -1,7 +1,9 @@
 package feed
 
 import (
+	"context"
 	"fmt"
+	"runtime/pprof"
 	"time"
 
 	"phideep/internal/metrics"
@@ -37,7 +39,12 @@ func NewLoader(depth int) *Loader {
 	return l
 }
 
+// loaderLabels marks loader goroutines role=loader in CPU and goroutine
+// profiles (go tool pprof -tagfocus role=loader).
+var loaderLabels = pprof.WithLabels(context.Background(), pprof.Labels("role", "loader"))
+
 func (l *Loader) run() {
+	pprof.SetGoroutineLabels(loaderLabels)
 	defer close(l.done)
 	for {
 		t0 := waitStart()

@@ -115,15 +115,12 @@ func flat[T tensor.Float](op string, m *tensor.Dense[T], want int) []T {
 	return m.Data[:want]
 }
 
-// forImages partitions batch images across the pool when the level allows,
-// running body.Range over disjoint contiguous image ranges. The Ranger form
-// keeps the hot path allocation-free (no per-call closure).
-func forImages(pool *parallel.Pool, lvl Level, batch int, body parallel.Ranger) {
-	if lvl.IsParallel() && pool != nil && pool.Workers() > 1 {
-		pool.ForRanger(batch, parallel.Static, 0, body)
-	} else {
-		body.Range(0, batch)
-	}
+// forImages partitions batch images across the pool when the level, the
+// pool and the estimated serial cost ns allow, running body.Range over
+// disjoint contiguous image ranges. The Ranger form keeps the hot path
+// allocation-free (no per-call closure).
+func forImages(pool *parallel.Pool, lvl Level, batch int, ns float64, body parallel.Ranger) {
+	team(pool, lvl, ns).ForRanger(batch, parallel.Static, 0, body)
 }
 
 // Im2col lowers batch NHWC images (x, batch·InDim elements flat) into the
@@ -151,7 +148,7 @@ func Im2col[T tensor.Float](pool *parallel.Pool, lvl Level, s ConvShape, batch i
 	if cols.Rows != batch*s.OutH()*s.OutW() || cols.Cols != s.ColK() {
 		panic(fmt.Sprintf("kernels: Im2col cols %dx%d, want %dx%d", cols.Rows, cols.Cols, batch*s.OutH()*s.OutW(), s.ColK()))
 	}
-	forImages(pool, lvl, batch, &r)
+	forImages(pool, lvl, batch, cost(nsIm2col, cols.Rows, cols.Cols), &r)
 	if metrics.Enabled() {
 		mConvIm2colCalls.Inc()
 		mConvIm2colElems.Add(float64(cols.Rows) * float64(cols.Cols))
@@ -231,7 +228,7 @@ func Col2im(pool *parallel.Pool, lvl Level, s ConvShape, batch int, dcols, dx *t
 	if dcols.Rows != batch*s.OutH()*s.OutW() || dcols.Cols != s.ColK() {
 		panic(fmt.Sprintf("kernels: Col2im dcols %dx%d, want %dx%d", dcols.Rows, dcols.Cols, batch*s.OutH()*s.OutW(), s.ColK()))
 	}
-	forImages(pool, lvl, batch, &r)
+	forImages(pool, lvl, batch, cost(nsCol2im, dcols.Rows, dcols.Cols), &r)
 	if metrics.Enabled() {
 		mConvCol2imCalls.Inc()
 	}
@@ -310,7 +307,7 @@ func MaxPool[T tensor.Float](pool *parallel.Pool, lvl Level, s PoolShape, batch 
 	if arg != nil {
 		r.arg = flat("MaxPool", arg, batch*s.OutDim())
 	}
-	forImages(pool, lvl, batch, &r)
+	forImages(pool, lvl, batch, cost(nsMaxPool, batch, s.InDim()), &r)
 	if metrics.Enabled() {
 		mConvPoolCalls.Inc()
 		mConvPoolElems.Add(float64(batch) * float64(s.OutDim()))
@@ -375,7 +372,7 @@ func MaxPoolBackward(pool *parallel.Pool, lvl Level, s PoolShape, batch int, dy,
 		arg: flat("MaxPoolBackward", arg, batch*s.OutDim()),
 		dx:  flat("MaxPoolBackward", dx, batch*s.InDim()),
 	}
-	forImages(pool, lvl, batch, &r)
+	forImages(pool, lvl, batch, cost(nsMaxPoolBack, batch, s.InDim()), &r)
 	if metrics.Enabled() {
 		mConvPoolCalls.Inc()
 	}
@@ -417,11 +414,7 @@ func ConvBiasGrad(pool *parallel.Pool, lvl Level, dOut, db *tensor.Matrix) {
 	}
 	r := biasGradRanger{dOut: dOut, db: db.RowView(0)}
 	blocks := (dOut.Cols + convBiasBlock - 1) / convBiasBlock
-	if lvl.IsParallel() && pool != nil && pool.Workers() > 1 && blocks > 1 {
-		pool.ForRanger(blocks, parallel.Static, 0, &r)
-	} else {
-		r.Range(0, blocks)
-	}
+	team(pool, lvl, cost(nsColSums, dOut.Rows, dOut.Cols)).ForRanger(blocks, parallel.Static, 0, &r)
 	if metrics.Enabled() {
 		mConvBiasGradCalls.Inc()
 	}

@@ -1,7 +1,9 @@
 package kernels
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"phideep/internal/metrics"
@@ -179,41 +181,67 @@ func TestIm2colGemmBackwardMatchesDirectConv(t *testing.T) {
 }
 
 // TestCol2imIsAdjointOfIm2col checks the defining adjoint identity
-// <Im2col(x), y> = <x, Col2im(y)> on random operands — the property that
-// makes Col2im the correct backward of the lowering.
+// <Im2col(x), y> = <x, Col2im(y)> — the property that makes Col2im the
+// correct backward of the lowering — exactly, on integer-valued operands
+// where neither side rounds, on both branches of the serial cutoff.
 func TestCol2imIsAdjointOfIm2col(t *testing.T) {
 	const batch = 2
 	for _, s := range convCases {
 		r := rng.New(42)
 		oHW := s.OutH() * s.OutW()
-		x := tensor.NewMatrix(batch, s.InDim())
-		x.Randomize(r, -1, 1)
-		y := tensor.NewMatrix(batch*oHW, s.ColK())
-		y.Randomize(r, -1, 1)
+		x := intValued(r, tensor.NewMatrix(batch, s.InDim()))
+		y := intValued(r, tensor.NewMatrix(batch*oHW, s.ColK()))
+		forRegionBranches(func(name string, pool *parallel.Pool) {
+			cols := tensor.NewMatrix(batch*oHW, s.ColK())
+			Im2col(pool, ParallelBlocked, s, batch, x, cols)
+			back := tensor.NewMatrix(batch, s.InDim())
+			Col2im(pool, ParallelBlocked, s, batch, y, back)
+			lhs, rhs := 0.0, 0.0
+			for i := range cols.Data {
+				lhs += cols.Data[i] * y.Data[i]
+			}
+			for i := range x.Data {
+				rhs += x.Data[i] * back.Data[i]
+			}
+			if lhs != rhs {
+				t.Errorf("shape %+v %s: <Im2col(x),y> = %v but <x,Col2im(y)> = %v", s, name, lhs, rhs)
+			}
+		})
+	}
+}
 
-		cols := tensor.NewMatrix(batch*oHW, s.ColK())
-		Im2col(nil, Naive, s, batch, x, cols)
-		back := tensor.NewMatrix(batch, s.InDim())
-		Col2im(nil, Naive, s, batch, y, back)
+// intValued fills m with integers in [-3, 3], so sums of products of two
+// such matrices are exact in float64 and windows hold ties.
+func intValued(r *rng.RNG, m *tensor.Matrix) *tensor.Matrix {
+	for i := range m.Data {
+		m.Data[i] = float64(r.Intn(7) - 3)
+	}
+	return m
+}
 
-		lhs, rhs := 0.0, 0.0
-		for i := range cols.Data {
-			lhs += cols.Data[i] * y.Data[i]
+// forRegionBranches runs f on pools of 1, 2 and 5 workers, and on the
+// larger pools once with every region inline and once with every region
+// forked.
+func forRegionBranches(f func(name string, pool *parallel.Pool)) {
+	for _, workers := range []int{1, 2, 5} {
+		pool := parallel.NewPool(workers)
+		for _, mode := range []regionMode{forceInline, forceFork} {
+			withRegions(mode, func() { f(fmt.Sprintf("workers=%d mode=%d", workers, mode), pool) })
+			if workers == 1 {
+				break
+			}
 		}
-		for i := range x.Data {
-			rhs += x.Data[i] * back.Data[i]
-		}
-		if math.Abs(lhs-rhs) > 1e-9*(1+math.Abs(lhs)) {
-			t.Errorf("shape %+v: <Im2col(x),y>=%g but <x,Col2im(y)>=%g", s, lhs, rhs)
-		}
+		pool.Close()
 	}
 }
 
 // TestMaxPoolMatchesNaive checks pooled maxima and argmax routing against
-// direct window scans, then checks the backward scatter.
+// direct window scans, then checks that the backward scatter adds each
+// output gradient to exactly the forward argmax, bit for bit. The inputs
+// are integer-valued, so windows hold ties and the argmax must be the
+// first maximum. It runs at every level and on both branches of the
+// serial cutoff.
 func TestMaxPoolMatchesNaive(t *testing.T) {
-	pool := parallel.NewPool(3)
-	defer pool.Close()
 	shapes := []PoolShape{
 		{C: 1, H: 8, W: 8, Size: 2, Stride: 2},
 		{C: 3, H: 12, W: 8, Size: 2, Stride: 2},
@@ -223,52 +251,53 @@ func TestMaxPoolMatchesNaive(t *testing.T) {
 	const batch = 3
 	for _, s := range shapes {
 		r := rng.New(7)
-		x := tensor.NewMatrix(batch, s.InDim())
-		x.Randomize(r, -1, 1)
+		x := intValued(r, tensor.NewMatrix(batch, s.InDim()))
 		dy := tensor.NewMatrix(batch, s.OutDim())
 		dy.Randomize(r, -1, 1)
 
-		for _, lvl := range Levels {
-			y := tensor.NewMatrix(batch, s.OutDim())
-			arg := tensor.NewMatrix(batch, s.OutDim())
-			MaxPool(pool, lvl, s, batch, x, y, arg)
-			dx := tensor.NewMatrix(batch, s.InDim())
-			MaxPoolBackward(pool, lvl, s, batch, dy, arg, dx)
+		forRegionBranches(func(name string, pool *parallel.Pool) {
+			for _, lvl := range Levels {
+				y := tensor.NewMatrix(batch, s.OutDim())
+				arg := tensor.NewMatrix(batch, s.OutDim())
+				MaxPool(pool, lvl, s, batch, x, y, arg)
+				dx := tensor.NewMatrix(batch, s.InDim())
+				MaxPoolBackward(pool, lvl, s, batch, dy, arg, dx)
 
-			wantDX := tensor.NewMatrix(batch, s.InDim())
-			oh, ow := s.OutH(), s.OutW()
-			for img := 0; img < batch; img++ {
-				xr := x.RowView(img)
-				o := 0
-				for oy := 0; oy < oh; oy++ {
-					for ox := 0; ox < ow; ox++ {
-						for c := 0; c < s.C; c++ {
-							bi := (oy*s.Stride*s.W + ox*s.Stride) * s.C
-							best, bestIdx := xr[bi+c], bi+c
-							for ky := 0; ky < s.Size; ky++ {
-								for kx := 0; kx < s.Size; kx++ {
-									idx := ((oy*s.Stride+ky)*s.W + ox*s.Stride + kx) * s.C
-									if v := xr[idx+c]; v > best {
-										best, bestIdx = v, idx+c
+				wantDX := tensor.NewMatrix(batch, s.InDim())
+				oh, ow := s.OutH(), s.OutW()
+				for img := 0; img < batch; img++ {
+					xr := x.RowView(img)
+					o := 0
+					for oy := 0; oy < oh; oy++ {
+						for ox := 0; ox < ow; ox++ {
+							for c := 0; c < s.C; c++ {
+								bi := (oy*s.Stride*s.W + ox*s.Stride) * s.C
+								best, bestIdx := xr[bi+c], bi+c
+								for ky := 0; ky < s.Size; ky++ {
+									for kx := 0; kx < s.Size; kx++ {
+										idx := ((oy*s.Stride+ky)*s.W + ox*s.Stride + kx) * s.C
+										if v := xr[idx+c]; v > best {
+											best, bestIdx = v, idx+c
+										}
 									}
 								}
+								if got := y.RowView(img)[o]; got != best {
+									t.Fatalf("shape %+v level %v %s img %d out %d: max %g, want %g", s, lvl, name, img, o, got, best)
+								}
+								if got := int(arg.RowView(img)[o]); got != bestIdx {
+									t.Fatalf("shape %+v level %v %s img %d out %d: argmax %d, want %d", s, lvl, name, img, o, got, bestIdx)
+								}
+								wantDX.RowView(img)[bestIdx] += dy.RowView(img)[o]
+								o++
 							}
-							if got := y.RowView(img)[o]; got != best {
-								t.Fatalf("shape %+v level %v img %d out %d: max %g, want %g", s, lvl, img, o, got, best)
-							}
-							if got := int(arg.RowView(img)[o]); got != bestIdx {
-								t.Fatalf("shape %+v level %v img %d out %d: argmax %d, want %d", s, lvl, img, o, got, bestIdx)
-							}
-							wantDX.RowView(img)[bestIdx] += dy.RowView(img)[o]
-							o++
 						}
 					}
 				}
+				if !slices.Equal(bitsOf(dx.Data), bitsOf(wantDX.Data)) {
+					t.Errorf("shape %+v level %v %s: pool backward does not route dy to the argmax bitwise", s, lvl, name)
+				}
 			}
-			if d := maxAbsDiff(dx.Data, wantDX.Data); d > 0 {
-				t.Errorf("shape %+v level %v: pool backward deviates by %g", s, lvl, d)
-			}
-		}
+		})
 	}
 }
 

@@ -8,16 +8,12 @@ import (
 	"phideep/internal/tensor"
 )
 
-// forRows runs body over row ranges of an n-row matrix, parallel when the
-// level and pool allow it. All elementwise kernels funnel through here so
-// the vectorizable loops of the paper (Eqs. 14–18) share one scheduling
-// point.
-func forRows(pool *parallel.Pool, lvl Level, n int, body func(lo, hi int)) {
-	if lvl.IsParallel() && pool != nil && pool.Workers() > 1 {
-		pool.For(n, parallel.Static, 0, body)
-	} else {
-		body(0, n)
-	}
+// forRows runs body over row ranges of a rows×cols matrix at nsPerElem
+// serial nanoseconds per element, parallel when the level, the pool and
+// the work allow it. All elementwise kernels funnel through here so the
+// vectorizable loops of the paper (Eqs. 14–18) share one scheduling point.
+func forRows(pool *parallel.Pool, lvl Level, rows, cols int, nsPerElem float64, body func(lo, hi int)) {
+	team(pool, lvl, cost(nsPerElem, rows, cols)).For(rows, parallel.Static, 0, body)
 }
 
 func checkSameShape[T tensor.Float](op string, a, b *tensor.Dense[T]) {
@@ -38,7 +34,7 @@ func Sigmoid[T tensor.Float](pool *parallel.Pool, lvl Level, dst, src *tensor.De
 	vec := vectorSigmoid(lvl)
 	c := src.Cols
 	dense := dst.Stride == c && src.Stride == c
-	forRows(pool, lvl, src.Rows, func(lo, hi int) {
+	forRows(pool, lvl, src.Rows, c, nsSigmoid, func(lo, hi int) {
 		if dense {
 			sigmoidSpan(dst.Data[lo*c:hi*c], src.Data[lo*c:hi*c], vec)
 			return
@@ -99,7 +95,7 @@ func vectorSpan[T tensor.Float](d, s []T, kernel func(dst, src []T) int, scalar 
 // the sigmoid expressed through its output. dst and y may be the same.
 func SigmoidPrimeFromY(pool *parallel.Pool, lvl Level, dst, y *tensor.Matrix) {
 	checkSameShape("SigmoidPrimeFromY", dst, y)
-	forRows(pool, lvl, y.Rows, func(lo, hi int) {
+	forRows(pool, lvl, y.Rows, y.Cols, nsAxpy, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			s, d := y.RowView(i), dst.RowView(i)
 			for j, v := range s {
@@ -115,7 +111,7 @@ func AddBiasRow[T tensor.Float](pool *parallel.Pool, lvl Level, m *tensor.Dense[
 	if len(b) != m.Cols {
 		panic(fmt.Sprintf("kernels: AddBiasRow bias length %d, want %d", len(b), m.Cols))
 	}
-	forRows(pool, lvl, m.Rows, func(lo, hi int) {
+	forRows(pool, lvl, m.Rows, m.Cols, nsAxpy, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			row := m.RowView(i)
 			for j := range row {
@@ -129,7 +125,7 @@ func AddBiasRow[T tensor.Float](pool *parallel.Pool, lvl Level, m *tensor.Dense[
 // parameter update of Eqs. 16–18).
 func Axpy(pool *parallel.Pool, lvl Level, alpha float64, x, y *tensor.Matrix) {
 	checkSameShape("Axpy", x, y)
-	forRows(pool, lvl, x.Rows, func(lo, hi int) {
+	forRows(pool, lvl, x.Rows, x.Cols, nsAxpy, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			xr, yr := x.RowView(i), y.RowView(i)
 			for j, v := range xr {
@@ -151,7 +147,7 @@ func AxpyVec(alpha float64, x, y tensor.Vector) {
 
 // Scale multiplies every element of m by alpha.
 func Scale(pool *parallel.Pool, lvl Level, alpha float64, m *tensor.Matrix) {
-	forRows(pool, lvl, m.Rows, func(lo, hi int) {
+	forRows(pool, lvl, m.Rows, m.Cols, nsAxpy, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			row := m.RowView(i)
 			for j := range row {
@@ -165,7 +161,7 @@ func Scale(pool *parallel.Pool, lvl Level, alpha float64, m *tensor.Matrix) {
 func Sub(pool *parallel.Pool, lvl Level, dst, a, b *tensor.Matrix) {
 	checkSameShape("Sub", a, b)
 	checkSameShape("Sub", dst, a)
-	forRows(pool, lvl, a.Rows, func(lo, hi int) {
+	forRows(pool, lvl, a.Rows, a.Cols, nsAxpy, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ar, br, dr := a.RowView(i), b.RowView(i), dst.RowView(i)
 			for j := range ar {
@@ -180,7 +176,7 @@ func Sub(pool *parallel.Pool, lvl Level, dst, a, b *tensor.Matrix) {
 func MulElem(pool *parallel.Pool, lvl Level, dst, a, b *tensor.Matrix) {
 	checkSameShape("MulElem", a, b)
 	checkSameShape("MulElem", dst, a)
-	forRows(pool, lvl, a.Rows, func(lo, hi int) {
+	forRows(pool, lvl, a.Rows, a.Cols, nsAxpy, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ar, br, dr := a.RowView(i), b.RowView(i), dst.RowView(i)
 			for j := range ar {
@@ -202,7 +198,8 @@ func ColSums(pool *parallel.Pool, lvl Level, m *tensor.Matrix, out tensor.Vector
 	if m.Rows == 0 {
 		return
 	}
-	if !lvl.IsParallel() || pool == nil || pool.Workers() <= 1 {
+	t := team(pool, lvl, cost(nsColSums, m.Rows, m.Cols))
+	if t.Workers() == 1 {
 		for i := 0; i < m.Rows; i++ {
 			row := m.RowView(i)
 			for j, v := range row {
@@ -211,12 +208,12 @@ func ColSums(pool *parallel.Pool, lvl Level, m *tensor.Matrix, out tensor.Vector
 		}
 		return
 	}
-	workers := pool.Workers()
+	workers := t.Workers()
 	per := (m.Rows + workers - 1) / workers
 	blocks := (m.Rows + per - 1) / per
 	ar := prec64.arenas.Get().(*arena[float64])
 	partials := ar.ensure(blocks * m.Cols)
-	pool.For(m.Rows, parallel.Static, 0, func(lo, hi int) {
+	t.For(m.Rows, parallel.Static, 0, func(lo, hi int) {
 		p := partials[lo/per*m.Cols : (lo/per+1)*m.Cols]
 		clear(p)
 		for i := lo; i < hi; i++ {
@@ -249,7 +246,7 @@ func SampleBernoulli(pool *parallel.Pool, lvl Level, dst, p *tensor.Matrix, r *r
 			dr[j] = rr.Bernoulli(pv)
 		}
 	}
-	forRows(pool, lvl, p.Rows, func(lo, hi int) {
+	forRows(pool, lvl, p.Rows, p.Cols, nsSample, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			sampleRow(i)
 		}
@@ -271,10 +268,7 @@ func SumSquaredDiff(pool *parallel.Pool, lvl Level, a, b *tensor.Matrix) float64
 		}
 		return s
 	}
-	if lvl.IsParallel() && pool != nil && pool.Workers() > 1 {
-		return pool.ReduceSum(a.Rows, body)
-	}
-	return body(0, a.Rows)
+	return team(pool, lvl, cost(nsAxpy, a.Rows, a.Cols)).ReduceSum(a.Rows, body)
 }
 
 // AddKLSparsityDelta adds the sparsity-penalty term of the hidden-layer
@@ -288,7 +282,7 @@ func AddKLSparsityDelta(pool *parallel.Pool, lvl Level, delta *tensor.Matrix, co
 	if dY != nil {
 		checkSameShape("AddKLSparsityDelta", delta, dY)
 	}
-	forRows(pool, lvl, delta.Rows, func(lo, hi int) {
+	forRows(pool, lvl, delta.Rows, delta.Cols, nsAxpy, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dr := delta.RowView(i)
 			if dY != nil {
@@ -312,7 +306,7 @@ func AddKLSparsityDelta(pool *parallel.Pool, lvl Level, delta *tensor.Matrix, co
 func AddGaussianNoise(pool *parallel.Pool, lvl Level, dst, mean *tensor.Matrix, sigma float64, r *rng.RNG) {
 	checkSameShape("AddGaussianNoise", dst, mean)
 	base := r.Uint64()
-	forRows(pool, lvl, mean.Rows, func(lo, hi int) {
+	forRows(pool, lvl, mean.Rows, mean.Cols, nsNoise, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			rr := rng.New(base ^ (0x9e3779b97f4a7c15 * uint64(i+1)))
 			mr, dr := mean.RowView(i), dst.RowView(i)

@@ -114,11 +114,7 @@ func gemmDispatch[T tensor.Float](pool *parallel.Pool, lvl Level, transA, transB
 			gemmTN(alpha, a, b, c, lo, hi)
 		}
 	}
-	if lvl.IsParallel() && pool != nil && pool.Workers() > 1 {
-		pool.For(m, parallel.Static, 0, rowRange)
-	} else {
-		rowRange(0, m)
-	}
+	team(pool, lvl, cost(nsScalarFMA, m, ka, n)).For(m, parallel.Static, 0, rowRange)
 	return false
 }
 
@@ -145,11 +141,7 @@ func scaleC[T tensor.Float](pool *parallel.Pool, lvl Level, beta T, c *tensor.De
 			}
 		}
 	}
-	if lvl.IsParallel() && pool != nil && pool.Workers() > 1 {
-		pool.For(c.Rows, parallel.Static, 0, scale)
-	} else {
-		scale(0, c.Rows)
-	}
+	team(pool, lvl, cost(nsAxpy, c.Rows, c.Cols)).For(c.Rows, parallel.Static, 0, scale)
 }
 
 // gemmNN accumulates C[lo:hi,:] += alpha * A[lo:hi,:] * B with the scalar
@@ -245,11 +237,7 @@ func Gemv(pool *parallel.Pool, lvl Level, transA bool, alpha float64, a *tensor.
 				y[i] += alpha * s
 			}
 		}
-		if lvl.IsParallel() && pool != nil && pool.Workers() > 1 {
-			pool.For(m, parallel.Static, 0, body)
-		} else {
-			body(0, m)
-		}
+		team(pool, lvl, cost(nsAxpy, m, n)).For(m, parallel.Static, 0, body)
 		return
 	}
 	// Transposed: y += alpha * Aᵀx, accumulated row by row of A. The output
@@ -257,8 +245,8 @@ func Gemv(pool *parallel.Pool, lvl Level, transA bool, alpha float64, a *tensor.
 	// A rows its own partial vector and combines the partials in block order
 	// — same scheme as parallel.Pool.ReduceSum, lifted to vectors, so the
 	// result is deterministic for a fixed worker count.
-	if lvl.IsParallel() && pool != nil && pool.Workers() > 1 && a.Rows*m >= gemvTransMinWork {
-		gemvTransParallel(pool, alpha, a, x, y)
+	if t := team(pool, lvl, cost(nsAxpy, a.Rows, m)); t.Workers() > 1 && a.Rows*m >= gemvTransMinWork {
+		gemvTransParallel(t, alpha, a, x, y)
 		return
 	}
 	gemvTransBlock(alpha, a, x, y, 0, a.Rows)
@@ -281,7 +269,7 @@ func gemvTransBlock(alpha float64, a *tensor.Matrix, x, y tensor.Vector, lo, hi 
 // gemvTransParallel distributes blocks of A rows across the pool, each
 // accumulating into a worker-private slice of a pooled scratch buffer, then
 // reduces the partials into y in ascending block order.
-func gemvTransParallel(pool *parallel.Pool, alpha float64, a *tensor.Matrix, x, y tensor.Vector) {
+func gemvTransParallel(pool parallel.Costed, alpha float64, a *tensor.Matrix, x, y tensor.Vector) {
 	blocks := pool.Workers()
 	if blocks > a.Rows {
 		blocks = a.Rows

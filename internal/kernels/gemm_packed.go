@@ -179,7 +179,8 @@ func (pb *PackedB[T]) block(jc, nc, pc, kc int) []T {
 func roundUp(n, m int) int { return (n + m - 1) / m * m }
 
 // gemmPacked runs C = alpha·op(A)·op(B) + beta·C through the packed
-// micro-kernel, parallelized over row tiles when the level and pool allow.
+// micro-kernel, parallelized over row tiles when the level and pool allow
+// and the work outweighs a helper's wake.
 // The summation order over k is fixed by the block loop (k-panels in
 // ascending order, ascending l within a panel) and every C tile is written
 // by exactly one worker, so results are bit-identical for any worker count
@@ -193,18 +194,12 @@ func gemmPacked[T tensor.Float](pool *parallel.Pool, lvl Level, transA, transB b
 	p := prec[T]()
 	g := p.states.Get().(*gemmState[T])
 	*g = gemmState[T]{a: a, b: b, c: c, pb: pb, transA: transA, transB: transB, alpha: alpha, beta: beta, m: m, k: k, n: n}
-	if !lvl.IsParallel() || pool == nil || pool.Workers() == 1 {
-		pool = nil
-	}
 	mr := tileMR[T]()
 	tiles := (m + mr - 1) / mr
-	switch {
-	case n <= narrowN[T]() && pool != nil:
-		pool.ForRanger(tiles, parallel.Static, 0, (*gemmNarrow[T])(g))
-	case n <= narrowN[T]():
-		(*gemmNarrow[T])(g).Range(0, tiles)
-	default:
-		g.runWide(pool, tiles)
+	if n <= narrowN[T]() {
+		team(pool, lvl, cost(nsPackedFMA, m, k, n)).ForRanger(tiles, parallel.Static, 0, (*gemmNarrow[T])(g))
+	} else {
+		g.runWide(pool, lvl, tiles)
 	}
 	*g = gemmState[T]{}
 	p.states.Put(g)
@@ -212,8 +207,8 @@ func gemmPacked[T tensor.Float](pool *parallel.Pool, lvl Level, transA, transB b
 
 // runWide walks the (jc, pc) blocks on the submitting goroutine, packing
 // each B block once into a shared arena unless pb holds it, and runs each
-// block's row tiles as one region (inline without a pool).
-func (g *gemmState[T]) runWide(pool *parallel.Pool, tiles int) {
+// block's row tiles as one region.
+func (g *gemmState[T]) runWide(pool *parallel.Pool, lvl Level, tiles int) {
 	p := prec[T]()
 	if g.pb == nil {
 		g.bArena = p.arenas.Get().(*arena[T])
@@ -221,12 +216,9 @@ func (g *gemmState[T]) runWide(pool *parallel.Pool, tiles int) {
 	for jc := 0; jc < g.n; jc += ncBlock {
 		nc := min(ncBlock, g.n-jc)
 		for pc := 0; pc < g.k; pc += kcBlock {
-			g.setBlock(&g.blk, g.bArena, jc, nc, pc, min(kcBlock, g.k-pc))
-			if pool != nil {
-				pool.ForRanger(tiles, parallel.Static, 0, g)
-			} else {
-				g.Range(0, tiles)
-			}
+			kc := min(kcBlock, g.k-pc)
+			g.setBlock(&g.blk, g.bArena, jc, nc, pc, kc)
+			team(pool, lvl, cost(nsPackedFMA, g.m, kc, nc)).ForRanger(tiles, parallel.Static, 0, g)
 		}
 	}
 	if g.bArena != nil {

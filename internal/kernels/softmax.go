@@ -15,7 +15,7 @@ import (
 // float64, so wide rows lose no more precision than the rounding on store.
 func SoftmaxRows[T tensor.Float](pool *parallel.Pool, lvl Level, dst, src *tensor.Dense[T]) {
 	checkSameShape("SoftmaxRows", dst, src)
-	forRows(pool, lvl, src.Rows, func(lo, hi int) {
+	forRows(pool, lvl, src.Rows, src.Cols, nsSoftmax, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			s, d := src.RowView(i), dst.RowView(i)
 			maxV := math.Inf(-1)
@@ -55,10 +55,7 @@ func CrossEntropyOneHot(pool *parallel.Pool, lvl Level, p, y *tensor.Matrix) flo
 		}
 		return s
 	}
-	if lvl.IsParallel() && pool != nil && pool.Workers() > 1 {
-		return pool.ReduceSum(p.Rows, body)
-	}
-	return body(0, p.Rows)
+	return team(pool, lvl, cost(nsSoftmax, p.Rows, p.Cols)).ReduceSum(p.Rows, body)
 }
 
 // CountArgmaxMatches returns the number of rows whose argmax in p equals
@@ -84,13 +81,7 @@ func CountArgmaxMatches(pool *parallel.Pool, lvl Level, p, y *tensor.Matrix) int
 		}
 		return float64(n)
 	}
-	var total float64
-	if lvl.IsParallel() && pool != nil && pool.Workers() > 1 {
-		total = pool.ReduceSum(p.Rows, body)
-	} else {
-		total = body(0, p.Rows)
-	}
-	return int(total)
+	return int(team(pool, lvl, cost(nsSoftmax, p.Rows, p.Cols)).ReduceSum(p.Rows, body))
 }
 
 // OneHot fills dst (n×classes) with one-hot rows for the given labels.

@@ -19,11 +19,20 @@
 // blocks a helper has claimed, so a descheduled helper never holds a
 // region up. One mutex guards the descriptor and the claim counters; a
 // region allocates nothing.
+//
+// A region submitted through Cost carries an estimate of its serial run
+// time. When each of its blocks would take less than waking a helper
+// costs, the caller runs the blocks alone, in index order, with no wake,
+// lock or join: the same blocks a fork would run, so the results are the
+// same bits either way.
 package parallel
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"runtime"
+	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,11 +42,13 @@ import (
 
 // Observability handles (DESIGN.md §"Observability"). Regions, items and
 // durations are recorded per fork/join submission — For, ForRanger and
-// ReduceSum each count as one region — and only when metrics.Enabled()
-// holds, so the allocation-free steady state of the hot loop is untouched
-// when collection is off.
+// ReduceSum each count as one region, whether it forked or ran inline —
+// and only when metrics.Enabled() holds, so the allocation-free steady
+// state of the hot loop is untouched when collection is off.
+// parallel.regions.inline counts the regions that woke no helper.
 var (
 	mRegions       = metrics.Default().Counter("parallel.regions")
+	mRegionsInline = metrics.Default().Counter("parallel.regions.inline")
 	mRegionItems   = metrics.Default().Counter("parallel.region.items")
 	mRegionSeconds = metrics.Default().Histogram("parallel.region.seconds", metrics.ExpBuckets(1e-6, 4, 12)...)
 	mPoolWorkers   = metrics.Default().Gauge("parallel.workers")
@@ -140,21 +151,29 @@ func regionStart() time.Time {
 	return time.Time{}
 }
 
-// regionEnd records one fork/join region of n iterations. A zero start
-// (metrics disabled at regionStart) records nothing.
-func regionEnd(start time.Time, n int) {
+// regionEnd records one region of n iterations, run inline or forked. A
+// zero start (metrics disabled at regionStart) records nothing.
+func regionEnd(start time.Time, n int, inline bool) {
 	if start.IsZero() {
 		return
 	}
 	mRegionSeconds.Observe(time.Since(start).Seconds())
 	mRegions.Inc()
 	mRegionItems.Add(int64(n))
+	if inline {
+		mRegionsInline.Inc()
+	}
 }
+
+// helperLabels marks pool helpers role=helper in CPU and goroutine
+// profiles (go tool pprof -tagfocus role=helper).
+var helperLabels = pprof.WithLabels(context.Background(), pprof.Labels("role", "helper"))
 
 // helper sleeps until woken, then claims and runs blocks until none is
 // left. The helper that finishes a region's last outstanding block wakes
 // the caller if it is parked in join.
 func (p *Pool) helper(id int) {
+	pprof.SetGoroutineLabels(helperLabels)
 	for {
 		select {
 		case <-p.wake[id]:
@@ -287,39 +306,111 @@ func (p *Pool) Close() {
 	}
 }
 
-// For executes body(lo, hi) over a partition of [0, n) using the given
-// schedule and returns when every iteration has completed (fork/join).
-// chunk is the dynamic chunk size; it is ignored for Static and defaults to
-// ceil(n/(8*workers)) when <= 0.
-func (p *Pool) For(n int, s Schedule, chunk int, body func(lo, hi int)) {
-	p.checkOpen("For")
+// wakeNs is what waking a parked helper costs a region, in nanoseconds:
+// on the two-vCPU benchmark host a woken helper starts its first block
+// about 70 µs after the caller's wake (EXPERIMENTS.md "Caller-participating
+// fork/join"). The caller finishes a block shorter than that before the
+// helper could start it, so such a region runs faster, and leaves the
+// other vCPU to the loader, when the caller runs it alone.
+const wakeNs = 70e3
+
+// Costed submits regions to a pool with an estimate of their serial run
+// time, which decides whether a region forks or runs on the caller. A
+// Costed of a nil pool runs every region as one block on the caller, like
+// a pool of one, and records nothing.
+type Costed struct {
+	p  *Pool
+	ns float64
+}
+
+// Cost returns a handle that submits regions estimated to take ns
+// nanoseconds on one worker. A region whose blocks average less than the
+// wake cost runs inline: the caller runs the blocks it would have forked,
+// in index order, and wakes no helper. p may be nil.
+func (p *Pool) Cost(ns float64) Costed { return Costed{p, ns} }
+
+// Workers returns the size of the pool regions are submitted to, or 1 for
+// a nil pool.
+func (c Costed) Workers() int {
+	if c.p == nil {
+		return 1
+	}
+	return c.p.workers
+}
+
+// For is Pool.For at the handle's cost.
+func (c Costed) For(n int, s Schedule, chunk int, body func(lo, hi int)) {
+	c.submit("For", n, s, chunk, loopBody{fn: body})
+}
+
+// ForRanger is Pool.ForRanger at the handle's cost.
+func (c Costed) ForRanger(n int, s Schedule, chunk int, body Ranger) {
+	c.submit("ForRanger", n, s, chunk, loopBody{ranger: body})
+}
+
+// ReduceSum is Pool.ReduceSum at the handle's cost.
+func (c Costed) ReduceSum(n int, body func(lo, hi int) float64) float64 {
+	return c.submit("ReduceSum", n, Static, 0, loopBody{red: body})
+}
+
+// submit runs one region of n iterations and returns the sum of its
+// blocks' partials in block order (0 unless f is a reduction). A pool of
+// one runs the whole range as one block, as a nil pool does; a larger pool
+// runs the blocks of its schedule, inline when there is only one block or
+// the cost estimate is below the wake cost per block, forked otherwise.
+func (c Costed) submit(op string, n int, s Schedule, chunk int, f loopBody) float64 {
+	p := c.p
+	if p == nil {
+		if n <= 0 {
+			return 0
+		}
+		return f.run(0, n)
+	}
+	p.checkOpen(op)
 	if n <= 0 {
-		return
+		return 0
 	}
 	start := regionStart()
 	if p.workers == 1 {
-		body(0, n)
-	} else {
-		p.fork(n, p.blockSize(n, s, chunk), loopBody{fn: body})
+		v := f.run(0, n)
+		regionEnd(start, n, true)
+		return v
 	}
-	regionEnd(start, n)
+	size := p.blockSize(n, s, chunk)
+	blocks := (n + size - 1) / size
+	if blocks == 1 || c.ns < wakeNs*float64(blocks) {
+		total := 0.0
+		for lo := 0; lo < n; lo += size {
+			total += f.run(lo, min(lo+size, n))
+		}
+		regionEnd(start, n, true)
+		return total
+	}
+	p.fork(n, size, f)
+	total := 0.0
+	if f.red != nil {
+		for _, v := range p.partials[:blocks] {
+			total += v
+		}
+	}
+	regionEnd(start, n, false)
+	return total
+}
+
+// For executes body(lo, hi) over a partition of [0, n) using the given
+// schedule and returns when every iteration has completed (fork/join).
+// chunk is the dynamic chunk size; it is ignored for Static and defaults to
+// ceil(n/(8*workers)) when <= 0. A region submitted through For carries no
+// cost estimate, so it forks whenever it has more than one block.
+func (p *Pool) For(n int, s Schedule, chunk int, body func(lo, hi int)) {
+	p.Cost(math.Inf(1)).For(n, s, chunk, body)
 }
 
 // ForRanger is For with an interface body instead of a func. Passing a
 // pointer-typed Ranger avoids the closure allocation of For, which keeps
 // hot kernels (the packed GEMM) allocation-free.
 func (p *Pool) ForRanger(n int, s Schedule, chunk int, body Ranger) {
-	p.checkOpen("ForRanger")
-	if n <= 0 {
-		return
-	}
-	start := regionStart()
-	if p.workers == 1 {
-		body.Range(0, n)
-	} else {
-		p.fork(n, p.blockSize(n, s, chunk), loopBody{ranger: body})
-	}
-	regionEnd(start, n)
+	p.Cost(math.Inf(1)).ForRanger(n, s, chunk, body)
 }
 
 // blockSize returns the iterations per block: ceil(n/workers) for Static
@@ -343,22 +434,5 @@ func (p *Pool) blockSize(n int, s Schedule, chunk int) int {
 // combined in block order so the result is deterministic for a fixed n and
 // worker count.
 func (p *Pool) ReduceSum(n int, body func(lo, hi int) float64) float64 {
-	p.checkOpen("ReduceSum")
-	if n <= 0 {
-		return 0
-	}
-	start := regionStart()
-	if p.workers == 1 {
-		total := body(0, n)
-		regionEnd(start, n)
-		return total
-	}
-	per := p.blockSize(n, Static, 0)
-	p.fork(n, per, loopBody{red: body})
-	total := 0.0
-	for _, v := range p.partials[:(n+per-1)/per] {
-		total += v
-	}
-	regionEnd(start, n)
-	return total
+	return p.Cost(math.Inf(1)).ReduceSum(n, body)
 }

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -8,6 +9,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"phideep/internal/metrics"
 )
 
 func TestForCoversEveryIndexExactlyOnce(t *testing.T) {
@@ -227,7 +230,7 @@ func TestCloseStopsWorkers(t *testing.T) {
 // TestForkJoinDoesNotAllocate checks the allocation-free fork/join claim:
 // steady-state ForRanger and ReduceSum submissions allocate nothing (the
 // loop descriptor lives in the pool, and helpers are woken and the caller
-// joined through preallocated channels).
+// joined through preallocated channels), forked or run inline.
 func TestForkJoinDoesNotAllocate(t *testing.T) {
 	pool := NewPool(4)
 	defer pool.Close()
@@ -236,15 +239,186 @@ func TestForkJoinDoesNotAllocate(t *testing.T) {
 	// Warm up once so lazily-grown state settles.
 	pool.ForRanger(64, Static, 0, rc)
 	pool.ReduceSum(64, red)
-	if avg := testing.AllocsPerRun(50, func() {
-		pool.ForRanger(64, Static, 0, rc)
-	}); avg > 0.5 {
-		t.Fatalf("ForRanger allocates %.1f objects per call", avg)
+	for _, tc := range []struct {
+		name string
+		c    Costed
+	}{{"forked", pool.Cost(math.Inf(1))}, {"inline", pool.Cost(0)}} {
+		if avg := testing.AllocsPerRun(50, func() {
+			tc.c.ForRanger(64, Static, 0, rc)
+		}); avg > 0.5 {
+			t.Fatalf("%s ForRanger allocates %.1f objects per call", tc.name, avg)
+		}
+		if avg := testing.AllocsPerRun(50, func() {
+			tc.c.ReduceSum(64, red)
+		}); avg > 0.5 {
+			t.Fatalf("%s ReduceSum allocates %.1f objects per call", tc.name, avg)
+		}
 	}
-	if avg := testing.AllocsPerRun(50, func() {
-		pool.ReduceSum(64, red)
-	}); avg > 0.5 {
-		t.Fatalf("ReduceSum allocates %.1f objects per call", avg)
+}
+
+// blockList returns the blocks a region of n iterations runs on a pool of
+// the given size, in index order.
+func blockList(workers, n int, s Schedule, chunk int) [][2]int {
+	p := newPool(workers)
+	size := p.blockSize(n, s, chunk)
+	var out [][2]int
+	for lo := 0; lo < n; lo += size {
+		out = append(out, [2]int{lo, min(lo+size, n)})
+	}
+	return out
+}
+
+// TestInlineRegionRunsOnCallerOnly checks the serial cutoff's inline
+// branch: a region whose cost per block is below the wake cost wakes no
+// helper and runs every block of the forked partition on the caller, in
+// index order. The body appends to caller state without synchronisation,
+// so under -race a block run by a helper would be reported.
+func TestInlineRegionRunsOnCallerOnly(t *testing.T) {
+	for _, workers := range []int{2, 3, 5} {
+		pool := NewPool(workers)
+		for _, s := range []Schedule{Static, Dynamic} {
+			for _, n := range []int{1, 2, 7, 64, 1001} {
+				want := blockList(workers, n, s, 3)
+				var got [][2]int
+				body := func(lo, hi int) { got = append(got, [2]int{lo, hi}) }
+				// Just below the cutoff: every block costs 1 ns less than a wake.
+				pool.Cost(float64(len(want))*(wakeNs-1)).For(n, s, 3, body)
+				if len(got) != len(want) {
+					t.Fatalf("workers=%d %v n=%d: inline ran %v, want blocks %v", workers, s, n, got, want)
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("workers=%d %v n=%d: inline ran %v, want blocks %v", workers, s, n, got, want)
+					}
+				}
+			}
+		}
+		pool.Close()
+	}
+}
+
+// TestCutoffWakesOnlyAboveWakeCost watches the wake channels of a pool
+// whose helpers never start: a region at or above the wake cost per block
+// wakes a helper, one below it, or with a single block, wakes nobody.
+func TestCutoffWakesOnlyAboveWakeCost(t *testing.T) {
+	pool := newPool(2)
+	defer pool.Close()
+	woken := func(ns float64, n int) bool {
+		pool.Cost(ns).For(n, Static, 0, func(lo, hi int) {})
+		select {
+		case <-pool.wake[0]:
+			return true
+		default:
+			return false
+		}
+	}
+	for _, tc := range []struct {
+		ns   float64
+		n    int
+		wake bool
+	}{
+		{2*wakeNs - 1, 10, false},
+		{2 * wakeNs, 10, true},
+		{math.Inf(1), 10, true},
+		{0, 10, false},
+		{math.Inf(1), 1, false},
+	} {
+		if got := woken(tc.ns, tc.n); got != tc.wake {
+			t.Errorf("cost %g over %d iterations: woke a helper %v, want %v", tc.ns, tc.n, got, tc.wake)
+		}
+	}
+	pool.For(10, Static, 0, func(lo, hi int) {})
+	if len(pool.wake[0]) != 1 {
+		t.Fatal("For carries no cost estimate and must fork")
+	}
+}
+
+// TestInlineReduceSumMatchesForked checks that the inline branch combines
+// the same per-block partials in the same order as a fork, bit for bit,
+// with a body whose sum depends on the summation order.
+func TestInlineReduceSumMatchesForked(t *testing.T) {
+	body := func(lo, hi int) float64 {
+		s := 0.0
+		for i := lo; i < hi; i++ {
+			s += 1 / float64(3*i+1)
+		}
+		return s
+	}
+	for _, workers := range []int{2, 3, 5} {
+		pool := NewPool(workers)
+		for _, n := range []int{1, 2, 5, 17, 1000, 10007} {
+			inline := pool.Cost(0).ReduceSum(n, body)
+			forked := pool.Cost(math.Inf(1)).ReduceSum(n, body)
+			if math.Float64bits(inline) != math.Float64bits(forked) {
+				t.Fatalf("workers=%d n=%d: inline ReduceSum %v, forked %v", workers, n, inline, forked)
+			}
+		}
+		pool.Close()
+	}
+}
+
+// TestInlinePanicReachesCaller checks that a panic in an inline block
+// reaches the caller and leaves the pool usable for forked and inline
+// regions alike.
+func TestInlinePanicReachesCaller(t *testing.T) {
+	pool := NewPool(3)
+	defer pool.Close()
+	func() {
+		defer func() {
+			if r := recover(); r != "inline block" {
+				t.Fatalf("recovered %v, want the inline block's panic", r)
+			}
+		}()
+		pool.Cost(0).For(30, Static, 0, func(lo, hi int) {
+			if lo > 0 {
+				panic("inline block")
+			}
+		})
+	}()
+	for _, c := range []Costed{pool.Cost(math.Inf(1)), pool.Cost(0)} {
+		counts := make([]int32, 100)
+		c.For(len(counts), Dynamic, 7, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				atomic.AddInt32(&counts[i], 1)
+			}
+		})
+		for i, v := range counts {
+			if v != 1 {
+				t.Fatalf("after an inline panic: index %d visited %d times", i, v)
+			}
+		}
+	}
+}
+
+// TestInlineRegionsCount checks the region counters: every region counts
+// in parallel.regions, and the ones that woke no helper also in
+// parallel.regions.inline, so regions per op stays comparable across the
+// cutoff. A nil pool's Costed records nothing.
+func TestInlineRegionsCount(t *testing.T) {
+	defer metrics.SetEnabled(metrics.Enabled())
+	metrics.SetEnabled(true)
+	pool := NewPool(2)
+	defer pool.Close()
+	body := func(lo, hi int) {}
+	count := func(f func()) (regions, inline int64) {
+		r0, i0 := mRegions.Value(), mRegionsInline.Value()
+		f()
+		return mRegions.Value() - r0, mRegionsInline.Value() - i0
+	}
+	for _, tc := range []struct {
+		name            string
+		f               func()
+		regions, inline int64
+	}{
+		{"forked", func() { pool.For(10, Static, 0, body) }, 1, 0},
+		{"inline", func() { pool.Cost(0).For(10, Static, 0, body) }, 1, 1},
+		{"one block", func() { pool.For(1, Static, 0, body) }, 1, 1},
+		{"inline reduce", func() { pool.Cost(0).ReduceSum(10, func(lo, hi int) float64 { return 0 }) }, 1, 1},
+		{"nil pool", func() { (*Pool)(nil).Cost(0).For(10, Static, 0, body) }, 0, 0},
+	} {
+		if r, i := count(tc.f); r != tc.regions || i != tc.inline {
+			t.Errorf("%s: %d regions, %d inline; want %d, %d", tc.name, r, i, tc.regions, tc.inline)
+		}
 	}
 }
 

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"context"
 	"fmt"
+	"runtime/pprof"
 	"time"
 
 	"phideep/internal/device"
@@ -59,11 +61,16 @@ func (w *worker) build() {
 	w.rep = w.s.model.f.replica[cfg.Precision](w.pool, cfg.Level.KernelLevel(), cfg.MaxBatch)
 }
 
+// workerLabels marks serving workers role=worker in CPU and goroutine
+// profiles (go tool pprof -tagfocus role=worker).
+var workerLabels = pprof.WithLabels(context.Background(), pprof.Labels("role", "worker"))
+
 // loop takes and runs batches until the server closes or the slot
 // retires. Each take also finishes the batch before it, so a worker takes
 // s.mu once per batch; a faulted batch goes to the supervisor, which
 // finishes or retries it.
 func (w *worker) loop() {
+	pprof.SetGoroutineLabels(workerLabels)
 	defer w.s.wg.Done()
 	defer w.free()
 	finished := 0
