@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,6 +10,9 @@ import (
 
 	"phideep/internal/experiments"
 )
+
+// updateTables rewrites testdata/<id>.csv from this build.
+var updateTables = flag.Bool("update", false, "rewrite testdata/<id>.csv from this build")
 
 // TestRegistryIntegrity: ids unique and well formed, every runner wired.
 func TestRegistryIntegrity(t *testing.T) {
@@ -36,8 +41,12 @@ func TestRegistryIntegrity(t *testing.T) {
 }
 
 // TestEveryRunnerProducesAWellFormedTable runs each registered experiment
-// once and validates the table structure. This doubles as an end-to-end
-// smoke test of the whole harness.
+// once, validates the table structure and byte-compares its CSV with the
+// committed testdata/<id>.csv. The simulated tables are exactly
+// deterministic (the same bytes under -tags noasm and GODEBUG=cpu.fma=off),
+// so any change to a cost-model constant or a sweep shows up here; run
+// with -update to rewrite the files when that change is intended. This
+// doubles as an end-to-end smoke test of the whole harness.
 func TestEveryRunnerProducesAWellFormedTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment; skipped in -short mode")
@@ -52,6 +61,23 @@ func TestEveryRunnerProducesAWellFormedTable(t *testing.T) {
 			if len(row) != len(tab.Columns) {
 				t.Errorf("%s: row %d has %d cells for %d columns", e.id, i, len(row), len(tab.Columns))
 			}
+		}
+		var got bytes.Buffer
+		tab.WriteCSV(&got)
+		path := filepath.Join("testdata", e.id+".csv")
+		if *updateTables {
+			if err := writeCSVFile("testdata", e.id, tab); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Errorf("%s: %v (run with -update to create it)", e.id, err)
+			continue
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s: table differs from %s (run with -update if the change is intended)\ngot:\n%s", e.id, path, got.Bytes())
 		}
 	}
 }
