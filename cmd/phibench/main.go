@@ -59,7 +59,6 @@ var registry = []struct {
 	{"abl-hosts", "platform comparison (abstract's 7-10x, Fig. 10's 16x)", experiments.AblationHostComparison},
 	{"fw-hybrid", "future work: hybrid Xeon+Phi data parallelism (§VI)", experiments.HybridCrossover},
 	{"fw-autotune", "future work: automatic thread/core balance (§VI)", experiments.AutoTune},
-	{"fw-predictor", "future work: calibrated predictor vs full simulation", experiments.AutoTunePredictor},
 	{"sgd-vs-batch", "§III study: online SGD vs L-BFGS/CG on the Phi", experiments.BatchMethods},
 	{"cluster-vs-phi", "positioning: one Phi vs a commodity cluster (§I/§III)", experiments.ClusterVsPhi},
 }
@@ -72,16 +71,7 @@ func main() {
 	metricsTo := flag.String("metrics", "", "write a JSON metrics snapshot (wall-clock counters across all experiments run) to this file")
 	stats := flag.Bool("stats", false, "print the metrics registry as a table at the end")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	tuneMode := flag.Bool("tune", false, "run the calibrated-predictor autotuning demo (probe-run calibration, predicted-vs-simulated ranking, pruned search) and exit")
 	flag.Parse()
-
-	if *tuneMode {
-		if err := runTune(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "phibench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *pprofAddr != "" {
 		go func() {

@@ -46,23 +46,6 @@ type Device struct {
 	// just not concurrent).
 	Pool *parallel.Pool
 
-	// Observe, when non-nil, is called once per sequential kernel launch
-	// with the op exactly as submitted to Exec. Used by internal/tune's
-	// calibrated predictor to capture workload traces.
-	Observe func(op sim.Op)
-	// ObserveGroup, when non-nil, is called once per concurrent group
-	// (ExecConcurrent) with the branch ops at their pre-split core request
-	// and Fused set on all but the first branch — the exact inputs to the
-	// core-sharing split, so an observer can replay the split and the
-	// group-makespan rule deterministically. When nil, Observe (if set)
-	// receives the branches individually instead. The slice is the
-	// device's scratch, valid only during the call; copy it to keep it.
-	ObserveGroup func(ops []sim.Op)
-	// ObserveTransfer, when non-nil, is called once per logical PCIe
-	// transfer with its byte count (retry attempts under the fault model
-	// are not re-reported).
-	ObserveTransfer func(bytes int64)
-
 	compute  sim.Timeline
 	transfer sim.Timeline
 
@@ -88,11 +71,9 @@ type Device struct {
 
 // groupScratch is ExecConcurrent's per-branch working storage, owned by
 // the Device and reused by every group, so a warm group allocates
-// nothing. Neither Timeline.ScheduleGroup nor an ObserveGroup observer
-// keeps a reference past the call.
+// nothing. Timeline.ScheduleGroup keeps no reference past the call.
 type groupScratch struct {
 	ready, durs, full []float64
-	obs               []sim.Op
 }
 
 // reset sizes the scratch for k branches with ready zeroed; durs and full
@@ -277,9 +258,6 @@ func (o *Owner) Free() {
 // transfer and returns a *TransferError. Every attempt — failed ones
 // included — occupies the engine for the full transfer duration.
 func (d *Device) scheduleTransfer(op string, bytes int64, earliest float64) (end float64, err error) {
-	if d.ObserveTransfer != nil {
-		d.ObserveTransfer(bytes)
-	}
 	dur := d.Arch.TransferTime(bytes)
 	f := d.faults
 	for attempt := 1; ; attempt++ {
@@ -446,9 +424,6 @@ func (d *Device) Exec(op sim.Op, deps []*Buffer, writes []*Buffer, fn func()) {
 			ready = r
 		}
 	}
-	if d.Observe != nil {
-		d.Observe(op)
-	}
 	dur := d.Arch.OpTime(op)
 	start, end := d.compute.Schedule(ready, dur)
 	for _, b := range writes {
@@ -505,22 +480,6 @@ func (d *Device) ExecConcurrent(branches []Branch) {
 		return
 	}
 	k := len(branches)
-	if d.ObserveGroup != nil || d.Observe != nil {
-		obs := d.group.obs[:0]
-		for i := range branches {
-			op := branches[i].Op
-			op.Fused = i > 0
-			obs = append(obs, op)
-		}
-		d.group.obs = obs
-		if d.ObserveGroup != nil {
-			d.ObserveGroup(obs)
-		} else {
-			for _, op := range obs {
-				d.Observe(op)
-			}
-		}
-	}
 	d.group.reset(k)
 	ready, durs, full := d.group.ready, d.group.durs, d.group.full
 	// First pass: full-device durations, used to split the cores between

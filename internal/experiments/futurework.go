@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"phideep/internal/autoencoder"
 	"phideep/internal/cluster"
@@ -96,59 +94,6 @@ func AutoTune() *Table {
 			panic(err)
 		}
 		t.AddRow(wl.name, secs(def), secs(res.Best.SimSeconds), res.Best.Candidate.String(), ratio(def/res.Best.SimSeconds))
-	}
-	return t
-}
-
-// AutoTunePredictor validates the calibrated performance predictor
-// (ROADMAP item 2, after arXiv:1906.01992): a handful of short probe runs
-// fit the analytical GEMM/elementwise/sync/transfer terms, the whole
-// default grid is ranked by prediction, and the table shows predicted vs
-// fully simulated epoch time for the predicted top candidates, plus each
-// one's prediction error. The note reports the probe budget and the worst
-// error across the entire grid — the headline accuracy claim.
-func AutoTunePredictor() *Table {
-	w := tune.AEWorkload{
-		Arch: sim.XeonPhi5110P(), Model: autoencoder.Config{Visible: 256, Hidden: 1024},
-		Batch: 250, Iterations: 100, DatasetExamples: 2000,
-	}
-	cands := tune.DefaultCandidates(w.Arch)
-	p, err := tune.Calibrate(w, cands)
-	if err != nil {
-		panic(err)
-	}
-	type row struct {
-		c               tune.Candidate
-		pred, sim, relE float64
-	}
-	rows := make([]row, 0, len(cands))
-	worst := 0.0
-	for _, c := range cands {
-		pred, err := p.Predict(c)
-		if err != nil {
-			panic(err)
-		}
-		r, err := w.Evaluate(c, tune.EffectiveIters(w, c), nil)
-		if err != nil {
-			panic(err)
-		}
-		relE := (pred - r.SimSeconds) / r.SimSeconds
-		if e := math.Abs(relE); e > worst {
-			worst = e
-		}
-		rows = append(rows, row{c: c, pred: pred, sim: r.SimSeconds, relE: relE})
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].pred < rows[j].pred })
-
-	t := &Table{
-		Title: "Future work (§VI): calibrated performance predictor vs full simulation",
-		Note: fmt.Sprintf(
-			"AE 256x1024, batch 250, 100 iterations; %d-candidate grid calibrated with %d probe runs (%d fit equations); worst |error| across the grid %.1f%%; predicted top 8 shown",
-			len(cands), p.CalibrationRuns, p.CalibrationEquations, 100*worst),
-		Columns: []string{"candidate (predicted rank)", "predicted", "simulated", "error"},
-	}
-	for _, r := range rows[:8] {
-		t.AddRow(r.c.String(), secs(r.pred), secs(r.sim), fmt.Sprintf("%+.1f%%", 100*r.relE))
 	}
 	return t
 }

@@ -117,12 +117,6 @@ func (a *Arch) bandwidth(cores int) float64 {
 	return bw
 }
 
-// Bandwidth returns the memory bandwidth available to the given core count
-// (per-core draw capped by the aggregate). Exposed for performance models
-// built on top of the simulator, such as internal/tune's calibrated
-// predictor.
-func (a *Arch) Bandwidth(cores int) float64 { return a.bandwidth(cores) }
-
 // SyncCost returns the fork/join cost of one parallel region across the
 // given number of software threads.
 func (a *Arch) SyncCost(threads int) float64 {

@@ -144,13 +144,6 @@ func (a *Arch) resolveConfig(op Op) (cores, tpc int) {
 	return cores, tpc
 }
 
-// ResolvedConfig reports the effective cores and threads-per-core that
-// OpTime uses for op on a: defaults filled, bounds clamped, and serial
-// levels pinned to a single thread. Exposed for performance models layered
-// on the simulator (internal/tune's calibrated predictor classifies each
-// observed op with the same rules the costing path applies).
-func (a *Arch) ResolvedConfig(op Op) (cores, tpc int) { return a.resolveConfig(op) }
-
 // OpTime returns the modeled execution time of op on a, in seconds,
 // including fork/join synchronization (unless fused away) and any
 // per-operation dispatch overhead.

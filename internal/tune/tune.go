@@ -5,16 +5,9 @@
 // The tuner searches execution configurations — optimization level,
 // physical cores, hardware threads per core, loop fusion, minibatch size —
 // against the simulated cost model, which evaluates a whole training run in
-// microseconds. Two search strategies are provided:
-//
-//   - GridSearch evaluates every candidate with a full simulated run
-//     (exhaustive, the original strategy).
-//   - PrunedSearch first calibrates an analytical performance model from a
-//     handful of short probe runs (see Calibrate and Predictor), ranks the
-//     whole grid by predicted epoch time, and spends full evaluations only
-//     on the predicted top k — the approach of "Performance Modelling of
-//     Deep Learning on Intel Many Integrated Core Architectures"
-//     (arXiv:1906.01992) applied to this simulator.
+// microseconds. GridSearch evaluates every candidate with a full simulated
+// run; the default grid of 64 candidates simulates in well under a second,
+// so the search is exhaustive.
 //
 // The returned configuration is what a manual tuner on real silicon would
 // converge to: e.g. two hardware threads per Phi core saturate the in-order
@@ -77,14 +70,11 @@ func (c Candidate) validate() error {
 	return nil
 }
 
-// Scored is a candidate with its evaluated and/or predicted simulated time.
+// Scored is a candidate with its simulated time.
 type Scored struct {
 	Candidate
-	// SimSeconds is the fully simulated time (0 when only predicted).
+	// SimSeconds is the fully simulated time.
 	SimSeconds float64
-	// Predicted is the calibrated model's estimate (0 under plain
-	// GridSearch, which never predicts).
-	Predicted float64
 }
 
 // CandidateError records one candidate whose evaluation failed.
@@ -109,12 +99,6 @@ type Result struct {
 	// A search succeeds as long as at least one candidate evaluates; the
 	// failures are recorded here rather than dropped.
 	Failed []CandidateError
-	// Predicted holds the calibrated model's ranking of the entire grid
-	// (fastest predicted first); set only by PrunedSearch.
-	Predicted []Scored
-	// Pruned counts the grid candidates PrunedSearch skipped on the
-	// predictor's advice (never fully evaluated).
-	Pruned int
 }
 
 // Objective evaluates a candidate, returning the simulated seconds of the

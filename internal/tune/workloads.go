@@ -27,27 +27,17 @@ type Workload interface {
 	FullIterations() int
 	// DefaultBatch returns the workload's minibatch size.
 	DefaultBatch() int
-	// StepsPerChunk returns the minibatch updates per streamed data chunk
-	// at the given batch size — the granularity of the Fig. 5 pipeline,
-	// which the calibrated predictor uses to size its probe runs.
-	StepsPerChunk(batch int) int
 	// Evaluate runs the workload under candidate c for iters minibatch
-	// updates on a fresh model-only device. When obs is non-nil the
-	// device's kernel launches and transfers are captured into it.
-	// Evaluation must be leak-free: all device allocations are released on
-	// every path, success and error alike.
-	Evaluate(c Candidate, iters int, obs *Trace) (EvalResult, error)
+	// updates on a fresh model-only device. Evaluation must be leak-free:
+	// all device allocations are released on every path, success and
+	// error alike.
+	Evaluate(c Candidate, iters int) (EvalResult, error)
 }
 
 // EvalResult reports one candidate evaluation.
 type EvalResult struct {
 	// SimSeconds is the simulated makespan (the objective value).
 	SimSeconds float64
-	// ComputeSeconds and TransferSeconds are the completion times of the
-	// two device engines; the calibration fit targets the compute engine
-	// and handles transfers analytically.
-	ComputeSeconds  float64
-	TransferSeconds float64
 }
 
 // EffectiveIters returns the iteration count candidate c should run for so
@@ -68,7 +58,7 @@ func EffectiveIters(w Workload, c Candidate) int {
 // candidate is evaluated with a full-length simulated run.
 func WorkloadObjective(w Workload) Objective {
 	return func(c Candidate) (float64, error) {
-		r, err := w.Evaluate(c, EffectiveIters(w, c), nil)
+		r, err := w.Evaluate(c, EffectiveIters(w, c))
 		if err != nil {
 			return 0, err
 		}
@@ -85,13 +75,8 @@ func Tune(w Workload) (*Result, error) {
 // the candidate's ladder level selects the kernels, and its Fuse flag — not
 // the level — controls loop fusion and Fig. 6 concurrency, so the fusion
 // axis is searchable at every level.
-func evalContext(arch *sim.Arch, c Candidate, seed uint64, obs *Trace) (*device.Device, *blas.Context) {
+func evalContext(arch *sim.Arch, c Candidate, seed uint64) (*device.Device, *blas.Context) {
 	dev := device.New(arch, false, nil)
-	if obs != nil {
-		dev.Observe = obs.observeOp
-		dev.ObserveGroup = obs.observeGroup
-		dev.ObserveTransfer = obs.observeTransfer
-	}
 	ctx := core.NewContext(dev, c.Level, c.Cores, seed)
 	ctx.ThreadsPerCore = c.ThreadsPerCore
 	ctx.AutoFuse = c.Fuse
@@ -100,7 +85,7 @@ func evalContext(arch *sim.Arch, c Candidate, seed uint64, obs *Trace) (*device.
 }
 
 // trainerFor builds the timing-only trainer for one evaluation. The chunk
-// size is pinned explicitly so probe runs and full runs stream identically.
+// size is pinned explicitly (see stepsPerChunk).
 func trainerFor(dev *device.Device, iters, chunkExamples int) *core.Trainer {
 	return &core.Trainer{Dev: dev, Cfg: core.TrainConfig{
 		Iterations: iters, LR: 0.1, Prefetch: true,
@@ -141,14 +126,6 @@ func stepsPerChunk(datasetExamples, batch int) int {
 	return n / batch
 }
 
-func evalResult(dev *device.Device, sim float64) EvalResult {
-	return EvalResult{
-		SimSeconds:      sim,
-		ComputeSeconds:  dev.ComputeBusyUntil(),
-		TransferSeconds: dev.TransferBusyUntil(),
-	}
-}
-
 // AEWorkload describes a Sparse Autoencoder training run to tune for.
 type AEWorkload struct {
 	Arch            *sim.Arch
@@ -177,13 +154,8 @@ func (w AEWorkload) FullIterations() int { return w.Iterations }
 // DefaultBatch implements Workload.
 func (w AEWorkload) DefaultBatch() int { return w.Batch }
 
-// StepsPerChunk implements Workload.
-func (w AEWorkload) StepsPerChunk(batch int) int {
-	return stepsPerChunk(w.DatasetExamples, batch)
-}
-
 // Evaluate implements Workload.
-func (w AEWorkload) Evaluate(c Candidate, iters int, obs *Trace) (EvalResult, error) {
+func (w AEWorkload) Evaluate(c Candidate, iters int) (EvalResult, error) {
 	if err := c.validate(); err != nil {
 		return EvalResult{}, err
 	}
@@ -191,7 +163,7 @@ func (w AEWorkload) Evaluate(c Candidate, iters int, obs *Trace) (EvalResult, er
 	if batch == 0 {
 		batch = w.Batch
 	}
-	dev, ctx := evalContext(w.Arch, c, w.seed(), obs)
+	dev, ctx := evalContext(w.Arch, c, w.seed())
 	mcfg := w.Model
 	mcfg.Batch = batch
 	mcfg.Seed = w.seed()
@@ -199,13 +171,13 @@ func (w AEWorkload) Evaluate(c Candidate, iters int, obs *Trace) (EvalResult, er
 	if err != nil {
 		return EvalResult{}, leakCheck(dev, err)
 	}
-	tr := trainerFor(dev, iters, w.StepsPerChunk(batch)*batch)
+	tr := trainerFor(dev, iters, stepsPerChunk(w.DatasetExamples, batch)*batch)
 	res, err := tr.Run(m, data.Null{D: w.Model.Visible, N: w.DatasetExamples})
 	m.Free()
 	if err = leakCheck(dev, err); err != nil {
 		return EvalResult{}, err
 	}
-	return evalResult(dev, res.SimSeconds), nil
+	return EvalResult{SimSeconds: res.SimSeconds}, nil
 }
 
 // Objective returns the tuning objective for the workload: each candidate
@@ -243,13 +215,8 @@ func (w MLPWorkload) FullIterations() int { return w.Iterations }
 // DefaultBatch implements Workload.
 func (w MLPWorkload) DefaultBatch() int { return w.Batch }
 
-// StepsPerChunk implements Workload.
-func (w MLPWorkload) StepsPerChunk(batch int) int {
-	return stepsPerChunk(w.DatasetExamples, batch)
-}
-
 // Evaluate implements Workload.
-func (w MLPWorkload) Evaluate(c Candidate, iters int, obs *Trace) (EvalResult, error) {
+func (w MLPWorkload) Evaluate(c Candidate, iters int) (EvalResult, error) {
 	if err := c.validate(); err != nil {
 		return EvalResult{}, err
 	}
@@ -257,7 +224,7 @@ func (w MLPWorkload) Evaluate(c Candidate, iters int, obs *Trace) (EvalResult, e
 	if batch == 0 {
 		batch = w.Batch
 	}
-	dev, ctx := evalContext(w.Arch, c, w.seed(), obs)
+	dev, ctx := evalContext(w.Arch, c, w.seed())
 	mcfg := w.Model
 	mcfg.Batch = batch
 	mcfg.Seed = w.seed()
@@ -265,7 +232,7 @@ func (w MLPWorkload) Evaluate(c Candidate, iters int, obs *Trace) (EvalResult, e
 	if err != nil {
 		return EvalResult{}, leakCheck(dev, err)
 	}
-	tr := trainerFor(dev, iters, w.StepsPerChunk(batch)*batch)
+	tr := trainerFor(dev, iters, stepsPerChunk(w.DatasetExamples, batch)*batch)
 	src := data.NullLabeled{
 		Null:    data.Null{D: m.InputDim(), N: w.DatasetExamples},
 		Classes: m.OutputDim(),
@@ -275,7 +242,7 @@ func (w MLPWorkload) Evaluate(c Candidate, iters int, obs *Trace) (EvalResult, e
 	if err = leakCheck(dev, err); err != nil {
 		return EvalResult{}, err
 	}
-	return evalResult(dev, res.SimSeconds), nil
+	return EvalResult{SimSeconds: res.SimSeconds}, nil
 }
 
 // Objective returns the tuning objective for the workload.
@@ -312,13 +279,8 @@ func (w ConvWorkload) FullIterations() int { return w.Iterations }
 // DefaultBatch implements Workload.
 func (w ConvWorkload) DefaultBatch() int { return w.Batch }
 
-// StepsPerChunk implements Workload.
-func (w ConvWorkload) StepsPerChunk(batch int) int {
-	return stepsPerChunk(w.DatasetExamples, batch)
-}
-
 // Evaluate implements Workload.
-func (w ConvWorkload) Evaluate(c Candidate, iters int, obs *Trace) (EvalResult, error) {
+func (w ConvWorkload) Evaluate(c Candidate, iters int) (EvalResult, error) {
 	if err := c.validate(); err != nil {
 		return EvalResult{}, err
 	}
@@ -326,7 +288,7 @@ func (w ConvWorkload) Evaluate(c Candidate, iters int, obs *Trace) (EvalResult, 
 	if batch == 0 {
 		batch = w.Batch
 	}
-	dev, ctx := evalContext(w.Arch, c, w.seed(), obs)
+	dev, ctx := evalContext(w.Arch, c, w.seed())
 	mcfg := w.Model
 	mcfg.Batch = batch
 	mcfg.Seed = w.seed()
@@ -334,7 +296,7 @@ func (w ConvWorkload) Evaluate(c Candidate, iters int, obs *Trace) (EvalResult, 
 	if err != nil {
 		return EvalResult{}, leakCheck(dev, err)
 	}
-	tr := trainerFor(dev, iters, w.StepsPerChunk(batch)*batch)
+	tr := trainerFor(dev, iters, stepsPerChunk(w.DatasetExamples, batch)*batch)
 	src := data.NullLabeled{
 		Null:    data.Null{D: m.InputDim(), N: w.DatasetExamples},
 		Classes: m.OutputDim(),
@@ -344,7 +306,7 @@ func (w ConvWorkload) Evaluate(c Candidate, iters int, obs *Trace) (EvalResult, 
 	if err = leakCheck(dev, err); err != nil {
 		return EvalResult{}, err
 	}
-	return evalResult(dev, res.SimSeconds), nil
+	return EvalResult{SimSeconds: res.SimSeconds}, nil
 }
 
 // Objective returns the tuning objective for the workload.

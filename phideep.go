@@ -227,11 +227,6 @@ type (
 	TuneAEWorkload   = tune.AEWorkload
 	TuneMLPWorkload  = tune.MLPWorkload
 	TuneConvWorkload = tune.ConvWorkload
-	// TunePredictor is the calibrated performance model built by
-	// TuneCalibrate: an analytical cost model fit from short probe runs
-	// that predicts full-run epoch time for any candidate without
-	// simulating it.
-	TunePredictor = tune.Predictor
 
 	// Server coalesces concurrent single-example inference requests into
 	// micro-batches executed on a pool of replica workers — the online
@@ -510,21 +505,6 @@ func BuildHybridAE(phiCtx, hostCtx *Context, cfg HybridAEConfig) (*HybridAE, err
 // TuneDefaultCandidates enumerates the standard tuning grid for a
 // platform: optimization level × cores × threads/core × fusion.
 func TuneDefaultCandidates(arch *Arch) []TuneCandidate { return tune.DefaultCandidates(arch) }
-
-// TuneCalibrate fits the calibrated performance predictor for a workload
-// from short probe runs against the simulator; the result predicts any
-// grid candidate's full-run epoch time without simulating it.
-func TuneCalibrate(w TuneWorkload, cands []TuneCandidate) (*TunePredictor, error) {
-	return tune.Calibrate(w, cands)
-}
-
-// TunePrunedSearch is the predictor-guided search: calibrate on short
-// probes, rank the grid by predicted epoch time, then spend full simulated
-// evaluations only on the predicted top k. See `phibench -tune` for the
-// CLI demonstration.
-func TunePrunedSearch(w TuneWorkload, cands []TuneCandidate, topK int) (*TuneResult, *TunePredictor, error) {
-	return tune.PrunedSearch(w, cands, topK)
-}
 
 // NewServer builds an online inference server over a ServeModel: Workers
 // host replicas behind a dynamic micro-batcher with admission control. See
