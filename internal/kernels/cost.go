@@ -36,7 +36,7 @@ const (
 	nsNoise  = 45
 	// One streaming pass over one to three operands (Axpy, AddBiasRow,
 	// Scale, Sub, MulElem, SigmoidPrimeFromY, AddKLSparsityDelta,
-	// SumSquaredDiff, the GEMM's beta scaling, Gemv), ns per element:
+	// SumSquaredDiff, the GEMM's beta scaling), ns per element:
 	// axpy (1.22–1.53).
 	nsAxpy = 1.6
 	// ColSums and ConvBiasGrad, ns per input element: colsums

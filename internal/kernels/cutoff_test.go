@@ -78,18 +78,6 @@ var regionCases = []regionCase{
 	gemmCase[float64]("gemm64-wide", lvlPB, 40, 40),
 	gemmCase[float32]("gemm32-narrow", lvlPB, 40, 12),
 	gemmCase[float32]("gemm32-wide", lvlPB, 40, 40),
-	{"gemv", func(pool *parallel.Pool, n int) []uint64 {
-		r := rng.New(uint64(n))
-		a, x, y := randDense[float64](r, n, 40), randDense[float64](r, 1, 40), randDense[float64](r, 1, n)
-		Gemv(pool, lvlPB, false, 1.5, a, x.Data, 0.5, y.Data)
-		return bitsOf(y.Data)
-	}},
-	{"gemv-trans", func(pool *parallel.Pool, n int) []uint64 {
-		r := rng.New(uint64(n))
-		a, x, y := randDense[float64](r, n, 40), randDense[float64](r, 1, n), randDense[float64](r, 1, 40)
-		Gemv(pool, lvlPB, true, 1.5, a, x.Data, 0.5, y.Data)
-		return bitsOf(y.Data)
-	}},
 	rowsCase("sigmoid64", func(pool *parallel.Pool, _ *rng.RNG, dst, src *tensor.Matrix) float64 {
 		Sigmoid(pool, lvlPB, dst, src)
 		return 0

@@ -10,7 +10,7 @@ import (
 	"phideep/internal/tensor"
 )
 
-// Cross-level equivalence suite: every GEMM/Gemv level — and the packed
+// Cross-level equivalence suite: every GEMM level — and the packed
 // micro-kernel called directly — must match the Naive level within a
 // 1e-12 relative tolerance, over odd shapes, strided views (Stride >
 // Cols), all four trans combinations and alpha/beta in {0, 1, -0.5}.
@@ -214,51 +214,6 @@ func TestGemmDeterministicAcrossWorkerCounts(t *testing.T) {
 				if c.At(i, j) != ref.At(i, j) {
 					t.Fatalf("workers=%d: C[%d,%d] = %v, want bit-identical %v", workers, i, j, c.At(i, j), ref.At(i, j))
 				}
-			}
-		}
-	}
-}
-
-// TestGemvCrossLevelEquivalence checks every Gemv level against Naive over
-// odd shapes, both trans settings, strided A views and alpha/beta cycling
-// — including shapes large enough to cross the parallel threshold of the
-// transposed path.
-func TestGemvCrossLevelEquivalence(t *testing.T) {
-	dims := []int{1, 3, 17, 64, 65, 257}
-	coeffs := []float64{0, 1, -0.5}
-	pool := parallel.NewPool(4)
-	defer pool.Close()
-	r := rng.New(17)
-	idx := 0
-	for _, rows := range dims {
-		for _, cols := range dims {
-			for _, trans := range []bool{false, true} {
-				alpha := coeffs[idx%3]
-				beta := coeffs[(idx/3)%3]
-				pad := idx % 3
-				idx++
-				a := stridedRand(r, rows, cols, pad)
-				m, n := opShape(a, trans)
-				x := tensor.NewVector(n).Randomize(r, -1, 1)
-				y0 := tensor.NewVector(m).Randomize(r, -1, 1)
-
-				want := y0.Clone()
-				Gemv(nil, Naive, trans, alpha, a, x, beta, want)
-
-				for _, lvl := range Levels {
-					if lvl == Naive {
-						continue
-					}
-					y := y0.Clone()
-					Gemv(pool, lvl, trans, alpha, a, x, beta, y)
-					for i := range want {
-						if !closeRel(y[i], want[i]) {
-							t.Fatalf("%s trans=%v %dx%d alpha=%v beta=%v: y[%d] = %v, oracle %v",
-								lvl, trans, rows, cols, alpha, beta, i, y[i], want[i])
-						}
-					}
-				}
-				checkPadding(t, "gemv input A", a)
 			}
 		}
 	}

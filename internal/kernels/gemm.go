@@ -198,104 +198,3 @@ func gemmTN[T tensor.Float](alpha T, a, b, c *tensor.Dense[T], lo, hi int) {
 		}
 	}
 }
-
-// gemvTransMinWork is the op(A) element count below which the transposed
-// Gemv stays sequential: with less work than this the per-worker partial
-// vectors cost more than they save.
-const gemvTransMinWork = 4096
-
-// Gemv computes y = alpha*op(A)*x + beta*y. Shapes: op(A) is m×n, x length
-// n, y length m.
-func Gemv(pool *parallel.Pool, lvl Level, transA bool, alpha float64, a *tensor.Matrix, x tensor.Vector, beta float64, y tensor.Vector) {
-	if metrics.Enabled() {
-		mGemvCalls.Inc()
-	}
-	m, n := opShape(a, transA)
-	if len(x) != n || len(y) != m {
-		panic(fmt.Sprintf("kernels: Gemv shape mismatch: op(A)=%dx%d, x=%d, y=%d", m, n, len(x), len(y)))
-	}
-	switch beta {
-	case 1:
-	case 0:
-		clear(y)
-	default:
-		for i := range y {
-			y[i] *= beta
-		}
-	}
-	if alpha == 0 || n == 0 {
-		return
-	}
-	if !transA {
-		body := func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				row := a.RowView(i)
-				s := 0.0
-				for j, v := range row {
-					s += v * x[j]
-				}
-				y[i] += alpha * s
-			}
-		}
-		team(pool, lvl, cost(nsAxpy, m, n)).For(m, parallel.Static, 0, body)
-		return
-	}
-	// Transposed: y += alpha * Aᵀx, accumulated row by row of A. The output
-	// vector is shared across rows, so the parallel path gives each block of
-	// A rows its own partial vector and combines the partials in block order
-	// — same scheme as parallel.Pool.ReduceSum, lifted to vectors, so the
-	// result is deterministic for a fixed worker count.
-	if t := team(pool, lvl, cost(nsAxpy, a.Rows, m)); t.Workers() > 1 && a.Rows*m >= gemvTransMinWork {
-		gemvTransParallel(t, alpha, a, x, y)
-		return
-	}
-	gemvTransBlock(alpha, a, x, y, 0, a.Rows)
-}
-
-// gemvTransBlock accumulates y += alpha * A[lo:hi,:]ᵀ · x[lo:hi].
-func gemvTransBlock(alpha float64, a *tensor.Matrix, x, y tensor.Vector, lo, hi int) {
-	for l := lo; l < hi; l++ {
-		row := a.RowView(l)
-		xv := alpha * x[l]
-		if xv == 0 {
-			continue
-		}
-		for i, v := range row {
-			y[i] += xv * v
-		}
-	}
-}
-
-// gemvTransParallel distributes blocks of A rows across the pool, each
-// accumulating into a worker-private slice of a pooled scratch buffer, then
-// reduces the partials into y in ascending block order.
-func gemvTransParallel(pool parallel.Costed, alpha float64, a *tensor.Matrix, x, y tensor.Vector) {
-	blocks := pool.Workers()
-	if blocks > a.Rows {
-		blocks = a.Rows
-	}
-	per := (a.Rows + blocks - 1) / blocks
-	blocks = (a.Rows + per - 1) / per
-	ar := prec64.arenas.Get().(*arena[float64])
-	m := len(y)
-	partials := ar.ensure(blocks * m)
-	pool.For(blocks, parallel.Static, 0, func(blo, bhi int) {
-		for blk := blo; blk < bhi; blk++ {
-			lo := blk * per
-			hi := lo + per
-			if hi > a.Rows {
-				hi = a.Rows
-			}
-			part := partials[blk*m : (blk+1)*m]
-			clear(part)
-			gemvTransBlock(alpha, a, x, part, lo, hi)
-		}
-	})
-	for blk := 0; blk < blocks; blk++ {
-		part := partials[blk*m : (blk+1)*m]
-		for i, v := range part {
-			y[i] += v
-		}
-	}
-	prec64.arenas.Put(ar)
-}

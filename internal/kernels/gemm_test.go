@@ -166,67 +166,6 @@ func TestGemmQuickEquivalence(t *testing.T) {
 	}
 }
 
-func TestGemvMatchesGemm(t *testing.T) {
-	pool := parallel.NewPool(3)
-	defer pool.Close()
-	r := rng.New(3)
-	for _, trans := range []bool{false, true} {
-		a := randMatrix(r, 9, 6)
-		rows, cols := 9, 6
-		if trans {
-			rows, cols = 6, 9
-		}
-		x := tensor.NewVector(cols).Randomize(r, -1, 1)
-		y := tensor.NewVector(rows).Randomize(r, -1, 1)
-		want := y.Clone()
-		// Oracle through Gemm with x as a column.
-		xm := x.AsCol()
-		wm := tensor.NewMatrix(rows, 1)
-		refGemm(trans, false, 2, a, xm, 0, wm)
-		for i := range want {
-			want[i] = 2*0 + 0.5*want[i] + wm.At(i, 0)
-		}
-		for _, lvl := range Levels {
-			got := y.Clone()
-			Gemv(pool, lvl, trans, 2, a, x, 0.5, got)
-			// want currently holds 0.5*y + 2*op(A)x computed above.
-			if !tensor.EqualVec(want, got, 1e-11) {
-				t.Errorf("Gemv trans=%v level %v mismatch", trans, lvl)
-			}
-		}
-	}
-}
-
-func TestGemvShapePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on Gemv shape mismatch")
-		}
-	}()
-	a := tensor.NewMatrix(3, 4)
-	Gemv(nil, Naive, false, 1, a, tensor.NewVector(5), 0, tensor.NewVector(3))
-}
-
-// BenchmarkGemvTrans measures the transposed Gemv (y = Aᵀx), the path
-// parallelized with per-worker partial vectors, at every level. The bench/
-// harness has no GEMV probe, so this is its only wall-clock measurement:
-// go test -run '^$' -bench GemvTrans ./internal/kernels/
-func BenchmarkGemvTrans(b *testing.B) {
-	r := rng.New(3)
-	a := tensor.NewMatrix(1024, 512).Randomize(r, -1, 1)
-	x := tensor.NewVector(1024).Randomize(r, -1, 1)
-	y := tensor.NewVector(512)
-	pool := parallel.NewPool(0)
-	defer pool.Close()
-	for _, lvl := range Levels {
-		b.Run(lvl.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				Gemv(pool, lvl, true, 1, a, x, 0, y)
-			}
-		})
-	}
-}
-
 func TestGemmTransposeConsistency(t *testing.T) {
 	// (AᵀBᵀ) must equal (BA)ᵀ.
 	pool := parallel.NewPool(2)

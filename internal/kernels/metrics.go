@@ -13,8 +13,6 @@ var (
 	gemm64Metrics = newGemmMetrics("kernels.gemm")
 	gemm32Metrics = newGemmMetrics("kernels.gemm32")
 
-	mGemvCalls = metrics.Default().Counter("kernels.gemv.calls")
-
 	// Convolution lowering kernels (DESIGN.md §12): how many gathers and
 	// pools ran, how many elements they moved, and their wall time — the
 	// overhead the lowering pays to reach the packed GEMM, at either
