@@ -40,9 +40,11 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/pprof"
 	"slices"
 	"sync"
 
@@ -430,6 +432,10 @@ func (c *Cluster) stepNode(n *node, x *tensor.Matrix, lr float64) {
 	n.r.Steps++
 }
 
+// nodeLabels marks fanOut's goroutines role=node in CPU and goroutine
+// profiles (go tool pprof -tagfocus role=node).
+var nodeLabels = pprof.WithLabels(context.Background(), pprof.Labels("role", "node"))
+
 // fanOut runs f(0), …, f(n−1) on a goroutine each and returns when all
 // have; n ≤ 1 runs inline. A panic in any call is re-raised on the
 // caller's goroutine once every call has returned — the lowest index's,
@@ -446,6 +452,7 @@ func fanOut(n int, f func(i int)) {
 	wg.Add(n)
 	for i := range n {
 		go func() {
+			pprof.SetGoroutineLabels(nodeLabels)
 			defer wg.Done()
 			defer func() { panics[i] = recover() }()
 			f(i)

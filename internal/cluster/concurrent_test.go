@@ -1,11 +1,14 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"runtime"
 	"runtime/debug"
+	"runtime/pprof"
 	"strings"
+	"sync"
 	"testing"
 
 	"phideep/internal/autoencoder"
@@ -183,5 +186,33 @@ func TestWarmStepAllocationBudget(t *testing.T) {
 			}
 			t.Logf("%d B per warm step", per)
 		})
+	}
+}
+
+// TestFanOutLabelsNodeGoroutines checks that fanOut's goroutines label
+// themselves role=node: it blocks both calls of a two-way fanOut and reads
+// the label from a debug=1 goroutine profile taken meanwhile.
+func TestFanOutLabelsNodeGoroutines(t *testing.T) {
+	var started sync.WaitGroup
+	started.Add(2)
+	release := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fanOut(2, func(int) {
+			started.Done()
+			<-release
+		})
+	}()
+	started.Wait()
+	var buf bytes.Buffer
+	err := pprof.Lookup("goroutine").WriteTo(&buf, 1)
+	close(release)
+	<-done
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `# labels: {"role":"node"}`) {
+		t.Fatalf("no goroutine labelled role=node in the goroutine profile:\n%s", buf.String())
 	}
 }
