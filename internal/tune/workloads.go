@@ -28,16 +28,11 @@ type Workload interface {
 	// DefaultBatch returns the workload's minibatch size.
 	DefaultBatch() int
 	// Evaluate runs the workload under candidate c for iters minibatch
-	// updates on a fresh model-only device. Evaluation must be leak-free:
-	// all device allocations are released on every path, success and
-	// error alike.
-	Evaluate(c Candidate, iters int) (EvalResult, error)
-}
-
-// EvalResult reports one candidate evaluation.
-type EvalResult struct {
-	// SimSeconds is the simulated makespan (the objective value).
-	SimSeconds float64
+	// updates on a fresh model-only device and returns the simulated
+	// makespan in seconds (the objective value). Evaluation must be
+	// leak-free: all device allocations are released on every path,
+	// success and error alike.
+	Evaluate(c Candidate, iters int) (float64, error)
 }
 
 // EffectiveIters returns the iteration count candidate c should run for so
@@ -58,11 +53,7 @@ func EffectiveIters(w Workload, c Candidate) int {
 // candidate is evaluated with a full-length simulated run.
 func WorkloadObjective(w Workload) Objective {
 	return func(c Candidate) (float64, error) {
-		r, err := w.Evaluate(c, EffectiveIters(w, c))
-		if err != nil {
-			return 0, err
-		}
-		return r.SimSeconds, nil
+		return w.Evaluate(c, EffectiveIters(w, c))
 	}
 }
 
@@ -155,9 +146,9 @@ func (w AEWorkload) FullIterations() int { return w.Iterations }
 func (w AEWorkload) DefaultBatch() int { return w.Batch }
 
 // Evaluate implements Workload.
-func (w AEWorkload) Evaluate(c Candidate, iters int) (EvalResult, error) {
+func (w AEWorkload) Evaluate(c Candidate, iters int) (float64, error) {
 	if err := c.validate(); err != nil {
-		return EvalResult{}, err
+		return 0, err
 	}
 	batch := c.Batch
 	if batch == 0 {
@@ -169,15 +160,15 @@ func (w AEWorkload) Evaluate(c Candidate, iters int) (EvalResult, error) {
 	mcfg.Seed = w.seed()
 	m, err := autoencoder.Build(ctx, mcfg)
 	if err != nil {
-		return EvalResult{}, leakCheck(dev, err)
+		return 0, leakCheck(dev, err)
 	}
 	tr := trainerFor(dev, iters, stepsPerChunk(w.DatasetExamples, batch)*batch)
 	res, err := tr.Run(m, data.Null{D: w.Model.Visible, N: w.DatasetExamples})
 	m.Free()
 	if err = leakCheck(dev, err); err != nil {
-		return EvalResult{}, err
+		return 0, err
 	}
-	return EvalResult{SimSeconds: res.SimSeconds}, nil
+	return res.SimSeconds, nil
 }
 
 // Objective returns the tuning objective for the workload: each candidate
@@ -216,9 +207,9 @@ func (w MLPWorkload) FullIterations() int { return w.Iterations }
 func (w MLPWorkload) DefaultBatch() int { return w.Batch }
 
 // Evaluate implements Workload.
-func (w MLPWorkload) Evaluate(c Candidate, iters int) (EvalResult, error) {
+func (w MLPWorkload) Evaluate(c Candidate, iters int) (float64, error) {
 	if err := c.validate(); err != nil {
-		return EvalResult{}, err
+		return 0, err
 	}
 	batch := c.Batch
 	if batch == 0 {
@@ -230,7 +221,7 @@ func (w MLPWorkload) Evaluate(c Candidate, iters int) (EvalResult, error) {
 	mcfg.Seed = w.seed()
 	m, err := mlp.Build(ctx, mcfg)
 	if err != nil {
-		return EvalResult{}, leakCheck(dev, err)
+		return 0, leakCheck(dev, err)
 	}
 	tr := trainerFor(dev, iters, stepsPerChunk(w.DatasetExamples, batch)*batch)
 	src := data.NullLabeled{
@@ -240,9 +231,9 @@ func (w MLPWorkload) Evaluate(c Candidate, iters int) (EvalResult, error) {
 	res, err := tr.RunLabeled(m, src)
 	m.Free()
 	if err = leakCheck(dev, err); err != nil {
-		return EvalResult{}, err
+		return 0, err
 	}
-	return EvalResult{SimSeconds: res.SimSeconds}, nil
+	return res.SimSeconds, nil
 }
 
 // Objective returns the tuning objective for the workload.
@@ -280,9 +271,9 @@ func (w ConvWorkload) FullIterations() int { return w.Iterations }
 func (w ConvWorkload) DefaultBatch() int { return w.Batch }
 
 // Evaluate implements Workload.
-func (w ConvWorkload) Evaluate(c Candidate, iters int) (EvalResult, error) {
+func (w ConvWorkload) Evaluate(c Candidate, iters int) (float64, error) {
 	if err := c.validate(); err != nil {
-		return EvalResult{}, err
+		return 0, err
 	}
 	batch := c.Batch
 	if batch == 0 {
@@ -294,7 +285,7 @@ func (w ConvWorkload) Evaluate(c Candidate, iters int) (EvalResult, error) {
 	mcfg.Seed = w.seed()
 	m, err := convnet.Build(ctx, mcfg)
 	if err != nil {
-		return EvalResult{}, leakCheck(dev, err)
+		return 0, leakCheck(dev, err)
 	}
 	tr := trainerFor(dev, iters, stepsPerChunk(w.DatasetExamples, batch)*batch)
 	src := data.NullLabeled{
@@ -304,9 +295,9 @@ func (w ConvWorkload) Evaluate(c Candidate, iters int) (EvalResult, error) {
 	res, err := tr.RunLabeled(m, src)
 	m.Free()
 	if err = leakCheck(dev, err); err != nil {
-		return EvalResult{}, err
+		return 0, err
 	}
-	return EvalResult{SimSeconds: res.SimSeconds}, nil
+	return res.SimSeconds, nil
 }
 
 // Objective returns the tuning objective for the workload.

@@ -27,11 +27,11 @@ func TestCandidateLevelRespected(t *testing.T) {
 	w := smallWorkload(sim.XeonPhi5110P())
 	w.Iterations = 10
 	eval := func(c Candidate) float64 {
-		r, err := w.Evaluate(c, w.Iterations)
+		sec, err := w.Evaluate(c, w.Iterations)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r.SimSeconds
+		return sec
 	}
 	base := eval(Candidate{Level: core.Baseline, Cores: 60, ThreadsPerCore: 4})
 	omp := eval(Candidate{Level: core.OpenMP, Cores: 60, ThreadsPerCore: 4})
@@ -61,7 +61,7 @@ func TestWorkloadSeedAndDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a != b {
-		t.Fatalf("same seed, different results: %+v vs %+v", a, b)
+		t.Fatalf("same seed, different results: %g vs %g", a, b)
 	}
 	w.Seed = 7
 	if _, err := w.Evaluate(c, w.Iterations); err != nil {
