@@ -23,23 +23,24 @@ var sleepFreeDirs = []string{"internal/serve", "internal/parallel", "internal/fe
 // TestNoSleepInConcurrentPackages fails on any reference to time.Sleep
 // (a call or a function value) in the non-test files of sleepFreeDirs.
 func TestNoSleepInConcurrentPackages(t *testing.T) {
+	fset := token.NewFileSet()
 	for _, dir := range sleepFreeDirs {
-		for _, f := range parseNonTestFiles(t, dir) {
-			timeName := importName(f.file, "time")
+		for _, f := range parseNonTestFiles(t, fset, dir) {
+			timeName := importName(f, "time")
 			switch timeName {
 			case "", "_":
 				continue
 			case ".":
-				t.Errorf("%s: dot import of time would hide a Sleep call", f.fset.Position(f.file.Package))
+				t.Errorf("%s: dot import of time would hide a Sleep call", fset.Position(f.Package))
 				continue
 			}
-			ast.Inspect(f.file, func(n ast.Node) bool {
+			ast.Inspect(f, func(n ast.Node) bool {
 				sel, ok := n.(*ast.SelectorExpr)
 				if !ok || sel.Sel.Name != "Sleep" {
 					return true
 				}
 				if x, ok := sel.X.(*ast.Ident); ok && x.Name == timeName {
-					t.Errorf("%s: time.Sleep in a sleep-free package", f.fset.Position(sel.Pos()))
+					t.Errorf("%s: time.Sleep in a sleep-free package", fset.Position(sel.Pos()))
 				}
 				return true
 			})
@@ -47,30 +48,24 @@ func TestNoSleepInConcurrentPackages(t *testing.T) {
 	}
 }
 
-// parsedFile is one source file with the file set that positions it.
-type parsedFile struct {
-	fset *token.FileSet
-	file *ast.File
-}
-
-// parseNonTestFiles parses every non-test .go file directly in dir.
-func parseNonTestFiles(t *testing.T, dir string) []parsedFile {
+// parseNonTestFiles parses every non-test .go file directly in dir into
+// fset.
+func parseNonTestFiles(t *testing.T, fset *token.FileSet, dir string) []*ast.File {
 	t.Helper()
 	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []parsedFile
+	var out []*ast.File
 	for _, p := range paths {
 		if strings.HasSuffix(p, "_test.go") {
 			continue
 		}
-		fset := token.NewFileSet()
 		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, parsedFile{fset: fset, file: f})
+		out = append(out, f)
 	}
 	if len(out) == 0 {
 		t.Fatalf("no Go source files in %s", dir)
