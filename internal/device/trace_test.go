@@ -210,10 +210,11 @@ func TestUntracedLaunchDoesNotAllocate(t *testing.T) {
 }
 
 // TestWarmConcurrentGroupDoesNotAllocate checks that a warm two-branch
-// ExecConcurrent reuses the device's scratch, and that the reuse leaves the simulated clock exactly where
-// fresh scratch would: scratch left longer and dirty by a wider group with
-// late dependencies must not leak into a later group's schedule, even
-// after ResetTime rewinds the clock below those ready times.
+// ExecConcurrent reuses the device's scratch, and that the reuse leaves
+// the simulated clock exactly where fresh scratch would: scratch left
+// longer and dirty by a wider group with late dependencies must not leak
+// into a later group's schedule, even after ResetTime rewinds the clock
+// below those ready times.
 func TestWarmConcurrentGroupDoesNotAllocate(t *testing.T) {
 	if metrics.Enabled() {
 		t.Skip("metrics collection is on")

@@ -6,8 +6,8 @@
 // physical cores, hardware threads per core, loop fusion, minibatch size —
 // against the simulated cost model, which evaluates a whole training run in
 // microseconds. GridSearch evaluates every candidate with a full simulated
-// run; the default grid of 64 candidates simulates in well under a second,
-// so the search is exhaustive.
+// run; the default Phi grid of 64 candidates simulates in well under a
+// second, so the search is exhaustive.
 //
 // The returned configuration is what a manual tuner on real silicon would
 // converge to: e.g. two hardware threads per Phi core saturate the in-order
